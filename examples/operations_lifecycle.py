@@ -18,10 +18,10 @@ import tempfile
 from pathlib import Path
 
 from repro import CinderellaTable
+from repro.adapt import advise
 from repro.metrics import summarize_catalog
 from repro.reporting import format_kv_block, format_table
 from repro.storage.snapshot import load_table, save_table
-from repro.tuning import advise
 from repro.workloads import generate_dbpedia_persons
 
 

@@ -19,9 +19,8 @@ around a running table:
   cooldown gates around :meth:`~repro.table.partitioned.CinderellaTable
   .reorganize`, with every decision — acted or declined — observable.
 
-The offline grid advisor that previously lived in ``repro.tuning``
-(``advise``) is part of this package now; ``repro.tuning`` re-exports
-it unchanged.
+The offline grid advisor (``advise``, backing ``python -m repro
+advise``) lives here too.
 """
 
 from repro.adapt.advisor import (

@@ -2,10 +2,9 @@
 
 Two advisors live here:
 
-* :func:`advise` — the offline B/w grid advisor (moved from
-  ``repro.tuning.advisor``, which now re-exports it): trial
-  partitionings over a data sample scored by Definition 1 efficiency
-  minus a partition-count penalty.  The DBA's one-shot tool.
+* :func:`advise` — the offline B/w grid advisor: trial partitionings
+  over a data sample scored by Definition 1 efficiency minus a
+  partition-count penalty.  The DBA's one-shot tool.
 * :func:`advise_adaptation` — the online advisor of the closed loop: it
   prices the *current* layout and a set of candidate layouts against
   the observed query profile using the (calibrated) cost model, and
@@ -52,7 +51,7 @@ ADAPT_SIZE_FRACTIONS = (0.02, 0.05, 0.25)
 
 
 # ----------------------------------------------------------------------
-# the offline grid advisor (absorbed from repro.tuning.advisor)
+# the offline grid advisor
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Trial:

@@ -52,8 +52,8 @@ from repro.adapt.advisor import (
 from repro.adapt.trace import WorkloadTraceStore, profile_shift
 from repro.cost.calibrate import CalibrationSample, OnlineCalibrator
 from repro.cost.model import CostModel
-from repro.metrics.telemetry import AdaptationCounters
 from repro.obs import runtime as obs
+from repro.obs.counters import AdaptationCounters
 from repro.query.executor import execute_union_all
 from repro.query.query import AttributeQuery
 

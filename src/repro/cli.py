@@ -709,10 +709,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     try:
         _run_obs_workload(args)
     finally:
-        # flush the deferred legacy-counter mirrors while the state is
-        # still enabled — the exposition below reads the registry, and
-        # an unflushed mirror would understate every shimmed counter
-        obs.flush_mirrors()
         obs.disable()
 
     if args.format == "prometheus":
@@ -751,10 +747,14 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """
     import time as _time
 
+    from repro.obs.counters import ServerCounters
     from repro.obs.federation import quantile_from_buckets
     from repro.obs.slo import SloMonitor
     from repro.reporting.tables import format_table
     from repro.server.client import ServerClient
+
+    def server_metric(field: str) -> str:
+        return ServerCounters.METRICS[field][0]
 
     host, port = _parse_address(args.router)
     monitor = SloMonitor()
@@ -828,16 +828,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
             # shed rate across the fleet -------------------------------
             shed = (
-                view.counter_total(
-                    "repro_server_writes_shed_overloaded_total"
-                )
-                + view.counter_total(
-                    "repro_server_writes_shed_shutdown_total"
-                )
+                view.counter_total(server_metric("writes_shed_overloaded"))
+                + view.counter_total(server_metric("writes_shed_shutdown"))
             )
-            handled = view.counter_total(
-                "repro_server_requests_handled_total"
-            )
+            handled = view.counter_total(server_metric("requests_total"))
             shed_rate = shed / handled if handled else 0.0
             blocks.append(
                 f"writes shed: {int(shed)} "

@@ -33,8 +33,8 @@ from repro.core.config import CinderellaConfig
 from repro.core.partitioner import CinderellaPartitioner
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.failures import FailureEvent, NodeState
-from repro.metrics.telemetry import FaultToleranceCounters, RobustnessCounters
 from repro.obs import runtime as obs
+from repro.obs.counters import FaultToleranceCounters, RobustnessCounters
 
 
 @dataclass(frozen=True)

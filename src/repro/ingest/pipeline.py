@@ -44,8 +44,8 @@ from repro.ingest.errors import (
     UnknownEntityError,
 )
 from repro.ingest.quarantine import QuarantineStore
-from repro.metrics.telemetry import RobustnessCounters
 from repro.obs import runtime as obs
+from repro.obs.counters import RobustnessCounters
 
 #: admission outcomes
 QUEUED = "queued"

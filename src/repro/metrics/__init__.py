@@ -7,23 +7,14 @@ from repro.metrics.partition_stats import (
     percentile,
     summarize_catalog,
 )
-from repro.metrics.telemetry import (
-    FaultToleranceCounters,
-    QueryPathCounters,
-    RobustnessCounters,
-    TelemetryCollector,
-    TelemetrySample,
-)
+from repro.metrics.telemetry import TelemetryCollector, TelemetrySample
 from repro.metrics.timing import Timer, time_call
 
 __all__ = [
     "DistributionSummary",
-    "FaultToleranceCounters",
     "HistogramBucket",
     "LogHistogram",
     "PartitioningSummary",
-    "QueryPathCounters",
-    "RobustnessCounters",
     "TelemetryCollector",
     "TelemetrySample",
     "Timer",

@@ -6,10 +6,8 @@ samples a partitioner at a fixed operation cadence and records the series
 (partition count, efficiency, mean fill, split count), so benchmarks and
 examples can show convergence and stability instead of just end states.
 
-For distributed deployments it additionally defines
-:class:`FaultToleranceCounters` — the failure/retry/recovery event
-counts a :class:`~repro.distributed.store.DistributedUniversalStore`
-accumulates while nodes crash and recover around it.
+The operational counters (``QueryPathCounters`` and friends) live in
+:mod:`repro.obs.counters`.
 """
 
 from __future__ import annotations
@@ -18,15 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.efficiency import catalog_efficiency
-from repro.obs.shims import (
-    ADAPT_METRICS,
-    FAULT_TOLERANCE_METRICS,
-    QUERY_PATH_METRICS,
-    ROBUSTNESS_METRICS,
-    ROUTER_METRICS,
-    SERVER_METRICS,
-    RegistryMirrorMixin,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.partitioner import CinderellaPartitioner
@@ -42,370 +31,6 @@ class TelemetrySample:
     mean_fill: float
     split_count: int
     efficiency: Optional[float]
-
-
-@dataclass
-class FaultToleranceCounters(RegistryMirrorMixin):
-    """Failure, retry, and recovery event counts of a distributed store.
-
-    ``queries_degraded`` counts queries that returned with
-    ``degraded=True`` (at least one needed partition had no reachable
-    copy); :meth:`availability` is the complement, the headline metric
-    of the fault-tolerance benchmark.
-
-    While observability is enabled these counters additionally feed the
-    :mod:`repro.obs` registry as ``repro_dist_*`` metrics (deferred;
-    see :class:`repro.obs.shims.RegistryMirrorMixin`).
-    """
-
-    _OBS_METRICS = FAULT_TOLERANCE_METRICS
-
-    node_crashes: int = 0
-    node_recoveries: int = 0
-    node_degradations: int = 0
-    queries_total: int = 0
-    queries_degraded: int = 0
-    retries: int = 0
-    failovers: int = 0
-    unreachable_partition_hits: int = 0
-    re_replication_passes: int = 0
-    replicas_created: int = 0
-    wal_records_appended: int = 0
-    wal_records_replayed: int = 0
-
-    def availability(self) -> float:
-        """Fraction of queries answered completely (1.0 when none ran)."""
-        if self.queries_total == 0:
-            return 1.0
-        return 1.0 - self.queries_degraded / self.queries_total
-
-    def as_dict(self) -> dict[str, float]:
-        """All counters plus availability, for reports and CLIs."""
-        result = {
-            name: getattr(self, name)
-            for name in (
-                "node_crashes", "node_recoveries", "node_degradations",
-                "queries_total", "queries_degraded", "retries", "failovers",
-                "unreachable_partition_hits", "re_replication_passes",
-                "replicas_created", "wal_records_appended",
-                "wal_records_replayed",
-            )
-        }
-        result["availability"] = self.availability()
-        return result
-
-
-@dataclass
-class RobustnessCounters(RegistryMirrorMixin):
-    """Counters of the transactional-maintenance and hardened-ingest layer.
-
-    The maintenance half counts journaled catalog operations (inserts
-    that split, merge passes, reorganizations) and how they ended;
-    every crash or validation failure that rolled back cleanly shows up
-    in ``ops_rolled_back`` — an operation that neither committed nor
-    rolled back is a bug.  The ingest half makes admission outcomes
-    observable: how many entities were accepted, rejected into
-    quarantine, bounced by backpressure (``ingest_overloaded``), or
-    recognized as idempotent replays (``ingest_replayed``).
-
-    While observability is enabled these counters additionally feed the
-    :mod:`repro.obs` registry as ``repro_txn_*`` / ``repro_ingest_*``
-    metrics (deferred; see
-    :class:`repro.obs.shims.RegistryMirrorMixin`).
-    """
-
-    _OBS_METRICS = ROBUSTNESS_METRICS
-
-    # transactional maintenance operations
-    ops_started: int = 0
-    ops_committed: int = 0
-    ops_rolled_back: int = 0
-    op_steps: int = 0
-    # ingest admission
-    ingest_accepted: int = 0
-    ingest_rejected: int = 0
-    ingest_quarantined: int = 0
-    ingest_requeued: int = 0
-    ingest_replayed: int = 0
-    ingest_overloaded: int = 0
-    queue_high_watermark: int = 0
-
-    def observe_queue_depth(self, depth: int) -> None:
-        if depth > self.queue_high_watermark:
-            self.queue_high_watermark = depth
-
-    def as_dict(self) -> dict[str, int]:
-        """All counters, for reports and CLIs."""
-        return {
-            name: getattr(self, name)
-            for name in (
-                "ops_started", "ops_committed", "ops_rolled_back", "op_steps",
-                "ingest_accepted", "ingest_rejected", "ingest_quarantined",
-                "ingest_requeued", "ingest_replayed", "ingest_overloaded",
-                "queue_high_watermark",
-            )
-        }
-
-
-@dataclass
-class QueryPathCounters(RegistryMirrorMixin):
-    """Counters of the read-side fast path: pruning index + result cache.
-
-    ``queries_total`` counts executed queries; the partition counters
-    accumulate over their plans.  ``index_resolutions`` counts plans
-    whose surviving set came from the inverted synopsis index,
-    ``catalog_scan_resolutions`` those that tested every catalog entry
-    (no index attached).  The ``cache_*`` counters are maintained by the
-    :class:`~repro.query.cache.QueryResultCache` the counters object is
-    attached to; a *stale drop* is an entry discarded because its
-    partition's content version moved on — exact invalidation at work.
-
-    While observability is enabled these counters additionally feed the
-    :mod:`repro.obs` registry as ``repro_query_*`` metrics (deferred;
-    see :class:`repro.obs.shims.RegistryMirrorMixin`), so ``python -m
-    repro query-path`` and ``python -m repro obs`` report the same
-    numbers.
-    """
-
-    _OBS_METRICS = QUERY_PATH_METRICS
-
-    queries_total: int = 0
-    partitions_considered: int = 0
-    partitions_scanned: int = 0
-    partitions_pruned: int = 0
-    index_resolutions: int = 0
-    catalog_scan_resolutions: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stale_drops: int = 0
-    cache_evictions: int = 0
-    rows_served_from_cache: int = 0
-
-    def cache_hit_rate(self) -> float:
-        """Hits over lookups (1.0 when the cache saw no traffic)."""
-        lookups = self.cache_hits + self.cache_misses
-        if lookups == 0:
-            return 1.0
-        return self.cache_hits / lookups
-
-    def pruning_ratio(self) -> float:
-        """Fraction of considered partitions eliminated before scanning."""
-        if self.partitions_considered == 0:
-            return 0.0
-        return self.partitions_pruned / self.partitions_considered
-
-    def as_dict(self) -> dict[str, float]:
-        """All counters plus the derived rates, for reports and CLIs."""
-        result = {
-            name: getattr(self, name)
-            for name in (
-                "queries_total", "partitions_considered", "partitions_scanned",
-                "partitions_pruned", "index_resolutions",
-                "catalog_scan_resolutions", "cache_hits", "cache_misses",
-                "cache_stale_drops", "cache_evictions", "rows_served_from_cache",
-            )
-        }
-        result["cache_hit_rate"] = self.cache_hit_rate()
-        result["pruning_ratio"] = self.pruning_ratio()
-        return result
-
-
-@dataclass
-class ServerCounters(RegistryMirrorMixin):
-    """Counters of the online serving layer (:mod:`repro.server`).
-
-    The admission half mirrors the ingest pipeline's vocabulary —
-    ``writes_shed_overloaded`` counts modifications bounced with the
-    explicit ``overloaded`` status, ``queue_high_watermark`` is the
-    deepest write queue observed.  The concurrency half counts what the
-    batcher and the cooperative maintenance task did between requests:
-    batches flushed under the exclusive lock, merge passes,
-    reorganizations.
-
-    While observability is enabled these counters additionally feed the
-    :mod:`repro.obs` registry as ``repro_server_*`` metrics (deferred;
-    see :class:`repro.obs.shims.RegistryMirrorMixin`).
-    """
-
-    _OBS_METRICS = SERVER_METRICS
-
-    connections_opened: int = 0
-    connections_closed: int = 0
-    requests_total: int = 0
-    requests_failed: int = 0
-    bad_requests: int = 0
-    writes_applied: int = 0
-    writes_rejected: int = 0
-    writes_shed_overloaded: int = 0
-    writes_shed_shutdown: int = 0
-    batches_flushed: int = 0
-    queries_served: int = 0
-    sql_served: int = 0
-    maintenance_passes: int = 0
-    partitions_merged: int = 0
-    reorganizations: int = 0
-    queue_high_watermark: int = 0
-    wal_writes_logged: int = 0
-    wal_records_replayed: int = 0
-    connections_force_closed: int = 0
-    checkpoints_taken: int = 0
-    checkpoint_records_truncated: int = 0
-    sync_pages_served: int = 0
-    sync_deltas_applied: int = 0
-    sync_entities_received: int = 0
-    snapshots_published: int = 0
-    snapshots_retired: int = 0
-    snapshot_reads: int = 0
-    snapshot_response_cache_hits: int = 0
-    admission_window: int = 0
-    adapt_decisions: int = 0
-    adapt_actions: int = 0
-
-    def shed_rate(self) -> float:
-        """Shed modifications over all modification submissions."""
-        shed = self.writes_shed_overloaded + self.writes_shed_shutdown
-        attempted = self.writes_applied + self.writes_rejected + shed
-        if attempted == 0:
-            return 0.0
-        return shed / attempted
-
-    def as_dict(self) -> dict[str, float]:
-        """All counters plus the derived shed rate, for reports and CLIs."""
-        result = {
-            name: getattr(self, name)
-            for name in (
-                "connections_opened", "connections_closed", "requests_total",
-                "requests_failed", "bad_requests", "writes_applied",
-                "writes_rejected", "writes_shed_overloaded",
-                "writes_shed_shutdown", "batches_flushed", "queries_served",
-                "sql_served", "maintenance_passes", "partitions_merged",
-                "reorganizations", "queue_high_watermark",
-                "wal_writes_logged", "wal_records_replayed",
-                "connections_force_closed", "checkpoints_taken",
-                "checkpoint_records_truncated", "sync_pages_served",
-                "sync_deltas_applied", "sync_entities_received",
-                "snapshots_published", "snapshots_retired", "snapshot_reads",
-                "snapshot_response_cache_hits", "admission_window",
-                "adapt_decisions", "adapt_actions",
-            )
-        }
-        result["shed_rate"] = self.shed_rate()
-        return result
-
-
-@dataclass
-class AdaptationCounters(RegistryMirrorMixin):
-    """Decision counts of the adaptation controller (:mod:`repro.adapt`).
-
-    Every decision the controller makes increments ``decisions_total``
-    plus exactly one outcome counter: an ``acted_*`` counter when a plan
-    was applied, or a ``declined_*`` counter naming the gate that
-    stopped the pipeline.  The split makes the headline properties
-    checkable from metrics alone — a stationary workload shows only
-    ``declined_*`` growth, and the number of physical reorganizations
-    during a shift is ``acted_reorganize``.
-
-    While observability is enabled these counters additionally feed the
-    :mod:`repro.obs` registry as ``repro_adapt_*`` metrics (deferred;
-    see :class:`repro.obs.shims.RegistryMirrorMixin`).
-    """
-
-    _OBS_METRICS = ADAPT_METRICS
-
-    decisions_total: int = 0
-    acted_reorganize: int = 0
-    acted_merge: int = 0
-    declined_insufficient_traffic: int = 0
-    declined_budget_exhausted: int = 0
-    declined_cooldown: int = 0
-    declined_baseline_established: int = 0
-    declined_no_shift: int = 0
-    declined_below_threshold: int = 0
-    calibration_refits: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """All counters, for reports and CLIs."""
-        return {
-            name: getattr(self, name)
-            for name in (
-                "decisions_total", "acted_reorganize", "acted_merge",
-                "declined_insufficient_traffic", "declined_budget_exhausted",
-                "declined_cooldown", "declined_baseline_established",
-                "declined_no_shift", "declined_below_threshold",
-                "calibration_refits",
-            )
-        }
-
-
-@dataclass
-class RouterCounters(RegistryMirrorMixin):
-    """Counters of the routing tier (:mod:`repro.router`).
-
-    The reply triple is the partial-result contract made countable:
-    ``replies_complete`` (every needed shard answered),
-    ``replies_degraded`` (some shards missing — the response says which)
-    and ``replies_unavailable`` (no reachable replica for a needed
-    shard; retryable).  The health half counts the circuit breaker's
-    life: per-node ejections, probes, restores, and the catch-up writes
-    replayed to a node that came back.
-
-    While observability is enabled these counters additionally feed the
-    :mod:`repro.obs` registry as ``repro_router_*`` metrics (deferred;
-    see :class:`repro.obs.shims.RegistryMirrorMixin`).
-    """
-
-    _OBS_METRICS = ROUTER_METRICS
-
-    connections_opened: int = 0
-    connections_closed: int = 0
-    requests_total: int = 0
-    bad_requests: int = 0
-    writes_routed: int = 0
-    queries_scattered: int = 0
-    replies_complete: int = 0
-    replies_degraded: int = 0
-    replies_unavailable: int = 0
-    upstream_retries: int = 0
-    failovers: int = 0
-    node_ejections: int = 0
-    node_restores: int = 0
-    probes_sent: int = 0
-    catchup_replayed: int = 0
-    catchup_dropped: int = 0
-    nodes_diverged: int = 0
-    resyncs_started: int = 0
-    resyncs_completed: int = 0
-    resyncs_failed: int = 0
-    sync_entities_streamed: int = 0
-    obs_scrapes: int = 0
-
-    def availability(self) -> float:
-        """Fraction of routed requests answered completely (1.0 when idle)."""
-        answered = (
-            self.replies_complete + self.replies_degraded
-            + self.replies_unavailable
-        )
-        if answered == 0:
-            return 1.0
-        return self.replies_complete / answered
-
-    def as_dict(self) -> dict[str, float]:
-        """All counters plus availability, for reports and CLIs."""
-        result = {
-            name: getattr(self, name)
-            for name in (
-                "connections_opened", "connections_closed", "requests_total",
-                "bad_requests", "writes_routed", "queries_scattered",
-                "replies_complete", "replies_degraded", "replies_unavailable",
-                "upstream_retries", "failovers", "node_ejections",
-                "node_restores", "probes_sent", "catchup_replayed",
-                "catchup_dropped", "nodes_diverged", "resyncs_started",
-                "resyncs_completed", "resyncs_failed",
-                "sync_entities_streamed",
-            )
-        }
-        result["availability"] = self.availability()
-        return result
 
 
 @dataclass

@@ -3,7 +3,7 @@
 One subsystem gives the whole stack its operational eyes (the paper's
 evaluation is *about* measuring partitioning efficiency, rating cost,
 and maintenance overhead; this module makes those signals first-class at
-runtime instead of ad-hoc dataclasses):
+runtime):
 
 * :mod:`repro.obs.registry` — labeled ``Counter`` / ``Gauge`` /
   ``Histogram`` families with Prometheus-text and JSON exposition;
@@ -14,8 +14,8 @@ runtime instead of ad-hoc dataclasses):
 * :mod:`repro.obs.export` — JSONL trace export;
 * :mod:`repro.obs.runtime` — the global on/off switch and the
   zero-cost-when-disabled helpers instrumented code calls;
-* :mod:`repro.obs.shims` — compatibility mirrors that keep the legacy
-  ``*Counters`` dataclasses working while feeding the registry;
+* :mod:`repro.obs.counters` — the always-on counter sets, each
+  declared once and read live through the registry;
 * :mod:`repro.obs.federation` — per-process observability documents
   (the ``obs`` wire verb's payload) merged into a cluster-level
   :class:`~repro.obs.federation.FederatedView`;
@@ -75,7 +75,6 @@ from repro.obs.runtime import (
     trace_scope,
     wire_trace,
 )
-from repro.obs.shims import flush_mirrors
 from repro.obs.slo import (
     DEFAULT_ALERTS,
     DEFAULT_OBJECTIVES,
@@ -115,7 +114,6 @@ __all__ = [
     "disable",
     "enable",
     "event",
-    "flush_mirrors",
     "gauge_set",
     "inc",
     "is_enabled",

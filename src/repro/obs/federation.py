@@ -2,7 +2,7 @@
 
 The registry (:mod:`repro.obs.registry`) is strictly per-process; the
 cluster is not.  This module defines the **observability document** a
-process exposes over the wire (the ``obs`` verb — its flushed registry
+process exposes over the wire (the ``obs`` verb — its registry
 in JSON exposition plus bounded trace digests) and the merge that folds
 many such documents into one federated view:
 
@@ -28,7 +28,6 @@ import time
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.obs import runtime
-from repro.obs.shims import flush_mirrors
 
 _INF = float("inf")
 
@@ -39,12 +38,10 @@ _INF = float("inf")
 def local_obs_document(name: str, tier: str = "node") -> dict[str, Any]:
     """This process's observability document (the ``obs`` verb body).
 
-    Mirrored legacy counters are flushed first so the registry snapshot
-    is current, not stale by one flush interval.  With observability
-    disabled the document still identifies the source — federation
-    renders it as enabled=false rather than inventing zeros.
+    With observability disabled the document still identifies the
+    source — federation renders it as enabled=false rather than
+    inventing zeros.
     """
-    flush_mirrors()
     document: dict[str, Any] = {
         "name": name,
         "tier": tier,

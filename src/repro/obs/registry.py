@@ -1,9 +1,10 @@
 """The metrics registry: labeled counter/gauge/histogram families.
 
-One process-wide registry replaces the three ad-hoc ``*Counters``
-dataclasses of :mod:`repro.metrics.telemetry` as the system of record
-for operational metrics (the dataclasses survive as compatibility shims
-that mirror every write into the registry — see :mod:`repro.obs.shims`).
+One process-wide registry is the system of record for operational
+metrics.  Instrumented code writes histograms, labeled counters and
+level gauges into it directly; the always-on counter sets of
+:mod:`repro.obs.counters` are not copied into it but *viewed* through
+it — their families are computed at read time (``live_source``).
 The design follows the Prometheus client-library data model:
 
 * a **family** is one named metric with a fixed label schema
@@ -32,7 +33,7 @@ import json
 import re
 import threading
 from bisect import bisect_left
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 COUNTER = "counter"
 GAUGE = "gauge"
@@ -277,6 +278,22 @@ class MetricsRegistry:
         #: labeled children memoized by (name, *sorted label items) —
         #: the runtime facade's hot path skips family + child resolution
         self._fast_labeled: dict[tuple, Any] = {}
+        #: brings the families that are views of state held elsewhere
+        #: (the counter sets) up to date; every read below runs it
+        #: first, so no reader can see them stale.  None once the
+        #: session that installed it has ended (see :meth:`freeze`)
+        self.live_source: Optional[Callable[[], None]] = None
+
+    def _refresh(self) -> None:
+        source = self.live_source
+        if source is not None:
+            source()
+
+    def freeze(self) -> None:
+        """Take the live families' final values and stop following
+        their source (the end of an observability session)."""
+        self._refresh()
+        self.live_source = None
 
     def _family(
         self,
@@ -334,13 +351,16 @@ class MetricsRegistry:
 
     # introspection -------------------------------------------------------
     def families(self) -> list[MetricFamily]:
+        self._refresh()
         return [self._families[name] for name in sorted(self._families)]
 
     def get(self, name: str) -> Optional[MetricFamily]:
+        self._refresh()
         return self._families.get(name)
 
     def get_value(self, name: str, **labels: Any) -> Optional[float]:
         """A counter/gauge child's current value (None when absent)."""
+        self._refresh()
         family = self._families.get(name)
         if family is None:
             return None

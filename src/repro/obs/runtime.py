@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ContextManager, Optional, Sequence, Union
 
+from repro.obs import counters
 from repro.obs.events import EventLog
 from repro.obs.export import JsonlSpanExporter
 from repro.obs.registry import MetricsRegistry
@@ -165,6 +166,7 @@ def enable(
             tracer.span_histograms[span_name] = _STATE.registry.histogram(
                 metric, help_text, buckets=bounds
             )._unlabeled()
+    counters.attach(_STATE.registry)
     _TRACER = _STATE.tracer
     _REGISTRY = _STATE.registry
     _PROPAGATE = _STATE.propagate
@@ -174,18 +176,15 @@ def enable(
 def disable() -> Optional[ObservabilityState]:
     """Turn observability off; returns the state that was active."""
     global _STATE, _TRACER, _REGISTRY, _PROPAGATE
-    if _STATE is not None:
-        # deferred-mirror shims flush on disable so the returned state's
-        # registry is complete (import here: shims imports runtime)
-        from repro.obs.shims import flush_mirrors
-
-        flush_mirrors()
     state = _STATE
     _STATE = None
     _TRACER = None
     _REGISTRY = None
     _PROPAGATE = False
     if state is not None:
+        # the counter sets go on counting; the returned state reports
+        # what they counted while this session was enabled
+        state.registry.freeze()
         state.close()
     return state
 

@@ -21,7 +21,7 @@ projection (an attribute unknown to the dictionary contributes no mask
 bit but does contribute a ``None`` output column).
 
 Capacity is bounded with LRU eviction; all cache traffic is counted in
-a :class:`~repro.metrics.telemetry.QueryPathCounters` when one is
+a :class:`~repro.obs.counters.QueryPathCounters` when one is
 attached.
 """
 
@@ -34,7 +34,7 @@ from typing import Any, Optional, TYPE_CHECKING
 from repro.query.query import AttributeQuery
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.metrics.telemetry import QueryPathCounters
+    from repro.obs.counters import QueryPathCounters
 
 #: (query identity, partition id)
 CacheKey = tuple[tuple[str, ...], str, int]

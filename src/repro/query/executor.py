@@ -33,7 +33,7 @@ from repro.storage.record import deserialize_record
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.catalog import PartitionCatalog
     from repro.catalog.dictionary import AttributeDictionary
-    from repro.metrics.telemetry import QueryPathCounters
+    from repro.obs.counters import QueryPathCounters
     from repro.query.cache import QueryResultCache
     from repro.storage.heap import HeapFile
 

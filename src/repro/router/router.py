@@ -47,8 +47,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.metrics.telemetry import RouterCounters
 from repro.obs import runtime as obs
+from repro.obs.counters import RouterCounters
 from repro.obs.federation import (
     local_obs_document,
     merge_documents,
@@ -1156,7 +1156,7 @@ class CinderellaRouter:
     ) -> tuple[str, dict[str, Any], Optional[dict[str, Any]]]:
         """Metrics federation: scatter ``obs`` to every node, merge.
 
-        Every node's observability document (flushed registry + trace
+        Every node's observability document (registry + trace
         digests) is gathered concurrently; a node that cannot be
         scraped contributes an explicit *unreachable* marker instead of
         vanishing.  The router's own document joins the set (labeled

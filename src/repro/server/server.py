@@ -57,11 +57,10 @@ from typing import Any, Optional, Union
 from repro.adapt.controller import AdaptationConfig, AdaptationController
 from repro.backup import BackupArchive, apply_record, checkpoint_node
 from repro.core.config import CinderellaConfig
-from repro.metrics.telemetry import ServerCounters
 from repro.obs import runtime as obs
+from repro.obs.counters import ServerCounters
 from repro.obs.federation import local_obs_document
 from repro.obs.registry import SERVER_LATENCY_BUCKETS
-from repro.obs.shims import flush_mirrors
 from repro.obs.tracing import TraceContext
 from repro.query.cache import QueryResultCache
 from repro.query.query import AttributeQuery
@@ -833,10 +832,6 @@ class CinderellaServer:
                 len(batch), time.perf_counter() - started
             )
             self.counters.admission_window = self._admission.window
-            obs.gauge_set(
-                "repro_server_admission_window", self._admission.window,
-                "Adaptive write-admission window",
-            )
             obs.observe(
                 "repro_server_batch_size", len(batch),
                 "Writes drained per group commit",
@@ -1494,7 +1489,7 @@ class CinderellaServer:
     # ------------------------------------------------------------------
     def _obs_snapshot(self) -> dict[str, Any]:
         """The ``obs`` verb: this node's observability document —
-        flushed registry exposition plus trace digests — for the router
+        registry exposition plus trace digests — for the router
         (or any client) to federate."""
         return local_obs_document(self.config.name, tier="node")
 
@@ -1502,10 +1497,6 @@ class CinderellaServer:
         """A point-in-time view (no await; table state comes from the
         latest MVCC snapshot — the live table belongs to the batcher's
         worker thread)."""
-        # wire-visible counters mirrored from the legacy *Counters
-        # dataclasses are flushed lazily; without this a stats reader
-        # would see registry values stale by up to one flush interval
-        flush_mirrors()
         snapshot = self._latest_snapshot()
         age_s = round(time.monotonic() - snapshot.created_monotonic, 3)
         obs.gauge_set(

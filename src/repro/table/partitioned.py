@@ -24,7 +24,7 @@ from repro.catalog.dictionary import AttributeDictionary
 from repro.core.config import CinderellaConfig
 from repro.core.outcomes import ModificationOutcome
 from repro.core.partitioner import CinderellaPartitioner
-from repro.metrics.telemetry import QueryPathCounters
+from repro.obs.counters import QueryPathCounters
 from repro.query.cache import QueryResultCache
 from repro.query.executor import (
     ExecutionResult,

@@ -34,7 +34,7 @@ from repro.obs import runtime as obs
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.outcomes import ModificationOutcome
     from repro.core.partitioner import CinderellaPartitioner
-    from repro.metrics.telemetry import RobustnessCounters
+    from repro.obs.counters import RobustnessCounters
     from repro.txn.journal import OperationJournal
 
 CrashHook = Callable[[str], None]

@@ -32,7 +32,6 @@ class TestPublicApi:
             "repro.metrics",
             "repro.reporting",
             "repro.maintenance",
-            "repro.tuning",
             "repro.adapt",
         ],
     )

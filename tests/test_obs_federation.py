@@ -87,10 +87,10 @@ class TestDocuments:
         assert "repro_test_total" in names
         assert document["traces"]["top_spans"][0][0] == "unit.work"
 
-    def test_document_flushes_legacy_mirrors_first(self):
-        """The satellite contract: a wire-visible snapshot must never be
-        stale by one mirror-flush interval."""
-        from repro.metrics.telemetry import RouterCounters
+    def test_document_reads_counter_sets_live(self):
+        """A wire-visible snapshot is current with every counter-set
+        bump made before it was taken."""
+        from repro.obs.counters import RouterCounters
 
         obs.enable()
         counters = RouterCounters()

@@ -4,13 +4,19 @@ The acceptance bar of the observability layer:
 
 * a single insert that causes a split leaves a complete nested span
   tree (insert -> split -> restricted rate / place);
-* ``python -m repro query-path`` (legacy dataclass counters) and
-  ``python -m repro obs`` (registry) report identical numbers;
+* ``python -m repro query-path`` (one table's counter set) and
+  ``python -m repro obs`` (the registry's live view) report identical
+  numbers, and the view needs no flush;
 * one instrumented run covers insert, query, maintenance, WAL, and
   ingest metric families, and both exposition formats are valid.
 """
 
+import gc
+import importlib
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -20,9 +26,19 @@ from repro.core.config import CinderellaConfig
 from repro.core.partitioner import CinderellaPartitioner
 from repro.ingest.pipeline import IngestPipeline, IngestRequest
 from repro.maintenance.merger import merge_small_partitions
-from repro.obs.shims import QUERY_PATH_METRICS
+from repro.obs.counters import (
+    AdaptationCounters,
+    CounterSet,
+    FaultToleranceCounters,
+    QueryPathCounters,
+    RobustnessCounters,
+    RouterCounters,
+    ServerCounters,
+)
+from repro.obs.registry import MetricError
 from repro.query.cache import QueryResultCache
 from repro.query.query import AttributeQuery
+from repro.router.testing import ClusterHarness
 from repro.storage.wal import WriteAheadLog
 from repro.table.partitioned import CinderellaTable
 from repro.txn.ops import atomic_merge
@@ -139,8 +155,8 @@ def _run_query_workload(table):
 
 class TestCountersAgreement:
     def test_query_path_counters_match_registry(self):
-        """``repro query-path`` reads the dataclass, ``repro obs`` reads
-        the registry; the deferred mirror must make them identical."""
+        """``repro query-path`` reads the counter set, ``repro obs`` reads
+        the registry's view of it; they must be identical."""
         table = CinderellaTable(
             CinderellaConfig(max_partition_size=20.0, weight=0.4,
                              use_synopsis_index=True),
@@ -148,29 +164,31 @@ class TestCountersAgreement:
         )
         state = obs.enable()
         _run_query_workload(table)
-        obs.disable()  # flushes the mirror
+        obs.disable()
 
         reported = table.query_counters.as_dict()
         assert reported["queries_total"] == 9
         assert reported["cache_hits"] > 0
-        for field, (metric, _kind) in QUERY_PATH_METRICS.items():
+        for field, (metric, _kind, _help) in QueryPathCounters.METRICS.items():
             registry_value = state.registry.get_value(metric)
             if reported[field] == 0:
                 assert registry_value in (None, 0.0), metric
             else:
                 assert registry_value == reported[field], metric
 
-    def test_flush_mirrors_makes_live_reads_current(self):
+    def test_live_read_in_enabled_session_is_current(self):
+        """A registry read inside an enabled session sees every bump made
+        so far, with no call in between — there is nothing to flush."""
         table = CinderellaTable(
             CinderellaConfig(max_partition_size=20.0),
             result_cache=QueryResultCache(),
         )
         obs.enable()
         _run_query_workload(table)
-        assert obs.registry().get_value("repro_query_queries_total") is None
-        obs.flush_mirrors()
         assert obs.registry().get_value("repro_query_queries_total") == 9
-        obs.disable()
+        table.execute(AttributeQuery(("name",)))
+        assert obs.registry().get_value("repro_query_queries_total") == 10
+        assert "repro_query_queries_total 10" in obs.registry().to_prometheus()
 
     def test_mirror_aggregates_multiple_tables(self):
         state = obs.enable()
@@ -182,6 +200,181 @@ class TestCountersAgreement:
             _run_query_workload(table)
         obs.disable()
         assert state.registry.get_value("repro_query_queries_total") == 18
+
+
+COUNTER_SETS = (
+    QueryPathCounters, ServerCounters, RouterCounters, RobustnessCounters,
+    FaultToleranceCounters, AdaptationCounters,
+)
+
+#: the ``counters`` block of a serving node's ``stats`` response —
+#: ``benchmarks/layers/workloads.py`` reads these names off the wire
+NODE_STATS_COUNTERS = [
+    "connections_opened", "connections_closed", "requests_total",
+    "requests_failed", "bad_requests", "writes_applied", "writes_rejected",
+    "writes_shed_overloaded", "writes_shed_shutdown", "batches_flushed",
+    "queries_served", "sql_served", "maintenance_passes",
+    "partitions_merged", "reorganizations", "queue_high_watermark",
+    "wal_writes_logged", "wal_records_replayed", "connections_force_closed",
+    "checkpoints_taken", "checkpoint_records_truncated",
+    "sync_pages_served", "sync_deltas_applied", "sync_entities_received",
+    "snapshots_published", "snapshots_retired", "snapshot_reads",
+    "snapshot_response_cache_hits", "admission_window", "adapt_decisions",
+    "adapt_actions", "shed_rate",
+]
+ROUTER_STATS_COUNTERS = [
+    "connections_opened", "connections_closed", "requests_total",
+    "bad_requests", "writes_routed", "queries_scattered",
+    "replies_complete", "replies_degraded", "replies_unavailable",
+    "upstream_retries", "failovers", "node_ejections", "node_restores",
+    "probes_sent", "catchup_replayed", "catchup_dropped", "nodes_diverged",
+    "resyncs_started", "resyncs_completed", "resyncs_failed",
+    "sync_entities_streamed", "obs_scrapes", "availability",
+]
+
+
+class TestCounterSets:
+    @pytest.mark.parametrize("cls", COUNTER_SETS, ids=lambda c: c.__name__)
+    def test_as_dict_is_the_declaration_plus_rates(self, cls):
+        rates = {
+            QueryPathCounters: ["cache_hit_rate", "pruning_ratio"],
+            ServerCounters: ["shed_rate"],
+            RouterCounters: ["availability"],
+            FaultToleranceCounters: ["availability"],
+        }.get(cls, [])
+        counters = cls()
+        assert list(counters.as_dict()) == list(cls.METRICS) + rates
+        first = next(iter(cls.METRICS))
+        setattr(counters, first, 7)
+        assert counters.as_dict()[first] == 7
+
+    def test_stats_counters_keys_on_the_wire(self, tmp_path):
+        with ClusterHarness(tmp_path, n_nodes=1, replication_factor=1) as h:
+            with h.client() as client:
+                client.insert({"a": 1})
+                assert client.request("obs").ok
+                router_counters = client.stats()["counters"]
+            with h.node_client("node0") as client:
+                node_counters = client.stats()["counters"]
+        assert list(node_counters) == NODE_STATS_COUNTERS
+        assert list(router_counters) == ROUTER_STATS_COUNTERS
+        assert router_counters["obs_scrapes"] == 1
+        assert node_counters["writes_applied"] == 1
+
+    def test_counts_survive_their_owner_mid_session(self):
+        """A set that is garbage-collected folds into its class's
+        retired total: the family never goes backwards."""
+        state = obs.enable()
+        first = QueryPathCounters()
+        first.cache_hits += 5
+        second = QueryPathCounters()
+        second.cache_hits += 2
+        assert state.registry.get_value("repro_query_cache_hits_total") == 7
+        del first
+        gc.collect()
+        assert state.registry.get_value("repro_query_cache_hits_total") == 7
+        second.cache_hits += 1
+        del second
+        gc.collect()
+        assert state.registry.get_value("repro_query_cache_hits_total") == 8
+
+    def test_second_session_starts_from_zero(self):
+        counters = RouterCounters()
+        first = obs.enable()
+        counters.requests_total += 4
+        obs.disable()
+        counters.requests_total += 10  # between sessions: in neither
+        second = obs.enable()
+        counters.requests_total += 2
+        assert first.registry.get_value("repro_router_requests_total") == 4
+        assert second.registry.get_value("repro_router_requests_total") == 2
+        assert counters.requests_total == 16
+
+    def test_set_bumped_on_a_worker_thread_reads_from_main(self):
+        state = obs.enable()
+        counters = ServerCounters()
+        half_way = threading.Event()
+        resume = threading.Event()
+
+        def work():
+            for _ in range(1000):
+                counters.requests_total += 1
+            counters.queue_high_watermark = 9
+            half_way.set()
+            assert resume.wait(10)
+            for _ in range(1000):
+                counters.requests_total += 1
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        assert half_way.wait(10)
+        get_value = state.registry.get_value
+        assert get_value("repro_server_requests_handled_total") == 1000
+        assert get_value("repro_server_queue_high_watermark") == 9
+        resume.set()
+        worker.join(10)
+        assert not worker.is_alive()
+        assert get_value("repro_server_requests_handled_total") == 2000
+
+    def test_sets_created_and_dropped_under_concurrent_reads(self):
+        """Sets born, bumped and collected on several threads while the
+        main thread reads: the family never goes backwards (no set is
+        ever counted in neither the live nor the retired total) and
+        ends at exactly the number of bumps made."""
+        state = obs.enable()
+        get_value = state.registry.get_value
+        workers, sets_each, bumps = 8, 150, 20
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def churn():
+                for _ in range(sets_each):
+                    counters = AdaptationCounters()
+                    for _ in range(bumps):
+                        counters.decisions_total += 1
+
+            threads = [threading.Thread(target=churn) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            seen = 0.0
+            deadline = time.monotonic() + 60
+            while any(t.is_alive() for t in threads):
+                assert time.monotonic() < deadline
+                value = get_value("repro_adapt_decisions_total") or 0.0
+                assert value >= seen
+                seen = value
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert get_value("repro_adapt_decisions_total") == (
+            workers * sets_each * bumps
+        )
+
+    def test_gauge_is_the_max_over_live_sets(self):
+        state = obs.enable()
+        shallow, deep = RobustnessCounters(), RobustnessCounters()
+        shallow.observe_queue_depth(3)
+        deep.observe_queue_depth(8)
+        get_value = state.registry.get_value
+        assert get_value("repro_ingest_queue_high_watermark") == 8
+        del deep
+        gc.collect()
+        assert get_value("repro_ingest_queue_high_watermark") == 3
+
+    def test_a_metric_name_is_declared_once(self):
+        with pytest.raises(MetricError, match="declared by"):
+            class Clash(CounterSet):
+                METRICS = {
+                    "hits": ("repro_query_cache_hits_total", "counter", "x"),
+                }
+
+    def test_the_shim_layer_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.obs.shims")
+        assert "flush_mirrors" not in obs.__all__
+        assert not hasattr(obs, "flush_mirrors")
 
 
 class TestSubsystemCoverage:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.catalog.catalog import PartitionCatalog, PartitionNotFoundError
 from repro.core.config import CinderellaConfig
-from repro.metrics.telemetry import QueryPathCounters
+from repro.obs.counters import QueryPathCounters
 from repro.query.cache import QueryResultCache, verify_cache_coherence
 from repro.query.executor import execute_union_all
 from repro.query.query import AttributeQuery

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tuning.advisor import advise
+from repro.adapt import advise
 from repro.workloads.dbpedia import generate_dbpedia_persons
 
 
