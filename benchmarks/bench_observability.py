@@ -210,8 +210,7 @@ def _make_bench_server() -> CinderellaServer:
     table = CinderellaTable(
         CinderellaConfig(
             max_partition_size=256.0, weight=0.3, use_synopsis_index=True
-        ),
-        result_cache=QueryResultCache(thread_safe=True),
+        )
     )
     return CinderellaServer(table=table, config=ServerConfig())
 

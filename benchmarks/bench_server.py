@@ -47,7 +47,6 @@ from pathlib import Path
 from conftest import WORKLOAD_SEED, percentile, quiet_floor
 
 from repro.core.config import CinderellaConfig
-from repro.query.cache import QueryResultCache
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.protocol import encode_request
 from repro.table.partitioned import CinderellaTable
@@ -94,8 +93,7 @@ def _make_server() -> CinderellaServer:
     table = CinderellaTable(
         CinderellaConfig(
             max_partition_size=256.0, weight=0.3, use_synopsis_index=True
-        ),
-        result_cache=QueryResultCache(thread_safe=True),
+        )
     )
     return CinderellaServer(
         table=table,
@@ -211,7 +209,6 @@ def _run_level(concurrency: int, ops_per_client: int) -> dict:
     applied = sum(w.applied for w in workers)
     shed = sum(w.shed for w in workers)
     assert server.counters.writes_applied == applied  # nothing lost
-    assert server.lock.read_acquisitions == 0  # reads stayed lock-free
     return {
         "duration_s": duration_s,
         "requests": sum(len(w.latencies_s) for w in workers),

@@ -146,7 +146,6 @@ def restore_to_seq(
     archive: BackupArchive,
     to_seq: Optional[int] = None,
     table_factory: Optional[Callable[[], Any]] = None,
-    result_cache=None,
 ) -> tuple[Any, int]:
     """Point-in-time recovery: rebuild the table state as of *to_seq*.
 
@@ -165,16 +164,14 @@ def restore_to_seq(
         to_seq = archive.last_archived_seq()
     checkpoint = archive.checkpoint_for(to_seq)
     if checkpoint is not None:
-        table, base_seq = load_node_checkpoint(
-            checkpoint.path, result_cache=result_cache
-        )
+        table, base_seq = load_node_checkpoint(checkpoint.path)
     else:
         if table_factory is not None:
             table = table_factory()
         else:
             from repro.table.partitioned import CinderellaTable
 
-            table = CinderellaTable(result_cache=result_cache)
+            table = CinderellaTable()
         base_seq = 0
     records = archive.records_through(to_seq=to_seq, after_seq=base_seq)
     expected = base_seq

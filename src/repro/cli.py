@@ -932,7 +932,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         name=args.name,
         max_pending=args.max_pending,
         batch_max=args.batch_max,
-        max_parallel_reads=args.parallel_reads,
         maintenance_interval_s=args.maintenance_interval,
         merge_min_fill=args.merge_min_fill,
         reorganize_every=args.reorganize_every,
@@ -1366,9 +1365,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-pending", type=int, default=256,
                        help="write-queue depth before shedding")
     serve.add_argument("--batch-max", type=int, default=32,
-                       help="max writes applied per exclusive-lock hold")
-    serve.add_argument("--parallel-reads", type=int, default=8,
-                       help="max queries scanning concurrently")
+                       help="max writes applied per group commit")
     serve.add_argument("--maintenance-interval", type=float, default=0.25,
                        help="seconds between background maintenance passes")
     serve.add_argument("--merge-min-fill", type=float, default=0.25,

@@ -27,7 +27,6 @@ attached.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -61,7 +60,6 @@ class QueryResultCache:
         self,
         max_entries: int = 4096,
         counters: Optional["QueryPathCounters"] = None,
-        thread_safe: bool = False,
     ) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
@@ -71,11 +69,6 @@ class QueryResultCache:
         self._entries: OrderedDict[CacheKey, tuple[int, list[dict[str, Any]]]] = (
             OrderedDict()
         )
-        # the serving layer runs query scans on concurrent worker
-        # threads, and a lookup mutates the LRU order (and drops stale
-        # entries) — opt into a lock there; single-threaded callers pay
-        # nothing (the default keeps the fast path lock-free)
-        self._lock = threading.Lock() if thread_safe else None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -94,14 +87,6 @@ class QueryResultCache:
         survive a pinned old snapshot passing through.  Served rows are
         copies: callers may mutate them freely.
         """
-        if self._lock is None:
-            return self._lookup(query, pid, version)
-        with self._lock:
-            return self._lookup(query, pid, version)
-
-    def _lookup(
-        self, query: AttributeQuery, pid: int, version: int
-    ) -> Optional[list[dict[str, Any]]]:
         key = _key(query, pid)
         entry = self._entries.get(key)
         if entry is None:
@@ -126,18 +111,6 @@ class QueryResultCache:
         rows: list[dict[str, Any]],
     ) -> None:
         """Remember the rows one partition contributed to one query."""
-        if self._lock is None:
-            return self._store(query, pid, version, rows)
-        with self._lock:
-            return self._store(query, pid, version, rows)
-
-    def _store(
-        self,
-        query: AttributeQuery,
-        pid: int,
-        version: int,
-        rows: list[dict[str, Any]],
-    ) -> None:
         key = _key(query, pid)
         self._entries[key] = (version, [dict(row) for row in rows])
         self._entries.move_to_end(key)
@@ -152,12 +125,6 @@ class QueryResultCache:
         correctness — it exists for memory hygiene when a partition is
         dropped for good (its versions will never be queried again).
         """
-        if self._lock is None:
-            return self._invalidate_partition(pid)
-        with self._lock:
-            return self._invalidate_partition(pid)
-
-    def _invalidate_partition(self, pid: int) -> int:
         doomed = [key for key in self._entries if key[2] == pid]
         for key in doomed:
             del self._entries[key]

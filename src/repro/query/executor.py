@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Optional, TYPE_CHECKING
 
 from repro.obs import runtime as obs
 from repro.query.query import AttributeQuery
@@ -77,24 +77,17 @@ def scan_heap(
     dictionary: "AttributeDictionary",
     stats: ExecutionStats,
     out_rows: list[dict[str, Any]],
-    eid_filter: Optional[Callable[[int], bool]] = None,
 ) -> None:
     """Scan one heap file, appending qualifying projected rows.
 
     Charges page/byte reads through the heap's I/O stats and mirrors the
     deltas into *stats*; every live record is deserialized and tested
     (there are no indexes, matching the paper's setup).
-
-    *eid_filter* restricts the scan to entities it accepts — the
-    routing tier's shard-scoped reads, where a node holding replicas of
-    several shards must answer for exactly one subset of them.
     """
     before = heap.io.snapshot()
     for _rid, record in heap.scan():
-        eid, attributes = deserialize_record(record, dictionary)
+        _eid, attributes = deserialize_record(record, dictionary)
         stats.entities_read += 1
-        if eid_filter is not None and not eid_filter(eid):
-            continue
         if query.matches(attributes):
             out_rows.append(query.project(attributes))
             stats.rows_returned += 1
@@ -110,7 +103,6 @@ def execute_union_all(
     catalog: Optional["PartitionCatalog"] = None,
     cache: Optional["QueryResultCache"] = None,
     counters: Optional["QueryPathCounters"] = None,
-    eid_filter: Optional[Callable[[int], bool]] = None,
 ) -> ExecutionResult:
     """Execute a UNION ALL plan over partition heap files.
 
@@ -120,16 +112,9 @@ def execute_union_all(
     for the next execution of the same query.  Row order is identical
     with and without a cache: branches run in plan order and a cached
     branch contributes exactly the rows its scan produced.
-
-    An *eid_filter* (shard-scoped reads) bypasses the cache entirely:
-    cached branch rows are filter-agnostic, so serving them to a
-    filtered query — or storing a filtered scan for an unfiltered
-    one — would be silently wrong.
     """
     if cache is not None and catalog is None:
         raise ValueError("a result cache requires the catalog for versions")
-    if eid_filter is not None:
-        cache = None
     stats = ExecutionStats(
         partitions_total=plan.partitions_total,
         partitions_pruned=len(plan.pruned_pids),
@@ -163,10 +148,7 @@ def execute_union_all(
                 continue
             stats.partitions_scanned += 1
             with obs.span("query.scan", pid=pid):
-                scan_heap(
-                    heaps[pid], plan.query, dictionary, stats, rows,
-                    eid_filter=eid_filter,
-                )
+                scan_heap(heaps[pid], plan.query, dictionary, stats, rows)
         if span.is_recording:
             span.set("cache_hits", stats.cache_hits)
             span.set("cache_misses", stats.cache_misses)

@@ -1,17 +1,17 @@
 """MVCC-style immutable table snapshots pinned to the version clock.
 
-The serving layer's writer-preferring lock made every query wait for
-the batcher (and vice versa); this module removes the read side of that
-barrier.  A :class:`TableSnapshot` is an immutable view of one
+A :class:`TableSnapshot` is an immutable view of one
 :class:`~repro.table.partitioned.CinderellaTable` at one value of the
-catalog's monotonic version clock (the same clock the query result
-cache keys by).  Writers publish a fresh snapshot after every committed
-batch; readers grab the latest snapshot and serve from it without any
-locking at all — a query can never block on a writer, and never
-observes a half-applied batch.
+catalog's monotonic version clock (the same clock the embedded table's
+query result cache keys by).  Writers publish a fresh snapshot after
+every committed batch; readers grab the latest snapshot and serve from
+it without any locking at all — a query can never block on a writer,
+and never observes a half-applied batch.  This is a serving node's
+whole read path: latest snapshot → per-snapshot response cache →
+per-partition-state chunk cache → decoded records.
 
-Three layers keep publication cheap enough to run once per group
-commit:
+Shared partition states keep publication cheap enough to run once per
+group commit, and two caches keep repeated queries cheap:
 
 * ``_PartitionState`` holds one partition's raw records in heap-scan
   order, decoded lazily on first read.  States are *shared across
@@ -21,9 +21,10 @@ commit:
   keeps addressing its shorter prefix.  Any other change (delete,
   in-place update, split/merge move) builds a fresh state object, so
   snapshots taken before the change keep the old one alive untouched.
-* per-state **match caches** remember which rows a query matched up to
-  a prefix length, so repeated queries over a growing partition pay
-  only for the appended suffix.
+* per-state **chunk caches** remember the serialized rows a query
+  matched up to a prefix length, so a fresh snapshot's first serve of a
+  known shape over a growing partition matches and serializes only the
+  appended suffix.
 * per-snapshot **response caches** remember the fully serialized wire
   fragment of a query's answer; within one snapshot's lifetime a
   repeated query costs a dict lookup and a splice.
@@ -57,7 +58,7 @@ QuerySig = tuple[tuple[str, ...], str]
 
 #: distinct query shapes remembered per partition state / per snapshot;
 #: overflow clears the cache (simple and safe — it only costs a rescan)
-_MATCH_CACHE_SIGS = 128
+_CHUNK_CACHE_SIGS = 128
 _RESPONSE_CACHE_SIGS = 256
 
 
@@ -75,7 +76,7 @@ class _PartitionState:
     """
 
     __slots__ = ("pid", "version", "raw", "eids", "attrs",
-                 "match_cache", "chunk_cache", "dictionary",
+                 "chunk_cache", "dictionary",
                  "heap_id", "seen_clock")
 
     def __init__(
@@ -93,8 +94,6 @@ class _PartitionState:
         self.seen_clock = -1
         self.eids: list[int] = []
         self.attrs: list[dict[str, Any]] = []
-        #: sig -> (prefix length considered, matched projected rows)
-        self.match_cache: dict[QuerySig, tuple[int, list[dict[str, Any]]]] = {}
         #: sig -> (prefix length, row count, serialized row chunk) — the
         #: matched rows pre-rendered as comma-joined JSON objects, so a
         #: fresh snapshot's first serve of a known shape only serializes
@@ -113,40 +112,18 @@ class _PartitionState:
             eids.append(eid)
             attrs.append(attributes)
 
-    def matched_rows(
-        self, query: AttributeQuery, sig: QuerySig, n: int
-    ) -> list[dict[str, Any]]:
-        """Projected rows matching *query* among the first *n* records.
-
-        The returned list is shared and must not be mutated by callers.
-        A cached prefix shorter than *n* is extended monotonically (the
-        append-only fast path); a request for a prefix *shorter* than
-        the cached one — an older pinned snapshot — recomputes without
-        storing, so the cache always tracks the newest snapshot.
-        """
-        entry = self.match_cache.get(sig)
-        if entry is not None:
-            cached_n, cached_rows = entry
-            if cached_n == n:
-                return cached_rows
-            if cached_n < n:
-                self.ensure_decoded(n)
-                matches = query.matches
-                project = query.project
-                rows = cached_rows + [
-                    project(a) for a in self.attrs[cached_n:n] if matches(a)
-                ]
-                self.match_cache[sig] = (n, rows)
-                return rows
-            return [
-                query.project(a) for a in self.attrs[:n] if query.matches(a)
-            ]
+    def _render(
+        self, query: AttributeQuery, start: int, n: int
+    ) -> tuple[str, int]:
+        """Match, project and serialize records ``[start, n)``."""
         self.ensure_decoded(n)
-        rows = [query.project(a) for a in self.attrs[:n] if query.matches(a)]
-        if len(self.match_cache) >= _MATCH_CACHE_SIGS:
-            self.match_cache.clear()
-        self.match_cache[sig] = (n, rows)
-        return rows
+        matches = query.matches
+        project = query.project
+        rendered = [
+            json.dumps(project(a), separators=(",", ":"))
+            for a in self.attrs[start:n] if matches(a)
+        ]
+        return ",".join(rendered), len(rendered)
 
     def matched_chunk(
         self, query: AttributeQuery, sig: QuerySig, n: int
@@ -154,36 +131,30 @@ class _PartitionState:
         """The matched rows of the first *n* records, serialized.
 
         Returns ``(chunk, row_count)`` where *chunk* is the rows as
-        comma-joined JSON objects (no enclosing brackets).  Like
-        :meth:`matched_rows` the cache extends monotonically: growth
-        serializes only the appended rows, and an older pinned
-        snapshot's shorter prefix recomputes without storing.
+        comma-joined JSON objects (no enclosing brackets).  A cached
+        prefix shorter than *n* is extended monotonically (the
+        append-only fast path: only the appended records are matched
+        and serialized); a request for a prefix *shorter* than the
+        cached one — an older pinned snapshot — recomputes without
+        storing, so the cache always tracks the newest snapshot.
         """
         entry = self.chunk_cache.get(sig)
-        if entry is not None:
+        if entry is None:
+            if len(self.chunk_cache) >= _CHUNK_CACHE_SIGS:
+                self.chunk_cache.clear()
+            cached_n, count, chunk = 0, 0, ""
+        else:
             cached_n, count, chunk = entry
             if cached_n == n:
                 return chunk, count
-            if cached_n < n:
-                rows = self.matched_rows(query, sig, n)
-                new = rows[count:]
-                if new:
-                    tail = ",".join(
-                        json.dumps(row, separators=(",", ":")) for row in new
-                    )
-                    chunk = f"{chunk},{tail}" if chunk else tail
-                self.chunk_cache[sig] = (n, len(rows), chunk)
-                return chunk, len(rows)
-        rows = self.matched_rows(query, sig, n)
-        chunk = ",".join(
-            json.dumps(row, separators=(",", ":")) for row in rows
-        )
-        if entry is not None:  # shorter prefix: serve without storing
-            return chunk, len(rows)
-        if len(self.chunk_cache) >= _MATCH_CACHE_SIGS:
-            self.chunk_cache.clear()
-        self.chunk_cache[sig] = (n, len(rows), chunk)
-        return chunk, len(rows)
+            if cached_n > n:  # shorter prefix: serve without storing
+                return self._render(query, 0, n)
+        tail, added = self._render(query, cached_n, n)
+        if added:
+            chunk = f"{chunk},{tail}" if chunk else tail
+            count += added
+        self.chunk_cache[sig] = (n, count, chunk)
+        return chunk, count
 
 
 class PartitionView:
@@ -200,9 +171,6 @@ class PartitionView:
         self.version = version
         self.count = count
         self._state = state
-
-    def rows(self, query: AttributeQuery, sig: QuerySig) -> list[dict[str, Any]]:
-        return self._state.matched_rows(query, sig, self.count)
 
     def chunk(self, query: AttributeQuery, sig: QuerySig) -> tuple[str, int]:
         return self._state.matched_chunk(query, sig, self.count)
@@ -361,7 +329,10 @@ class TableSnapshot:
         :func:`repro.query.executor.execute_union_all` over the same
         state (views ascend by pid, records in heap-scan order), which
         is what the differential oracle compares against.  Rows are
-        fresh dicts — callers may mutate them.
+        fresh dicts — callers may mutate them.  *eid_filter* restricts
+        the answer to entities it accepts (the routing tier's
+        shard-scoped reads); this path reads decoded records directly
+        and touches neither cache.
         """
         sig = (query.attributes, query.mode)
         branches, pruned = self._branches(query, sig)
@@ -372,23 +343,19 @@ class TableSnapshot:
             union_branches=len(branches),
         )
         rows: list[dict[str, Any]] = []
+        matches = query.matches
+        project = query.project
         with obs.span(
             "query.snapshot_scan",
             branches=len(branches), filtered=eid_filter is not None,
         ):
-            if eid_filter is None:
-                for view in branches:
-                    rows.extend(dict(row) for row in view.rows(query, sig))
-            else:
-                matches = query.matches
-                project = query.project
-                for view in branches:
-                    for eid, attributes in view.entities():
-                        stats.entities_read += 1
-                        if not eid_filter(eid):
-                            continue
-                        if matches(attributes):
-                            rows.append(project(attributes))
+            for view in branches:
+                for eid, attributes in view.entities():
+                    stats.entities_read += 1
+                    if eid_filter is not None and not eid_filter(eid):
+                        continue
+                    if matches(attributes):
+                        rows.append(project(attributes))
         stats.rows_returned = len(rows)
         return ExecutionResult(rows=rows, stats=stats)
 
@@ -501,14 +468,6 @@ class SnapshotManager:
     # ------------------------------------------------------------------
     # pinning and retention
     # ------------------------------------------------------------------
-    def pin_latest(self) -> TableSnapshot:
-        with self._lock:
-            snapshot = self._latest
-            if snapshot is None:
-                raise RuntimeError("no snapshot published yet")
-            snapshot.pins += 1
-            return snapshot
-
     def pin(self, snapshot: TableSnapshot) -> TableSnapshot:
         with self._lock:
             snapshot.pins += 1

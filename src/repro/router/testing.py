@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.core.config import CinderellaConfig
-from repro.query.cache import QueryResultCache
 from repro.router.placement import NodeAddress, PlacementMap
 from repro.router.router import CinderellaRouter, RouterConfig
 from repro.server.client import ServerClient
@@ -111,8 +110,7 @@ def small_partition_table() -> CinderellaTable:
     return CinderellaTable(
         CinderellaConfig(
             max_partition_size=12.0, weight=0.3, use_synopsis_index=True
-        ),
-        result_cache=QueryResultCache(thread_safe=True),
+        )
     )
 
 

@@ -16,9 +16,6 @@ concurrent front door that makes "online" literal:
   transaction (per-op savepoints) and one WAL fsync per batch, and
   cooperative background maintenance (merge / reorganize) running
   between batches;
-* :mod:`repro.server.locks` — the reader–writer lock that serializes
-  the batcher, maintenance, and sync deltas against each other (reads
-  no longer take it);
 * :mod:`repro.server.client` — the small blocking client used by the
   tests, the soak suite, and ``benchmarks/bench_server.py``;
 * :mod:`repro.server.testing` — :class:`ServerThread`, an in-process
@@ -29,7 +26,6 @@ Start one with ``python -m repro serve``; see ``docs/SERVER.md``.
 
 from repro.server.admission import AdaptiveAdmission
 from repro.server.client import ServerClient, ServerError
-from repro.server.locks import AsyncReadWriteLock
 from repro.server.protocol import (
     DEGRADED,
     MAX_LINE_BYTES,
@@ -49,7 +45,6 @@ from repro.server.testing import ServerThread
 
 __all__ = [
     "AdaptiveAdmission",
-    "AsyncReadWriteLock",
     "CinderellaServer",
     "DEGRADED",
     "MAX_LINE_BYTES",

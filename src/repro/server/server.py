@@ -28,20 +28,25 @@ paragraph:
   rest proceed), one WAL fsync covering every record, one snapshot
   publish before any ack leaves the server (read-your-writes);
 * **maintenance** (merge passes, optional reorganizations) runs as a
-  cooperative background task between batches, under the exclusive
-  side of the :class:`~repro.server.locks.AsyncReadWriteLock` that
-  serializes it against the batcher, so the catalog keeps adapting
-  while traffic flows — the paper's online setting made literal;
+  cooperative background task between batches; one plain
+  :class:`asyncio.Lock` orders the three writers — batcher, maintenance
+  and resync deltas — and wakes waiters first-in first-out, so a
+  maintenance pass waiting behind the current batch runs before the
+  next one and the catalog keeps adapting while traffic flows — the
+  paper's online setting made literal;
 * **shutdown** is a drain: stop accepting, shed new work with
   ``shutting_down``, flush the write queue, then close every
   connection (reads are non-blocking, so there is nothing to quiesce).
 
-The result cache stays coherent under all of this because snapshots are
-published only after a batch's transaction commits (every mutation has
-bumped its partition versions by then), and snapshot match caches are
-keyed by the immutable per-snapshot record-count prefix;
-``tests/test_server_soak.py`` and ``tests/test_isolation.py`` check
-exactly that after a concurrent mixed workload.
+A node's read path is therefore one path: latest snapshot →
+per-snapshot response cache → per-partition-state chunk cache → decoded
+records (:mod:`repro.query.snapshot`).  It stays coherent because a
+snapshot is published only after its batch's transaction commits and is
+never mutated afterwards: a response cache dies with its snapshot, and
+a chunk cache entry is keyed by a record-count prefix of a partition
+state that only ever grows by appending.  ``tests/test_server_soak.py``
+and ``tests/test_isolation.py`` check served rows against naive
+re-execution after a concurrent mixed workload.
 """
 
 from __future__ import annotations
@@ -62,12 +67,10 @@ from repro.obs.counters import ServerCounters
 from repro.obs.federation import local_obs_document
 from repro.obs.registry import SERVER_LATENCY_BUCKETS
 from repro.obs.tracing import TraceContext
-from repro.query.cache import QueryResultCache
 from repro.query.query import AttributeQuery
 from repro.query.snapshot import SnapshotManager, TableSnapshot
 from repro.server import protocol
 from repro.server.admission import AdaptiveAdmission
-from repro.server.locks import AsyncReadWriteLock
 from repro.server.protocol import ProtocolError, Request
 from repro.storage.snapshot import (
     SnapshotFormatError,
@@ -82,8 +85,9 @@ from repro.table.partitioned import CinderellaTable
 # tasks on the event loop would interleave enter/exit and mis-parent
 # each other's spans if one were held across an ``await``.  Request
 # latency is therefore measured directly into a histogram, and spans
-# are only opened around purely synchronous regions (batch application,
-# maintenance passes) or inside worker threads (query scans).
+# are only opened around purely synchronous regions: batch application
+# and maintenance passes on their worker thread, snapshot scans on the
+# loop.
 _REQUEST_SECONDS = "repro_server_request_seconds"
 _REQUESTS_TOTAL = "repro_server_requests_total"
 
@@ -133,9 +137,6 @@ class ServerConfig:
     #: MVCC snapshots retained beyond the latest (pinned snapshots are
     #: always kept regardless)
     snapshot_retain: int = 8
-    #: unused since reads went lock-free via snapshots; kept so existing
-    #: deployment configs keep constructing
-    max_parallel_reads: int = 8
     #: cooperative maintenance cadence (seconds; 0 disables the task)
     maintenance_interval_s: float = 0.25
     #: merge threshold handed to the maintenance pass
@@ -248,9 +249,7 @@ class CinderellaServer:
                     max_partition_size=500.0, weight=0.3,
                     use_synopsis_index=True,
                 )
-            table = CinderellaTable(
-                table_config, result_cache=QueryResultCache(thread_safe=True)
-            )
+            table = CinderellaTable(table_config)
         self.table = table
         self.config = config if config is not None else ServerConfig()
         self.counters = ServerCounters()
@@ -260,7 +259,10 @@ class CinderellaServer:
         if self.config.adapt_every > 0:
             self.adapt = AdaptationController(self.config.adaptation)
             self.adapt.bind_table(self.table)
-        self.lock = AsyncReadWriteLock()
+        #: orders the three writers (batcher, maintenance, sync deltas);
+        #: readers never take it.  asyncio.Lock wakes waiters FIFO, so a
+        #: waiting maintenance pass gets in behind the current batch
+        self._write_lock = asyncio.Lock()
         self.sessions: dict[int, Session] = {}
         self._next_sid = 1
         self._write_queue: asyncio.Queue[_PendingWrite] = asyncio.Queue()
@@ -360,12 +362,8 @@ class CinderellaServer:
         snapshot_path = self.config.snapshot_path
         if snapshot_path is not None and Path(snapshot_path).exists():
             try:
-                cache = self.table.result_cache
-                if cache is not None:
-                    cache.clear()
-                    cache.counters = None  # rewired by the fresh table
                 self.table, checkpoint_seq = load_node_checkpoint(
-                    snapshot_path, result_cache=cache
+                    snapshot_path
                 )
             except SnapshotFormatError as err:
                 checkpoint_seq = 0
@@ -814,9 +812,7 @@ class CinderellaServer:
             ):
                 batch.append(self._write_queue.get_nowait())
             started = time.perf_counter()
-            # the write lock only serializes against maintenance and
-            # sync deltas now — readers never take it
-            async with self.lock.write_locked():
+            async with self._write_lock:
                 acked, refused = await asyncio.to_thread(
                     self._apply_batch, batch
                 )
@@ -1158,7 +1154,7 @@ class CinderellaServer:
     ) -> dict[str, Any]:
         """One merge pass (and every Nth time a reorganization); also
         takes the periodic node checkpoint when one is due."""
-        async with self.lock.write_locked():
+        async with self._write_lock:
             # all catalog mutation runs on a worker thread; readers keep
             # serving the pre-maintenance snapshot until the publish
             merged, reorganized = await asyncio.to_thread(
@@ -1394,7 +1390,7 @@ class CinderellaServer:
             reset = self._parse_shard_spec(
                 Request(op=request.op, id=request.id, fields=spec)
             )
-        async with self.lock.write_locked():
+        async with self._write_lock:
             outcome = await asyncio.to_thread(
                 self._apply_sync_delta, reset, entities
             )
@@ -1551,14 +1547,6 @@ class CinderellaServer:
                 "rate_ewma": round(self._admission.rate_ewma, 1),
                 "target_latency_s": self._admission.target_latency_s,
             },
-            "lock": {
-                "readers": self.lock.readers,
-                "writer_active": self.lock.writer_active,
-                "max_concurrent_readers": self.lock.max_concurrent_readers,
-                "read_acquisitions": self.lock.read_acquisitions,
-                "write_acquisitions": self.lock.write_acquisitions,
-            },
-            "query_counters": self.table.query_counters.as_dict(),
             "heat": (
                 None if self.adapt is None
                 else self.adapt.trace.heat_as_dict()

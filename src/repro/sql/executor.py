@@ -87,8 +87,15 @@ def execute_statement(
 
     *eid_filter* restricts execution to entities it accepts — the
     routing tier's shard-scoped reads (pruning still applies first; the
-    filter only gates deserialized records).
+    filter only gates decoded records).  Only a
+    :class:`~repro.query.snapshot.TableSnapshot` serves filtered reads;
+    a filter given with a heap-backed table raises ``ValueError``.
     """
+    if eid_filter is not None and not isinstance(table, TableSnapshot):
+        raise ValueError(
+            "eid_filter is only served from a TableSnapshot, not from a "
+            f"heap-backed {type(table).__name__}"
+        )
     predicate = (
         compile_predicate(statement.where) if statement.where is not None else None
     )
@@ -162,10 +169,8 @@ def execute_statement(
             stats.union_branches += 1
             before = heap.io.snapshot()
             for _rid, record in heap.scan():
-                eid, attributes = deserialize_record(record, table.dictionary)
+                _eid, attributes = deserialize_record(record, table.dictionary)
                 stats.entities_read += 1
-                if eid_filter is not None and not eid_filter(eid):
-                    continue
                 if predicate is None or predicate(attributes):
                     rows.append(_project(attributes, statement))
                     stats.rows_returned += 1
@@ -178,10 +183,8 @@ def execute_statement(
         heap = table.heap
         before = heap.io.snapshot()
         for _rid, record in heap.scan():
-            eid, attributes = deserialize_record(record, table.dictionary)
+            _eid, attributes = deserialize_record(record, table.dictionary)
             stats.entities_read += 1
-            if eid_filter is not None and not eid_filter(eid):
-                continue
             if predicate is None or predicate(attributes):
                 rows.append(_project(attributes, statement))
                 stats.rows_returned += 1

@@ -159,7 +159,7 @@ def _table_document(table) -> dict:
     }
 
 
-def _table_from_document(document: dict, path, result_cache=None):
+def _table_from_document(document: dict, path):
     """Rebuild a :class:`CinderellaTable` from a snapshot body."""
     from repro.catalog.dictionary import AttributeDictionary
     from repro.table.partitioned import CinderellaTable
@@ -180,7 +180,6 @@ def _table_from_document(document: dict, path, result_cache=None):
             config=config,
             dictionary=dictionary,
             page_size=document["page_size"],
-            result_cache=result_cache,
         )
         for partition_doc in document["partitions"]:
             table._restore_partition(
@@ -243,7 +242,7 @@ def save_node_checkpoint(table, wal_seq: int, path: Union[str, Path]) -> None:
     _write_document(document, path)
 
 
-def load_node_checkpoint(path: Union[str, Path], result_cache=None):
+def load_node_checkpoint(path: Union[str, Path]):
     """Restore a node checkpoint; returns ``(table, wal_seq)``.
 
     ``wal_seq`` is the journal position the checkpoint covers; the
@@ -258,8 +257,7 @@ def load_node_checkpoint(path: Union[str, Path], result_cache=None):
     wal_seq = document.get("wal_seq")
     if not isinstance(wal_seq, int):
         raise SnapshotFormatError(f"node checkpoint {path} lacks a wal_seq")
-    table = _table_from_document(document, path, result_cache=result_cache)
-    return table, wal_seq
+    return _table_from_document(document, path), wal_seq
 
 
 # ----------------------------------------------------------------------

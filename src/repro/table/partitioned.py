@@ -297,16 +297,12 @@ class CinderellaTable:
         """Rewrite a query into its pruned UNION ALL plan."""
         return rewrite(query, self.catalog, self.dictionary, use_index=use_index)
 
-    def execute(self, query: AttributeQuery, eid_filter=None) -> ExecutionResult:
+    def execute(self, query: AttributeQuery) -> ExecutionResult:
         """Rewrite and execute a query over the surviving partitions.
 
         The fast path end to end: survivors resolved through the
         inverted synopsis index when the catalog carries one, branch
         results served from the result cache when one is attached.
-
-        *eid_filter* (shard-scoped reads from the routing tier)
-        restricts the scan to entities it accepts; filtered executions
-        bypass the result cache (cached rows are filter-agnostic).
         """
         if self.catalog.index is not None:
             self.query_counters.index_resolutions += 1
@@ -319,7 +315,6 @@ class CinderellaTable:
             catalog=self.catalog,
             cache=self.result_cache,
             counters=self.query_counters,
-            eid_filter=eid_filter,
         )
         if self.adapt is not None:
             self.adapt.observe_execution(query, result, self)

@@ -13,10 +13,25 @@ failure seen locally.  Two knobs enforce that:
   per-example timing).
 """
 
+import json
+from collections import Counter
+
 from hypothesis import settings
 
 #: the one seed all randomized tests derive their RNGs from
 WORKLOAD_SEED = 42
+
+
+def served_rows(fragment: bytes) -> list[dict]:
+    """The rows of a ``TableSnapshot.serve_query`` wire fragment, decoded
+    as a client would decode the response line it is spliced into."""
+    return json.loads(b'{"id":0' + fragment)["rows"]
+
+
+def row_multiset(rows) -> Counter:
+    """Rows as an order-insensitive multiset of sorted item tuples."""
+    return Counter(tuple(sorted(row.items())) for row in rows)
+
 
 settings.register_profile("repro-deterministic", derandomize=True, deadline=None)
 settings.load_profile("repro-deterministic")

@@ -28,14 +28,13 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.config import CinderellaConfig
-from repro.query.cache import QueryResultCache
 from repro.query.query import AttributeQuery
-from repro.query.snapshot import SnapshotManager
+from repro.query.snapshot import SnapshotManager, query_sig
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient
 from repro.table.partitioned import CinderellaTable
 
-from tests.conftest import WORKLOAD_SEED
+from tests.conftest import WORKLOAD_SEED, served_rows
 
 #: the probe queries every differential check replays
 PROBES = (
@@ -113,17 +112,49 @@ class TestDifferentialOracle:
         for snapshot, oracle in history:
             for query, expected in zip(PROBES, oracle):
                 assert snapshot_rows(snapshot, query) == expected
-                # repeat read: the response-cache path must agree too
+                # the served path (chunk cache, then the response cache
+                # on the repeat) must give the oracle's rows too
                 fragment, row_count, _ = snapshot.serve_query(query)
                 again, again_count, from_cache = snapshot.serve_query(query)
                 assert row_count == again_count == len(expected)
                 assert from_cache
-                # identical rows; only the stats block differs (the
-                # cached serve reports hits where the first scanned)
-                assert (
-                    again.split(b',"stats"')[0]
-                    == fragment.split(b',"stats"')[0]
-                )
+                assert served_rows(fragment) == expected
+                assert served_rows(again) == expected
+
+    def test_older_snapshot_served_after_the_newest_leaves_its_chunk_alone(self):
+        """Newest first, then an older pinned snapshot sharing the state
+        (a shorter prefix: served without storing), then the newest again."""
+        table = build_table(max_partition_size=1000.0)
+        manager = SnapshotManager(retain=4)
+        query = AttributeQuery(("attr0", "common"), mode="any")
+        sig = query_sig(query)
+        for i in range(10):
+            table.insert({"common": i % 3, "attr0": i}, entity_id=i)
+        older = manager.pin(manager.publish(table))
+        older_oracle = freeze(table.execute_naive(query))
+        for i in range(10, 25):
+            table.insert({"common": i % 3, "attr0": i}, entity_id=i)
+        newest = manager.publish(table)
+        newest_oracle = freeze(table.execute_naive(query))
+        # append-only growth: one state object, two prefix lengths
+        (older_view,), (newest_view,) = older.views, newest.views
+        state = newest_view._state
+        assert older_view._state is state
+        assert older_view.count == 10 and newest_view.count == 25
+
+        fragment, row_count, from_cache = newest.serve_query(query)
+        assert not from_cache and row_count == 25
+        assert served_rows(fragment) == newest_oracle
+        entry = state.chunk_cache[sig]
+        assert entry[:2] == (25, 25)
+
+        fragment, row_count, from_cache = older.serve_query(query)
+        assert not from_cache and row_count == 10
+        assert served_rows(fragment) == older_oracle
+        assert state.chunk_cache[sig] is entry  # not clobbered
+
+        assert newest_view.chunk(query, sig) == (entry[2], 25)
+        assert served_rows(newest.serve_query(query)[0]) == newest_oracle
 
     def test_two_interleaved_snapshots_disagree_exactly_by_the_batch(self):
         """The rows a later snapshot adds are exactly the committed delta."""
@@ -333,8 +364,7 @@ class TestConcurrentWireIsolation:
         table = CinderellaTable(
             CinderellaConfig(
                 max_partition_size=12.0, weight=0.3, use_synopsis_index=True
-            ),
-            result_cache=QueryResultCache(thread_safe=True),
+            )
         )
         server = CinderellaServer(
             table=table,
@@ -373,9 +403,8 @@ class TestConcurrentWireIsolation:
             f"(window ended at {stats['admission']['window']})"
         )
 
-        # the reads really were lock-free snapshot reads
+        # the reads really were snapshot reads
         assert stats["counters"]["snapshot_reads"] > 0
-        assert stats["lock"]["read_acquisitions"] == 0
         assert stats["snapshots"]["published"] > 1
 
         # convergence: the final table holds exactly the acked inserts

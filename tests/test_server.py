@@ -11,12 +11,12 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.core.config import CinderellaConfig
-from repro.query.cache import QueryResultCache
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient, ServerError
 from repro.table.partitioned import CinderellaTable
@@ -248,8 +248,7 @@ class TestLifecycle:
         table = CinderellaTable(
             CinderellaConfig(
                 max_partition_size=8.0, weight=0.3, use_synopsis_index=True
-            ),
-            result_cache=QueryResultCache(thread_safe=True),
+            )
         )
         server = CinderellaServer(
             table=table,
@@ -267,6 +266,65 @@ class TestLifecycle:
                 stats = client.stats()
                 assert stats["counters"]["maintenance_passes"] >= 1
         assert table.check_consistency() == []
+
+    def test_maintenance_and_sync_delta_get_in_under_write_load(self):
+        """The write lock is fair: with the batcher never idle, a waiting
+        maintenance pass or sync delta still runs behind the current batch."""
+        # six blocking writers against batches of two: the queue is never
+        # empty when a batch ends, so the batcher goes from releasing the
+        # lock straight to asking for it again
+        config = ServerConfig(
+            maintenance_interval_s=0, batch_linger_s=0, batch_max=2
+        )
+        stop = threading.Event()
+        failures: list[str] = []
+
+        def write_until_stopped(index: int, address) -> None:
+            try:
+                with ServerClient(*address, check=False) as writer:
+                    eid = index * 1_000_000
+                    while not stop.is_set():
+                        status = writer.insert({"w": index}, eid=eid).status
+                        if status not in ("applied", "overloaded"):
+                            failures.append(f"insert {eid} -> {status}")
+                        eid += 1
+            except Exception as err:
+                failures.append(f"{type(err).__name__}: {err}")
+
+        with ServerThread(config=config) as harness:
+            counters = harness.server.counters
+            writers = [
+                threading.Thread(
+                    target=write_until_stopped, args=(i, harness.address)
+                )
+                for i in range(1, 7)
+            ]
+            for thread in writers:
+                thread.start()
+            try:
+                # a starved request fails on the socket timeout, not a hang
+                with ServerClient(*harness.address, timeout=20) as client:
+                    while counters.batches_flushed < 5:
+                        client.ping()
+                    passes = counters.maintenance_passes
+                    batches = counters.batches_flushed
+                    assert client.maintain().ok
+                    assert counters.maintenance_passes == passes + 1
+                    delta = client.request(
+                        "sync_delta",
+                        entities=[{"eid": 7, "attributes": {"synced": 7}}],
+                    )
+                    assert delta.ok
+                    assert counters.sync_deltas_applied == 1
+                    while counters.batches_flushed < batches + 5:
+                        client.ping()  # the writers never stopped
+                    assert client.query(["synced"]) == [{"synced": 7}]
+            finally:
+                stop.set()
+                for thread in writers:
+                    thread.join(timeout=30)
+        assert failures == []
+        assert harness.server.table.check_consistency() == []
 
     def test_sessions_appear_in_stats(self, harness):
         with ServerClient(*harness.address) as first:

@@ -4,10 +4,12 @@ The acceptance scenario of the serving layer: at least eight concurrent
 client connections issue interleaved inserts, updates, deletes, queries,
 and SQL while the table splits under growth and the background
 maintenance task merges behind the deletes.  At the end the catalog must
-pass its full invariant check, the result cache must be provably
-coherent (every servable entry bit-identical to a fresh scan), and the
-entity count must equal exactly what the applied responses promised —
-admission control may *shed* work, but nothing may be half-applied.
+pass its full invariant check, the read path the workers were served
+from (latest snapshot, its response cache, the chunk caches the run
+warmed) must answer a fixed probe set exactly as a naive full scan of
+the table does, and the entity count must equal exactly what the
+applied responses promised — admission control may *shed* work, but
+nothing may be half-applied.
 
 A short soak runs in the default suite; the heavier one is ``slow``
 (the dedicated CI soak job runs it).
@@ -18,12 +20,22 @@ import threading
 import pytest
 
 from repro.core.config import CinderellaConfig
-from repro.query.cache import QueryResultCache, verify_cache_coherence
+from repro.query.query import AttributeQuery
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient
 from repro.table.partitioned import CinderellaTable
 
-from tests.conftest import WORKLOAD_SEED
+from tests.conftest import WORKLOAD_SEED, row_multiset, served_rows
+
+#: the four shapes the workers query (their chunk caches grew with the
+#: run), plus shapes first served only by this check
+PROBES = tuple(
+    AttributeQuery((f"attr{k}", "renamed"), mode="any") for k in range(4)
+) + (
+    AttributeQuery(("common",)),
+    AttributeQuery(("fodder",)),
+    AttributeQuery(("renamed", "attr0"), mode="all"),
+)
 
 
 class Worker(threading.Thread):
@@ -141,8 +153,7 @@ def run_soak(workers: int, ops_per_worker: int) -> None:
     table = CinderellaTable(
         CinderellaConfig(
             max_partition_size=12.0, weight=0.3, use_synopsis_index=True
-        ),
-        result_cache=QueryResultCache(thread_safe=True),
+        )
     )
     server = CinderellaServer(
         table=table,
@@ -150,7 +161,6 @@ def run_soak(workers: int, ops_per_worker: int) -> None:
             max_pending=64,
             batch_max=16,
             batch_linger_s=0.001,
-            max_parallel_reads=8,
             maintenance_interval_s=0.05,  # merges fire *during* the run
             merge_min_fill=0.6,
             reorganize_every=5,
@@ -174,9 +184,16 @@ def run_soak(workers: int, ops_per_worker: int) -> None:
     failures = [f for worker in pool for f in worker.failures]
     assert failures == [], failures
 
-    # --- the acceptance checks: catalog invariants + cache coherence ---
+    # --- the acceptance checks: catalog invariants + served == naive ---
     assert table.check_consistency() == []
-    assert verify_cache_coherence(table.result_cache, table) == []
+    latest = server._snapshots.latest
+    assert latest.version_clock == table.catalog.version_clock
+    for query in PROBES:
+        fragment, row_count, _from_cache = latest.serve_query(query)
+        served = served_rows(fragment)
+        naive = table.execute_naive(query).rows
+        assert row_count == len(served) > 0, query
+        assert row_multiset(served) == row_multiset(naive), query
 
     # exactly the applied writes survive: shed ones left no trace
     expected_live = sorted(
@@ -194,11 +211,9 @@ def run_soak(workers: int, ops_per_worker: int) -> None:
     assert counters.partitions_merged > 0, "no merges fired"
     assert counters.queries_served > 0
     assert counters.batches_flushed > 0
-    # reads are lock-free now: they serve from published MVCC snapshots
+    # reads serve from published MVCC snapshots
     assert live_stats["counters"]["snapshot_reads"] > 0
     assert live_stats["snapshots"]["published"] > 1
-    assert live_stats["lock"]["read_acquisitions"] == 0
-    assert live_stats["lock"]["write_acquisitions"] > 0
     # 32 fodder inserts plus the deletes that hollowed them out
     fodder_applied = 32 + (32 - len(fodder_live))
     total_applied = sum(worker.applied for worker in pool) + fodder_applied

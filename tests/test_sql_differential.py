@@ -13,8 +13,6 @@ plan order, the SQL path in catalog order, and neither order is part of
 the contract.
 """
 
-from collections import Counter
-
 import pytest
 
 from repro.core.config import CinderellaConfig
@@ -24,9 +22,7 @@ from repro.sql import execute
 from repro.table.partitioned import CinderellaTable
 from repro.workloads.dbpedia import generate_dbpedia_persons
 
-
-def row_multiset(rows):
-    return Counter(tuple(sorted(row.items(), key=lambda kv: kv[0])) for row in rows)
+from tests.conftest import row_multiset
 
 
 def assert_same_rows(query: AttributeQuery, table: CinderellaTable) -> None:
