@@ -13,7 +13,9 @@ inside the latency target).
 ``max_pending`` survives as the hard ceiling — a safety bound on queue
 memory and on worst-case latency if the rate estimate is ever wrong —
 and ``min_window`` keeps the window from collapsing entirely during a
-transient stall.  ``max_pending == 0`` still means "admit nothing"
+transient stall (the server sets it to one batch, ``batch_max``: what a
+single group commit drains, and what one pipelining connection may have
+queued).  ``max_pending == 0`` still means "admit nothing"
 (used by tests to force the shed path deterministically).
 """
 

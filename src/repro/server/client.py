@@ -10,6 +10,9 @@ internals the server happens to share.
 >>> with ServerClient(host, port) as client:          # doctest: +SKIP
 ...     client.insert({"name": "Canon S120", "resolution": 12.1})
 ...     rows = client.query(["resolution"])
+...     acks = client.pipeline(                      # one burst, few commits
+...         ("insert", {"attributes": {"resolution": r}}) for r in (8, 10, 16)
+...     )
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ class ServerClient:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def request(self, op: str, **fields: Any) -> Response:
-        """Send one request and block for its response.
+    def _frame(self, op: str, fields: dict[str, Any]) -> tuple[int, bytes]:
+        """The next request id and the wire line carrying it.
 
         With trace propagation enabled (``obs.enable(propagate=True)``)
         every frame is stamped with a ``trace`` context — the current
@@ -80,12 +83,13 @@ class ServerClient:
         read.
         """
         self._next_id += 1
-        request_id = self._next_id
         if "trace" not in fields:
             trace = wire_trace()
             if trace is not None:
-                fields["trace"] = trace
-        self._sock.sendall(encode_request(op, request_id, **fields))
+                fields = {**fields, "trace": trace}
+        return self._next_id, encode_request(op, self._next_id, **fields)
+
+    def _read_response(self, request_id: int) -> Response:
         line = self._file.readline(MAX_LINE_BYTES + 2)
         if not line:
             raise ConnectionError("server closed the connection")
@@ -95,11 +99,37 @@ class ServerClient:
                 f"response id {response.id} does not match request "
                 f"id {request_id}"
             )
+        return response
+
+    def request(self, op: str, **fields: Any) -> Response:
+        """Send one request and block for its response."""
+        request_id, frame = self._frame(op, fields)
+        self._sock.sendall(frame)
+        response = self._read_response(request_id)
         if self.check and not response.ok and not response.degraded:
             # degraded responses carry a usable partial result; raising
             # would throw away the rows the router did gather
             raise ServerError(response)
         return response
+
+    def pipeline(
+        self, requests: Iterable[tuple[str, dict[str, Any]]]
+    ) -> list[Response]:
+        """Send ``(op, fields)`` requests as one burst, then read as
+        many responses.
+
+        The server answers a connection in request order and lets its
+        consecutive writes share group commits, so a burst costs a few
+        commits where as many :meth:`request` calls cost one round trip
+        and one commit each.  Every response is returned, ok or not —
+        ``check`` does not apply: a refusal in the middle of a burst
+        must not hide the answers behind it.  The whole burst is written
+        before anything is read, so keep it within what the socket
+        buffers hold (thousands of small requests, not megabytes).
+        """
+        frames = [self._frame(op, fields) for op, fields in requests]
+        self._sock.sendall(b"".join(frame for _id, frame in frames))
+        return [self._read_response(request_id) for request_id, _ in frames]
 
     def close(self) -> None:
         try:

@@ -8,7 +8,16 @@ paragraph:
 
 * every **connection** gets a :class:`Session` and an independent
   request loop; requests on one connection are answered in order,
-  requests on different connections interleave freely;
+  requests on different connections interleave freely.  The loop does
+  not wait for a write's batch before it parses the next frame: a
+  modification is validated, admitted and queued at once and answered
+  later, so a connection's consecutive writes share a group commit.
+  It collects its acks — oldest first — when the read buffer holds no
+  complete frame, when it has ``batch_max`` writes unanswered (TCP
+  back-pressure holds the rest of a burst), or when the next request is
+  not a write: anything else is served behind the connection's own
+  queued writes, which keeps responses in request order and gives every
+  connection read-your-writes;
 * every **query** (attribute query or SQL) is served from the latest
   :class:`~repro.query.snapshot.TableSnapshot` — an immutable MVCC view
   the writer publishes after every committed batch — directly on the
@@ -25,8 +34,11 @@ paragraph:
   commits** them on a worker thread: one
   :class:`~repro.txn.transaction.CatalogTransaction` for the whole
   batch (per-op savepoints roll a refused write back exactly while the
-  rest proceed), one WAL fsync covering every record, one snapshot
-  publish before any ack leaves the server (read-your-writes);
+  rest proceed), one WAL fsync covering every record, then one snapshot
+  publish — durable before visible — and only then the acks.  There is
+  no linger timer: the batcher takes what is queued after one turn of
+  the loop, and the next batch fills while this one is applied and
+  fsynced;
 * **maintenance** (merge passes, optional reorganizations) runs as a
   cooperative background task between batches; one plain
   :class:`asyncio.Lock` orders the three writers — batcher, maintenance
@@ -55,6 +67,7 @@ import asyncio
 import json
 import time
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -91,6 +104,9 @@ from repro.table.partitioned import CinderellaTable
 _REQUEST_SECONDS = "repro_server_request_seconds"
 _REQUESTS_TOTAL = "repro_server_requests_total"
 
+#: the ops that go through admission → queue → batcher
+_WRITE_OPS = frozenset(("insert", "update", "delete"))
+
 # the batch-apply and group-commit (WAL fsync) spans double as latency
 # histograms on the server-latency bucket preset — the default bounds
 # leave the sub-10ms band where both live almost entirely in one bucket
@@ -105,7 +121,7 @@ obs.bind_span_histogram(
 
 
 def _request_trace_context(request: Request) -> Optional[TraceContext]:
-    """The adopted trace context _dispatch stashed on the request (the
+    """The adopted trace context _decode stashed on the request (the
     isinstance check also drops a wire-supplied impostor field)."""
     context = request.fields.get("_trace_context")
     return context if isinstance(context, TraceContext) else None
@@ -127,13 +143,10 @@ class ServerConfig:
     #: adaptive admission: the window is sized so a full queue drains
     #: within this latency at the batcher's measured rate
     admission_target_latency_s: float = 0.05
-    #: adaptive admission: the window never shrinks below this (keeps a
-    #: transient stall from collapsing admission entirely)
-    admission_min_window: int = 8
-    #: modifications applied per group commit
+    #: modifications applied per group commit — and so, per connection,
+    #: the writes it may have queued before it stops to collect acks,
+    #: and the depth below which admission never sheds
     batch_max: int = 32
-    #: how long the batcher lingers for a batch to fill (seconds)
-    batch_linger_s: float = 0.002
     #: MVCC snapshots retained beyond the latest (pinned snapshots are
     #: always kept regardless)
     snapshot_retain: int = 8
@@ -270,7 +283,12 @@ class CinderellaServer:
         self._admission = AdaptiveAdmission(
             self.config.max_pending,
             target_latency_s=self.config.admission_target_latency_s,
-            min_window=self.config.admission_min_window,
+            # a queue no deeper than one batch drains in one group
+            # commit, and one pipelining connection may queue that many:
+            # never shed below it, whatever the drain rate reads —
+            # measured on the small batches of a quiet moment or a cold
+            # start, it says little about what a full batch drains
+            min_window=max(1, self.config.batch_max),
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._batcher_task: Optional[asyncio.Task] = None
@@ -440,7 +458,7 @@ class CinderellaServer:
             # with a typed refusal instead of leaving futures hanging
             while not self._write_queue.empty():
                 pending = self._write_queue.get_nowait()
-                self._resolve(pending, refusal=_OpRefused(
+                self._resolve(pending, _OpRefused(
                     protocol.SHUTTING_DOWN, "drain_deadline",
                     "drain deadline reached before this write was applied",
                 ))
@@ -552,14 +570,42 @@ class CinderellaServer:
         self.counters.connections_opened += 1
         obs.event("server.connect", sid=session.sid, peer=peer)
         out: list[bytes] = []  # responses accumulated for one flush
+        # this connection's writes still owed an answer, oldest first:
+        # (request, started, future of the verdict)
+        unanswered: deque[tuple[Request, float, asyncio.Future]] = deque()
+        loop = asyncio.get_running_loop()
         try:
-            while not session.closing:
+            while True:
+                # pipelined clients batch many requests per segment.
+                # Consecutive writes are queued without waiting for each
+                # one's group commit, and answering each request with
+                # its own send syscall dominates the loop at high
+                # concurrency — so acks are collected and responses
+                # flushed, in one write, only when the read buffer has
+                # no complete frame left or a bound is reached: one
+                # batch's worth of queued writes (TCP back-pressure
+                # holds the rest of the burst) or 128 built responses
+                if session.closing or (
+                    (unanswered or out) and (
+                        len(unanswered) >= self.config.batch_max
+                        or len(out) >= 128
+                        or b"\n" not in getattr(reader, "_buffer", b"")
+                    )
+                ):
+                    await self._collect_acks(unanswered, out, session)
+                    if out:
+                        writer.write(out[0] if len(out) == 1 else b"".join(out))
+                        out.clear()
+                        await writer.drain()
+                if session.closing:
+                    break
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
                     # an over-long frame: answer once, then give up on the
                     # stream (framing can no longer be trusted)
                     self.counters.bad_requests += 1
+                    await self._collect_acks(unanswered, out, session)
                     out.append(protocol.encode_response(
                         0, protocol.BAD_REQUEST,
                         error=protocol.error_body(
@@ -567,34 +613,54 @@ class CinderellaServer:
                             f"frame exceeds {protocol.MAX_LINE_BYTES} bytes",
                         ),
                     ))
-                    writer.write(b"".join(out))
-                    out.clear()
-                    await writer.drain()
-                    break
+                    session.closing = True
+                    continue
                 if not line:
                     break  # EOF
-                if not line.strip():
+                line = line.strip()
+                if not line:
                     continue
-                out.append(await self._dispatch(line.strip(), session))
-                # pipelined clients batch many requests per segment;
-                # answering each with its own send syscall dominates the
-                # loop at high concurrency, so hold responses until the
-                # read buffer has no complete frame left (or the batch
-                # grows past a bound), then flush them in one write
-                if (
-                    len(out) < 128
-                    and not session.closing
-                    and b"\n" in getattr(reader, "_buffer", b"")
-                ):
+                try:
+                    request, started = self._decode(line)
+                except ProtocolError as err:
+                    self.counters.bad_requests += 1
+                    session.observe("?", ok=False)
+                    await self._collect_acks(unanswered, out, session)
+                    out.append(protocol.encode_response(
+                        0, protocol.BAD_REQUEST,
+                        error=protocol.error_body("protocol", str(err)),
+                    ))
                     continue
-                writer.write(out[0] if len(out) == 1 else b"".join(out))
-                out.clear()
-                await writer.drain()
+                if request.op in _WRITE_OPS:
+                    # queued (or refused) at once, answered in turn: the
+                    # next frame is parsed while this write's batch
+                    # fills, so a connection's consecutive writes share
+                    # a group commit
+                    try:
+                        verdict = self._handle_write(request)
+                    except _OpRefused as refusal:
+                        verdict = loop.create_future()
+                        verdict.set_result(refusal)
+                    unanswered.append((request, started, verdict))
+                    continue
+                # anything else is served behind the connection's own
+                # queued writes: responses leave in request order, and a
+                # read sees every write sent before it (their batches
+                # have published by the time their futures resolve)
+                await self._collect_acks(unanswered, out, session)
+                out.append(self._finish(
+                    session, request, started,
+                    await self._route(request, session),
+                ))
         except (ConnectionResetError, BrokenPipeError):
             pass  # client vanished mid-response
         except asyncio.CancelledError:
             pass  # force-close/abort cancelled us: end the task quietly
         finally:
+            # writes still queued for a connection that is gone are
+            # applied all the same; nobody is left to hear the verdict
+            for _request, _started, verdict in unanswered:
+                verdict.cancel()
             self.sessions.pop(session.sid, None)
             self._writers.pop(session.sid, None)
             if task is not None:
@@ -610,20 +676,12 @@ class CinderellaServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _dispatch(self, line: bytes, session: Session) -> bytes:
-        """Decode, route, and encode one request; never raises."""
-        try:
-            request = protocol.decode_request(line)
-        except ProtocolError as err:
-            self.counters.bad_requests += 1
-            session.observe("?", ok=False)
-            return protocol.encode_response(
-                0, protocol.BAD_REQUEST,
-                error=protocol.error_body("protocol", str(err)),
-            )
+    def _decode(self, line: bytes) -> tuple[Request, float]:
+        """Parse one frame; with the request, the clock reading its
+        latency counts from."""
+        request = protocol.decode_request(line)
         self.counters.requests_total += 1
         started = time.perf_counter()
-        trace_context: Optional[TraceContext] = None
         wire = request.fields.pop("trace", None)
         if wire is not None:
             # adopt the caller's trace context: this request's span
@@ -633,26 +691,39 @@ class CinderellaServer:
             trace_context = obs.adopt_wire_trace(wire)
             if trace_context is not None:
                 request.fields["_trace_context"] = trace_context
+        return request, started
+
+    async def _collect_acks(
+        self,
+        unanswered: deque[tuple[Request, float, asyncio.Future]],
+        out: list[bytes],
+        session: Session,
+    ) -> None:
+        """Answer the connection's queued writes, oldest first, each as
+        soon as its batch is durable and published."""
+        while unanswered:
+            request, started, verdict = unanswered.popleft()
+            out.append(self._finish(session, request, started, await verdict))
+
+    def _finish(
+        self,
+        session: Session,
+        request: Request,
+        started: float,
+        outcome: Union[_Raw, _OpRefused, tuple[str, dict[str, Any]]],
+    ) -> bytes:
+        """Account for one answered request and encode its response."""
         raw: Optional[_Raw] = None
-        try:
-            outcome = await self._route(request, session)
-            if isinstance(outcome, _Raw):
-                raw = outcome
-                status = outcome.status
-                fields = {}
-            else:
-                status, fields = outcome
-            error = None
-        except _OpRefused as refusal:
-            status = refusal.status
-            fields = {}
-            error = protocol.error_body(refusal.code, str(refusal))
-        except Exception as err:  # a handler bug must not kill the loop
-            status = protocol.ERROR
-            fields = {}
-            error = protocol.error_body(
-                "internal", f"{type(err).__name__}: {err}"
-            )
+        fields: dict[str, Any] = {}
+        error = None
+        if isinstance(outcome, _Raw):
+            raw = outcome
+            status = outcome.status
+        elif isinstance(outcome, _OpRefused):
+            status = outcome.status
+            error = protocol.error_body(outcome.code, str(outcome))
+        else:
+            status, fields = outcome
         ended = time.perf_counter()
         registry = obs.registry()
         if registry is not None:
@@ -681,12 +752,13 @@ class CinderellaServer:
         session.observe(request.op, ok=ok)
         if not ok:
             self.counters.requests_failed += 1
+        trace_context = _request_trace_context(request)
         if trace_context is not None:
             # the node's hop in the distributed trace.  Recorded after
-            # the fact (record_remote_span) because this coroutine
-            # awaited — a stack-held span would mis-parent interleaved
-            # tasks; synchronous children (query execution) already
-            # nested under this context via trace_scope
+            # the fact (record_remote_span) because the request awaited
+            # — a stack-held span would mis-parent interleaved tasks;
+            # synchronous children (query execution) already nested
+            # under this context via trace_scope
             obs.record_remote_span(
                 "node.request", started, ended, trace_context,
                 error=None if ok else status,
@@ -700,38 +772,52 @@ class CinderellaServer:
 
     async def _route(
         self, request: Request, session: Session
-    ) -> tuple[str, dict[str, Any]]:
+    ) -> Union[_Raw, _OpRefused, tuple[str, dict[str, Any]]]:
+        """Serve one request that is not a queued write.  Never raises:
+        a refusal comes back as the :class:`_OpRefused` to answer with,
+        and so does a handler bug, which must not kill the loop."""
         op = request.op
-        if op == "ping":
-            return protocol.OK, {"payload": request.get("payload")}
-        if op in ("insert", "update", "delete"):
-            return await self._handle_write(request)
-        if op == "query":
-            return await self._handle_query(request)
-        if op == "sql":
-            return await self._handle_sql(request)
-        if op == "stats":
-            return protocol.OK, self._stats_snapshot()
-        if op == "obs":
-            return protocol.OK, self._obs_snapshot()
-        if op == "maintain":
-            return await self._handle_maintain(request)
-        if op == "sync_snapshot":
-            return await self._handle_sync_snapshot(request)
-        if op == "sync_delta":
-            return await self._handle_sync_delta(request)
-        if op == "shutdown":
-            session.closing = True
-            self._stop_task = asyncio.get_running_loop().create_task(self.stop())
-            return protocol.OK, {"draining": True}
-        raise _OpRefused(  # unreachable: decode_request validates ops
-            protocol.BAD_REQUEST, "unknown_op", f"unhandled op {op!r}"
-        )
+        try:
+            if op == "ping":
+                return protocol.OK, {"payload": request.get("payload")}
+            if op == "query":
+                return await self._handle_query(request)
+            if op == "sql":
+                return await self._handle_sql(request)
+            if op == "stats":
+                return protocol.OK, self._stats_snapshot()
+            if op == "obs":
+                return protocol.OK, self._obs_snapshot()
+            if op == "maintain":
+                return await self._handle_maintain(request)
+            if op == "sync_snapshot":
+                return await self._handle_sync_snapshot(request)
+            if op == "sync_delta":
+                return await self._handle_sync_delta(request)
+            if op == "shutdown":
+                session.closing = True
+                self._stop_task = asyncio.get_running_loop().create_task(
+                    self.stop()
+                )
+                return protocol.OK, {"draining": True}
+            raise _OpRefused(  # unreachable: decode_request validates ops
+                protocol.BAD_REQUEST, "unknown_op", f"unhandled op {op!r}"
+            )
+        except _OpRefused as refusal:
+            return refusal
+        except Exception as err:
+            return _OpRefused(
+                protocol.ERROR, "internal", f"{type(err).__name__}: {err}"
+            )
 
     # ------------------------------------------------------------------
     # writes: admission → queue → batcher
     # ------------------------------------------------------------------
-    async def _handle_write(self, request: Request) -> "_Raw":
+    def _handle_write(self, request: Request) -> asyncio.Future:
+        """Validate, admit and queue one modification, or raise the
+        refusal.  The future resolves, once the write's batch is durable
+        and published, to its ack (:class:`_Raw`) or to the
+        :class:`_OpRefused` the batcher answered it with."""
         if self._draining:
             self.counters.writes_shed_shutdown += 1
             raise _OpRefused(
@@ -762,7 +848,7 @@ class CinderellaServer:
             "repro_server_queue_depth", depth,
             "Modifications queued behind the batcher",
         )
-        return await future
+        return future
 
     def _validate_write(self, request: Request) -> None:
         """Shape checks before admission (the ingest pipeline's spirit:
@@ -801,10 +887,10 @@ class CinderellaServer:
         """Drain queued writes in group-committed batches."""
         while True:
             first = await self._write_queue.get()
-            if self.config.batch_linger_s > 0 and (
-                self._write_queue.qsize() + 1 < self.config.batch_max
-            ):
-                await asyncio.sleep(self.config.batch_linger_s)
+            # no linger timer: one turn of the loop lets every connection
+            # with frames already in its buffer queue them, and the next
+            # batch fills while this one is applied and fsynced
+            await asyncio.sleep(0)
             batch = [first]
             while (
                 len(batch) < self.config.batch_max
@@ -821,9 +907,9 @@ class CinderellaServer:
             # and only after the publish inside _apply_batch, so every
             # acked client immediately reads its own write
             for pending, refusal in refused:
-                self._resolve(pending, refusal=refusal)
+                self._resolve(pending, refusal)
             for pending, _fields, raw in acked:
-                self._resolve(pending, raw=raw)
+                self._resolve(pending, raw)
             self._admission.observe_batch(
                 len(batch), time.perf_counter() - started
             )
@@ -844,16 +930,17 @@ class CinderellaServer:
     def _apply_batch(
         self, batch: list[_PendingWrite]
     ) -> tuple[
-        list[tuple[_PendingWrite, dict[str, Any]]],
+        list[tuple[_PendingWrite, dict[str, Any], _Raw]],
         list[tuple[_PendingWrite, _OpRefused]],
     ]:
         """Group-commit one batch on a worker thread.
 
         One undo-log transaction covers the whole batch; a savepoint
         before each operation rolls a refused write back exactly while
-        the batch's earlier successes stand.  After the commit the new
-        state is published as a snapshot, every success is journaled,
-        and one fsync — the group commit — makes them all durable.
+        the batch's earlier successes stand.  After the commit every
+        success is journaled, one fsync — the group commit — makes them
+        all durable, and only then is the new state published as a
+        snapshot: no connection reads a write a crash could still lose.
         Nothing here touches futures (asyncio futures are not
         thread-safe): verdicts return to the batcher for resolution.
         """
@@ -908,8 +995,6 @@ class CinderellaServer:
             txn.rollback()
             raise
         txn.commit()
-        if acked:
-            self._publish()
         if self._wal is not None and acked:
             for pending, fields, _raw in acked:
                 request = pending.request
@@ -935,6 +1020,8 @@ class CinderellaServer:
                     for pending, _fields, _raw in acked
                 )
                 return [], refused
+        if acked:
+            self._publish()
         return acked, refused
 
     def _apply_to_table(self, request: Request) -> dict[str, Any]:
@@ -972,18 +1059,15 @@ class CinderellaServer:
         }
 
     def _resolve(
-        self,
-        pending: _PendingWrite,
-        raw: Optional[_Raw] = None,
-        refusal: Optional[_OpRefused] = None,
+        self, pending: _PendingWrite, verdict: Union[_Raw, _OpRefused]
     ) -> None:
-        """Hand the batcher's verdict back to the waiting connection."""
-        if pending.future.cancelled():  # the connection died while queued
-            return
-        if refusal is not None:
-            pending.future.set_exception(refusal)
-        else:
-            pending.future.set_result(raw)
+        """Hand the batcher's verdict back to the waiting connection.
+
+        A refusal is the future's *result*, not its exception: a
+        connection that dies before collecting it leaves nothing behind
+        for the loop to warn about."""
+        if not pending.future.cancelled():  # else: it died while queued
+            pending.future.set_result(verdict)
 
     # ------------------------------------------------------------------
     # reads: lock-free, from the latest MVCC snapshot
@@ -1394,14 +1478,6 @@ class CinderellaServer:
             outcome = await asyncio.to_thread(
                 self._apply_sync_delta, reset, entities
             )
-            if self._wal is not None:
-                try:
-                    await asyncio.to_thread(self._wal.sync)
-                except OSError as err:
-                    raise _OpRefused(
-                        protocol.ERROR, "wal_sync_failed",
-                        f"could not make the sync delta durable: {err}",
-                    ) from None
             if bool(request.get("final")) and (
                 self._wal is not None
                 and self.config.snapshot_path is not None
@@ -1427,7 +1503,8 @@ class CinderellaServer:
 
         Journal entries are collected during application but appended to
         the WAL only after the transaction commits — a rollback must not
-        leave journal records describing writes that never happened.
+        leave journal records describing writes that never happened —
+        and the new state is published only once they are fsynced.
         """
         table = self.table
         journal: list[tuple[str, dict[str, Any]]] = []
@@ -1467,12 +1544,19 @@ class CinderellaServer:
                 f"{type(err).__name__}: {err}",
             ) from None
         txn.commit()
-        self._publish()
         if self._wal is not None:
             for op, payload in journal:
                 self._wal.append(op, payload, sync=False)
                 self.counters.wal_writes_logged += 1
                 self._wal_writes_since_checkpoint += 1
+            try:
+                self._wal.sync()
+            except OSError as err:
+                raise _OpRefused(
+                    protocol.ERROR, "wal_sync_failed",
+                    f"could not make the sync delta durable: {err}",
+                ) from None
+        self._publish()
         return {
             "applied": len(entities),
             "removed": removed,

@@ -14,6 +14,7 @@ failure seen locally.  Two knobs enforce that:
 """
 
 import json
+import time
 from collections import Counter
 
 from hypothesis import settings
@@ -26,6 +27,17 @@ def served_rows(fragment: bytes) -> list[dict]:
     """The rows of a ``TableSnapshot.serve_query`` wire fragment, decoded
     as a client would decode the response line it is spliced into."""
     return json.loads(b'{"id":0' + fragment)["rows"]
+
+
+def wait_until(predicate, timeout_s=20.0, interval_s=0.02) -> bool:
+    """Poll *predicate* until it holds or *timeout_s* passes; its last
+    verdict either way, for the caller to assert on."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval_s)
+    return bool(predicate())
 
 
 def row_multiset(rows) -> Counter:

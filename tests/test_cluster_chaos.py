@@ -17,6 +17,7 @@ survive into its next life) and the graceful-drain regression tests
 (a stalled client cannot hold shutdown past the drain deadline).
 """
 
+import json
 import socket
 import threading
 import time
@@ -29,21 +30,12 @@ from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient
 from repro.server.protocol import encode_request
 
-from tests.conftest import WORKLOAD_SEED
+from tests.conftest import WORKLOAD_SEED, wait_until
 
 #: statuses a chaos client may legitimately observe mid-fault
 ACCEPTABLE_STATUSES = frozenset({
     "ok", "applied", "overloaded", "node_unavailable", "degraded",
 })
-
-
-def wait_until(predicate, timeout_s=20.0, interval_s=0.05):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval_s)
-    return predicate()
 
 
 class ChaosWorker(threading.Thread):
@@ -274,6 +266,64 @@ class TestWalDurability:
             with h.client() as client:
                 served = {r["uid"] for r in client.query(["uid"])}
             assert served == acked
+
+
+    def test_crash_mid_burst_keeps_a_prefix_of_the_send_order(self, tmp_path):
+        """One connection's pipelined writes are applied first-in
+        first-out and journaled in that order, so whatever a crash
+        leaves behind is the acked writes and then, at most, a few sent
+        right after them — never a gap."""
+        with ClusterHarness(tmp_path, n_nodes=1, replication_factor=1) as h:
+            node = h.nodes["node0"].server
+            # the third group commit hangs until the node is dead: the
+            # crash lands with two batches acked, a third applied and
+            # journaled but not synced, and the rest of the burst behind
+            real_sync = node._wal.sync
+            syncs = iter((real_sync, real_sync))
+            third_sync, crashed = threading.Event(), threading.Event()
+
+            def sync():
+                commit = next(syncs, None)
+                if commit is None:
+                    third_sync.set()
+                    crashed.wait(30)
+                    raise OSError("the node died under this fsync")
+                commit()
+
+            node._wal.sync = sync
+            address = h.addresses["node0"]
+            acked: list[int] = []
+            with socket.create_connection(
+                (address.host, address.port), timeout=30
+            ) as sock:
+                sock.sendall(b"".join(
+                    encode_request(
+                        "insert", request_id=i + 1, eid=i,
+                        attributes={"uid": f"u{i}"},
+                    )
+                    for i in range(200)
+                ))
+                assert third_sync.wait(20)
+                h.kill_node("node0")
+                crashed.set()
+                try:
+                    for line in sock.makefile("rb"):
+                        if b'"status":"applied"' in line:
+                            acked.append(json.loads(line)["eid"])
+                except OSError:
+                    pass  # the RST of the crash
+            h.restart_node("node0")
+            with h.node_client("node0") as client:
+                served = sorted(
+                    int(row["uid"][1:]) for row in client.query(["uid"])
+                )
+            assert 0 < len(acked) < 200
+            assert acked == list(range(len(acked)))
+            assert served == list(range(len(served)))  # a prefix: no gap
+            assert len(served) >= len(acked)  # no acked write lost
+            recovered = h.nodes["node0"].server
+            assert recovered.counters.wal_records_replayed == len(served)
+            assert recovered.table.check_consistency() == []
 
 
 def _stall_connection(address, rows: int):

@@ -15,7 +15,10 @@ the single-writer read barrier:
 4. **Concurrent wire soak** — sixteen real connections drive a mixed
    workload through the server; adaptive admission must keep the shed
    rate under two percent (the seed fixed-window server shed ~43% at
-   this concurrency) while reads stay lock-free.
+   this concurrency) while reads stay lock-free.  Beside it, the
+   **pipelining differential** (Hypothesis): any op sequence sent as one
+   burst on one connection is answered, response for response, like the
+   same sequence sent one request at a time.
 5. **Version-clock edges** — ``adopt_version_clock`` across an offline
    reorganization keeps publication monotonic, and a pinned snapshot
    outlives a merge/split cascade without a bit changing.
@@ -371,7 +374,6 @@ class TestConcurrentWireIsolation:
             config=ServerConfig(
                 max_pending=512,
                 batch_max=128,
-                batch_linger_s=0.001,
                 admission_target_latency_s=0.25,
                 maintenance_interval_s=0.05,
                 merge_min_fill=0.6,
@@ -412,6 +414,85 @@ class TestConcurrentWireIsolation:
         assert len(table.execute_naive(
             AttributeQuery(("common",))
         ).rows) == applied
+
+
+# ----------------------------------------------------------------------
+# 4b. pipelining: a burst answers exactly like one request at a time
+# ----------------------------------------------------------------------
+#: a small eid space, so inserts collide, updates and deletes miss, and
+#: a read often sits right behind a write to the entity it matches
+WIRE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.fixed_dictionaries({
+                "eid": st.integers(0, 4),
+                "attributes": st.dictionaries(
+                    st.sampled_from(["a", "b", "c"]), st.integers(0, 9),
+                    max_size=2,  # empty: refused before admission
+                ),
+            }),
+        ),
+        st.tuples(
+            st.just("update"),
+            st.fixed_dictionaries({
+                "eid": st.integers(0, 4),
+                "attributes": st.dictionaries(
+                    st.sampled_from(["a", "b", "c"]), st.integers(0, 9),
+                    min_size=1, max_size=2,
+                ),
+            }),
+        ),
+        st.tuples(
+            st.just("delete"),
+            st.fixed_dictionaries({"eid": st.integers(0, 4)}),
+        ),
+        st.tuples(
+            st.just("query"),
+            st.fixed_dictionaries({
+                "attributes": st.lists(
+                    st.sampled_from(["a", "b", "c"]),
+                    min_size=1, max_size=2, unique=True,
+                ),
+            }),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _answers(responses) -> list:
+    """What a client can tell two runs apart by (a query's ``stats``
+    count cache hits, which depend on how many snapshots were cut)."""
+    return [
+        (
+            r.id, r.status, (r.error or {}).get("code"),
+            {k: v for k, v in r.fields.items() if k != "stats"},
+        )
+        for r in responses
+    ]
+
+
+class TestPipelinedDifferential:
+    @given(ops=WIRE_OPS)
+    @settings(max_examples=30)
+    def test_a_burst_answers_like_one_request_at_a_time(self, ops):
+        """Order, read-your-writes and every refusal survive pipelining:
+        response for response, a burst on one connection is what the
+        same sequence yields sent with a round trip each."""
+        config = ServerConfig(maintenance_interval_s=0, batch_max=8)
+        with ServerThread(
+            server=CinderellaServer(table=build_table(), config=config)
+        ) as harness:
+            with ServerClient(*harness.address) as client:
+                burst = client.pipeline(ops)
+        with ServerThread(
+            server=CinderellaServer(table=build_table(), config=config)
+        ) as harness:
+            with ServerClient(*harness.address, check=False) as client:
+                one_by_one = [client.request(op, **fields) for op, fields in ops]
+        assert _answers(burst) == _answers(one_by_one)
 
 
 # ----------------------------------------------------------------------

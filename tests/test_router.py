@@ -21,14 +21,7 @@ from repro.router import (
 from repro.server import ServerConfig, ServerThread
 from repro.server.client import ServerClient, ServerError
 
-
-def wait_until(predicate, timeout_s=10.0, interval_s=0.02):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval_s)
-    return predicate()
+from tests.conftest import wait_until
 
 
 def _nodes(count):

@@ -7,11 +7,14 @@ path production traffic takes.
 """
 
 import asyncio
+import gc
 import json
+import logging
 import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,8 @@ from repro.core.config import CinderellaConfig
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient, ServerError
 from repro.table.partitioned import CinderellaTable
+
+from tests.conftest import wait_until
 
 
 @pytest.fixture()
@@ -196,6 +201,29 @@ class TestAdmissionControl:
                 assert stats["counters"]["shed_rate"] == 1.0
                 assert stats["counters"]["writes_applied"] == 0
 
+    def test_a_slow_batch_does_not_shed_one_batch_of_pipelined_writes(self):
+        """The drain rate is measured on whatever batches came by, and a
+        lone write behind a cold start reads like a slow server; a queue
+        no deeper than one batch is admitted whatever the rate reads."""
+        server = CinderellaServer(config=ServerConfig(maintenance_interval_s=0))
+        apply_batch = server._apply_batch
+
+        def slow_batch(batch):
+            time.sleep(0.05)
+            return apply_batch(batch)
+
+        server._apply_batch = slow_batch
+        with ServerThread(server=server) as harness:
+            with ServerClient(*harness.address) as client:
+                client.insert({"a": 0})  # 20 writes/s, as far as it can tell
+                assert server._admission.window == server.config.batch_max
+                acks = client.pipeline(
+                    ("insert", {"attributes": {"a": i}})
+                    for i in range(server.config.batch_max)
+                )
+        assert [r.status for r in acks] == ["applied"] * len(acks)
+        assert server.counters.writes_shed_overloaded == 0
+
     def test_reads_still_served_while_writes_shed(self):
         config = ServerConfig(max_pending=0, maintenance_interval_s=0)
         with ServerThread(config=config) as harness:
@@ -233,17 +261,6 @@ class TestLifecycle:
         harness.stop()  # idempotent join
         assert harness.server.table.check_consistency() == []
 
-    def test_stop_flushes_queued_writes(self):
-        config = ServerConfig(
-            maintenance_interval_s=0, batch_linger_s=0.05, batch_max=4
-        )
-        with ServerThread(config=config) as harness:
-            with ServerClient(*harness.address) as client:
-                for i in range(20):
-                    client.insert({"a": i})
-        assert harness.server.counters.writes_applied == 20
-        assert harness.server._write_queue.qsize() == 0
-
     def test_maintain_merges_after_deletes(self):
         table = CinderellaTable(
             CinderellaConfig(
@@ -273,9 +290,7 @@ class TestLifecycle:
         # six blocking writers against batches of two: the queue is never
         # empty when a batch ends, so the batcher goes from releasing the
         # lock straight to asking for it again
-        config = ServerConfig(
-            maintenance_interval_s=0, batch_linger_s=0, batch_max=2
-        )
+        config = ServerConfig(maintenance_interval_s=0, batch_max=2)
         stop = threading.Event()
         failures: list[str] = []
 
@@ -336,6 +351,194 @@ class TestLifecycle:
                 assert {s["sid"] for s in sessions} == {1, 2}
         harness.stop()  # drain: handler tasks observe EOF before we assert
         assert harness.server.counters.connections_closed == 2
+
+
+class _Gate:
+    """Wraps a callable so that a test can hold every call at its door:
+    ``entered`` is set when a call arrives, the call proceeds on
+    ``release``."""
+
+    def __init__(self, wrapped):
+        self.wrapped = wrapped
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, *args, **kwargs):
+        self.entered.set()
+        assert self.release.wait(30), "the test never released the gate"
+        return self.wrapped(*args, **kwargs)
+
+
+class TestPipelinedWrites:
+    """A connection's consecutive writes share group commits; responses
+    still leave in request order and a read sees every write before it."""
+
+    def test_burst_answers_in_order_and_reads_its_own_writes(self):
+        requests = []
+        for i in range(600):
+            requests.append(("insert", {"attributes": {"n": i}, "eid": i}))
+            if (i + 1) % 50 == 0:
+                requests.append(("query", {"attributes": ["n"]}))
+        config = ServerConfig(
+            maintenance_interval_s=0, admission_target_latency_s=0.25
+        )
+        with ServerThread(config=config) as harness:
+            with ServerClient(*harness.address) as client:
+                responses = client.pipeline(requests)
+        assert [r.id for r in responses] == list(range(1, len(requests) + 1))
+        applied = 0
+        for (op, _fields), response in zip(requests, responses):
+            if op == "insert":
+                assert response.status == "applied"
+                applied += 1
+            else:
+                assert response.get("row_count") == applied
+        counters = harness.server.counters
+        assert counters.writes_applied == 600
+        assert counters.batches_flushed <= 40  # 600 with a round trip each
+        assert counters.writes_shed_overloaded == 0
+
+    def test_one_entity_written_thrice_in_one_burst(self, client):
+        inserted, updated, deleted, query = client.pipeline([
+            ("insert", {"attributes": {"x": 1}, "eid": 7}),
+            ("update", {"eid": 7, "attributes": {"x": 2, "y": 2}}),
+            ("delete", {"eid": 7}),
+            ("query", {"attributes": ["x", "y"]}),
+        ])
+        assert [r.status for r in (inserted, updated, deleted)] == ["applied"] * 3
+        assert query.ok and query.get("rows") == []
+
+    def test_each_refusal_sits_at_its_own_position(self, harness):
+        burst = [
+            b'{"op":"insert","id":1,"eid":5,"attributes":{"a":1}}',
+            b'{"op":"insert","id":2,"eid":5,"attributes":{"a":2}}',
+            b'{"op":"insert","id":3,"attributes":{}}',
+            b"this is not json",
+            b'{"op":"insert","id":5,"eid":6,"attributes":{"a":3}}',
+            b'{"op":"query","id":6,"attributes":["a"]}',
+        ]
+        with socket.create_connection(harness.address, timeout=10) as sock:
+            sock.sendall(b"\n".join(burst) + b"\n")
+            reader = sock.makefile("rb")
+            answers = [json.loads(reader.readline()) for _ in burst]
+        assert [a["id"] for a in answers] == [1, 2, 3, 0, 5, 6]
+        assert [a["status"] for a in answers] == [
+            "applied", "rejected", "rejected", "bad_request", "applied", "ok",
+        ]
+        assert answers[1]["error"]["code"] == "duplicate_entity"
+        assert answers[2]["error"]["code"] == "empty_synopsis"
+        assert answers[5]["rows"] == [{"a": 1}, {"a": 3}]
+
+    def test_burst_past_the_window_is_shed_in_order(self):
+        config = ServerConfig(max_pending=8, maintenance_interval_s=0)
+        with ServerThread(config=config) as harness:
+            with ServerClient(*harness.address) as client:
+                responses = client.pipeline(
+                    ("insert", {"attributes": {"a": i}, "eid": i})
+                    for i in range(64)
+                )
+                rows = client.query(["a"])
+        statuses = [r.status for r in responses]
+        assert set(statuses) == {"applied", "overloaded"}
+        applied = [i for i, status in enumerate(statuses) if status == "applied"]
+        assert [r.get("eid") for r in responses if r.ok] == applied
+        assert sorted(row["a"] for row in rows) == applied
+        counters = harness.server.counters
+        assert counters.writes_applied == len(applied)
+        assert counters.writes_shed_overloaded == 64 - len(applied)
+
+    def test_client_that_never_reads_its_acks_is_reaped(self, caplog):
+        server = CinderellaServer(config=ServerConfig(maintenance_interval_s=0))
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            with ServerThread(server=server) as harness:
+                sock = socket.create_connection(harness.address, timeout=10)
+                sock.sendall(b"".join(
+                    b'{"op":"insert","id":%d,"eid":%d,"attributes":{"a":1}}\n'
+                    % (i, i)
+                    for i in range(200)
+                ))
+                sock.close()  # 200 acks on their way to nobody
+                assert wait_until(
+                    lambda: server.counters.connections_closed == 1
+                )
+                assert server.sessions == {}
+            gc.collect()  # an unretrieved future complains when collected
+        assert caplog.records == []
+        assert server._write_queue.qsize() == 0
+        # what was queued before the connection died was applied whole
+        assert len(list(server.table.entity_ids())) == (
+            server.counters.writes_applied
+        )
+        assert server.table.check_consistency() == []
+
+    def test_stop_flushes_queued_writes_and_their_acks(self):
+        """A drain that begins with writes queued behind a batch in
+        progress applies and acks every one of them before closing."""
+        server = CinderellaServer(config=ServerConfig(maintenance_interval_s=0))
+        gate = server._apply_batch = _Gate(server._apply_batch)
+        acks: list = []
+        with ServerThread(server=server) as harness:
+            with ServerClient(*harness.address) as first, \
+                    ServerClient(*harness.address, check=False) as burst, \
+                    ServerClient(*harness.address) as admin:
+                threads = [
+                    threading.Thread(target=first.insert, args=({"a": 0},)),
+                    threading.Thread(target=lambda: acks.extend(burst.pipeline(
+                        ("insert", {"attributes": {"a": i}})
+                        for i in range(1, 21)
+                    ))),
+                ]
+                threads[0].start()
+                assert gate.entered.wait(10)  # batch one is being applied
+                threads[1].start()
+                assert wait_until(lambda: server._write_queue.qsize() == 20)
+                assert admin.shutdown().get("draining") is True
+                gate.release.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+            # the shutdown op stops the server by itself; let its loop
+            # finish before the harness asks the same of it
+            assert wait_until(lambda: not harness._thread.is_alive())
+        statuses = [r.status for r in acks]
+        assert len(statuses) == 20
+        assert set(statuses) <= {"applied", "shutting_down"}
+        assert server.counters.writes_applied == 1 + statuses.count("applied")
+        assert statuses == ["applied"] * 20  # queued before the drain began
+        assert server._write_queue.qsize() == 0
+
+
+class TestDurableBeforeVisible:
+    """No connection reads a write that a crash could still lose: the
+    snapshot is published behind the batch's WAL fsync."""
+
+    @pytest.mark.parametrize("op, fields", [
+        ("insert", {"attributes": {"a": 1}}),
+        ("sync_delta", {"entities": [{"eid": 3, "attributes": {"a": 1}}]}),
+    ])
+    def test_row_is_invisible_until_its_fsync_returns(
+        self, tmp_path, op, fields
+    ):
+        server = CinderellaServer(config=ServerConfig(
+            maintenance_interval_s=0, wal_path=tmp_path / "node.wal",
+        ))
+        with ServerThread(server=server) as harness:
+            gate = server._wal.sync = _Gate(server._wal.sync)
+            with ServerClient(*harness.address) as writer, \
+                    ServerClient(*harness.address) as reader:
+                write = threading.Thread(
+                    target=writer.request, args=(op,), kwargs=fields
+                )
+                write.start()
+                try:
+                    assert gate.entered.wait(10)
+                    # applied and journaled, not yet durable: not served
+                    assert reader.query(["a"]) == []
+                finally:
+                    gate.release.set()
+                    write.join(timeout=30)
+                assert not write.is_alive()
+                assert reader.query(["a"]) == [{"a": 1}]
 
 
 class TestServeCommand:

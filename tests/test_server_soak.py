@@ -160,7 +160,6 @@ def run_soak(workers: int, ops_per_worker: int) -> None:
         config=ServerConfig(
             max_pending=64,
             batch_max=16,
-            batch_linger_s=0.001,
             maintenance_interval_s=0.05,  # merges fire *during* the run
             merge_min_fill=0.6,
             reorganize_every=5,
