@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Optional, Union
 
 from repro.backup.archive import BackupArchive, BackupError
 from repro.obs import runtime as obs
+from repro.query.snapshot import ShardScope
 from repro.storage.snapshot import _decode_value, save_node_checkpoint
 from repro.storage.wal import WALRecord, WriteAheadLog
 
@@ -79,52 +80,44 @@ def checkpoint_node(
     }
 
 
-def apply_record(table, record: WALRecord) -> bool:
-    """Apply one journaled operation to *table*; returns True when it
-    changed state.
+def apply_record(table, op: str, payload: dict[str, Any]) -> Any:
+    """Apply one write record to *table*: the only interpreter of the
+    five record kinds.
 
-    Mirrors the serving node's replay semantics exactly: unknown record
-    kinds are skipped (forward compatibility), and a record already
-    reflected in the catalog (duplicate insert, unknown eid) is not a
-    recovery failure — sequence skipping makes genuine double-replay
-    impossible, this tolerance only covers replay onto pre-seeded
-    tables.
+    A serving node's batches and resync deltas go through here when
+    they happen, and WAL replay and point-in-time recovery when they
+    are read back, so a journal replays to what was applied by
+    construction.  Returns the table's outcome (for ``sync_reset``, the
+    number of entities it removed) and raises what the table raises —
+    ``ValueError`` for a duplicate insert, ``KeyError`` for an unknown
+    eid — and ``ValueError`` for a record kind it does not know.
     """
-    payload = record.payload
-    try:
-        if record.op == "insert":
-            table.insert(payload["attributes"], entity_id=payload["eid"])
-        elif record.op == "update":
-            table.update(payload["eid"], payload["attributes"])
-        elif record.op == "delete":
-            table.delete(payload["eid"])
-        elif record.op == "sync_put":
-            # resync upsert: the peer's copy replaces whatever is local.
-            # sync payloads carry snapshot-encoded values (they crossed
-            # the wire from another node's table), unlike client writes
-            # whose JSON attributes are stored verbatim
-            attributes = {
-                name: _decode_value(value)
-                for name, value in payload["attributes"].items()
-            }
-            if payload["eid"] in table:
-                table.update(payload["eid"], attributes)
-            else:
-                table.insert(attributes, entity_id=payload["eid"])
-        elif record.op == "sync_reset":
-            n_shards = payload["n_shards"]
-            shards = set(payload["shards"])
-            doomed = [
-                eid for eid in table.entity_ids()
-                if eid % n_shards in shards
-            ]
-            for eid in doomed:
-                table.delete(eid)
-        else:
-            return False
-        return True
-    except (KeyError, ValueError):
-        return False
+    if op == "insert":
+        return table.insert(payload["attributes"], entity_id=payload.get("eid"))
+    if op == "update":
+        return table.update(payload["eid"], payload["attributes"])
+    if op == "delete":
+        return table.delete(payload["eid"])
+    if op == "sync_put":
+        # resync upsert: the peer's copy replaces whatever is local.
+        # sync payloads carry snapshot-encoded values (they crossed the
+        # wire from another node's table), unlike client writes whose
+        # JSON attributes are stored verbatim
+        attributes = {
+            name: _decode_value(value)
+            for name, value in payload["attributes"].items()
+        }
+        if payload["eid"] in table:
+            return table.update(payload["eid"], attributes)
+        return table.insert(attributes, entity_id=payload["eid"])
+    if op == "sync_reset":
+        scope = ShardScope(payload["n_shards"], frozenset(payload["shards"]))
+        eids = table.entity_ids()
+        doomed = scope.select(eids, eids)
+        for eid in doomed:
+            table.delete(eid)
+        return len(doomed)
+    raise ValueError(f"unknown record kind {op!r}")
 
 
 def replay_into_table(
@@ -132,12 +125,23 @@ def replay_into_table(
 ) -> int:
     """Replay *records* with ``seq > after_seq``; returns how many
     applied.  The sequence skip is what makes checkpoint recovery exact:
-    records the snapshot already covers are never re-applied."""
+    records the snapshot already covers are never re-applied.
+
+    A record the table refuses is skipped, with an event, not a failed
+    recovery: an unknown kind (forward compatibility), or one already
+    reflected in the catalog (duplicate insert, unknown eid) — sequence
+    skipping makes genuine double-replay impossible, this tolerance
+    only covers replay onto pre-seeded tables.
+    """
     replayed = 0
     for record in records:
         if record.seq <= after_seq:
             continue
-        if apply_record(table, record):
+        try:
+            apply_record(table, record.op, record.payload)
+        except (KeyError, ValueError):
+            obs.event("backup.replay_skip", seq=record.seq, op=record.op)
+        else:
             replayed += 1
     return replayed
 

@@ -8,7 +8,10 @@ every committed batch; readers grab the latest snapshot and serve from
 it without any locking at all — a query can never block on a writer,
 and never observes a half-applied batch.  This is a serving node's
 whole read path: latest snapshot → per-snapshot response cache →
-per-partition-state chunk cache → decoded records.
+per-partition-state chunk cache → decoded records — for the whole table
+or, through :meth:`TableSnapshot.scoped`, for the shards of a
+:class:`ShardScope` (the routing tier's reads): the same path, with the
+scope as one more component of the cache keys.
 
 Shared partition states keep publication cheap enough to run once per
 group commit, and two caches keep repeated queries cheap:
@@ -22,12 +25,13 @@ group commit, and two caches keep repeated queries cheap:
   in-place update, split/merge move) builds a fresh state object, so
   snapshots taken before the change keep the old one alive untouched.
 * per-state **chunk caches** remember the serialized rows a query
-  matched up to a prefix length, so a fresh snapshot's first serve of a
-  known shape over a growing partition matches and serializes only the
-  appended suffix.
+  matched, within one scope, up to a prefix length, so a fresh
+  snapshot's first serve of a known shape over a growing partition
+  matches and serializes only the appended suffix.
 * per-snapshot **response caches** remember the fully serialized wire
   fragment of a query's answer; within one snapshot's lifetime a
-  repeated query costs a dict lookup and a splice.
+  repeated query costs a dict lookup and a splice.  A scoped view of a
+  snapshot is its own snapshot object, so it has its own.
 
 Retention is bounded: a :class:`SnapshotManager` keeps the most recent
 ``retain`` snapshots and garbage-collects older ones — but never the
@@ -42,7 +46,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.obs import runtime as obs
 from repro.query.executor import ExecutionResult, ExecutionStats
@@ -60,10 +64,35 @@ QuerySig = tuple[tuple[str, ...], str]
 #: overflow clears the cache (simple and safe — it only costs a rescan)
 _CHUNK_CACHE_SIGS = 128
 _RESPONSE_CACHE_SIGS = 256
+#: scoped views remembered per snapshot (a healthy placement asks a node
+#: for one scope, a failover for a few); overflow clears
+_SCOPED_VIEWS = 16
 
 
 def query_sig(query: AttributeQuery) -> QuerySig:
     return (query.attributes, query.mode)
+
+
+class ShardScope(NamedTuple):
+    """The entities of a set of shards: ``eid % n_shards in shards``.
+
+    The routing tier places entities by that rule, and with replication
+    a node holds copies of more shards than it is asked to answer for:
+    a scope names the ones it is — in a read's ``shard_filter`` and in
+    the resync ops.  Hashable, so it keys the caches it narrows.
+    """
+
+    n_shards: int
+    shards: frozenset[int]
+
+    def select(self, eids: Iterable[int], values: Iterable[Any]) -> list[Any]:
+        """Those of *values* whose entity id, at the same position of
+        *eids*, is in scope."""
+        n_shards, shards = self
+        return [
+            value for eid, value in zip(eids, values)
+            if eid % n_shards in shards
+        ]
 
 
 class _PartitionState:
@@ -94,11 +123,13 @@ class _PartitionState:
         self.seen_clock = -1
         self.eids: list[int] = []
         self.attrs: list[dict[str, Any]] = []
-        #: sig -> (prefix length, row count, serialized row chunk) — the
-        #: matched rows pre-rendered as comma-joined JSON objects, so a
-        #: fresh snapshot's first serve of a known shape only serializes
-        #: rows appended since the previous snapshot
-        self.chunk_cache: dict[QuerySig, tuple[int, int, str]] = {}
+        #: (sig, scope) -> (prefix length, row count, serialized row
+        #: chunk) — the matched rows pre-rendered as comma-joined JSON
+        #: objects, so a fresh snapshot's first serve of a known shape
+        #: only serializes rows appended since the previous snapshot
+        self.chunk_cache: dict[
+            tuple[QuerySig, Optional[ShardScope]], tuple[int, int, str]
+        ] = {}
         self.dictionary = dictionary
 
     def ensure_decoded(self, n: int) -> None:
@@ -113,22 +144,28 @@ class _PartitionState:
             attrs.append(attributes)
 
     def _render(
-        self, query: AttributeQuery, start: int, n: int
+        self, query: AttributeQuery, scope: Optional[ShardScope],
+        start: int, n: int,
     ) -> tuple[str, int]:
-        """Match, project and serialize records ``[start, n)``."""
+        """Match, project and serialize the records ``[start, n)`` that
+        are in *scope*."""
         self.ensure_decoded(n)
+        attrs = self.attrs[start:n]
+        if scope is not None:
+            attrs = scope.select(self.eids[start:n], attrs)
         matches = query.matches
         project = query.project
         rendered = [
             json.dumps(project(a), separators=(",", ":"))
-            for a in self.attrs[start:n] if matches(a)
+            for a in attrs if matches(a)
         ]
         return ",".join(rendered), len(rendered)
 
     def matched_chunk(
-        self, query: AttributeQuery, sig: QuerySig, n: int
+        self, query: AttributeQuery, sig: QuerySig, n: int,
+        scope: Optional[ShardScope] = None,
     ) -> tuple[str, int]:
-        """The matched rows of the first *n* records, serialized.
+        """The matched rows of the first *n* records in *scope*, serialized.
 
         Returns ``(chunk, row_count)`` where *chunk* is the rows as
         comma-joined JSON objects (no enclosing brackets).  A cached
@@ -138,7 +175,8 @@ class _PartitionState:
         cached one — an older pinned snapshot — recomputes without
         storing, so the cache always tracks the newest snapshot.
         """
-        entry = self.chunk_cache.get(sig)
+        key = (sig, scope)
+        entry = self.chunk_cache.get(key)
         if entry is None:
             if len(self.chunk_cache) >= _CHUNK_CACHE_SIGS:
                 self.chunk_cache.clear()
@@ -148,46 +186,53 @@ class _PartitionState:
             if cached_n == n:
                 return chunk, count
             if cached_n > n:  # shorter prefix: serve without storing
-                return self._render(query, 0, n)
-        tail, added = self._render(query, cached_n, n)
+                return self._render(query, scope, 0, n)
+        tail, added = self._render(query, scope, cached_n, n)
         if added:
             chunk = f"{chunk},{tail}" if chunk else tail
             count += added
-        self.chunk_cache[sig] = (n, count, chunk)
+        self.chunk_cache[key] = (n, count, chunk)
         return chunk, count
 
 
 class PartitionView:
-    """One partition as one snapshot saw it: mask, version, record count."""
+    """One partition as one snapshot saw it: mask, version, record count
+    — and the scope its rows are read through (``None``: all of them)."""
 
-    __slots__ = ("pid", "mask", "version", "count", "_state")
+    __slots__ = ("pid", "mask", "version", "count", "_state", "scope")
 
     def __init__(
         self, pid: int, mask: int, version: int, count: int,
-        state: _PartitionState,
+        state: _PartitionState, scope: Optional[ShardScope] = None,
     ) -> None:
         self.pid = pid
         self.mask = mask
         self.version = version
         self.count = count
         self._state = state
+        self.scope = scope
 
     def chunk(self, query: AttributeQuery, sig: QuerySig) -> tuple[str, int]:
-        return self._state.matched_chunk(query, sig, self.count)
+        return self._state.matched_chunk(query, sig, self.count, self.scope)
 
     def entities(self) -> Iterator[tuple[int, dict[str, Any]]]:
-        """``(eid, attributes)`` pairs in heap-scan order.
+        """The ``(eid, attributes)`` pairs in scope, in heap-scan order.
 
         The attribute dicts are the shared decoded objects — callers
         must not mutate them.
         """
         state = self._state
         state.ensure_decoded(self.count)
-        return zip(state.eids[: self.count], state.attrs[: self.count])
+        eids = state.eids[: self.count]
+        pairs = zip(eids, state.attrs[: self.count])
+        if self.scope is None:
+            return pairs
+        return iter(self.scope.select(eids, pairs))
 
 
 class TableSnapshot:
-    """An immutable view of the whole table at one version-clock value."""
+    """An immutable view of the table at one version-clock value — all
+    of it, or (:meth:`scoped`) the entities of one :class:`ShardScope`."""
 
     def __init__(
         self,
@@ -204,11 +249,41 @@ class TableSnapshot:
         self.created_monotonic = created_monotonic
         #: pin count — the manager's GC skips pinned snapshots
         self.pins = 0
-        self._by_pid = {view.pid: view for view in views}
-        #: sig -> (surviving views, pruned count)
-        self._plan_cache: dict[QuerySig, tuple[tuple[PartitionView, ...], int]] = {}
+        #: sig -> (positions in ``views`` of the survivors, pruned count)
+        self._plan_cache: dict[QuerySig, tuple[tuple[int, ...], int]] = {}
         #: sig -> (wire fragment, row count) for repeat queries
         self._response_cache: dict[QuerySig, tuple[bytes, int]] = {}
+        #: scope -> this version read through it (see :meth:`scoped`)
+        self._scoped: dict[ShardScope, "TableSnapshot"] = {}
+
+    def scoped(self, scope: Optional[ShardScope]) -> "TableSnapshot":
+        """This version restricted to the entities in *scope*.
+
+        Every read method of the result answers for the scope.  It
+        shares this snapshot's partition states — the decoded records,
+        and the chunk caches, whose keys carry the scope — and its plan
+        cache (pruning, like the partition metadata, is the whole
+        table's); only the response cache is its own.  Memoised per
+        scope; ``scoped(None)`` is the snapshot itself.
+        """
+        if scope is None:
+            return self
+        view = self._scoped.get(scope)
+        if view is None:
+            if len(self._scoped) >= _SCOPED_VIEWS:
+                self._scoped.clear()
+            view = self._scoped[scope] = TableSnapshot(
+                self.snapshot_id,
+                self.version_clock,
+                tuple(
+                    PartitionView(v.pid, v.mask, v.version, v.count, v._state, scope)
+                    for v in self.views
+                ),
+                self.dictionary,
+                self.created_monotonic,
+            )
+            view._plan_cache = self._plan_cache
+        return view
 
     # ------------------------------------------------------------------
     # metadata
@@ -221,17 +296,10 @@ class TableSnapshot:
     def entity_count(self) -> int:
         return sum(view.count for view in self.views)
 
-    def version_of(self, pid: int) -> int:
-        return self._by_pid[pid].version
-
     def entities(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """Every ``(eid, attributes)`` pair (ascending pid, heap order)."""
         for view in self.views:
             yield from view.entities()
-
-    def entity_ids(self) -> list[int]:
-        """Stored entity ids in ascending order (resync paging)."""
-        return sorted(eid for view in self.views for eid, _ in view.entities())
 
     # ------------------------------------------------------------------
     # planning (the pruning math of repro.query.pruning over the views)
@@ -239,28 +307,29 @@ class TableSnapshot:
     def _branches(
         self, query: AttributeQuery, sig: QuerySig
     ) -> tuple[tuple[PartitionView, ...], int]:
-        cached = self._plan_cache.get(sig)
-        if cached is not None:
-            return cached
-        with obs.span("query.index_prune", partitions=len(self.views)) as span:
-            query_mask = query.synopsis_mask(self.dictionary)
-            if query.mode == "any":
-                branches = (
-                    tuple(v for v in self.views if v.mask & query_mask)
-                    if query_mask else ()
-                )
-            elif query_mask and len(query.attributes) == query_mask.bit_count():
-                branches = tuple(
-                    v for v in self.views if (v.mask & query_mask) == query_mask
-                )
-            else:  # `all` over an attribute no entity ever had matches nothing
-                branches = ()
-            plan = (branches, len(self.views) - len(branches))
-            span.set("pruned", plan[1])
-        if len(self._plan_cache) >= _RESPONSE_CACHE_SIGS:
-            self._plan_cache.clear()
-        self._plan_cache[sig] = plan
-        return plan
+        views = self.views
+        plan = self._plan_cache.get(sig)
+        if plan is None:
+            with obs.span("query.index_prune", partitions=len(views)) as span:
+                query_mask = query.synopsis_mask(self.dictionary)
+                if query.mode == "any":
+                    positions = tuple(
+                        i for i, v in enumerate(views) if v.mask & query_mask
+                    ) if query_mask else ()
+                elif query_mask and len(query.attributes) == query_mask.bit_count():
+                    positions = tuple(
+                        i for i, v in enumerate(views)
+                        if (v.mask & query_mask) == query_mask
+                    )
+                else:  # `all` over an attribute no entity ever had matches nothing
+                    positions = ()
+                plan = (positions, len(views) - len(positions))
+                span.set("pruned", plan[1])
+            if len(self._plan_cache) >= _RESPONSE_CACHE_SIGS:
+                self._plan_cache.clear()
+            self._plan_cache[sig] = plan
+        positions, pruned = plan
+        return tuple(views[i] for i in positions), pruned
 
     def surviving_pids(self, query: AttributeQuery) -> tuple[int, ...]:
         """Partition ids the query would scan (the pruning survivors).
@@ -318,21 +387,16 @@ class TableSnapshot:
         self._response_cache[sig] = (repeat, row_count)
         return first, row_count, False
 
-    def execute(
-        self,
-        query: AttributeQuery,
-        eid_filter: Optional[Callable[[int], bool]] = None,
-    ) -> ExecutionResult:
+    def execute(self, query: AttributeQuery) -> ExecutionResult:
         """Execute with the executor's result/accounting types.
 
         Row order is identical to
         :func:`repro.query.executor.execute_union_all` over the same
         state (views ascend by pid, records in heap-scan order), which
-        is what the differential oracle compares against.  Rows are
-        fresh dicts — callers may mutate them.  *eid_filter* restricts
-        the answer to entities it accepts (the routing tier's
-        shard-scoped reads); this path reads decoded records directly
-        and touches neither cache.
+        is what the differential oracle compares against — this is the
+        reference :meth:`serve_query` is tested against, not a serving
+        path: it reads decoded records directly and touches neither
+        cache.  Rows are fresh dicts — callers may mutate them.
         """
         sig = (query.attributes, query.mode)
         branches, pruned = self._branches(query, sig)
@@ -345,15 +409,10 @@ class TableSnapshot:
         rows: list[dict[str, Any]] = []
         matches = query.matches
         project = query.project
-        with obs.span(
-            "query.snapshot_scan",
-            branches=len(branches), filtered=eid_filter is not None,
-        ):
+        with obs.span("query.snapshot_scan", branches=len(branches)):
             for view in branches:
-                for eid, attributes in view.entities():
+                for _eid, attributes in view.entities():
                     stats.entities_read += 1
-                    if eid_filter is not None and not eid_filter(eid):
-                        continue
                     if matches(attributes):
                         rows.append(project(attributes))
         stats.rows_returned = len(rows)

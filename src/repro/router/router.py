@@ -67,6 +67,7 @@ from repro.router.pool import NodePool, UpstreamError
 from repro.server import protocol
 from repro.server.protocol import ProtocolError, Request, Response
 from repro.server.server import Session
+from repro.storage.record import valid_entity_id
 
 _REQUEST_SECONDS = "repro_router_request_seconds"
 _REQUESTS_BY_OP = "repro_router_requests_by_op_total"
@@ -855,10 +856,11 @@ class CinderellaRouter:
         if op == "insert" and eid is None:
             eid = self._next_eid
             self._next_eid += 1
-        if isinstance(eid, bool) or not isinstance(eid, int) or eid < 0:
+        if not valid_entity_id(eid):
             raise _Refused(
                 protocol.REJECTED, "invalid_entity_id",
-                f"entity id must be a non-negative integer, got {eid!r}",
+                f"entity id must be a non-negative integer below 2**70, "
+                f"got {eid!r}",
             )
         shard = self.placement.shard_of(eid)
         replicas = self.placement.replicas(shard)

@@ -27,6 +27,17 @@ Supported operations:
 ``shutdown``   admin: drain and stop the server
 ========== ============================================================
 
+A write's ``eid`` is an integer in ``[0, 2**70)`` (else ``rejected`` /
+``invalid_entity_id``) and an attribute value is null, a bool, a 63-bit
+integer, a float or a string (else ``rejected`` / ``bad_attributes``):
+what a stored record can carry.  ``query`` and ``sql`` take an optional
+``shard_filter`` — ``{"n_shards": int, "shards": [int]}``: answer only
+for the entities of those shards (an entity's shard is its id modulo
+``n_shards``) — which is how the router asks each node for its share of
+a scatter; the node serves it from the same caches as an unscoped read.
+A malformed one, like the sync ops' own ``n_shards``/``shards`` pair
+below, is ``bad_request`` / ``bad_shard_spec``.
+
 Any request may additionally carry a ``trace`` field — a W3C
 traceparent string, ``00-<32 hex trace id>-<16 hex span id>-<2 hex
 flags>`` — the distributed-trace context

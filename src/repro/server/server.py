@@ -52,13 +52,20 @@ paragraph:
 
 A node's read path is therefore one path: latest snapshot →
 per-snapshot response cache → per-partition-state chunk cache → decoded
-records (:mod:`repro.query.snapshot`).  It stays coherent because a
+records (:mod:`repro.query.snapshot`) — also for the routing tier's
+reads, whose ``shard_filter`` scopes the snapshot and is otherwise one
+more component of the cache keys.  It stays coherent because a
 snapshot is published only after its batch's transaction commits and is
 never mutated afterwards: a response cache dies with its snapshot, and
 a chunk cache entry is keyed by a record-count prefix of a partition
 state that only ever grows by appending.  ``tests/test_server_soak.py``
 and ``tests/test_isolation.py`` check served rows against naive
 re-execution after a concurrent mixed workload.
+
+Its write path has one interpreter: a batch's writes and a resync
+delta are applied as the WAL records they are journaled as, by
+:func:`repro.backup.apply_record` — the function restart replay and
+point-in-time recovery read the journal back through.
 """
 
 from __future__ import annotations
@@ -73,7 +80,12 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.adapt.controller import AdaptationConfig, AdaptationController
-from repro.backup import BackupArchive, apply_record, checkpoint_node
+from repro.backup import (
+    BackupArchive,
+    apply_record,
+    checkpoint_node,
+    replay_into_table,
+)
 from repro.core.config import CinderellaConfig
 from repro.obs import runtime as obs
 from repro.obs.counters import ServerCounters
@@ -81,13 +93,13 @@ from repro.obs.federation import local_obs_document
 from repro.obs.registry import SERVER_LATENCY_BUCKETS
 from repro.obs.tracing import TraceContext
 from repro.query.query import AttributeQuery
-from repro.query.snapshot import SnapshotManager, TableSnapshot
+from repro.query.snapshot import ShardScope, SnapshotManager, TableSnapshot
 from repro.server import protocol
 from repro.server.admission import AdaptiveAdmission
 from repro.server.protocol import ProtocolError, Request
+from repro.storage.record import valid_entity_id, validate_value
 from repro.storage.snapshot import (
     SnapshotFormatError,
-    _decode_value,
     _encode_value,
     load_node_checkpoint,
 )
@@ -125,6 +137,25 @@ def _request_trace_context(request: Request) -> Optional[TraceContext]:
     isinstance check also drops a wire-supplied impostor field)."""
     context = request.fields.get("_trace_context")
     return context if isinstance(context, TraceContext) else None
+
+
+def _shard_scope(spec: Any) -> ShardScope:
+    """Validate a ``{"n_shards", "shards"}`` object: a read's
+    ``shard_filter``, a sync op's own pair, a ``sync_delta``'s ``reset``."""
+    if not isinstance(spec, dict):
+        spec = {}
+    n_shards, shards = spec.get("n_shards"), spec.get("shards")
+    if (
+        type(n_shards) is not int
+        or n_shards <= 0
+        or not isinstance(shards, list)
+        or not all(type(shard) is int for shard in shards)
+    ):
+        raise _OpRefused(
+            protocol.BAD_REQUEST, "bad_shard_spec",
+            "a shard scope is {'n_shards': int > 0, 'shards': [int, ...]}",
+        )
+    return ShardScope(n_shards, frozenset(shards))
 
 
 @dataclass
@@ -406,17 +437,9 @@ class CinderellaServer:
         everything a loaded checkpoint already covers."""
         assert self.config.wal_path is not None
         self._wal = WriteAheadLog(self.config.wal_path)
-        replayed = 0
-        for record in self._wal.records():
-            if record.seq <= after_seq:
-                continue  # the checkpoint already holds this write
-            if apply_record(self.table, record):
-                replayed += 1
-            else:
-                obs.event(
-                    "server.wal_replay_skip", node=self.config.name,
-                    seq=record.seq, op=record.op,
-                )
+        replayed = replay_into_table(
+            self.table, self._wal.records(), after_seq=after_seq
+        )
         self.counters.wal_records_replayed += replayed
         if replayed:
             obs.event(
@@ -867,21 +890,20 @@ class CinderellaServer:
                     protocol.REJECTED, "bad_attributes",
                     "attribute names must be strings",
                 )
+            try:
+                for value in attributes.values():
+                    validate_value(value)
+            except ValueError as err:
+                raise _OpRefused(
+                    protocol.REJECTED, "bad_attributes", str(err)
+                ) from None
         eid = request.get("eid")
-        if op == "insert":
-            if eid is not None and (
-                isinstance(eid, bool) or not isinstance(eid, int) or eid < 0
-            ):
-                raise _OpRefused(
-                    protocol.REJECTED, "invalid_entity_id",
-                    f"entity id must be a non-negative integer, got {eid!r}",
-                )
-        else:
-            if isinstance(eid, bool) or not isinstance(eid, int) or eid < 0:
-                raise _OpRefused(
-                    protocol.REJECTED, "invalid_entity_id",
-                    f"{op} needs a non-negative integer 'eid', got {eid!r}",
-                )
+        if not valid_entity_id(eid) and (eid is not None or op != "insert"):
+            raise _OpRefused(
+                protocol.REJECTED, "invalid_entity_id",
+                f"{op} needs a non-negative integer 'eid' below 2**70, "
+                f"got {eid!r}",
+            )
 
     async def _batcher(self) -> None:
         """Drain queued writes in group-committed batches."""
@@ -908,7 +930,7 @@ class CinderellaServer:
             # acked client immediately reads its own write
             for pending, refusal in refused:
                 self._resolve(pending, refusal)
-            for pending, _fields, raw in acked:
+            for pending, _payload, raw in acked:
                 self._resolve(pending, raw)
             self._admission.observe_batch(
                 len(batch), time.perf_counter() - started
@@ -953,7 +975,7 @@ class CinderellaServer:
                     request = pending.request
                     savepoint = txn.savepoint()
                     try:
-                        fields = self._apply_to_table(request)
+                        payload, outcome = self._apply_to_table(request)
                     except _OpRefused as refusal:
                         txn.rollback_to(savepoint)
                         self.counters.writes_rejected += 1
@@ -977,17 +999,17 @@ class CinderellaServer:
                         # pre-serialize the ack on the worker thread:
                         # the loop splices the request id in front of
                         # this fragment instead of re-encoding JSON
-                        acked.append((pending, fields, _Raw(
+                        acked.append((pending, payload, _Raw(
                             protocol.APPLIED,
                             (
                                 f',"ok":true,"status":"applied"'
-                                f',"eid":{fields["eid"]}'
+                                f',"eid":{outcome.entity_id}'
                                 ',"partition":'
-                                f'{json.dumps(fields["partition"])}'
-                                f',"splits":{fields["splits"]}'
-                                f',"moves":{fields["moves"]}'
+                                f'{json.dumps(outcome.partition_id)}'
+                                f',"splits":{outcome.splits}'
+                                f',"moves":{len(outcome.moves)}'
                                 f',"in_place":'
-                                f'{"true" if fields["in_place"] else "false"}'
+                                f'{"true" if outcome.in_place else "false"}'
                                 "}\n"
                             ).encode(),
                         )))
@@ -996,12 +1018,8 @@ class CinderellaServer:
             raise
         txn.commit()
         if self._wal is not None and acked:
-            for pending, fields, _raw in acked:
-                request = pending.request
-                payload: dict[str, Any] = {"eid": fields["eid"]}
-                if request.op in ("insert", "update"):
-                    payload["attributes"] = request.get("attributes")
-                self._wal.append(request.op, payload, sync=False)
+            for pending, payload, _raw in acked:
+                self._wal.append(pending.request.op, payload, sync=False)
                 self.counters.wal_writes_logged += 1
                 self._wal_writes_since_checkpoint += 1
             try:
@@ -1017,46 +1035,30 @@ class CinderellaServer:
                         protocol.ERROR, "not_durable",
                         "write applied but could not be made durable",
                     ))
-                    for pending, _fields, _raw in acked
+                    for pending, _payload, _raw in acked
                 )
                 return [], refused
         if acked:
             self._publish()
         return acked, refused
 
-    def _apply_to_table(self, request: Request) -> dict[str, Any]:
-        table = self.table
-        if request.op == "insert":
-            eid = request.get("eid")
-            try:
-                outcome = table.insert(request.get("attributes"), entity_id=eid)
-            except ValueError as err:
-                raise _OpRefused(
-                    protocol.REJECTED, "duplicate_entity", str(err)
-                ) from None
-        elif request.op == "update":
-            try:
-                outcome = table.update(
-                    request.get("eid"), request.get("attributes")
-                )
-            except KeyError as err:
-                raise _OpRefused(
-                    protocol.REJECTED, "unknown_entity", str(err)
-                ) from None
-        else:
-            try:
-                outcome = table.delete(request.get("eid"))
-            except KeyError as err:
-                raise _OpRefused(
-                    protocol.REJECTED, "unknown_entity", str(err)
-                ) from None
-        return {
-            "eid": outcome.entity_id,
-            "partition": outcome.partition_id,
-            "splits": outcome.splits,
-            "moves": len(outcome.moves),
-            "in_place": outcome.in_place,
-        }
+    def _apply_to_table(self, request: Request) -> tuple[dict[str, Any], Any]:
+        """Apply one client write as the record it is journaled as;
+        returns that record and the table's outcome."""
+        op = request.op
+        payload: dict[str, Any] = {"eid": request.get("eid")}
+        if op != "delete":
+            payload["attributes"] = request.get("attributes")
+        code, refused = (
+            ("duplicate_entity", ValueError) if op == "insert"
+            else ("unknown_entity", KeyError)
+        )
+        try:
+            outcome = apply_record(self.table, op, payload)
+        except refused as err:
+            raise _OpRefused(protocol.REJECTED, code, str(err)) from None
+        payload["eid"] = outcome.entity_id  # the id an insert was given
+        return payload, outcome
 
     def _resolve(
         self, pending: _PendingWrite, verdict: Union[_Raw, _OpRefused]
@@ -1106,9 +1108,7 @@ class CinderellaServer:
             snapshot = self._publish()
         return snapshot
 
-    async def _handle_query(
-        self, request: Request
-    ) -> Union[_Raw, tuple[str, dict[str, Any]]]:
+    async def _handle_query(self, request: Request) -> _Raw:
         attributes = request.get("attributes")
         mode = request.get("mode", "any")
         if (
@@ -1126,8 +1126,7 @@ class CinderellaServer:
             raise _OpRefused(
                 protocol.BAD_REQUEST, "bad_query", str(err)
             ) from None
-        eid_filter = self._shard_filter(request)
-        snapshot = self._latest_snapshot()
+        snapshot = self._read_snapshot(request)
         self.counters.queries_served += 1
         self.counters.snapshot_reads += 1
         if self.adapt is not None:
@@ -1140,32 +1139,16 @@ class CinderellaServer:
                 version=snapshot.version_clock,
                 exemplar=(query.attributes, query.mode),
             )
-        context = _request_trace_context(request)
-        if eid_filter is None:
-            # the hot path: a pre-serialized fragment straight from the
-            # snapshot's response cache (or built once and cached).
-            # trace_scope is safe here — serve_query is synchronous —
-            # and parents any execution spans (index prune, scan) under
-            # this request's hop in the distributed trace
-            with obs.trace_scope(context):
-                fragment, _row_count, from_cache = snapshot.serve_query(query)
-            if from_cache:
-                self.counters.snapshot_response_cache_hits += 1
-            return _Raw(protocol.OK, fragment)
-        with obs.trace_scope(context):
-            result = snapshot.execute(query, eid_filter=eid_filter)
-        stats = result.stats
-        return protocol.OK, {
-            "rows": result.rows,
-            "row_count": len(result.rows),
-            "stats": {
-                "partitions_total": stats.partitions_total,
-                "partitions_scanned": stats.partitions_scanned,
-                "partitions_pruned": stats.partitions_pruned,
-                "cache_hits": stats.cache_hits,
-                "cache_misses": stats.cache_misses,
-            },
-        }
+        # a pre-serialized fragment straight from the snapshot's response
+        # cache (or built once and cached).  trace_scope is safe here —
+        # serve_query is synchronous — and parents any execution spans
+        # (index prune, scan) under this request's hop in the
+        # distributed trace
+        with obs.trace_scope(_request_trace_context(request)):
+            fragment, _row_count, from_cache = snapshot.serve_query(query)
+        if from_cache:
+            self.counters.snapshot_response_cache_hits += 1
+        return _Raw(protocol.OK, fragment)
 
     async def _handle_sql(self, request: Request) -> tuple[str, dict[str, Any]]:
         text = request.get("sql")
@@ -1175,11 +1158,10 @@ class CinderellaServer:
             )
         from repro.sql import SqlSyntaxError, execute
 
-        eid_filter = self._shard_filter(request)
-        snapshot = self._latest_snapshot()
+        snapshot = self._read_snapshot(request)
         try:
             with obs.trace_scope(_request_trace_context(request)):
-                result = execute(text, snapshot, eid_filter=eid_filter)
+                result = execute(text, snapshot)
         except SqlSyntaxError as err:
             raise _OpRefused(
                 protocol.BAD_REQUEST, "sql_syntax", str(err)
@@ -1192,9 +1174,9 @@ class CinderellaServer:
             "pruned_partitions": len(result.pruned_pids),
         }
 
-    @staticmethod
-    def _shard_filter(request: Request):
-        """Compile an optional ``shard_filter`` field into an eid filter.
+    def _read_snapshot(self, request: Request) -> TableSnapshot:
+        """The latest snapshot, scoped by the read's optional
+        ``shard_filter``.
 
         The routing tier's shard-scoped reads: a node holding replicas
         of several shards must answer for exactly the subset the router
@@ -1202,26 +1184,9 @@ class CinderellaServer:
         double-count rows.
         """
         spec = request.get("shard_filter")
-        if spec is None:
-            return None
-        if (
-            not isinstance(spec, dict)
-            or not isinstance(spec.get("n_shards"), int)
-            or isinstance(spec.get("n_shards"), bool)
-            or spec["n_shards"] <= 0
-            or not isinstance(spec.get("shards"), list)
-            or not all(
-                isinstance(s, int) and not isinstance(s, bool)
-                for s in spec["shards"]
-            )
-        ):
-            raise _OpRefused(
-                protocol.BAD_REQUEST, "bad_shard_filter",
-                "shard_filter needs {'n_shards': int > 0, 'shards': [int]}",
-            )
-        n_shards = spec["n_shards"]
-        shards = frozenset(spec["shards"])
-        return lambda eid: eid % n_shards in shards
+        return self._latest_snapshot().scoped(
+            None if spec is None else _shard_scope(spec)
+        )
 
     # ------------------------------------------------------------------
     # maintenance: cooperative, between batches
@@ -1338,27 +1303,6 @@ class CinderellaServer:
     # ------------------------------------------------------------------
     # replica repair: sync_snapshot (read side) / sync_delta (write side)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _parse_shard_spec(request: Request) -> tuple[int, frozenset[int]]:
-        """Validate the ``n_shards``/``shards`` pair both sync ops carry."""
-        n_shards = request.get("n_shards")
-        shards = request.get("shards")
-        if (
-            isinstance(n_shards, bool)
-            or not isinstance(n_shards, int)
-            or n_shards <= 0
-            or not isinstance(shards, list)
-            or not shards
-            or not all(
-                isinstance(s, int) and not isinstance(s, bool) for s in shards
-            )
-        ):
-            raise _OpRefused(
-                protocol.BAD_REQUEST, "bad_shard_spec",
-                "sync ops need {'n_shards': int > 0, 'shards': [int, ...]}",
-            )
-        return n_shards, frozenset(shards)
-
     async def _handle_sync_snapshot(
         self, request: Request
     ) -> tuple[str, dict[str, Any]]:
@@ -1369,7 +1313,7 @@ class CinderellaServer:
         each page is a consistent cut; cross-page drift is the router's
         problem (it replays the delta it buffered while copying).
         """
-        n_shards, shards = self._parse_shard_spec(request)
+        scope = _shard_scope(request.fields)
         after_eid = request.get("after_eid", -1)
         limit = request.get("limit", 200)
         if (
@@ -1383,24 +1327,19 @@ class CinderellaServer:
             )
         count_only = bool(request.get("count_only"))
         fields = self._collect_sync_page(
-            self._latest_snapshot(), n_shards, shards, after_eid, limit,
-            count_only,
+            self._latest_snapshot().scoped(scope), after_eid, limit, count_only
         )
         self.counters.sync_pages_served += 1
         return protocol.OK, fields
 
     @staticmethod
     def _collect_sync_page(
-        snapshot: TableSnapshot,
-        n_shards: int,
-        shards: frozenset[int],
-        after_eid: int,
-        limit: int,
-        count_only: bool,
+        snapshot: TableSnapshot, after_eid: int, limit: int, count_only: bool
     ) -> dict[str, Any]:
-        eids = [
-            eid for eid in snapshot.entity_ids() if eid % n_shards in shards
-        ]
+        """One page (or the count and digest) of *snapshot*, which the
+        caller scoped to the shards asked for."""
+        attributes_of = dict(snapshot.entities())
+        eids = sorted(attributes_of)
         if count_only:
             # order-independent identity of the shard contents: the
             # router compares count+digest across replicas to decide a
@@ -1412,11 +1351,6 @@ class CinderellaServer:
                 "version_clock": snapshot.version_clock,
             }
         page = [eid for eid in eids if eid > after_eid][:limit]
-        wanted = set(page)
-        attributes_of: dict[int, dict[str, Any]] = {}
-        for eid, attributes in snapshot.entities():
-            if eid in wanted:
-                attributes_of[eid] = attributes
         entities = [
             {
                 "eid": eid,
@@ -1454,26 +1388,17 @@ class CinderellaServer:
         entities = request.get("entities", [])
         if not isinstance(entities, list) or not all(
             isinstance(e, dict)
-            and isinstance(e.get("eid"), int)
-            and not isinstance(e.get("eid"), bool)
+            and valid_entity_id(e.get("eid"))
             and isinstance(e.get("attributes"), dict)
             for e in entities
         ):
             raise _OpRefused(
                 protocol.BAD_REQUEST, "bad_sync_delta",
-                "'entities' must be a list of {'eid': int, 'attributes': {}}",
+                "'entities' must be a list of {'eid': int >= 0, "
+                "'attributes': {}}",
             )
-        reset = None
-        if request.get("reset") is not None:
-            spec = request.get("reset")
-            if not isinstance(spec, dict):
-                raise _OpRefused(
-                    protocol.BAD_REQUEST, "bad_sync_delta",
-                    "'reset' must be a {'n_shards', 'shards'} object",
-                )
-            reset = self._parse_shard_spec(
-                Request(op=request.op, id=request.id, fields=spec)
-            )
+        spec = request.get("reset")
+        reset = None if spec is None else _shard_scope(spec)
         async with self._write_lock:
             outcome = await asyncio.to_thread(
                 self._apply_sync_delta, reset, entities
@@ -1496,47 +1421,36 @@ class CinderellaServer:
 
     def _apply_sync_delta(
         self,
-        reset: Optional[tuple[int, frozenset[int]]],
+        reset: Optional[ShardScope],
         entities: list[dict[str, Any]],
     ) -> dict[str, Any]:
         """Apply a reset + upsert batch in one transaction (worker thread).
 
-        Journal entries are collected during application but appended to
-        the WAL only after the transaction commits — a rollback must not
-        leave journal records describing writes that never happened —
-        and the new state is published only once they are fsynced.
+        The delta is written as the records it will be journaled as and
+        those are what is applied; they are appended to the WAL only
+        after the transaction commits — a rollback must not leave
+        journal records describing writes that never happened — and the
+        new state is published only once they are fsynced.
         """
         table = self.table
         journal: list[tuple[str, dict[str, Any]]] = []
+        if reset is not None:
+            journal.append(("sync_reset", {
+                "n_shards": reset.n_shards, "shards": sorted(reset.shards),
+            }))
+        journal.extend(
+            ("sync_put", {
+                "eid": entity["eid"], "attributes": entity["attributes"],
+            })
+            for entity in entities
+        )
         removed = 0
         txn = table.catalog.begin_transaction()
         try:
-            if reset is not None:
-                n_shards, shards = reset
-                doomed = [
-                    eid for eid in table.entity_ids()
-                    if eid % n_shards in shards
-                ]
-                for eid in doomed:
-                    table.delete(eid)
-                removed = len(doomed)
-                journal.append((
-                    "sync_reset",
-                    {"n_shards": n_shards, "shards": sorted(shards)},
-                ))
-            for entity in entities:
-                eid = entity["eid"]
-                attributes = {
-                    name: _decode_value(value)
-                    for name, value in entity["attributes"].items()
-                }
-                if eid in table:
-                    table.update(eid, attributes)
-                else:
-                    table.insert(attributes, entity_id=eid)
-                journal.append(("sync_put", {
-                    "eid": eid, "attributes": entity["attributes"],
-                }))
+            for op, payload in journal:
+                outcome = apply_record(table, op, payload)
+                if op == "sync_reset":
+                    removed = outcome
         except Exception as err:
             txn.rollback()
             raise _OpRefused(

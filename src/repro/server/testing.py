@@ -83,10 +83,15 @@ class ServerThread:
         if self._thread is None or self._loop is None:
             return
         if self._thread.is_alive() and self._startup_error is None:
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.stop(), self._loop
-            )
-            future.result(timeout=timeout_s)
+            stopping = self.server.stop()
+            try:
+                future = asyncio.run_coroutine_threadsafe(stopping, self._loop)
+            except RuntimeError:
+                # a `shutdown` op stopped the server and its loop closed
+                # between the liveness test and the submission
+                stopping.close()
+            else:
+                future.result(timeout=timeout_s)
         self._thread.join(timeout=timeout_s)
         if self._thread.is_alive():  # pragma: no cover - debugging aid
             raise TimeoutError("server loop thread did not exit")

@@ -8,7 +8,8 @@ Works with all three table layouts:
 * on a :class:`~repro.query.snapshot.TableSnapshot`, the same pruning
   runs over the snapshot's immutable partition views — records are
   already decoded, so no pages or bytes are read (the serving layer's
-  lock-free read path);
+  lock-free read path; a snapshot ``scoped()`` to some shards answers
+  for those);
 * on a :class:`~repro.table.universal.UniversalTable`, the statement is a
   plain filtered full scan.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Union
 
 from repro.query.executor import ExecutionStats
 from repro.query.snapshot import TableSnapshot
@@ -78,24 +79,8 @@ def _project(attributes: dict[str, Any], statement: SelectStatement) -> dict:
     return {name: attributes.get(name) for name in statement.columns}
 
 
-def execute_statement(
-    statement: SelectStatement,
-    table: Table,
-    eid_filter: Optional[Callable[[int], bool]] = None,
-) -> SqlResult:
-    """Execute a parsed statement against either table layout.
-
-    *eid_filter* restricts execution to entities it accepts — the
-    routing tier's shard-scoped reads (pruning still applies first; the
-    filter only gates decoded records).  Only a
-    :class:`~repro.query.snapshot.TableSnapshot` serves filtered reads;
-    a filter given with a heap-backed table raises ``ValueError``.
-    """
-    if eid_filter is not None and not isinstance(table, TableSnapshot):
-        raise ValueError(
-            "eid_filter is only served from a TableSnapshot, not from a "
-            f"heap-backed {type(table).__name__}"
-        )
+def execute_statement(statement: SelectStatement, table: Table) -> SqlResult:
+    """Execute a parsed statement against either table layout."""
     predicate = (
         compile_predicate(statement.where) if statement.where is not None else None
     )
@@ -129,10 +114,8 @@ def execute_statement(
             stats.union_branches += 1
             # records are already decoded in the snapshot: no pages or
             # bytes are read on this path
-            for eid, attributes in view.entities():
+            for _eid, attributes in view.entities():
                 stats.entities_read += 1
-                if eid_filter is not None and not eid_filter(eid):
-                    continue
                 if predicate is None or predicate(attributes):
                     rows.append(_project(attributes, statement))
                     stats.rows_returned += 1
@@ -198,10 +181,6 @@ def execute_statement(
     return SqlResult(rows, stats, statement, pruned)
 
 
-def execute(
-    sql: str,
-    table: Table,
-    eid_filter: Optional[Callable[[int], bool]] = None,
-) -> SqlResult:
+def execute(sql: str, table: Table) -> SqlResult:
     """Parse and execute one SELECT statement."""
-    return execute_statement(parse(sql), table, eid_filter=eid_filter)
+    return execute_statement(parse(sql), table)

@@ -35,6 +35,9 @@ _TAG_BYTES = 6
 
 _FLOAT = struct.Struct("<d")
 
+#: the widest entity id :func:`_read_varint` reads back (ten 7-bit groups)
+MAX_ENTITY_ID = (1 << 70) - 1
+
 
 class RecordFormatError(ValueError):
     """Raised when bytes do not form a valid sparse record."""
@@ -103,6 +106,18 @@ def _reject_huge_int(value: int) -> int:
     raise RecordFormatError(f"integer out of 63-bit range: {value}")
 
 
+def valid_entity_id(value: Any) -> bool:
+    """Whether *value* is an entity id a record can carry (for the
+    tiers that take ids from outside: refuse before anything is stored)."""
+    return type(value) is int and 0 <= value <= MAX_ENTITY_ID
+
+
+def validate_value(value: Any) -> None:
+    """Raise ``ValueError`` unless the record format stores *value* —
+    by encoding it, so the check cannot drift from the format."""
+    _write_value(bytearray(), value)
+
+
 def _read_value(data: bytes, offset: int) -> tuple[Any, int]:
     if offset >= len(data):
         raise RecordFormatError("truncated record: missing value tag")
@@ -147,6 +162,8 @@ def serialize_record(
     Attribute names are interned into *dictionary*; pairs are stored in
     ascending attribute-id order so serialization is deterministic.
     """
+    if entity_id > MAX_ENTITY_ID:  # written it could never be read back
+        raise RecordFormatError(f"entity id out of range: {entity_id}")
     out = bytearray()
     _write_varint(out, entity_id)
     pairs = sorted(

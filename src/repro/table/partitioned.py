@@ -96,8 +96,13 @@ class CinderellaTable:
         self, attributes: Mapping[str, Any], entity_id: Optional[int] = None
     ) -> ModificationOutcome:
         """Insert an entity through the Cinderella routine."""
-        eid = self._claim_eid(entity_id)
+        eid = self._next_eid if entity_id is None else entity_id
+        if eid in self._rids:
+            raise ValueError(f"entity {eid} already exists")
         record = serialize_record(eid, attributes, self.dictionary)
+        # claimed only once the record exists: an id the format refuses
+        # must not push the counter where every later id is refused too
+        self._next_eid = max(self._next_eid, eid) + 1
         mask = self.dictionary.encode(attributes)
         outcome = self.partitioner.insert(eid, mask, payload_bytes=len(record))
         self._apply(outcome, fresh_records={eid: record})
@@ -141,14 +146,6 @@ class CinderellaTable:
             self.adapt.observe_write(
                 outcome.partition_id, version=self.catalog.version_clock
             )
-
-    def _claim_eid(self, entity_id: Optional[int]) -> int:
-        if entity_id is None:
-            entity_id = self._next_eid
-        if entity_id in self._rids:
-            raise ValueError(f"entity {entity_id} already exists")
-        self._next_eid = max(self._next_eid, entity_id) + 1
-        return entity_id
 
     # ------------------------------------------------------------------
     # physical mirroring of partitioner outcomes

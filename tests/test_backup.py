@@ -13,11 +13,19 @@ Three batteries:
   exact historical state for every archived sequence, twice-restored
   states are bit-for-bit identical, and a gap in the archived history
   is an error instead of a silent partial restore.
+
+Beside them, :class:`TestLiveEqualsReplay`: the WAL a serving node wrote
+replays into the table it served (one interpreter, ``apply_record``,
+reads a record on both sides).
 """
 
 import json
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.backup import (
     CHECKPOINT_STEPS,
@@ -27,7 +35,11 @@ from repro.backup import (
     replay_into_table,
     restore_to_seq,
 )
+from repro.core.config import CinderellaConfig
 from repro.distributed.failures import CrashInjector, MidOperationCrash
+from repro.obs import runtime as obs
+from repro.server import CinderellaServer, ServerConfig, ServerThread
+from repro.server.client import ServerClient
 from repro.storage.snapshot import (
     SnapshotFormatError,
     load_node_checkpoint,
@@ -237,6 +249,95 @@ class TestNodeCheckpoint:
         assert table_signature(recovered) == table_signature(table)
         assert recovered.check_consistency() == []
         wal.close()
+
+
+    def test_records_the_table_refuses_are_skipped_not_fatal(self, tmp_path):
+        """A kind this version does not know, a record already reflected,
+        and an insert an earlier version journaled with an id no record
+        can carry: each is skipped with an event, the rest replay."""
+        wal = WriteAheadLog(tmp_path / "node.wal")
+        wal.append("insert", {"eid": 1, "attributes": {"a": 1}})
+        wal.append("compact", {"level": 3})
+        wal.append("insert", {"eid": 1, "attributes": {"a": 9}})
+        wal.append("delete", {"eid": 404})
+        wal.append("insert", {"eid": 2**70, "attributes": {"a": 2}})
+        wal.append("insert", {"attributes": {"a": 3}})
+        wal.sync()
+        table = CinderellaTable()
+        state = obs.enable(trace=False)
+        try:
+            assert replay_into_table(table, wal.records()) == 2
+        finally:
+            obs.disable()
+        skipped = state.events.of_kind("backup.replay_skip")
+        assert [(e.fields["seq"], e.fields["op"]) for e in skipped] == [
+            (2, "compact"), (3, "insert"), (4, "delete"), (5, "insert"),
+        ]
+        assert table_signature(table) == [(1, (("a", 1),)), (2, (("a", 3),))]
+        assert table.check_consistency() == []
+        wal.close()
+
+
+def small_table():
+    return CinderellaTable(CinderellaConfig(
+        max_partition_size=4.0, weight=0.3, use_synopsis_index=True
+    ))
+
+
+#: (kind, eid, attribute): a small id space, so inserts collide with
+#: stored ids and updates/deletes miss — the refusals are part of it
+LIVE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "insert", "update", "delete"]),
+        st.integers(0, 9),
+        st.integers(0, 3),
+    ),
+    min_size=2, max_size=40,
+)
+
+
+class TestLiveEqualsReplay:
+    @given(ops=LIVE_OPS, reset_shard=st.integers(0, 2))
+    @settings(max_examples=15)
+    def test_a_nodes_wal_replays_into_the_table_it_served(self, ops, reset_shard):
+        def send(client, kind, eid, attr):
+            fields = {"eid": eid}
+            if kind != "delete":
+                fields["attributes"] = {"common": eid % 2, f"attr{attr}": eid}
+            return client.request(kind, **fields).status
+
+        with tempfile.TemporaryDirectory() as root:
+            wal_path = Path(root) / "node.wal"
+            server = CinderellaServer(table=small_table(), config=ServerConfig(
+                wal_path=wal_path, maintenance_interval_s=0,
+            ))
+            with ServerThread(server=server) as harness:
+                with ServerClient(*harness.address, check=False) as client:
+                    half = len(ops) // 2
+                    statuses = [send(client, *op) for op in ops[:half]]
+                    # a resync page in the middle: one shard wiped, a
+                    # peer's copy of two of its entities streamed in
+                    delta = client.request(
+                        "sync_delta",
+                        reset={"n_shards": 3, "shards": [reset_shard]},
+                        entities=[
+                            {"eid": eid, "attributes": {"peer": eid}}
+                            for eid in (reset_shard, reset_shard + 3)
+                        ],
+                    )
+                    assert delta.ok
+                    statuses += [send(client, *op) for op in ops[half:]]
+            assert set(statuses) <= {"applied", "rejected"}
+            live = server.table  # quiescent: the harness drained and joined
+            _basis, records, torn = read_wal(wal_path)
+            assert torn == 0
+            # a refused write is not journaled; the delta is three records
+            assert len(records) == statuses.count("applied") + 3
+            replayed = small_table()
+            assert replay_into_table(replayed, records) == len(records)
+        assert table_signature(replayed) == table_signature(live)
+        assert replayed.check_consistency() == []
+        assert live.check_consistency() == []
 
 
 def recover_from_disk(snapshot_path, wal_path):

@@ -6,7 +6,8 @@ the single-writer read barrier:
 1. **Differential oracle** — snapshots pinned at commit points keep
    serving rows bit-identical to the naive full-scan oracle captured at
    the same instant, no matter how much the live table mutates, merges,
-   or reorganizes afterwards.
+   or reorganizes afterwards — whole, and through shard scopes that
+   share their partition states and chunk caches.
 2. **Properties** (Hypothesis, derandomized by ``conftest``) — no
    snapshot ever exposes a torn batch, and publication is monotonic in
    both snapshot id and version clock.
@@ -32,12 +33,12 @@ from hypothesis import given, settings
 
 from repro.core.config import CinderellaConfig
 from repro.query.query import AttributeQuery
-from repro.query.snapshot import SnapshotManager, query_sig
+from repro.query.snapshot import ShardScope, SnapshotManager, query_sig
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient
 from repro.table.partitioned import CinderellaTable
 
-from tests.conftest import WORKLOAD_SEED, served_rows
+from tests.conftest import WORKLOAD_SEED, row_multiset, served_rows
 
 #: the probe queries every differential check replays
 PROBES = (
@@ -65,6 +66,22 @@ def freeze(result) -> list[dict]:
 
 def snapshot_rows(snapshot, query: AttributeQuery) -> list[dict]:
     return [dict(row) for row in snapshot.execute(query).rows]
+
+
+#: two disjoint scopes and their union; eids are dense, so each is busy
+SCOPE_A = ShardScope(4, frozenset({0, 2}))
+SCOPE_B = ShardScope(4, frozenset({1}))
+SCOPE_AB = ShardScope(4, SCOPE_A.shards | SCOPE_B.shards)
+
+
+def naive_rows(snapshot, query: AttributeQuery, scope) -> list[dict]:
+    """The scope's answer worked out by hand from the whole snapshot."""
+    return [
+        query.project(attributes)
+        for eid, attributes in snapshot.entities()
+        if (scope is None or eid % scope.n_shards in scope.shards)
+        and query.matches(attributes)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -114,19 +131,31 @@ class TestDifferentialOracle:
 
         for snapshot, oracle in history:
             for query, expected in zip(PROBES, oracle):
-                assert snapshot_rows(snapshot, query) == expected
-                # the served path (chunk cache, then the response cache
-                # on the repeat) must give the oracle's rows too
-                fragment, row_count, _ = snapshot.serve_query(query)
-                again, again_count, from_cache = snapshot.serve_query(query)
-                assert row_count == again_count == len(expected)
-                assert from_cache
-                assert served_rows(fragment) == expected
-                assert served_rows(again) == expected
+                assert naive_rows(snapshot, query, None) == expected
+                # scopes interleave on the same partition states: a chunk
+                # keyed without its scope would answer one with another's
+                for scope in (SCOPE_A, SCOPE_B, None, SCOPE_A, SCOPE_AB):
+                    scoped = snapshot.scoped(scope)
+                    wanted = naive_rows(snapshot, query, scope)
+                    assert snapshot_rows(scoped, query) == wanted
+                    # the served path (chunk cache, then the response
+                    # cache on the repeat) must give the oracle's rows too
+                    fragment, row_count, _ = scoped.serve_query(query)
+                    again, again_count, from_cache = scoped.serve_query(query)
+                    assert row_count == again_count == len(wanted)
+                    assert from_cache
+                    assert served_rows(fragment) == wanted
+                    assert served_rows(again) == wanted
+                in_a, in_b, in_ab = (
+                    row_multiset(naive_rows(snapshot, query, scope))
+                    for scope in (SCOPE_A, SCOPE_B, SCOPE_AB)
+                )
+                assert in_a + in_b == in_ab
 
     def test_older_snapshot_served_after_the_newest_leaves_its_chunk_alone(self):
         """Newest first, then an older pinned snapshot sharing the state
-        (a shorter prefix: served without storing), then the newest again."""
+        (a shorter prefix: served without storing), then the newest again
+        — whole and scoped, each with its own chunk."""
         table = build_table(max_partition_size=1000.0)
         manager = SnapshotManager(retain=4)
         query = AttributeQuery(("attr0", "common"), mode="any")
@@ -134,30 +163,39 @@ class TestDifferentialOracle:
         for i in range(10):
             table.insert({"common": i % 3, "attr0": i}, entity_id=i)
         older = manager.pin(manager.publish(table))
-        older_oracle = freeze(table.execute_naive(query))
+        assert naive_rows(older, query, None) == freeze(table.execute_naive(query))
         for i in range(10, 25):
             table.insert({"common": i % 3, "attr0": i}, entity_id=i)
         newest = manager.publish(table)
-        newest_oracle = freeze(table.execute_naive(query))
+        assert naive_rows(newest, query, None) == freeze(table.execute_naive(query))
         # append-only growth: one state object, two prefix lengths
         (older_view,), (newest_view,) = older.views, newest.views
         state = newest_view._state
         assert older_view._state is state
         assert older_view.count == 10 and newest_view.count == 25
 
-        fragment, row_count, from_cache = newest.serve_query(query)
-        assert not from_cache and row_count == 25
-        assert served_rows(fragment) == newest_oracle
-        entry = state.chunk_cache[sig]
-        assert entry[:2] == (25, 25)
+        for scope in (None, SCOPE_A):
+            older_oracle = naive_rows(older, query, scope)
+            newest_oracle = naive_rows(newest, query, scope)
+            (scoped_view,) = newest.scoped(scope).views
+            assert scoped_view._state is state  # shared, not re-decoded
 
-        fragment, row_count, from_cache = older.serve_query(query)
-        assert not from_cache and row_count == 10
-        assert served_rows(fragment) == older_oracle
-        assert state.chunk_cache[sig] is entry  # not clobbered
+            fragment, row_count, from_cache = newest.scoped(scope).serve_query(query)
+            assert not from_cache and row_count == len(newest_oracle)
+            assert served_rows(fragment) == newest_oracle
+            entry = state.chunk_cache[sig, scope]
+            assert entry[:2] == (25, len(newest_oracle))
 
-        assert newest_view.chunk(query, sig) == (entry[2], 25)
-        assert served_rows(newest.serve_query(query)[0]) == newest_oracle
+            fragment, row_count, from_cache = older.scoped(scope).serve_query(query)
+            assert not from_cache and row_count == len(older_oracle)
+            assert served_rows(fragment) == older_oracle
+            assert state.chunk_cache[sig, scope] is entry  # not clobbered
+
+            assert scoped_view.chunk(query, sig) == (entry[2], len(newest_oracle))
+            assert served_rows(
+                newest.scoped(scope).serve_query(query)[0]
+            ) == newest_oracle
+        assert len(state.chunk_cache) == 2  # one chunk per (shape, scope)
 
     def test_two_interleaved_snapshots_disagree_exactly_by_the_batch(self):
         """The rows a later snapshot adds are exactly the committed delta."""

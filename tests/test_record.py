@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from repro.catalog.dictionary import AttributeDictionary
 from repro.storage.record import (
+    MAX_ENTITY_ID,
     RecordFormatError,
     deserialize_record,
     serialize_record,
+    valid_entity_id,
+    validate_value,
 )
 
 values = st.one_of(
@@ -89,6 +92,29 @@ class TestErrors:
         d = AttributeDictionary()
         with pytest.raises(RecordFormatError):
             serialize_record(1, {"x": 2**80}, d)
+
+    def test_entity_id_the_reader_cannot_read_is_not_written(self):
+        d = AttributeDictionary()
+        widest = serialize_record(MAX_ENTITY_ID, {"x": 1}, d)
+        assert deserialize_record(widest, d) == (MAX_ENTITY_ID, {"x": 1})
+        with pytest.raises(RecordFormatError):
+            serialize_record(MAX_ENTITY_ID + 1, {"x": 1}, d)
+        assert valid_entity_id(0) and valid_entity_id(MAX_ENTITY_ID)
+        for refused in (MAX_ENTITY_ID + 1, -1, True, 1.0, "7", None):
+            assert not valid_entity_id(refused)
+
+    def test_validate_value_agrees_with_the_writer(self):
+        d = AttributeDictionary()
+        samples = [None, True, 0, -(2**62) + 1, 1.5, "s", b"b",
+                   2**62, [1, 2], {"k": 1}, object(), "\ud800"]
+        for value in samples:
+            try:
+                serialize_record(1, {"x": value}, d)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    validate_value(value)
+            else:
+                validate_value(value)
 
     def test_truncated_record_rejected(self):
         d = AttributeDictionary()

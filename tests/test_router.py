@@ -125,6 +125,14 @@ class TestRoutedBasics:
             client.request("insert", attributes={"a": 1}, eid=-3)
         assert excinfo.value.code == "invalid_entity_id"
 
+    def test_unstorable_entity_id_refused_and_reads_keep_working(self, client):
+        client.insert({"a": 1}, eid=1)
+        with pytest.raises(ServerError) as excinfo:
+            client.request("insert", attributes={"a": 2}, eid=2**70)
+        assert excinfo.value.status == "rejected"
+        assert excinfo.value.code == "invalid_entity_id"
+        assert client.query(["a"]) == [{"a": 1}]
+
     def test_update_delete_cycle_through_the_router(self, client):
         eid = client.insert({"name": "S120", "resolution": 12.1}).get("eid")
         client.update(eid, {"name": "S120", "zoom": 5})
@@ -143,6 +151,29 @@ class TestRoutedBasics:
         uids = {row["uid"] for row in response.get("rows")}
         assert len(uids) == 60
         assert response.get("shards_answered") == response.get("shards_total")
+
+    def test_repeated_routed_query_hits_the_nodes_response_caches(
+        self, cluster, client
+    ):
+        """A routed read carries a shard_filter; it is served from the
+        same caches as an unscoped one."""
+        for i in range(40):
+            client.insert({"a": i}, eid=i)
+        client.maintain()  # a pass now, so none publishes between the reads
+
+        def hits():
+            return sum(
+                node.server.counters.snapshot_response_cache_hits
+                for node in cluster.nodes.values()
+            )
+
+        assert hits() == 0
+        first = client.query_response(["a"])
+        again = client.query_response(["a"])
+        assert hits() > 0
+        assert again.get("row_count") == first.get("row_count") == 40
+        assert first.get("stats")["cache_misses"] > 0
+        assert again.get("stats")["cache_hits"] > 0
 
     def test_query_stats_are_summed_across_shards(self, client):
         for i in range(20):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import CinderellaConfig
-from repro.query.snapshot import SnapshotManager
+from repro.query.snapshot import ShardScope, SnapshotManager
 from repro.sql.compiler import compile_predicate, pruning_clauses
 from repro.sql.executor import execute
 from repro.sql.parser import parse
@@ -176,24 +176,17 @@ class TestExecution:
         result = execute("SELECT resolution FROM t ORDER BY resolution", cinderella)
         assert len(result.rows) == len(CATALOG)
 
-    def test_eid_filter_is_served_by_a_snapshot_and_refused_by_a_heap(self, tables):
-        cinderella, universal = tables
+    def test_a_scoped_snapshot_answers_for_its_shards(self, tables):
+        cinderella, _ = tables
         sql = "SELECT name FROM t ORDER BY name"
-
-        def even(eid):
-            return eid % 2 == 0
-
         snapshot = SnapshotManager().publish(cinderella)
         assert [row["name"] for row in execute(sql, snapshot).rows] == sorted(
             row["name"] for row in CATALOG
         )
-        filtered = execute(sql, snapshot, eid_filter=even)
-        assert [row["name"] for row in filtered.rows] == sorted(
+        even = snapshot.scoped(ShardScope(2, frozenset({0})))
+        assert [row["name"] for row in execute(sql, even).rows] == sorted(
             row["name"] for index, row in enumerate(CATALOG) if index % 2 == 0
         )
-        for heap_backed in (cinderella, universal):
-            with pytest.raises(ValueError, match="eid_filter"):
-                execute(sql, heap_backed, eid_filter=even)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**10 - 1), st.integers(1, 2**10 - 1))
