@@ -42,6 +42,7 @@ from repro.storage.wal import (
     WALRecord,
     _encode_line,
     read_wal,
+    sequence_gap,
 )
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{12})-(\d{12})\.wal$")
@@ -95,29 +96,31 @@ class BackupArchive:
         """Archive *records* (a WAL's current tail above *basis_seq*).
 
         Returns the segment path, or ``None`` when there was nothing to
-        archive.  An existing segment with the same sequence range is
-        trusted and kept — re-archiving after a crash mid-checkpoint
-        writes the same bytes, so the first copy stands.
+        archive; a tail that does not start at ``basis_seq + 1`` or
+        skips a sequence number is refused with :class:`BackupError`
+        and nothing is written.  An existing segment with the same
+        sequence range is trusted and kept — re-archiving after a crash
+        mid-checkpoint writes the same bytes, so the first copy stands.
         """
         kept = list(records)
         if not kept:
             return None
+        gap = sequence_gap(basis_seq, kept)
+        if gap is not None:
+            raise BackupError(
+                f"WAL tail above seq {basis_seq} is not gap-free "
+                f"(expected {gap[0]}, found {gap[1]}); refusing to "
+                f"archive it"
+            )
         first, last = kept[0].seq, kept[-1].seq
         path = self.segments_dir / f"segment-{first:012d}-{last:012d}.wal"
         if path.exists():
             return path
         self.segments_dir.mkdir(parents=True, exist_ok=True)
-        gap_free = all(
-            later.seq == earlier.seq + 1
-            for earlier, later in zip(kept, kept[1:])
-        ) and first == basis_seq + 1
         lines = [_encode_line(0, "header", {
             "format": WAL_FORMAT,
             "version": WAL_VERSION,
-            "basis_seq": first - 1,
-            # a compacted source leaves legal gaps; flag them so the
-            # reader applies the gap-tolerant sequence check
-            "compactions": 0 if gap_free else 1,
+            "basis_seq": basis_seq,
             "last_seq": last,
         })]
         lines.extend(

@@ -29,7 +29,7 @@ from repro.backup.archive import BackupArchive, BackupError
 from repro.obs import runtime as obs
 from repro.query.snapshot import ShardScope
 from repro.storage.snapshot import _decode_value, save_node_checkpoint
-from repro.storage.wal import WALRecord, WriteAheadLog
+from repro.storage.wal import WALRecord, WriteAheadLog, sequence_gap
 
 #: the ordered steps of one checkpoint, in crash-matrix order (the
 #: ``archive_*`` steps only run when an archive is configured)
@@ -178,19 +178,17 @@ def restore_to_seq(
             table = CinderellaTable()
         base_seq = 0
     records = archive.records_through(to_seq=to_seq, after_seq=base_seq)
-    expected = base_seq
-    for record in records:
-        expected += 1
-        if record.seq != expected:
-            raise BackupError(
-                f"archive {archive.root} is missing sequences "
-                f"[{expected}, {record.seq}) — cannot restore to "
-                f"{to_seq} without losing writes"
-            )
-    if expected < to_seq:
+    gap = sequence_gap(base_seq, records)
+    if gap is not None:
         raise BackupError(
-            f"archive {archive.root} ends at sequence {expected}; "
-            f"cannot restore to {to_seq}"
+            f"archive {archive.root} is missing sequences "
+            f"[{gap[0]}, {gap[1]}) — cannot restore to "
+            f"{to_seq} without losing writes"
+        )
+    if base_seq + len(records) < to_seq:
+        raise BackupError(
+            f"archive {archive.root} ends at sequence "
+            f"{base_seq + len(records)}; cannot restore to {to_seq}"
         )
     replay_into_table(table, records, after_seq=base_seq)
     obs.event(

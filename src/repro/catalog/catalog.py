@@ -140,12 +140,11 @@ class PartitionCatalog:
         return partition
 
     def create_partition_with_id(self, pid: int) -> Partition:
-        """Recreate a partition under a known id (snapshot restore only).
+        """Recreate a partition under a known id (transaction rollback
+        only: undoing a drop).
 
         Keeps ``_next_pid`` ahead of every restored id so future
-        partitions never collide; the caller is responsible for also
-        restoring ``_next_pid`` when the pre-crash catalog had dropped
-        higher ids.
+        partitions never collide.
         """
         if pid in self._partitions:
             raise ValueError(f"partition {pid} already exists")
@@ -164,14 +163,6 @@ class PartitionCatalog:
     def next_partition_id(self) -> int:
         """The id the next created partition will receive."""
         return self._next_pid
-
-    @next_partition_id.setter
-    def next_partition_id(self, value: int) -> None:
-        if value < self._next_pid:
-            raise ValueError(
-                f"next partition id {value} would reuse ids below {self._next_pid}"
-            )
-        self._next_pid = value
 
     def drop_partition(self, pid: int) -> None:
         partition = self.get(pid)

@@ -15,18 +15,17 @@ Commands:
   controller blesses the baseline and quiesces), the mix shifts to
   broad scans, and the controller answers with one bounded
   reorganization to a coarser layout before quiescing again.
-* ``inspect`` — print the partitioning statistics of a saved snapshot.
-* ``chaos`` — run a mixed workload on the simulated cluster under a
-  seeded node-failure schedule and report fault-tolerance counters.
+* ``inspect`` — print the partitioning statistics of a saved snapshot
+  (a table snapshot or a node checkpoint).
 * ``query-path`` — load DBpedia data with the inverted synopsis index
   and the query result cache enabled, run a repeated selective-query
   workload, and report the fast-path counters and speedup.
-* ``verify-catalog`` — integrity-check a saved snapshot (table or
-  distributed store): catalog invariants, and placement for stores.
+* ``verify-catalog`` — integrity-check a saved snapshot (table
+  snapshot or node checkpoint): checksum, format, catalog invariants.
 * ``obs`` — run a built-in mixed workload (inserts with splits,
-  queries, maintenance, WAL-backed distributed faults, ingest) under
-  the observability layer and report metrics, top spans, slow ops, and
-  events — as a summary, Prometheus text, or JSON.  With ``--cluster
+  queries, maintenance, a WAL append) under the observability layer
+  and report metrics, top spans, slow ops, and events — as a summary,
+  Prometheus text, or JSON.  With ``--cluster
   HOST:PORT`` it instead scrapes a running router's ``obs`` verb and
   renders the federated cluster view (``--listen`` serves it as a
   fleet-wide Prometheus endpoint).
@@ -255,97 +254,60 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
     return 0 if (closed and rows_match and not problems) else 1
 
 
+def _load_snapshot_file(path: str):
+    """Load a table snapshot or a node checkpoint, whichever *path* is.
+
+    Returns ``(table, wal_seq)`` — ``wal_seq`` is ``None`` for a table
+    snapshot — and raises :class:`SnapshotFormatError` for anything
+    else, unreadable files included.
+    """
+    import json
+
+    from repro.storage.snapshot import (
+        NODE_CHECKPOINT_FORMAT,
+        SnapshotFormatError,
+        load_node_checkpoint,
+        load_table,
+    )
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise SnapshotFormatError(f"cannot read {path}: {error}") from error
+    snapshot_format = document.get("format") if isinstance(document, dict) else None
+    if snapshot_format == NODE_CHECKPOINT_FORMAT:
+        return load_node_checkpoint(path)
+    if snapshot_format == "repro-cinderella-snapshot":
+        return load_table(path), None
+    raise SnapshotFormatError(
+        f"{path} is not a repro snapshot (format {snapshot_format!r})"
+    )
+
+
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.metrics.partition_stats import summarize_catalog
     from repro.reporting.tables import format_kv_block
-    from repro.storage.snapshot import SnapshotFormatError, load_table
+    from repro.storage.snapshot import SnapshotFormatError
 
     try:
-        table = load_table(args.snapshot)
+        table, wal_seq = _load_snapshot_file(args.snapshot)
     except SnapshotFormatError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     summary = summarize_catalog(table.catalog)
-    print(format_kv_block(
-        f"Snapshot {args.snapshot}",
-        [
-            ("entities", summary.entity_count),
-            ("partitions", summary.partition_count),
-            ("B", f"{table.config.max_partition_size:g}"),
-            ("w", table.config.weight),
-            ("median entities/partition", summary.entities_summary.median),
-            ("median attributes/partition", summary.attributes_summary.median),
-        ],
-    ))
+    rows = [
+        ("entities", summary.entity_count),
+        ("partitions", summary.partition_count),
+        ("B", f"{table.config.max_partition_size:g}"),
+        ("w", table.config.weight),
+        ("median entities/partition", summary.entities_summary.median),
+        ("median attributes/partition", summary.attributes_summary.median),
+    ]
+    if wal_seq is not None:
+        rows.append(("wal_seq", wal_seq))
+    print(format_kv_block(f"Snapshot {args.snapshot}", rows))
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import random
-
-    from repro.core.partitioner import CinderellaPartitioner
-    from repro.distributed.failures import FailureSchedule
-    from repro.distributed.replication import replication_report
-    from repro.distributed.store import DistributedUniversalStore
-    from repro.reporting.tables import format_kv_block
-
-    schedule = FailureSchedule.random(
-        args.nodes,
-        args.ops,
-        seed=args.seed,
-        crash_rate=args.crash_rate,
-        degrade_rate=args.crash_rate / 3,
-    )
-    store = DistributedUniversalStore(
-        args.nodes,
-        CinderellaPartitioner(CinderellaConfig(
-            max_partition_size=args.partition_size, weight=args.weight
-        )),
-        replication_factor=args.replication_factor,
-    )
-    rng = random.Random(args.seed)
-    live: list[int] = []
-    next_eid = 0
-    for op_index in range(args.ops):
-        for event in schedule.events_at(op_index):
-            store.apply_event(event)
-        kind = rng.choice(("insert", "insert", "insert", "delete", "update"))
-        if kind == "insert" or not live:
-            store.insert(next_eid, rng.getrandbits(14) | 0b1)
-            live.append(next_eid)
-            next_eid += 1
-        elif kind == "delete":
-            store.delete(live.pop(rng.randrange(len(live))))
-        else:
-            store.update(rng.choice(live), rng.getrandbits(14) | 0b1)
-        if op_index % 10 == 3:
-            store.route_query(rng.getrandbits(14) | 0b1)
-        if op_index % 25 == 24:
-            store.re_replicate()
-    store.re_replicate()
-    counters = store.counters.as_dict()
-    report = replication_report(store.cluster)
-    print(format_kv_block(
-        f"Chaos run: {args.ops} ops, {args.nodes} nodes, "
-        f"rf={args.replication_factor}, seed={args.seed}",
-        [
-            ("partitions", store.cluster.partition_count),
-            ("node crashes", counters["node_crashes"]),
-            ("node recoveries", counters["node_recoveries"]),
-            ("queries", counters["queries_total"]),
-            ("degraded queries", counters["queries_degraded"]),
-            ("availability", f"{counters['availability']:.4f}"),
-            ("retries", counters["retries"]),
-            ("failovers", counters["failovers"]),
-            ("repair passes", counters["re_replication_passes"]),
-            ("replicas created", counters["replicas_created"]),
-            ("replication healthy", report.healthy),
-        ],
-    ))
-    problems = store.check_placement() + store.partitioner.check_invariants()
-    for problem in problems:
-        print(f"integrity problem: {problem}", file=sys.stderr)
-    return 1 if problems else 0
 
 
 def _cmd_query_path(args: argparse.Namespace) -> int:
@@ -423,18 +385,12 @@ def _cmd_query_path(args: argparse.Namespace) -> int:
 def _run_obs_workload(args: argparse.Namespace) -> None:
     """The built-in mixed workload ``repro obs`` instruments.
 
-    Touches every instrumented subsystem so the exposition covers all
-    metric families: table inserts with splits and repeated queries
-    (partitioner + query + cache), a merge and a reorganization through
-    the transactional layer (maintenance + txn), a WAL-backed
-    distributed store with injected faults and repair (distributed +
-    WAL), and an ingest pipeline fed some malformed rows (ingest).
+    Touches every instrumented in-process subsystem so the exposition
+    covers their metric families: table inserts with splits and
+    repeated queries (partitioner + query + cache), a merge and a
+    reorganization through the transactional layer (maintenance + txn),
+    and one fsynced write-ahead-log append (WAL).
     """
-    import random
-
-    from repro.core.partitioner import CinderellaPartitioner
-    from repro.distributed.store import DistributedUniversalStore
-    from repro.ingest.pipeline import IngestPipeline, IngestRequest
     from repro.query.cache import QueryResultCache
     from repro.storage.scratch import scratch_dir
     from repro.storage.wal import WriteAheadLog
@@ -473,42 +429,11 @@ def _run_obs_workload(args: argparse.Namespace) -> None:
     atomic_merge(table.partitioner, min_fill=0.5)
     atomic_reorganize(table.partitioner)
 
-    # WAL-backed distributed store under faults ------------------------
-    rng = random.Random(args.seed)
+    # one durable write-ahead-log record -------------------------------
     with scratch_dir(prefix="repro-obs-") as tmp:
-        wal = WriteAheadLog(tmp / "coordinator.wal")
-        store = DistributedUniversalStore(
-            4,
-            CinderellaPartitioner(
-                CinderellaConfig(max_partition_size=10.0, weight=0.4)
-            ),
-            replication_factor=2,
-            wal=wal,
-        )
-        for eid in range(60):
-            store.insert(eid, rng.getrandbits(12) | 0b1)
-        store.crash_node(1)
-        store.degrade_node(2, slowdown=3.0, drop_every=2)
-        for _ in range(10):
-            store.route_query(rng.getrandbits(12) | 0b1)
-        store.recover_node(1)
-        store.re_replicate()
-        wal.append("noop", {}, sync=True)
-        wal.compact()
-        wal.close()
-
-    # ingest pipeline with malformed rows ------------------------------
-    pipeline = IngestPipeline(
-        CinderellaPartitioner(
-            CinderellaConfig(max_partition_size=50.0, weight=0.4)
-        ),
-        max_pending=8,
-    )
-    for eid in range(20):
-        pipeline.ingest(IngestRequest("insert", eid, rng.getrandbits(8) | 0b1))
-    pipeline.ingest(IngestRequest("insert", 5, 0b1))      # duplicate id
-    pipeline.ingest(IngestRequest("insert", 100, 0))      # empty synopsis
-    pipeline.ingest(IngestRequest("update", 999, 0b1))    # unknown entity
+        with WriteAheadLog(tmp / "node.wal") as wal:
+            wal.append("noop", {})
+            wal.sync()
 
 
 def _parse_address(address: str) -> tuple[str, int]:
@@ -1074,41 +999,21 @@ def _cmd_route(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_catalog(args: argparse.Namespace) -> int:
-    """Offline integrity check of a snapshot file (table or store)."""
-    import json
-
-    from repro.storage.snapshot import (
-        SnapshotFormatError,
-        load_store,
-        load_table,
-    )
+    """Offline integrity check of a table snapshot or node checkpoint."""
+    from repro.storage.snapshot import SnapshotFormatError
 
     try:
-        document = json.loads(open(args.snapshot, encoding="utf-8").read())
-        snapshot_format = document.get("format") if isinstance(document, dict) else None
-    except (OSError, ValueError) as error:
-        print(f"error: cannot read {args.snapshot}: {error}", file=sys.stderr)
-        return 1
-    problems: list[str] = []
-    try:
-        if snapshot_format == "repro-cinderella-store-snapshot":
-            store, wal_seq = load_store(args.snapshot)
-            problems = store.partitioner.check_invariants() + store.check_placement()
-            print(f"store snapshot: {len(store.catalog)} partitions, "
-                  f"{store.catalog.entity_count} entities, "
-                  f"{len(store.cluster)} nodes, wal_seq={wal_seq}")
-        elif snapshot_format == "repro-cinderella-snapshot":
-            table = load_table(args.snapshot)
-            problems = table.partitioner.check_invariants()
-            print(f"table snapshot: {table.partition_count()} partitions, "
-                  f"{table.catalog.entity_count} entities")
-        else:
-            print(f"error: {args.snapshot} is not a repro snapshot "
-                  f"(format {snapshot_format!r})", file=sys.stderr)
-            return 1
+        table, wal_seq = _load_snapshot_file(args.snapshot)
     except SnapshotFormatError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
+    problems = table.partitioner.check_invariants()
+    kind = "table snapshot" if wal_seq is None else "node checkpoint"
+    line = (f"{kind}: {table.partition_count()} partitions, "
+            f"{table.catalog.entity_count} entities")
+    if wal_seq is not None:
+        line += f", wal_seq={wal_seq}"
+    print(line)
     for problem in problems:
         print(f"invariant violation: {problem}", file=sys.stderr)
     print("catalog integrity: " + ("FAILED" if problems else "OK"))
@@ -1255,17 +1160,6 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = commands.add_parser("inspect", help="inspect a snapshot file")
     inspect.add_argument("snapshot")
 
-    chaos = commands.add_parser(
-        "chaos", help="run a workload under injected node failures"
-    )
-    chaos.add_argument("--ops", type=int, default=1_000)
-    chaos.add_argument("--nodes", type=int, default=6)
-    chaos.add_argument("--replication-factor", type=int, default=2)
-    chaos.add_argument("--crash-rate", type=float, default=0.01)
-    chaos.add_argument("--partition-size", type=float, default=10.0)
-    chaos.add_argument("--weight", type=float, default=0.4)
-    chaos.add_argument("--seed", type=int, default=42)
-
     query_path = commands.add_parser(
         "query-path",
         help="run the pruning-index + result-cache fast path demo",
@@ -1279,7 +1173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser(
         "verify-catalog",
-        help="integrity-check a saved snapshot (catalog + placement)",
+        help="integrity-check a table snapshot or node checkpoint",
     )
     verify.add_argument("snapshot")
 
@@ -1443,7 +1337,6 @@ _HANDLERS = {
     "advise": _cmd_advise,
     "adapt": _cmd_adapt,
     "inspect": _cmd_inspect,
-    "chaos": _cmd_chaos,
     "query-path": _cmd_query_path,
     "verify-catalog": _cmd_verify_catalog,
     "obs": _cmd_obs,

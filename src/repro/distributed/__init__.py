@@ -1,14 +1,8 @@
-"""Distributed deployment simulation: partitions across cluster nodes,
-with replication, failure injection, failover routing, and repair."""
+"""Section II's deployment as a placement cost model: partitions on
+modelled nodes, for ``benchmarks/bench_distributed.py``.  The cluster
+that serves requests is :mod:`repro.router`."""
 
 from repro.distributed.cluster import Node, PlacementError, SimulatedCluster
-from repro.distributed.failures import FailureEvent, FailureSchedule, NodeState
-from repro.distributed.replication import (
-    ReplicaSet,
-    ReplicationReport,
-    choose_replica_targets,
-    replication_report,
-)
 from repro.distributed.store import (
     DistributedQueryStats,
     DistributedUniversalStore,
@@ -18,15 +12,8 @@ from repro.distributed.store import (
 __all__ = [
     "DistributedQueryStats",
     "DistributedUniversalStore",
-    "FailureEvent",
-    "FailureSchedule",
     "NetworkCostModel",
     "Node",
-    "NodeState",
     "PlacementError",
-    "ReplicaSet",
-    "ReplicationReport",
     "SimulatedCluster",
-    "choose_replica_targets",
-    "replication_report",
 ]

@@ -1,37 +1,19 @@
-"""Simulated shared-nothing cluster hosting partitions on nodes.
+"""Modelled shared-nothing cluster: which node hosts which partition.
 
 Section II names distributed databases as the most obvious home of the
 online partitioning problem: "partitions are distributed among the
-nodes".  This module simulates that deployment level: a fixed set of
-nodes, each hosting whole partition *copies*, with capacity-balanced,
-replica-aware placement.  The simulation is about *placement,
-communication, and availability*, not storage — partition contents stay
-in the coordinator's tables; the cluster tracks which nodes must be
-contacted for which partition, how much data lives where, and which
-nodes are currently healthy.
-
-Fault model (see :mod:`repro.distributed.failures`):
-
-* ``crash_node`` flips a node to DOWN.  The placement map is *not*
-  rewritten — the coordinator only learns about the crash when requests
-  time out, exactly like a real system.  The node's copies are treated
-  as lost the moment the repair pass (:meth:`re_replicate`) runs.
-* ``recover_node`` brings a node back.  If the repair pass already
-  declared its copies dead, it rejoins empty; otherwise it resumes
-  serving the copies it held (disk survived the crash).
-* ``degrade_node`` keeps the node serving, but slower and optionally
-  flaky (it times out on every k-th request).
-* :meth:`re_replicate` is the repair/rebalance pass: it purges copies
-  on DOWN nodes and then restores every partition to the reachable
-  replication target ``min(k, live nodes)``.
+nodes".  This module models that deployment level for
+``benchmarks/bench_distributed.py``: a fixed set of nodes, each hosting
+whole partitions, with capacity-balanced placement.  It is a placement
+cost model, not a system — partition contents stay in the caller's
+catalog; the cluster tracks which node must be contacted for which
+partition and how much data lives where.  The cluster that serves
+requests (replication, failover, repair) is :mod:`repro.router`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from repro.distributed.failures import NodeState
-from repro.distributed.replication import choose_replica_targets
 
 #: tolerance for floating-point load accounting
 _EPSILON = 1e-9
@@ -43,48 +25,29 @@ class PlacementError(RuntimeError):
 
 @dataclass
 class Node:
-    """One cluster node: hosted partition copies, load, and health."""
+    """One cluster node: hosted partitions and their total size."""
 
     node_id: int
     partitions: set[int] = field(default_factory=set)
     load: float = 0.0
-    state: NodeState = NodeState.UP
-    #: latency multiplier while DEGRADED (1.0 = full speed)
-    slowdown: float = 1.0
-    #: while DEGRADED, time out on every k-th request (0 = never)
-    drop_every: int = 0
-    #: requests this node has received (drives deterministic flakiness)
-    requests_served: int = 0
-
-    @property
-    def is_up(self) -> bool:
-        """True when the node answers requests (UP or DEGRADED)."""
-        return self.state is not NodeState.DOWN
 
 
 class SimulatedCluster:
-    """Nodes plus least-loaded, replica-aware placement of partitions.
+    """Nodes plus least-loaded placement of partitions.
 
-    Placement policy: a new partition's ``min(k, live nodes)`` copies
-    land on the currently least-loaded distinct live nodes (ties broken
-    by node id); the first copy is the primary.  Growing or shrinking a
-    partition adjusts every hosting node's load in place; partitions
-    never migrate unless dropped and re-placed (Cinderella's splits do
-    exactly that) or re-replicated after a crash.
+    Placement policy: a new partition lands on the currently
+    least-loaded node (ties broken by node id).  Growing or shrinking a
+    partition adjusts its node's load in place; partitions never
+    migrate unless dropped and re-placed (Cinderella's splits do
+    exactly that).
     """
 
-    def __init__(self, node_count: int, replication_factor: int = 1) -> None:
+    def __init__(self, node_count: int) -> None:
         if node_count < 1:
             raise ValueError("a cluster needs at least one node")
-        if replication_factor < 1:
-            raise ValueError("replication factor must be >= 1")
         self.nodes = [Node(node_id) for node_id in range(node_count)]
-        self.replication_factor = replication_factor
-        #: partition id -> hosting node ids, primary first
-        self._replica_nodes: dict[int, list[int]] = {}
+        self._node_of: dict[int, int] = {}
         self._sizes: dict[int, float] = {}
-        #: partitions that lost every copy (awaiting re-replication)
-        self._unhosted: set[int] = set()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -93,218 +56,67 @@ class SimulatedCluster:
     def partition_count(self) -> int:
         return len(self._sizes)
 
-    def partition_ids(self) -> tuple[int, ...]:
-        return tuple(self._sizes)
-
-    def up_nodes(self) -> list[Node]:
-        """Nodes currently answering requests (UP or DEGRADED)."""
-        return [node for node in self.nodes if node.is_up]
-
     def node_of(self, pid: int) -> int:
-        """The partition's primary node (may currently be DOWN)."""
-        self._require_placed(pid)
-        hosts = self._replica_nodes.get(pid)
-        if not hosts:
-            raise PlacementError(f"partition {pid} has no hosted copy")
-        return hosts[0]
+        """The node hosting partition *pid*."""
+        try:
+            return self._node_of[pid]
+        except KeyError:
+            raise PlacementError(f"partition {pid} is not placed") from None
 
-    def replica_nodes(self, pid: int) -> tuple[int, ...]:
-        """All hosting nodes, primary first (empty if every copy died)."""
-        self._require_placed(pid)
-        return tuple(self._replica_nodes.get(pid, ()))
-
-    def live_replica_nodes(self, pid: int) -> tuple[int, ...]:
-        """Hosting nodes that currently answer requests."""
-        self._require_placed(pid)
-        return tuple(
-            nid for nid in self._replica_nodes.get(pid, ())
-            if self.nodes[nid].is_up
-        )
-
-    def unhosted_partitions(self) -> frozenset[int]:
-        """Partitions whose every copy was purged (need re-replication)."""
-        return frozenset(self._unhosted)
-
-    def _require_placed(self, pid: int) -> None:
-        if pid not in self._sizes:
-            raise PlacementError(f"partition {pid} is not placed")
-
-    # ------------------------------------------------------------------
-    # placement
-    # ------------------------------------------------------------------
     def place_partition(self, pid: int, size: float = 0.0) -> int:
-        """Place a new partition's copies on the least-loaded live nodes;
-        return the primary's node id."""
+        """Place a new partition on the least-loaded node; return its id."""
         if pid in self._sizes:
             raise PlacementError(f"partition {pid} already placed")
-        k = min(self.replication_factor, len(self.up_nodes()))
-        targets = choose_replica_targets(self.nodes, k)
-        if not targets:
-            raise PlacementError("no live node available for placement")
-        for nid in targets:
-            node = self.nodes[nid]
-            node.partitions.add(pid)
-            node.load += size
-        self._replica_nodes[pid] = list(targets)
+        node = min(self.nodes, key=lambda n: (n.load, n.node_id))
+        node.partitions.add(pid)
+        node.load += size
+        self._node_of[pid] = node.node_id
         self._sizes[pid] = size
-        return targets[0]
+        return node.node_id
 
     def drop_partition(self, pid: int) -> None:
-        self._require_placed(pid)
-        size = self._sizes.pop(pid)
-        for nid in self._replica_nodes.pop(pid, ()):
-            node = self.nodes[nid]
-            node.partitions.discard(pid)
-            node.load = max(0.0, node.load - size)
-        self._unhosted.discard(pid)
+        node = self.nodes[self.node_of(pid)]
+        node.partitions.discard(pid)
+        node.load = max(0.0, node.load - self._sizes.pop(pid))
+        del self._node_of[pid]
 
     def resize_partition(self, pid: int, delta: float) -> None:
-        """Adjust a partition's size contribution on all hosting nodes.
+        """Adjust a partition's size contribution on its node.
 
         Rejects (with :class:`PlacementError`) any delta that would
-        drive the partition's tracked size or a hosting node's load
-        negative — silently corrupted load accounting is worse than a
-        loud failure.
+        drive the partition's tracked size or its node's load negative —
+        silently corrupted load accounting is worse than a loud failure.
         """
-        self._require_placed(pid)
+        node = self.nodes[self.node_of(pid)]
         new_size = self._sizes[pid] + delta
         if new_size < -_EPSILON:
             raise PlacementError(
                 f"resize of partition {pid} by {delta} would make its "
                 f"tracked size negative ({new_size})"
             )
-        hosts = self._replica_nodes.get(pid, ())
-        for nid in hosts:
-            if self.nodes[nid].load + delta < -_EPSILON:
-                raise PlacementError(
-                    f"resize of partition {pid} by {delta} would make node "
-                    f"{nid}'s load negative"
-                )
-        for nid in hosts:
-            node = self.nodes[nid]
-            node.load = max(0.0, node.load + delta)
+        if node.load + delta < -_EPSILON:
+            raise PlacementError(
+                f"resize of partition {pid} by {delta} would make node "
+                f"{node.node_id}'s load negative"
+            )
+        node.load = max(0.0, node.load + delta)
         self._sizes[pid] = max(0.0, new_size)
 
     def partition_size(self, pid: int) -> float:
-        self._require_placed(pid)
+        self.node_of(pid)  # raise if unplaced
         return self._sizes[pid]
 
-    # ------------------------------------------------------------------
-    # failure injection
-    # ------------------------------------------------------------------
-    def _require_node(self, node_id: int) -> Node:
-        try:
-            return self.nodes[node_id]
-        except IndexError:
-            raise PlacementError(f"no node {node_id} in the cluster") from None
-
-    def crash_node(self, node_id: int) -> None:
-        """Mark a node DOWN.  The placement map stays as-is: queries
-        discover the crash via timeouts until :meth:`re_replicate`
-        declares the node's copies dead."""
-        node = self._require_node(node_id)
-        node.state = NodeState.DOWN
-        node.slowdown = 1.0
-        node.drop_every = 0
-
-    def recover_node(self, node_id: int) -> None:
-        """Bring a node back to full health.
-
-        Copies it still appears to host (crash without an intervening
-        repair pass) resume serving; if the repair pass purged them the
-        node simply rejoins empty.
-        """
-        node = self._require_node(node_id)
-        node.state = NodeState.UP
-        node.slowdown = 1.0
-        node.drop_every = 0
-
-    def degrade_node(
-        self, node_id: int, slowdown: float = 4.0, drop_every: int = 0
-    ) -> None:
-        """Mark a node DEGRADED: it answers *slowdown* times slower and
-        times out on every *drop_every*-th request (0 = never)."""
-        node = self._require_node(node_id)
-        if node.state is NodeState.DOWN:
-            raise PlacementError(f"cannot degrade DOWN node {node_id}")
-        if slowdown < 1.0:
-            raise ValueError("slowdown must be >= 1.0")
-        node.state = NodeState.DEGRADED
-        node.slowdown = slowdown
-        node.drop_every = drop_every
-
-    # ------------------------------------------------------------------
-    # repair
-    # ------------------------------------------------------------------
-    def under_replicated(self) -> dict[int, int]:
-        """Partitions below the reachable target; pid -> missing copies."""
-        target = min(self.replication_factor, len(self.up_nodes()))
-        deficits: dict[int, int] = {}
-        for pid in self._sizes:
-            live = len(self.live_replica_nodes(pid))
-            if live < target:
-                deficits[pid] = target - live
-        return deficits
-
-    def re_replicate(self) -> list[tuple[int, int]]:
-        """The repair/rebalance pass; returns the copies it created.
-
-        First purges every copy hosted on a DOWN node (those copies are
-        now considered lost — a node recovering later rejoins empty),
-        then walks partitions in id order and adds copies on the
-        least-loaded live nodes until each one reaches the reachable
-        target ``min(k, live nodes)``.  Deterministic: same cluster
-        state in, same copies out — the write-ahead log replays this
-        pass by re-running it.
-        """
-        for node in self.nodes:
-            if node.state is not NodeState.DOWN or not node.partitions:
-                continue
-            for pid in sorted(node.partitions):
-                hosts = self._replica_nodes.get(pid)
-                if hosts is not None and node.node_id in hosts:
-                    hosts.remove(node.node_id)
-                    if not hosts:
-                        del self._replica_nodes[pid]
-                        self._unhosted.add(pid)
-            node.partitions.clear()
-            node.load = 0.0
-        created: list[tuple[int, int]] = []
-        target = min(self.replication_factor, len(self.up_nodes()))
-        for pid in sorted(self._sizes):
-            hosts = self._replica_nodes.get(pid)
-            if hosts is None:
-                hosts = []
-            while len(hosts) < target:
-                picks = choose_replica_targets(self.nodes, 1, frozenset(hosts))
-                if not picks:
-                    break
-                nid = picks[0]
-                node = self.nodes[nid]
-                node.partitions.add(pid)
-                node.load += self._sizes[pid]
-                hosts.append(nid)
-                created.append((pid, nid))
-            if hosts:
-                self._replica_nodes[pid] = hosts
-                self._unhosted.discard(pid)
-        return created
-
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
     def loads(self) -> list[float]:
         return [node.load for node in self.nodes]
 
     def imbalance(self) -> float:
-        """max/mean load ratio over live nodes — 1.0 is perfectly balanced."""
-        live = self.up_nodes() or self.nodes
-        loads = [node.load for node in live]
+        """max/mean load ratio — 1.0 is perfectly balanced."""
+        loads = self.loads()
         mean = sum(loads) / len(loads)
         if mean == 0:
             return 1.0
         return max(loads) / mean
 
     def nodes_for_partitions(self, pids) -> set[int]:
-        """The set of primary nodes a query over these partitions contacts."""
+        """The set of nodes a query over these partitions must contact."""
         return {self.node_of(pid) for pid in pids}

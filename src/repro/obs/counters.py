@@ -1,8 +1,7 @@
 """Counter sets: the always-on operational counters, declared once.
 
 Every subsystem that counts what it does — the query path, the serving
-node, the router, the transactional/ingest layer, the simulated
-distributed store, the adaptation controller — owns a
+node, the router, the adaptation controller — owns a
 :class:`CounterSet` subclass.  Each subclass carries **one table**,
 ``METRICS``: ``field -> (metric name, kind, help)``.  From that table
 come the instance attributes (plain ints, so ``counters.x += 1`` costs
@@ -16,7 +15,7 @@ registry *views* them: :func:`attach` records the process totals at
 ``enable()`` and hands the registry a refresh that runs inside its read
 funnel, so every ``get`` / ``get_value`` / ``families`` — hence both
 exposition formats, the ``obs`` wire verb and federation — reads the
-current sum over all sets of a class (one per table, one per store)
+current sum over all sets of a class (one per table, one per server)
 minus that baseline.  A set that is garbage-collected folds its counts
 into a per-class retired total, so a family stays monotonic when its
 owner goes away; gauges (watermarks, windows) read the max over the
@@ -199,80 +198,15 @@ class QueryPathCounters(CounterSet):
         return self.partitions_pruned / self.partitions_considered
 
 
-class FaultToleranceCounters(CounterSet):
-    """Failure, retry, and recovery event counts of a distributed store.
-
-    ``queries_degraded`` counts queries that returned with
-    ``degraded=True`` (at least one needed partition had no reachable
-    copy); :meth:`availability` is the complement, the headline metric
-    of the fault-tolerance benchmark.
-    """
-
-    METRICS = {
-        "node_crashes": ("repro_dist_node_crashes_total", COUNTER, "Node crashes applied to the cluster"),
-        "node_recoveries": ("repro_dist_node_recoveries_total", COUNTER, "Node recoveries applied to the cluster"),
-        "node_degradations": ("repro_dist_node_degradations_total", COUNTER, "Node degradations applied to the cluster"),
-        "queries_total": ("repro_dist_queries_total", COUNTER, "Queries routed by the distributed store"),
-        "queries_degraded": ("repro_dist_queries_degraded_total", COUNTER, "Queries answered with degraded=True"),
-        "retries": ("repro_dist_retries_total", COUNTER, "Per-host retries during query routing"),
-        "failovers": ("repro_dist_failovers_total", COUNTER, "Queries served by a non-primary replica"),
-        "unreachable_partition_hits": ("repro_dist_unreachable_partition_hits_total", COUNTER, "Needed partitions that had no reachable copy"),
-        "re_replication_passes": ("repro_dist_re_replication_passes_total", COUNTER, "Repair passes run"),
-        "replicas_created": ("repro_dist_replicas_created_total", COUNTER, "Replica copies created by repair passes"),
-        "wal_records_appended": ("repro_dist_wal_records_appended_total", COUNTER, "Coordinator WAL records appended"),
-        "wal_records_replayed": ("repro_dist_wal_records_replayed_total", COUNTER, "Coordinator WAL records replayed on recovery"),
-    }
-    RATES = ("availability",)
-
-    def availability(self) -> float:
-        """Fraction of queries answered completely (1.0 when none ran)."""
-        if self.queries_total == 0:
-            return 1.0
-        return 1.0 - self.queries_degraded / self.queries_total
-
-
-class RobustnessCounters(CounterSet):
-    """Counters of the transactional-maintenance and hardened-ingest layer.
-
-    The maintenance half counts journaled catalog operations (inserts
-    that split, merge passes, reorganizations) and how they ended;
-    every crash or validation failure that rolled back cleanly shows up
-    in ``ops_rolled_back`` — an operation that neither committed nor
-    rolled back is a bug.  The ingest half makes admission outcomes
-    observable: how many entities were accepted, rejected into
-    quarantine, bounced by backpressure (``ingest_overloaded``), or
-    recognized as idempotent replays (``ingest_replayed``).
-    """
-
-    METRICS = {
-        "ops_started": ("repro_txn_ops_started_total", COUNTER, "Transactional catalog operations started"),
-        "ops_committed": ("repro_txn_ops_committed_total", COUNTER, "Transactional catalog operations committed"),
-        "ops_rolled_back": ("repro_txn_ops_rolled_back_total", COUNTER, "Transactional catalog operations rolled back"),
-        "op_steps": ("repro_txn_op_steps_total", COUNTER, "Step boundaries crossed inside transactional operations"),
-        "ingest_accepted": ("repro_ingest_accepted_total", COUNTER, "Ingest requests applied to the sink"),
-        "ingest_rejected": ("repro_ingest_rejected_total", COUNTER, "Ingest requests refused by validation"),
-        "ingest_quarantined": ("repro_ingest_quarantined_total", COUNTER, "Ingest requests dead-lettered to quarantine"),
-        "ingest_requeued": ("repro_ingest_requeued_total", COUNTER, "Quarantined requests resubmitted"),
-        "ingest_replayed": ("repro_ingest_replayed_total", COUNTER, "Idempotent replays acknowledged without applying"),
-        "ingest_overloaded": ("repro_ingest_overloaded_total", COUNTER, "Requests bounced by admission backpressure"),
-        "queue_high_watermark": ("repro_ingest_queue_high_watermark", GAUGE, "Deepest ingest admission queue observed"),
-    }
-
-    def observe_queue_depth(self, depth: int) -> None:
-        if depth > self.queue_high_watermark:
-            self.queue_high_watermark = depth
-
-
 class ServerCounters(CounterSet):
     """Counters of the online serving layer (:mod:`repro.server`).
 
-    The admission half mirrors the ingest pipeline's vocabulary —
-    ``writes_shed_overloaded`` counts modifications bounced with the
-    explicit ``overloaded`` status, ``queue_high_watermark`` is the
-    deepest write queue observed.  The concurrency half counts what the
-    batcher and the cooperative maintenance task did between requests:
-    batches flushed under the exclusive lock, merge passes,
-    reorganizations.
+    The admission half: ``writes_shed_overloaded`` counts modifications
+    bounced with the explicit ``overloaded`` status,
+    ``queue_high_watermark`` is the deepest write queue observed.  The
+    concurrency half counts what the batcher and the cooperative
+    maintenance task did between requests: batches flushed under the
+    exclusive lock, merge passes, reorganizations.
     """
 
     METRICS = {

@@ -24,7 +24,7 @@ class Event:
     seq: int
     #: ``time.perf_counter()`` at emission — correlates with span times
     monotonic_s: float
-    #: dotted event kind, e.g. ``fault.crash`` or ``txn.rollback``
+    #: dotted event kind, e.g. ``server.shed`` or ``txn.rollback``
     kind: str
     fields: dict[str, Any] = field(default_factory=dict)
 

@@ -1,9 +1,9 @@
 """The routing tier: partition-aware serving over a cluster of nodes.
 
-This package marries the two halves the roadmap kept separate — the
-asyncio serving layer (:mod:`repro.server`) and the fault-tolerant
-replicated cluster model (:mod:`repro.distributed`) — into one
-network-facing system:
+This package is the repo's cluster: it puts replication, failover and
+repair in front of the asyncio serving layer (:mod:`repro.server`) as
+one network-facing system (:mod:`repro.distributed` is only the
+Section II placement cost model):
 
 * :mod:`repro.router.placement` — the deterministic shard → replica-set
   mapping (``shard_of(eid) = eid % n_shards``, rotated replicas);

@@ -17,8 +17,7 @@ a routed cluster.  What the router adds:
   contract is explicit: every shard answered → ``ok``; some shards had
   no reachable replica → ``degraded`` with the gathered rows *plus*
   ``unreachable_shards``; no shard reachable → ``node_unavailable``
-  (retryable).  This is the ``repro.distributed`` failover vocabulary
-  (degraded results, unreachable partitions) spoken on the wire;
+  (retryable);
 * **health tracking** — a per-node circuit breaker
   (:class:`~repro.router.health.NodeHealth`) with jittered
   timeout/retry/backoff, ejection windows, and probe-on-expiry, so a

@@ -4,10 +4,9 @@ Every request is a JSON object with an ``op`` and a client-chosen
 ``id`` (echoed verbatim in the response, so a pipelining client can
 match answers to questions).  Every response carries ``id``, ``ok``,
 and a ``status`` string; failures add an ``error`` object with a typed
-``code``.  Write outcomes reuse the ingest pipeline's admission
-vocabulary (``applied`` / ``overloaded`` / ``rejected``), so a client
-that already speaks backpressure against :mod:`repro.ingest` needs no
-new states.
+``code``.  Write outcomes are the server's admission vocabulary:
+``applied`` / ``overloaded`` (shed by backpressure, retryable) /
+``rejected`` (refused by validation).
 
 Supported operations:
 
@@ -79,7 +78,7 @@ from typing import Any, Optional
 #: framing bound — longer lines are refused, not buffered
 MAX_LINE_BYTES = 1 << 20
 
-#: response statuses (write outcomes reuse the ingest vocabulary)
+#: response statuses
 OK = "ok"
 APPLIED = "applied"
 ERROR = "error"
@@ -90,8 +89,8 @@ SHUTTING_DOWN = "shutting_down"
 #: router tier: every replica of a needed shard is unreachable right now
 NODE_UNAVAILABLE = "node_unavailable"
 #: router tier: a partial result — some shards answered, some did not.
-#: The ``distributed`` failover vocabulary on the wire: the response
-#: carries the rows that *were* gathered plus ``unreachable_shards``.
+#: The response carries the rows that *were* gathered plus
+#: ``unreachable_shards``.
 DEGRADED = "degraded"
 
 #: the operations a server understands (order = docs order)

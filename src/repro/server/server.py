@@ -27,10 +27,9 @@ paragraph:
   (:class:`~repro.server.admission.AdaptiveAdmission` — queue-based
   load leveling: the window tracks the batcher's measured drain rate
   under a target latency, bounded by ``max_pending``); submissions past
-  the window are shed with the explicit ``overloaded`` status (the
-  ingest pipeline's backpressure semantics) instead of queueing
-  unboundedly — admitted writes are applied by the single **batcher**
-  task, which drains up to ``batch_max`` queued writes and **group
+  the window are shed with the explicit ``overloaded`` status instead
+  of queueing unboundedly — admitted writes are applied by the single
+  **batcher** task, which drains up to ``batch_max`` queued writes and **group
   commits** them on a worker thread: one
   :class:`~repro.txn.transaction.CatalogTransaction` for the whole
   batch (per-op savepoints roll a refused write back exactly while the
@@ -849,8 +848,8 @@ class CinderellaServer:
             )
         self._validate_write(request)
         if not self._admission.admit(self._write_queue.qsize()):
-            # explicit shedding, the ingest pipeline's OVERLOADED contract:
-            # nothing is enqueued, the client backs off and resubmits
+            # explicit shedding: nothing is enqueued, the client backs
+            # off and resubmits
             self.counters.writes_shed_overloaded += 1
             obs.event(
                 "server.shed", op=request.op,
@@ -874,8 +873,8 @@ class CinderellaServer:
         return future
 
     def _validate_write(self, request: Request) -> None:
-        """Shape checks before admission (the ingest pipeline's spirit:
-        refuse before anything is enqueued)."""
+        """Shape checks before admission: refuse before anything is
+        enqueued."""
         op = request.op
         if op in ("insert", "update"):
             attributes = request.get("attributes")

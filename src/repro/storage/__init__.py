@@ -1,5 +1,5 @@
 """Storage substrate: sparse records, slotted pages, heap files,
-buffering, snapshots, and the coordinator write-ahead log."""
+buffering, snapshots, and the node write-ahead log."""
 
 from repro.storage.buffer import BufferPool
 from repro.storage.entity import Entity
@@ -13,9 +13,7 @@ from repro.storage.record import (
 )
 from repro.storage.snapshot import (
     SnapshotFormatError,
-    load_store,
     load_table,
-    save_store,
     save_table,
 )
 from repro.storage.wal import WALFormatError, WALRecord, WriteAheadLog, read_wal
@@ -35,10 +33,8 @@ __all__ = [
     "WALRecord",
     "WriteAheadLog",
     "deserialize_record",
-    "load_store",
     "load_table",
     "read_wal",
-    "save_store",
     "save_table",
     "serialize_record",
 ]

@@ -1,11 +1,11 @@
 """Signal-safe scratch directories for examples, CLIs, and benchmarks.
 
-Long-running demonstration workloads (``repro obs``, the fault-tolerance
-and robust-ingest examples) write WAL segments and snapshot files into a
-temporary directory.  A bare ``tempfile.mkdtemp`` leaks that directory
-on *every* exit path, and even ``TemporaryDirectory`` leaks it when the
-process dies to SIGTERM — the default handler kills the interpreter
-without unwinding context managers.
+Long-running demonstration workloads (``repro obs``) write WAL segments
+and snapshot files into a temporary directory.  A bare
+``tempfile.mkdtemp`` leaks that directory on *every* exit path, and even
+``TemporaryDirectory`` leaks it when the process dies to SIGTERM — the
+default handler kills the interpreter without unwinding context
+managers.
 
 :func:`scratch_dir` closes both holes: the directory is removed on
 normal exit, on exceptions (including ``KeyboardInterrupt``), and on

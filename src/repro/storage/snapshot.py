@@ -16,13 +16,10 @@ always detected at load time.  Loaders reject unknown versions,
 malformed payloads, and checksum mismatches with
 :class:`SnapshotFormatError` rather than guessing.
 
-This module also persists the *distributed coordinator*
-(:func:`save_store` / :func:`load_store`): the full catalog — exact
-partition ids, members, and split-starter pairs — plus the cluster's
-replica placement and node health.  Together with the write-ahead log
-(:mod:`repro.storage.wal`) this is the coordinator's crash-recovery
-basis: ``load_store`` restores the checkpointed state bit-for-bit and
-the WAL tail replays deterministically on top of it.
+A *node checkpoint* (:func:`save_node_checkpoint` /
+:func:`load_node_checkpoint`) is the same body plus ``wal_seq``, the
+write-ahead-log position it covers — the basis a serving node
+(:mod:`repro.server`) restarts from and :mod:`repro.backup` archives.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro.core.sizes import (
 )
 
 FORMAT_VERSION = 2
-STORE_FORMAT_VERSION = 1
 NODE_CHECKPOINT_FORMAT = "repro-cinderella-node-checkpoint"
 NODE_CHECKPOINT_VERSION = 1
 
@@ -194,7 +190,11 @@ def _table_from_document(document: dict, path):
                     for member in partition_doc["members"]
                 ]
             )
-    except (KeyError, TypeError) as error:
+    except SnapshotFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as error:
+        # ValueError: a checksum-valid body the table refuses, e.g. one
+        # entity listed in two partitions
         raise SnapshotFormatError(f"malformed snapshot {path}: {error}") from error
     return table
 
@@ -258,169 +258,3 @@ def load_node_checkpoint(path: Union[str, Path]):
     if not isinstance(wal_seq, int):
         raise SnapshotFormatError(f"node checkpoint {path} lacks a wal_seq")
     return _table_from_document(document, path), wal_seq
-
-
-# ----------------------------------------------------------------------
-# distributed coordinator snapshots (checkpoint basis for WAL recovery)
-# ----------------------------------------------------------------------
-def save_store(store, path: Union[str, Path]) -> None:
-    """Checkpoint a :class:`DistributedUniversalStore` to *path*.
-
-    Persists the coordinator's exact state: partition ids, members (in
-    insertion order), split-starter pairs, partitioner counters, and the
-    cluster's replica placement and node health.  ``wal_seq`` records
-    the journal position this snapshot covers; recovery replays only
-    WAL records after it.  Only Cinderella partitioners are supported —
-    baselines carry partitioner-specific state this format does not
-    model.
-    """
-    from repro.core.partitioner import CinderellaPartitioner
-
-    if not isinstance(store.partitioner, CinderellaPartitioner):
-        raise SnapshotFormatError(
-            "only CinderellaPartitioner-backed stores can be persisted"
-        )
-    config = store.partitioner.config
-    size_model_name = type(config.size_model).__name__
-    if size_model_name not in _SIZE_MODELS:
-        raise SnapshotFormatError(
-            f"cannot persist custom size model {size_model_name}"
-        )
-    partitions = []
-    for partition in store.catalog:
-        starters = partition.starters
-        partitions.append({
-            "pid": partition.pid,
-            "members": [
-                [eid, mask, size] for eid, mask, size in partition.members()
-            ],
-            "starters": [
-                starters.eid_a, starters.mask_a,
-                starters.eid_b, starters.mask_b,
-            ],
-        })
-    cluster = store.cluster
-    document = {
-        "format": "repro-cinderella-store-snapshot",
-        "version": STORE_FORMAT_VERSION,
-        "config": {
-            "max_partition_size": config.max_partition_size,
-            "weight": config.weight,
-            "size_model": size_model_name,
-            "use_synopsis_index": config.use_synopsis_index,
-            "selection": config.selection,
-            "exact_starters": config.exact_starters,
-        },
-        "split_count": store.partitioner.split_count,
-        "ratings_computed": store.partitioner.ratings_computed,
-        "next_pid": store.catalog.next_partition_id,
-        "partitions": partitions,
-        "cluster": {
-            "node_count": len(cluster),
-            "replication_factor": cluster.replication_factor,
-            "nodes": [
-                {
-                    "node_id": node.node_id,
-                    "state": node.state.value,
-                    "slowdown": node.slowdown,
-                    "drop_every": node.drop_every,
-                }
-                for node in cluster.nodes
-            ],
-            "replicas": [
-                [pid, list(cluster.replica_nodes(pid))]
-                for pid in sorted(cluster.partition_ids())
-            ],
-            "sizes": [
-                [pid, cluster.partition_size(pid)]
-                for pid in sorted(cluster.partition_ids())
-            ],
-            "unhosted": sorted(cluster.unhosted_partitions()),
-        },
-        "wal_seq": store.wal.last_seq if store.wal is not None else 0,
-        "applied_op_ids": sorted(store.applied_op_ids),
-    }
-    _write_document(document, path)
-
-
-def load_store(store_path: Union[str, Path], network=None):
-    """Restore a coordinator checkpoint; returns ``(store, wal_seq)``.
-
-    The restored store is bit-for-bit the checkpointed one: same
-    partition ids, members, starter pairs, replica placement, and node
-    health.  ``wal_seq`` is the journal position the snapshot covers.
-    """
-    from repro.core.partitioner import CinderellaPartitioner
-    from repro.distributed.failures import NodeState
-    from repro.distributed.store import DistributedUniversalStore
-
-    document = _read_document(store_path, "repro-cinderella-store-snapshot")
-    if document.get("version") != STORE_FORMAT_VERSION:
-        raise SnapshotFormatError(
-            f"unsupported store snapshot version {document.get('version')!r}"
-        )
-    _verify_checksum(document, store_path)
-    try:
-        config_doc = document["config"]
-        size_model_cls = _SIZE_MODELS[config_doc["size_model"]]
-        config = CinderellaConfig(
-            max_partition_size=config_doc["max_partition_size"],
-            weight=config_doc["weight"],
-            size_model=size_model_cls(),
-            use_synopsis_index=config_doc["use_synopsis_index"],
-            selection=config_doc["selection"],
-            exact_starters=config_doc["exact_starters"],
-        )
-        cluster_doc = document["cluster"]
-        store = DistributedUniversalStore(
-            cluster_doc["node_count"],
-            CinderellaPartitioner(config),
-            network=network,
-            replication_factor=cluster_doc["replication_factor"],
-        )
-        catalog = store.catalog
-        for partition_doc in document["partitions"]:
-            partition = catalog.create_partition_with_id(partition_doc["pid"])
-            for eid, mask, size in partition_doc["members"]:
-                catalog.add_entity(
-                    partition.pid, eid, mask, size, observe_starters=False
-                )
-            starters = partition.starters
-            (starters.eid_a, starters.mask_a,
-             starters.eid_b, starters.mask_b) = partition_doc["starters"]
-        catalog.next_partition_id = document["next_pid"]
-        store.partitioner.split_count = document["split_count"]
-        store.partitioner.ratings_computed = document["ratings_computed"]
-        cluster = store.cluster
-        for node_doc in cluster_doc["nodes"]:
-            node = cluster.nodes[node_doc["node_id"]]
-            node.state = NodeState(node_doc["state"])
-            node.slowdown = node_doc["slowdown"]
-            node.drop_every = node_doc["drop_every"]
-        sizes = {pid: size for pid, size in cluster_doc["sizes"]}
-        cluster._sizes = dict(sizes)
-        cluster._replica_nodes = {
-            pid: list(nids) for pid, nids in cluster_doc["replicas"] if nids
-        }
-        cluster._unhosted = set(cluster_doc["unhosted"])
-        for pid, nids in cluster._replica_nodes.items():
-            for nid in nids:
-                node = cluster.nodes[nid]
-                node.partitions.add(pid)
-                node.load += sizes[pid]
-        wal_seq = document["wal_seq"]
-        # absent in pre-ingest-hardening snapshots — default to empty
-        store.applied_op_ids = set(document.get("applied_op_ids", ()))
-    except (KeyError, TypeError, IndexError, ValueError) as error:
-        if isinstance(error, SnapshotFormatError):
-            raise
-        raise SnapshotFormatError(
-            f"malformed store snapshot {store_path}: {error}"
-        ) from error
-    problems = store.check_placement()
-    if problems:
-        raise SnapshotFormatError(
-            f"store snapshot {store_path} is internally inconsistent: "
-            f"{problems[:3]}"
-        )
-    return store, wal_seq

@@ -1,14 +1,13 @@
-"""Write-ahead log for the distributed coordinator.
+"""Write-ahead log of a serving node.
 
-The coordinator's catalog is the single source of truth for the
-partitioning; losing it to a coordinator crash would be fatal.  The
-write-ahead log complements :mod:`repro.storage.snapshot`: every
-state-mutating operation (insert/delete/update *and* cluster events —
-crashes, recoveries, degradations, re-replication passes) is appended
-to the journal *before* it is applied, so a crashed coordinator replays
-``snapshot + WAL tail`` and arrives at the exact pre-crash catalog and
-placement.  Replay is exact because every logged operation is
-deterministic (see ``DistributedUniversalStore.replay_wal``).
+A node's table lives in memory; the write-ahead log is what survives a
+crash.  Every client write (and every resync delta) is appended as the
+record :func:`repro.backup.apply_record` interprets and fsynced *before*
+it is acknowledged or published, so a restarted node replays
+``checkpoint + WAL tail`` (:mod:`repro.storage.snapshot`,
+:mod:`repro.backup`) and arrives at the exact pre-crash table.  Replay
+is exact because every record is applied by the same deterministic
+interpreter that applied it the first time.
 
 File format — one checksummed JSON line per record::
 
@@ -16,26 +15,13 @@ File format — one checksummed JSON line per record::
     <crc32 hex8> {"seq": 5, "op": "insert", "payload": {"eid": 1, ...}}
 
 The header's ``basis_seq`` is the sequence number already covered by
-the companion snapshot; a checkpoint rewrites the log to just a header
-with ``basis_seq = last_seq``.  Recovery semantics follow the classic
-WAL rules: a torn *tail* (half-written last record, the normal result
-of crashing mid-append) is silently truncated; corruption anywhere
-*before* the tail means the file cannot be trusted and raises
-:class:`WALFormatError`.
-
-Durability and growth control:
-
-* ``append(..., sync=True)`` forces an ``fsync`` after the write — the
-  operation journal uses it for intent and commit records, so a commit
-  that returned is on disk even across an OS crash.
-* :meth:`WriteAheadLog.compact` rewrites the log without records that
-  no longer affect replay (operation-journal step chatter and the
-  begin/abort markers of finished operations).  Sequence numbers are
-  preserved; the header records the compaction count, and readers of a
-  compacted log accept sequence gaps (strictly increasing) where an
-  uncompacted log must be gap-free.
-* ``max_bytes`` arms size-threshold rotation: when an append pushes the
-  file past the limit, the log compacts itself automatically.
+the companion checkpoint; a checkpoint rewrites the log to just a header
+with ``basis_seq = last_seq``.  Records above the basis are numbered
+without gaps and a reader refuses a log that skips one; it takes the
+position from the records, not from the header's ``last_seq``.  A torn
+*tail* (half-written last record, the normal result of crashing
+mid-append) is silently truncated; corruption anywhere *before* the
+tail means the file cannot be trusted and raises :class:`WALFormatError`.
 """
 
 from __future__ import annotations
@@ -46,18 +32,12 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 from repro.obs import runtime as obs
 
 WAL_FORMAT = "repro-wal"
 WAL_VERSION = 1
-
-#: operation-journal record types (see :mod:`repro.txn.journal`)
-JOURNAL_BEGIN = "op_begin"
-JOURNAL_STEP = "op_step"
-JOURNAL_COMMIT = "op_commit"
-JOURNAL_ABORT = "op_abort"
 
 
 class WALFormatError(ValueError):
@@ -110,6 +90,17 @@ def _decode_line(line: str) -> WALRecord:
         raise WALFormatError(f"malformed WAL record: {error}") from error
 
 
+def sequence_gap(
+    basis_seq: int, records: Iterable[WALRecord]
+) -> Optional[tuple[int, int]]:
+    """The first break in the run ``basis_seq + 1, basis_seq + 2, ...``
+    as ``(expected, found)``; ``None`` when *records* are gap-free."""
+    for expected, record in enumerate(records, basis_seq + 1):
+        if record.seq != expected:
+            return expected, record.seq
+    return None
+
+
 def _read_wal_full(
     path: Union[str, Path]
 ) -> tuple[dict[str, Any], list[WALRecord], int]:
@@ -148,23 +139,11 @@ def _read_wal_full(
     basis_seq = header.payload.get("basis_seq")
     if not isinstance(basis_seq, int):
         raise WALFormatError("WAL header lacks a basis_seq")
-    compacted = header.payload.get("compactions", 0)
-    expected = basis_seq
-    for record in records:
-        if compacted:
-            # compaction removes records but preserves numbering: the
-            # remaining sequence must still be strictly increasing
-            if record.seq <= expected:
-                raise WALFormatError(
-                    f"WAL sequence regression: {record.seq} after {expected}"
-                )
-            expected = record.seq
-        else:
-            expected += 1
-            if record.seq != expected:
-                raise WALFormatError(
-                    f"WAL sequence gap: expected {expected}, found {record.seq}"
-                )
+    gap = sequence_gap(basis_seq, records)
+    if gap is not None:
+        raise WALFormatError(
+            f"WAL sequence gap: expected {gap[0]}, found {gap[1]}"
+        )
     return header.payload, records, torn
 
 
@@ -179,66 +158,24 @@ def read_wal(path: Union[str, Path]) -> tuple[int, list[WALRecord], int]:
     return header["basis_seq"], records, torn
 
 
-def journal_droppable(
-    records: list[WALRecord],
-) -> Callable[[WALRecord], bool]:
-    """The default compaction policy: drop operation-journal chatter.
-
-    Replay only acts on ``op_commit`` records (an operation without a
-    commit is rolled back, never re-applied), so ``op_step`` records are
-    always dead weight and ``op_begin``/``op_abort`` pairs of *finished*
-    operations carry no recovery information.  An ``op_begin`` without a
-    terminal record is kept — it marks an interrupted operation, which
-    :meth:`repro.txn.journal.OperationJournal.incomplete_ops` reports.
-    """
-    finished = {
-        record.payload.get("op_id")
-        for record in records
-        if record.op in (JOURNAL_COMMIT, JOURNAL_ABORT)
-    }
-
-    def droppable(record: WALRecord) -> bool:
-        if record.op == JOURNAL_STEP:
-            return True
-        if record.op in (JOURNAL_BEGIN, JOURNAL_ABORT):
-            return record.payload.get("op_id") in finished
-        return False
-
-    return droppable
-
-
 class WriteAheadLog:
-    """Append-only journal with checkpoint truncation and compaction.
+    """Append-only journal with checkpoint truncation.
 
     Opening an existing file resumes appending after its last intact
     record (a torn tail is truncated on open).  ``append`` flushes to
-    the OS on every record and additionally fsyncs when ``sync=True`` —
-    the write-ahead guarantee for commit records.  With ``max_bytes``
-    set, the log compacts itself whenever an append pushes the file
-    past the limit.
+    the OS on every record and additionally fsyncs when ``sync=True``.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.max_bytes = max_bytes
         self._closed = False
         self.torn_records_dropped = 0
-        #: fsync calls performed (commit-record durability)
+        #: fsync calls performed
         self.syncs = 0
-        #: compaction passes performed over this handle's lifetime
-        self.compactions = 0
         if self.path.exists() and self.path.stat().st_size:
             header, records, torn = _read_wal_full(self.path)
             self.basis_seq = header["basis_seq"]
-            self.compactions = header.get("compactions", 0)
-            tail_seq = records[-1].seq if records else self.basis_seq
-            self.last_seq = max(tail_seq, header.get("last_seq", 0))
+            self.last_seq = records[-1].seq if records else self.basis_seq
             self.torn_records_dropped = torn
             if torn:
                 self._rewrite(self.basis_seq, records)
@@ -249,16 +186,14 @@ class WriteAheadLog:
         self._handle = self.path.open("a", encoding="utf-8")
 
     def _rewrite(self, basis_seq: int, records: list[WALRecord]) -> None:
-        """Atomically rewrite the log (open, torn-tail repair, reset,
-        compaction)."""
+        """Atomically rewrite the log (open, torn-tail repair, reset)."""
         temporary = self.path.with_suffix(self.path.suffix + ".tmp")
         with temporary.open("w", encoding="utf-8") as handle:
             handle.write(_encode_line(0, "header", {
                 "format": WAL_FORMAT,
                 "version": WAL_VERSION,
                 "basis_seq": basis_seq,
-                "compactions": self.compactions,
-                "last_seq": getattr(self, "last_seq", 0),
+                "last_seq": self.last_seq,
             }))
             for record in records:
                 handle.write(_encode_line(record.seq, record.op, record.payload))
@@ -276,8 +211,7 @@ class WriteAheadLog:
         """Journal one operation; returns its sequence number.
 
         ``sync=True`` forces the record to stable storage (fsync) before
-        returning — required for operation-journal intent and commit
-        records, whose durability the atomicity guarantee rests on.
+        returning.
         """
         self._check_open("append")
         seq = self.last_seq + 1
@@ -304,11 +238,6 @@ class WriteAheadLog:
                 help_text="Records appended to write-ahead logs",
             )
         self.last_seq = seq
-        if (
-            self.max_bytes is not None
-            and self.path.stat().st_size > self.max_bytes
-        ):
-            self.compact()
         return seq
 
     def sync(self) -> None:
@@ -343,52 +272,11 @@ class WriteAheadLog:
         _basis, records, _torn = read_wal(self.path)
         return records
 
-    def compact(
-        self, droppable: Optional[Callable[[WALRecord], bool]] = None
-    ) -> int:
-        """Rewrite the log without replay-dead records; returns the
-        number of records dropped.
-
-        The default policy is :func:`journal_droppable`.  Sequence
-        numbers of surviving records are preserved (the header keeps
-        ``last_seq`` so appends continue from the right position), so a
-        companion snapshot's journal position stays valid.
-        """
-        self._check_open("compact")
-        with obs.span("wal.compact", path=str(self.path)) as span:
-            records = self.records()
-            predicate = (
-                droppable if droppable is not None
-                else journal_droppable(records)
-            )
-            kept = [record for record in records if not predicate(record)]
-            dropped = len(records) - len(kept)
-            if span.is_recording:
-                span.set("dropped", dropped)
-            if dropped == 0:
-                return 0
-            self._handle.close()
-            self.compactions += 1
-            self._rewrite(self.basis_seq, kept)
-            self._handle = self.path.open("a", encoding="utf-8")
-        if obs.is_enabled():
-            obs.inc(
-                "repro_wal_compactions_total",
-                help_text="WAL compaction passes that dropped records",
-            )
-            obs.inc(
-                "repro_wal_records_compacted_total",
-                dropped,
-                help_text="Replay-dead records dropped by compaction",
-            )
-        return dropped
-
     def reset(self, basis_seq: int) -> None:
         """Checkpoint truncation: drop all records, remember that the
         companion snapshot covers everything up to *basis_seq*."""
         self._check_open("reset")
         self._handle.close()
-        self.compactions = 0
         self.last_seq = basis_seq
         self._rewrite(basis_seq, [])
         self.basis_seq = basis_seq

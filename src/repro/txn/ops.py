@@ -2,31 +2,27 @@
 
 Each wrapper runs one operation — a modification that may cascade into
 splits, a merge pass, an offline reorganization — inside a
-:class:`~repro.txn.transaction.CatalogTransaction`, optionally
-journaled through an :class:`~repro.txn.journal.OperationJournal`:
+:class:`~repro.txn.transaction.CatalogTransaction`:
 
-1. the intent record is fsynced (``op_begin``),
-2. the operation applies its steps, each guarded by the crash hook
-   (and mirrored as ``op_step`` records when journaled),
-3. on success the fsynced ``op_commit`` record makes the operation
-   durable and the undo log is discarded;
-4. on *any* failure — a validation error, a host exception, or an
-   injected :class:`~repro.distributed.failures.MidOperationCrash` —
-   the undo log rolls the catalog back to the exact pre-operation
-   state.  Clean failures additionally journal ``op_abort``; a
-   simulated crash writes nothing, exactly like a real process death,
-   and recovery ignores the commit-less operation.
+1. the operation applies its steps, each guarded by the crash hook;
+2. on success the undo log is discarded;
+3. on *any* failure — a validation error, a host exception, or an
+   injected :class:`~repro.txn.crash.MidOperationCrash` — the undo log
+   rolls the catalog back to the exact pre-operation state.
+
+Durability is not this layer's job: a serving node journals the client
+write itself (:func:`repro.backup.apply_record` under group commit) and
+re-runs it on replay.
 
 ``crash_hook`` is a callable invoked with a step label at every step
 boundary; the fault-injection matrix passes
-:meth:`~repro.distributed.failures.CrashInjector.reached`.
+:meth:`~repro.txn.crash.CrashInjector.reached`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
-from repro.distributed.failures import MidOperationCrash
 from repro.maintenance.merger import MergeReport, merge_small_partitions
 from repro.maintenance.reorganizer import ReorganizationReport, reorganize
 from repro.obs import runtime as obs
@@ -34,8 +30,6 @@ from repro.obs import runtime as obs
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.outcomes import ModificationOutcome
     from repro.core.partitioner import CinderellaPartitioner
-    from repro.obs.counters import RobustnessCounters
-    from repro.txn.journal import OperationJournal
 
 CrashHook = Callable[[str], None]
 
@@ -47,24 +41,14 @@ _SPAN_NAMES: dict[str, str] = {}
 def _run_atomic(
     partitioner: "CinderellaPartitioner",
     kind: str,
-    params: dict[str, Any],
     operation: Callable[[CrashHook], Any],
-    journal: Optional["OperationJournal"],
     crash_hook: Optional[CrashHook],
-    counters: Optional["RobustnessCounters"],
 ):
-    """Journal, apply-with-undo, and commit-or-rollback one operation."""
-    op_id = journal.begin(kind, params) if journal is not None else None
-    if counters is not None:
-        counters.ops_started += 1
+    """Apply one operation under an undo log; commit or roll back."""
     step_index = 0
 
     def hook(label: str) -> None:
         nonlocal step_index
-        if journal is not None:
-            journal.step(op_id, step_index, label)
-        if counters is not None:
-            counters.op_steps += 1
         step_index += 1
         if crash_hook is not None:
             crash_hook(label)
@@ -73,13 +57,11 @@ def _run_atomic(
     span_name = _SPAN_NAMES.get(kind)
     if span_name is None:
         span_name = _SPAN_NAMES.setdefault(kind, f"txn.{kind}")
-    with obs.span(span_name, journaled=journal is not None) as span:
+    with obs.span(span_name) as span:
         try:
             result = operation(hook)
         except BaseException as error:
             txn.rollback()
-            if counters is not None:
-                counters.ops_rolled_back += 1
             obs.event(
                 "txn.rollback", kind=kind,
                 error=f"{type(error).__name__}: {error}",
@@ -89,16 +71,8 @@ def _run_atomic(
                 help_text="Atomic catalog operations by kind and outcome",
                 kind=kind, outcome="rolled_back",
             )
-            if journal is not None and not isinstance(error, MidOperationCrash):
-                # a simulated crash writes nothing — like a real process
-                # death; clean failures record an explicit abort
-                journal.abort(op_id, f"{type(error).__name__}: {error}")
             raise
-        if journal is not None:
-            journal.commit(op_id, kind, params)
         txn.commit()
-        if counters is not None:
-            counters.ops_committed += 1
         obs.inc(
             "repro_txn_ops_total",
             help_text="Atomic catalog operations by kind and outcome",
@@ -129,20 +103,17 @@ def atomic_insert(
     mask: int,
     payload_bytes: int = 0,
     *,
-    journal: Optional["OperationJournal"] = None,
     crash_hook: Optional[CrashHook] = None,
-    counters: Optional["RobustnessCounters"] = None,
 ) -> "ModificationOutcome":
     """Insert atomically: a crash mid-split leaves no trace of the op."""
     return _run_atomic(
         partitioner,
         "insert",
-        {"eid": eid, "mask": mask, "payload_bytes": payload_bytes},
         lambda hook: _with_partitioner_hook(
             partitioner, hook,
             lambda: partitioner.insert(eid, mask, payload_bytes),
         ),
-        journal, crash_hook, counters,
+        crash_hook,
     )
 
 
@@ -152,20 +123,17 @@ def atomic_update(
     mask: int,
     payload_bytes: int = 0,
     *,
-    journal: Optional["OperationJournal"] = None,
     crash_hook: Optional[CrashHook] = None,
-    counters: Optional["RobustnessCounters"] = None,
 ) -> "ModificationOutcome":
     """Update atomically (the move/split path is multi-step)."""
     return _run_atomic(
         partitioner,
         "update",
-        {"eid": eid, "mask": mask, "payload_bytes": payload_bytes},
         lambda hook: _with_partitioner_hook(
             partitioner, hook,
             lambda: partitioner.update(eid, mask, payload_bytes),
         ),
-        journal, crash_hook, counters,
+        crash_hook,
     )
 
 
@@ -173,19 +141,16 @@ def atomic_delete(
     partitioner: "CinderellaPartitioner",
     eid: int,
     *,
-    journal: Optional["OperationJournal"] = None,
     crash_hook: Optional[CrashHook] = None,
-    counters: Optional["RobustnessCounters"] = None,
 ) -> "ModificationOutcome":
     """Delete atomically (remove + possible partition drop)."""
     return _run_atomic(
         partitioner,
         "delete",
-        {"eid": eid},
         lambda hook: _with_partitioner_hook(
             partitioner, hook, lambda: partitioner.delete(eid)
         ),
-        journal, crash_hook, counters,
+        crash_hook,
     )
 
 
@@ -194,22 +159,16 @@ def atomic_merge(
     min_fill: float = 0.25,
     query_masks: Optional[Sequence[int]] = None,
     *,
-    journal: Optional["OperationJournal"] = None,
     crash_hook: Optional[CrashHook] = None,
-    counters: Optional["RobustnessCounters"] = None,
 ) -> MergeReport:
     """Run a merge pass atomically: all merges commit, or none do."""
-    params: dict[str, Any] = {"min_fill": min_fill}
-    if query_masks is not None:
-        params["query_masks"] = list(query_masks)
     return _run_atomic(
         partitioner,
         "merge",
-        params,
         lambda hook: merge_small_partitions(
             partitioner, min_fill, query_masks=query_masks, crash_hook=hook
         ),
-        journal, crash_hook, counters,
+        crash_hook,
     )
 
 
@@ -219,22 +178,16 @@ def atomic_reorganize(
     query_masks: Optional[Sequence[int]] = None,
     order: str = "size",
     *,
-    journal: Optional["OperationJournal"] = None,
     crash_hook: Optional[CrashHook] = None,
-    counters: Optional["RobustnessCounters"] = None,
 ) -> ReorganizationReport:
     """Reorganize *in place*, atomically.
 
     The rebuild runs against a fresh scratch partitioner — a crash
     during it discards the scratch and leaves the live catalog
     untouched.  The live partitioner then adopts the rebuilt catalog in
-    one swap (the operation's single point of no return, directly
-    before the commit record).  The returned report's ``partitioner``
-    is the same object that was passed in.
+    one swap, the operation's single point of no return.  The returned
+    report's ``partitioner`` is the same object that was passed in.
     """
-    params: dict[str, Any] = {"order": order}
-    if query_masks is not None:
-        params["query_masks"] = list(query_masks)
 
     def operation(hook: CrashHook) -> ReorganizationReport:
         report = reorganize(
@@ -258,7 +211,4 @@ def atomic_reorganize(
             efficiency_after=report.efficiency_after,
         )
 
-    return _run_atomic(
-        partitioner, "reorganize", params, operation,
-        journal, crash_hook, counters,
-    )
+    return _run_atomic(partitioner, "reorganize", operation, crash_hook)

@@ -33,6 +33,8 @@ class TestPublicApi:
             "repro.reporting",
             "repro.maintenance",
             "repro.adapt",
+            "repro.txn",
+            "repro.distributed",
         ],
     )
     def test_subpackage_all_exports_resolve(self, module_name):

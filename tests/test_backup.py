@@ -36,7 +36,6 @@ from repro.backup import (
     restore_to_seq,
 )
 from repro.core.config import CinderellaConfig
-from repro.distributed.failures import CrashInjector, MidOperationCrash
 from repro.obs import runtime as obs
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient
@@ -47,6 +46,7 @@ from repro.storage.snapshot import (
 )
 from repro.storage.wal import WriteAheadLog, read_wal
 from repro.table.partitioned import CinderellaTable
+from repro.txn.crash import CrashInjector, MidOperationCrash
 
 
 def table_signature(table):
@@ -99,6 +99,21 @@ class TestBackupArchive:
         archive = BackupArchive(tmp_path / "archive")
         assert archive.archive_segment(wal.basis_seq, wal.records()) is None
         assert archive.segments() == []
+        wal.close()
+
+    def test_gapped_tail_is_refused_not_relabelled(self, tmp_path):
+        """A tail that skips a sequence number, or does not start right
+        above its basis, is lost history — archiving it would launder
+        the loss into a segment that scrubs clean."""
+        _table, wal = journaled_table(tmp_path / "node.wal", n=3)
+        archive = BackupArchive(tmp_path / "archive")
+        rec1, rec2, rec3 = wal.records()
+        with pytest.raises(BackupError, match="not gap-free"):
+            archive.archive_segment(0, [rec1, rec3])
+        with pytest.raises(BackupError, match="not gap-free"):
+            archive.archive_segment(0, [rec2, rec3])
+        assert archive.segments() == []
+        assert not archive.segments_dir.exists()
         wal.close()
 
     def test_overlapping_segments_deduplicate_by_seq(self, tmp_path):

@@ -102,25 +102,69 @@ class TestInspect:
         assert "error:" in capsys.readouterr().err
 
 
-class TestChaos:
-    def test_reports_counters_and_stays_consistent(self, capsys):
-        assert main(["chaos", "--ops", "400", "--seed", "11"]) == 0
-        out = capsys.readouterr().out
-        assert "Chaos run: 400 ops" in out
-        assert "availability" in out
-        assert "replication healthy : True" in out
+class TestNodeCheckpointVerbs:
+    """``inspect`` and ``verify-catalog`` read the one snapshot file the
+    serving stack writes (``serve --snapshot``, ``checkpoint_node``,
+    ``recover --out``), not only ``dbpedia --snapshot``'s."""
 
-    def test_deterministic_per_seed(self, capsys):
-        main(["chaos", "--ops", "300", "--seed", "5"])
-        first = capsys.readouterr().out
-        main(["chaos", "--ops", "300", "--seed", "5"])
-        assert capsys.readouterr().out == first
+    WAL_SEQ = 4711
 
-    def test_no_crashes_means_full_availability(self, capsys):
-        assert main(["chaos", "--ops", "200", "--crash-rate", "0"]) == 0
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        from repro.core.config import CinderellaConfig
+        from repro.storage.snapshot import save_node_checkpoint
+        from repro.table.partitioned import CinderellaTable
+
+        table = CinderellaTable(CinderellaConfig(max_partition_size=8, weight=0.3))
+        for i in range(40):
+            table.insert({"common": i, f"attr{i % 4}": i}, entity_id=i)
+        path = tmp_path / "node.ckpt"
+        save_node_checkpoint(table, self.WAL_SEQ, path)
+        return path, table
+
+    def test_verify_catalog_accepts_a_node_checkpoint(self, checkpoint, capsys):
+        path, table = checkpoint
+        assert main(["verify-catalog", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "availability        : 1.0000" in out
-        assert "node crashes        : 0" in out
+        assert (f"node checkpoint: {table.partition_count()} partitions, "
+                f"40 entities, wal_seq={self.WAL_SEQ}") in out
+        assert "catalog integrity: OK" in out
+
+    def test_inspect_accepts_a_node_checkpoint(self, checkpoint, capsys):
+        path, _table = checkpoint
+        assert main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "entities" in out and "partitions" in out
+        assert str(self.WAL_SEQ) in out
+
+    @pytest.mark.parametrize("verb", ["verify-catalog", "inspect"])
+    @pytest.mark.parametrize("restamp", [False, True])
+    def test_tampered_member_list_is_refused(
+        self, checkpoint, capsys, verb, restamp
+    ):
+        """An entity listed in two partitions: caught by the checksum,
+        and — when the tamperer re-stamps it — by the loader."""
+        import json
+
+        from repro.storage.snapshot import _payload_checksum
+
+        path, _table = checkpoint
+        document = json.loads(path.read_text())
+        partitions = document["partitions"]
+        partitions[1]["members"].append(partitions[0]["members"][0])
+        if restamp:
+            document["checksum"] = _payload_checksum(document)
+        path.write_text(json.dumps(document))
+        assert main([verb, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err or "invariant violation:" in captured.err
+        assert "catalog integrity: OK" not in captured.out
+
+    def test_unknown_format_is_named(self, tmp_path, capsys):
+        other = tmp_path / "other.json"
+        other.write_text('{"format": "something-else"}')
+        assert main(["verify-catalog", str(other)]) == 1
+        assert "format 'something-else'" in capsys.readouterr().err
 
 
 class TestParser:

@@ -7,10 +7,11 @@ at *every* step index in turn, and after each simulated crash
 
 * ``check_invariants()`` comes back empty,
 * the catalog equals its exact pre-operation state — not a single row
-  lost or duplicated, starter pairs and ``next_pid`` included,
-* (durable variant) a coordinator recovered from ``snapshot + WAL``
-  also equals the pre-operation state: the interrupted operation wrote
-  intent/step records but no commit, so replay skips it.
+  lost or duplicated, starter pairs and ``next_pid`` included.
+
+(The durable half — a node killed mid-checkpoint or mid-burst recovers
+exactly from ``checkpoint + WAL`` — is ``test_backup.py``'s checkpoint
+crash matrix and ``test_cluster_chaos.py``.)
 
 The step counts come from a dry run with a counting injector
 (``crash_at=None``), so the matrix automatically covers new steps as
@@ -21,10 +22,8 @@ import pytest
 
 from repro.core.config import CinderellaConfig
 from repro.core.partitioner import CinderellaPartitioner
-from repro.distributed.failures import CrashInjector, MidOperationCrash
-from repro.distributed.store import DistributedUniversalStore
-from repro.storage.wal import JOURNAL_COMMIT, WriteAheadLog
-from repro.txn import OperationJournal, atomic_insert, atomic_merge, atomic_reorganize
+from repro.txn import atomic_insert, atomic_merge, atomic_reorganize
+from repro.txn.crash import CrashInjector, MidOperationCrash
 
 QUERY_MASKS = [0b0011, 0b1100, 0b0001]
 
@@ -129,126 +128,3 @@ class TestInMemoryCrashMatrix:
         report = atomic_merge(p, 0.5)
         assert report.merge_count > 0
         assert p.check_invariants() == []
-
-
-def store_signature(store):
-    return (
-        catalog_signature(store.partitioner),
-        {
-            pid: store.cluster.replica_nodes(pid)
-            for pid in store.cluster.partition_ids()
-        },
-        sorted(store.cluster.unhosted_partitions()),
-    )
-
-
-def build_store(tmp_path, tag):
-    wal = WriteAheadLog(tmp_path / f"{tag}.wal")
-    store = DistributedUniversalStore(
-        4,
-        CinderellaPartitioner(CinderellaConfig(max_partition_size=10, weight=0.4)),
-        replication_factor=2,
-        wal=wal,
-    )
-    for eid in range(40):
-        store.insert(eid, 0b0011 if eid % 2 else 0b1100)
-    for eid in range(40):
-        if eid % 5:
-            store.delete(eid)
-    return store
-
-
-class TestDurableCrashMatrix:
-    """Crash a journaled store operation, then recover from disk."""
-
-    @pytest.mark.parametrize("operation_name", ["merge", "reorganize"])
-    def test_recovery_ignores_commitless_operation(self, tmp_path, operation_name):
-        def run(store, hook):
-            if operation_name == "merge":
-                return store.merge_small(0.5, crash_hook=hook)
-            return store.reorganize_catalog(order="size", crash_hook=hook)
-
-        counter = CrashInjector()
-        run(build_store(tmp_path, "dry"), counter.reached)
-        # keep the durable matrix affordable: first, middle, last step
-        indices = sorted({0, counter.steps_seen // 2, counter.steps_seen - 1})
-        for crash_at in indices:
-            tag = f"{operation_name}-{crash_at}"
-            store = build_store(tmp_path, tag)
-            snapshot = tmp_path / f"{tag}.snap.json"
-            store.checkpoint(snapshot)
-            before = store_signature(store)
-            with pytest.raises(MidOperationCrash):
-                run(store, CrashInjector(crash_at).reached)
-            # in-memory rollback: catalog and placement exactly pre-op
-            assert store_signature(store) == before
-            assert store.partitioner.check_invariants() == []
-            assert store.check_placement() == []
-            # durable recovery: the WAL holds intent/steps but no commit
-            recovered = DistributedUniversalStore.recover(
-                snapshot, tmp_path / f"{tag}.wal"
-            )
-            assert store_signature(recovered) == before
-            assert recovered.partitioner.check_invariants() == []
-            assert recovered.check_placement() == []
-            incomplete = OperationJournal.incomplete_ops(
-                recovered.wal.records()
-            )
-            assert [op["kind"] for op in incomplete] == [operation_name]
-
-    def test_committed_maintenance_replays_exactly(self, tmp_path):
-        store = build_store(tmp_path, "committed")
-        snapshot = tmp_path / "committed.snap.json"
-        store.checkpoint(snapshot)
-        report = store.merge_small(0.5)
-        assert report.merge_count > 0
-        store.insert(500, 0b0011)
-        store.reorganize_catalog(order="size")
-        after = store_signature(store)
-        recovered = DistributedUniversalStore.recover(
-            snapshot, tmp_path / "committed.wal"
-        )
-        assert store_signature(recovered) == after
-        assert recovered.check_placement() == []
-        commits = [
-            r for r in recovered.wal.records() if r.op == JOURNAL_COMMIT
-        ]
-        assert [c.payload["kind"] for c in commits] == ["merge", "reorganize"]
-
-    def test_rolled_back_operations_are_counted(self, tmp_path):
-        store = build_store(tmp_path, "counted")
-        with pytest.raises(MidOperationCrash):
-            store.merge_small(0.5, crash_hook=CrashInjector(0).reached)
-        store.merge_small(0.5)
-        counters = store.robustness
-        assert counters.ops_started == 2
-        assert counters.ops_rolled_back == 1
-        assert counters.ops_committed == 1
-        assert counters.op_steps > 0
-
-
-class TestIdempotentRetry:
-    def test_insert_retry_with_op_id_applies_once(self, tmp_path):
-        store = build_store(tmp_path, "idem")
-        outcome = store.insert(700, 0b0011, op_id="client-7/1")
-        assert outcome is not None
-        before = store_signature(store)
-        # at-least-once delivery retries the same operation id
-        assert store.insert(700, 0b0011, op_id="client-7/1") is None
-        assert store_signature(store) == before
-        assert store.robustness.ingest_replayed == 1
-
-    def test_applied_op_ids_survive_recovery(self, tmp_path):
-        store = build_store(tmp_path, "idem-recover")
-        snapshot = tmp_path / "idem-recover.snap.json"
-        store.insert(700, 0b0011, op_id="client-7/1")
-        store.checkpoint(snapshot)
-        store.delete(700, op_id="client-7/2")
-        recovered = DistributedUniversalStore.recover(
-            snapshot, tmp_path / "idem-recover.wal"
-        )
-        # both the checkpointed and the replayed op ids are remembered
-        assert recovered.insert(700, 0b0011, op_id="client-7/1") is None
-        assert recovered.delete is not None
-        assert "client-7/2" in recovered.applied_op_ids
-        assert store_signature(recovered) == store_signature(store)

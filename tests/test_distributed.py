@@ -1,4 +1,4 @@
-"""Tests for the distributed cluster simulation and query routing."""
+"""Tests for the Section II placement cost model (``repro.distributed``)."""
 
 import pytest
 from hypothesis import given, settings
@@ -154,13 +154,12 @@ class TestDistributedStore:
     )
     def test_placement_consistent_after_every_step(self, operations):
         """The placement invariants hold after *each* operation, not
-        just at the end — with replication in play."""
+        just at the end."""
         store = DistributedUniversalStore(
             3,
             CinderellaPartitioner(
                 CinderellaConfig(max_partition_size=4, weight=0.5)
             ),
-            replication_factor=2,
         )
         live: set[int] = set()
         for kind, eid, mask in operations:

@@ -14,6 +14,7 @@ import repro.core.synopsis
 import repro.core.workload_mode
 import repro.metrics.telemetry
 import repro.metrics.timing
+import repro.txn.crash
 
 MODULES = [
     repro.catalog.dictionary,
@@ -22,6 +23,7 @@ MODULES = [
     repro.core.workload_mode,
     repro.metrics.telemetry,
     repro.metrics.timing,
+    repro.txn.crash,
 ]
 
 

@@ -7,8 +7,8 @@ The acceptance bar of the observability layer:
 * ``python -m repro query-path`` (one table's counter set) and
   ``python -m repro obs`` (the registry's live view) report identical
   numbers, and the view needs no flush;
-* one instrumented run covers insert, query, maintenance, WAL, and
-  ingest metric families, and both exposition formats are valid.
+* one instrumented run covers insert, query, maintenance, and WAL
+  metric families, and both exposition formats are valid.
 """
 
 import gc
@@ -24,14 +24,11 @@ from repro import obs
 from repro.cli import main as cli_main
 from repro.core.config import CinderellaConfig
 from repro.core.partitioner import CinderellaPartitioner
-from repro.ingest.pipeline import IngestPipeline, IngestRequest
 from repro.maintenance.merger import merge_small_partitions
 from repro.obs.counters import (
     AdaptationCounters,
     CounterSet,
-    FaultToleranceCounters,
     QueryPathCounters,
-    RobustnessCounters,
     RouterCounters,
     ServerCounters,
 )
@@ -203,8 +200,7 @@ class TestCountersAgreement:
 
 
 COUNTER_SETS = (
-    QueryPathCounters, ServerCounters, RouterCounters, RobustnessCounters,
-    FaultToleranceCounters, AdaptationCounters,
+    QueryPathCounters, ServerCounters, RouterCounters, AdaptationCounters,
 )
 
 #: the ``counters`` block of a serving node's ``stats`` response —
@@ -240,7 +236,6 @@ class TestCounterSets:
             QueryPathCounters: ["cache_hit_rate", "pruning_ratio"],
             ServerCounters: ["shed_rate"],
             RouterCounters: ["availability"],
-            FaultToleranceCounters: ["availability"],
         }.get(cls, [])
         counters = cls()
         assert list(counters.as_dict()) == list(cls.METRICS) + rates
@@ -354,14 +349,14 @@ class TestCounterSets:
 
     def test_gauge_is_the_max_over_live_sets(self):
         state = obs.enable()
-        shallow, deep = RobustnessCounters(), RobustnessCounters()
-        shallow.observe_queue_depth(3)
-        deep.observe_queue_depth(8)
+        shallow, deep = ServerCounters(), ServerCounters()
+        shallow.queue_high_watermark = 3
+        deep.queue_high_watermark = 8
         get_value = state.registry.get_value
-        assert get_value("repro_ingest_queue_high_watermark") == 8
+        assert get_value("repro_server_queue_high_watermark") == 8
         del deep
         gc.collect()
-        assert get_value("repro_ingest_queue_high_watermark") == 3
+        assert get_value("repro_server_queue_high_watermark") == 3
 
     def test_a_metric_name_is_declared_once(self):
         with pytest.raises(MetricError, match="declared by"):
@@ -379,8 +374,8 @@ class TestCounterSets:
 
 class TestSubsystemCoverage:
     def test_one_run_covers_all_metric_families(self, tmp_path):
-        """Insert, query, maintenance, WAL, and ingest families all land
-        in one instrumented run — the exposition covers the system."""
+        """Insert, query, maintenance, and WAL families all land in one
+        instrumented run — the exposition covers the system."""
         state = obs.enable(slow_op_threshold_s=None)
 
         table = CinderellaTable(
@@ -392,14 +387,7 @@ class TestSubsystemCoverage:
 
         wal = WriteAheadLog(tmp_path / "test.wal")
         wal.append("noop", {}, sync=True)
-        wal.compact()
         wal.close()
-
-        pipeline = IngestPipeline(
-            CinderellaPartitioner(CinderellaConfig(max_partition_size=50.0))
-        )
-        pipeline.ingest(IngestRequest("insert", 1, 0b11))
-        pipeline.ingest(IngestRequest("insert", 2, 0))  # rejected
 
         obs.disable()
         families = {family.name for family in state.registry.families()}
@@ -410,12 +398,8 @@ class TestSubsystemCoverage:
             "repro_txn_ops_total",                   # maintenance txn
             "repro_wal_fsyncs_total",                # WAL
             "repro_wal_fsync_seconds",
-            "repro_ingest_accepted_total",           # ingest
-            "repro_ingest_quarantined_total",
         ):
             assert expected in families, f"{expected} missing from {families}"
-        # ingest admission failures also emit events
-        assert state.events.of_kind("ingest.quarantined")
 
     def test_maintenance_merge_is_traced_and_counted(self):
         partitioner = CinderellaPartitioner(
@@ -449,8 +433,7 @@ class TestCliSurface:
             "repro_query_latency_seconds_count",
             "repro_txn_ops_total",
             "repro_wal_fsyncs_total",
-            "repro_ingest_accepted_total",
-            "repro_dist_node_crashes_total",
+            "repro_wal_fsync_seconds_count",
         ):
             assert family in out
 
@@ -463,7 +446,8 @@ class TestCliSurface:
         span_names = {entry["name"] for entry in document["top_spans"]}
         assert "partitioner.insert" in span_names
         assert any(
-            event["kind"].startswith("fault.") for event in document["events"]
+            event["kind"] == "partitioner.new_partition"
+            for event in document["events"]
         )
 
     def test_summary_output_renders(self, capsys):

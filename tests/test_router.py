@@ -10,6 +10,8 @@ is itself under test.
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.router import (
     ROUTER_EID_BASE,
@@ -60,6 +62,39 @@ class TestPlacementMap:
         on_node1 = placement.shards_on("node1")
         # primary of shards 1, 4; secondary of shards 0, 3
         assert on_node1 == [0, 1, 3, 4]
+
+    @given(
+        n_nodes=st.integers(1, 8),
+        n_shards=st.integers(1, 48),
+        rf=st.integers(1, 5),
+        eids=st.lists(st.integers(0, 2**62), max_size=8),
+    )
+    def test_placement_properties(self, n_nodes, n_shards, rf, eids):
+        """For any shape: copies on distinct nodes, the factor capped by
+        the node count, primaries balanced, every copy counted."""
+        placement = PlacementMap(_nodes(n_nodes), n_shards, rf)
+        names = [f"node{i}" for i in range(n_nodes)]
+        replica_names = {
+            shard: [node.name for node in placement.replicas(shard)]
+            for shard in placement.shards
+        }
+        for shard, copies in replica_names.items():
+            assert len(copies) == min(rf, n_nodes)
+            assert len(set(copies)) == len(copies)
+            assert copies[0] == names[shard % n_nodes]  # primary first
+        primaries = [copies[0] for copies in replica_names.values()]
+        per_node = [primaries.count(name) for name in names]
+        assert max(per_node) - min(per_node) <= 1
+        for name in names:
+            assert placement.shards_on(name) == [
+                shard for shard, copies in replica_names.items()
+                if name in copies
+            ]
+        for eid in eids:
+            assert placement.shard_of(eid) in placement.shards
+            assert placement.replicas_of_eid(eid) == placement.replicas(
+                placement.shard_of(eid)
+            )
 
     def test_duplicate_names_rejected(self):
         nodes = _nodes(2) + [_nodes(1)[0]]

@@ -1,22 +1,13 @@
-"""Tests for the transactional operation layer (undo log + journal)."""
+"""Tests for the transactional operation layer (undo log + atomic wrappers)."""
 
 import pytest
 
 from repro.core.config import CinderellaConfig
 from repro.core.partitioner import CinderellaPartitioner
-from repro.storage.wal import (
-    JOURNAL_ABORT,
-    JOURNAL_BEGIN,
-    JOURNAL_COMMIT,
-    JOURNAL_STEP,
-    WriteAheadLog,
-)
 from repro.txn import (
-    OperationJournal,
     TransactionError,
     atomic_delete,
     atomic_insert,
-    atomic_merge,
     atomic_update,
 )
 
@@ -133,74 +124,17 @@ class TestAtomicOperations:
             atomic_insert(p, 0, 0b0011)  # duplicate entity id
         assert catalog_signature(p) == before
 
-    def test_clean_failure_journals_abort(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        journal = OperationJournal(wal)
+    def test_update_and_delete_commit_or_roll_back(self):
         p = small_partitioner()
-        with pytest.raises(ValueError):
-            atomic_insert(p, 0, 0b0011, journal=journal)
-        ops = [r.op for r in wal.records()]
-        assert ops[0] == JOURNAL_BEGIN
-        assert ops[-1] == JOURNAL_ABORT
-        assert JOURNAL_COMMIT not in ops
-
-    def test_success_journals_begin_steps_commit(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        journal = OperationJournal(wal)
-        p = small_partitioner()
-        atomic_update(p, 0, 0b0011, journal=journal)
-        atomic_delete(p, 1, journal=journal)
-        records = wal.records()
-        kinds = [(r.op, r.payload.get("op_id")) for r in records]
-        assert (JOURNAL_BEGIN, "op-1") in kinds
-        assert (JOURNAL_COMMIT, "op-1") in kinds
-        assert (JOURNAL_BEGIN, "op-2") in kinds
-        assert (JOURNAL_COMMIT, "op-2") in kinds
-        # commit repeats kind/params so replay works from it alone
-        commit = next(r for r in records if r.op == JOURNAL_COMMIT)
-        assert commit.payload["kind"] == "update"
-        assert commit.payload["params"]["eid"] == 0
-
-    def test_atomic_merge_commits_as_one_operation(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        journal = OperationJournal(wal)
-        p = CinderellaPartitioner(
-            CinderellaConfig(max_partition_size=10, weight=0.4)
-        )
-        for eid in range(60):
-            p.insert(eid, 0b0011 if eid % 2 else 0b1100)
-        for eid in range(60):
-            if eid % 5:
-                p.delete(eid)
-        report = atomic_merge(p, 0.5, journal=journal)
-        assert report.merge_count > 0
-        commits = [r for r in wal.records() if r.op == JOURNAL_COMMIT]
-        assert len(commits) == 1
-        assert commits[0].payload["kind"] == "merge"
-        steps = [r for r in wal.records() if r.op == JOURNAL_STEP]
-        assert len(steps) > report.merge_count  # member moves + drops
-
-    def test_op_ids_resume_after_reopen(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        journal = OperationJournal(wal)
-        p = small_partitioner()
-        atomic_delete(p, 0, journal=journal)
-        wal.close()
-        reopened = WriteAheadLog(tmp_path / "wal.log")
-        journal2 = OperationJournal(reopened)
-        atomic_delete(p, 1, journal=journal2)
-        op_ids = {
-            r.payload["op_id"]
-            for r in reopened.records()
-            if r.op == JOURNAL_BEGIN
-        }
-        assert op_ids == {"op-1", "op-2"}
-
-    def test_incomplete_ops_reported(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        journal = OperationJournal(wal)
-        committed = journal.begin("merge", {"min_fill": 0.5})
-        journal.commit(committed, "merge", {"min_fill": 0.5})
-        journal.begin("reorganize", {"order": "size"})  # never finishes
-        incomplete = OperationJournal.incomplete_ops(wal.records())
-        assert [op["kind"] for op in incomplete] == ["reorganize"]
+        atomic_update(p, 0, 0b0011)
+        atomic_delete(p, 1)
+        assert not p.catalog.has_entity(1)
+        assert p.check_invariants() == []
+        before = catalog_signature(p)
+        for refused in (
+            lambda: atomic_update(p, 999, 0b0011),  # unknown entity
+            lambda: atomic_delete(p, 999),
+        ):
+            with pytest.raises(KeyError):
+                refused()
+            assert catalog_signature(p) == before

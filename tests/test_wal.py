@@ -1,28 +1,29 @@
-"""Tests for the coordinator write-ahead log and crash recovery."""
+"""Tests for the node write-ahead log (restart and PITR on top of it:
+``test_backup.py``, ``test_server.py``, ``test_cluster_chaos.py``)."""
 
 import pytest
 
-from repro.core.config import CinderellaConfig
-from repro.core.partitioner import CinderellaPartitioner
-from repro.distributed.store import DistributedUniversalStore
-from repro.storage.snapshot import SnapshotFormatError, load_store, save_store
 from repro.storage.wal import (
+    WAL_FORMAT,
+    WAL_VERSION,
     WALClosedError,
     WALFormatError,
     WriteAheadLog,
+    _encode_line,
     read_wal,
 )
 
 
-def make_store(tmp_path, rf=2, nodes=3, b=6):
-    wal = WriteAheadLog(tmp_path / "wal.log")
-    store = DistributedUniversalStore(
-        nodes,
-        CinderellaPartitioner(CinderellaConfig(max_partition_size=b, weight=0.4)),
-        replication_factor=rf,
-        wal=wal,
-    )
-    return store, wal
+def write_log(path, header_extra, seqs, basis_seq=0):
+    """A log file built by hand: the header every existing node WAL
+    carries (``basis_seq`` plus *header_extra*) and one record per seq."""
+    header = {
+        "format": WAL_FORMAT, "version": WAL_VERSION,
+        "basis_seq": basis_seq, **header_extra,
+    }
+    lines = [_encode_line(0, "header", header)]
+    lines += [_encode_line(seq, "insert", {"eid": seq}) for seq in seqs]
+    path.write_text("".join(lines))
 
 
 class TestWriteAheadLog:
@@ -81,6 +82,36 @@ class TestWriteAheadLog:
         with pytest.raises(WALFormatError):
             read_wal(path)
 
+    def test_a_header_field_cannot_switch_the_gap_check_off(self, tmp_path):
+        """The gap check has no off switch: a header field the reader
+        does not know (the retired ``compactions`` count) relaxes
+        nothing."""
+        path = tmp_path / "wal.log"
+        write_log(path, {"compactions": 1, "last_seq": 3}, [1, 3])
+        with pytest.raises(WALFormatError, match="WAL sequence gap"):
+            read_wal(path)
+        with pytest.raises(WALFormatError, match="WAL sequence gap"):
+            WriteAheadLog(path)
+
+    def test_log_with_the_earlier_header_shape_opens(self, tmp_path):
+        """Every node WAL written so far carries ``"compactions": 0``
+        and ``last_seq`` in its header; it must open and resume."""
+        path = tmp_path / "wal.log"
+        write_log(
+            path, {"compactions": 0, "last_seq": 7}, [8, 9], basis_seq=7
+        )
+        with WriteAheadLog(path) as wal:
+            assert (wal.basis_seq, wal.last_seq) == (7, 9)
+            assert wal.append("insert", {"eid": 10}) == 10
+        basis_seq, records, torn = read_wal(path)
+        assert (basis_seq, [r.seq for r in records], torn) == (7, [8, 9, 10], 0)
+
+    def test_sync_appends_are_counted(self, tmp_path):
+        wal = WriteAheadLog(tmp_path / "wal.log")
+        wal.append("insert", {"eid": 1, "mask": 1})
+        wal.append("insert", {"eid": 2, "mask": 1}, sync=True)
+        assert wal.syncs == 1
+
     def test_not_a_wal_raises(self, tmp_path):
         path = tmp_path / "other.log"
         path.write_text("hello world\n")
@@ -119,11 +150,9 @@ class TestClosedLog:
         with pytest.raises(WALClosedError, match="sync"):
             wal.sync()
 
-    def test_compact_and_reset_after_close(self, tmp_path):
+    def test_reset_after_close(self, tmp_path):
         wal = self.closed_wal(tmp_path)
-        with pytest.raises(WALClosedError):
-            wal.compact()
-        with pytest.raises(WALClosedError):
+        with pytest.raises(WALClosedError, match="reset"):
             wal.reset(basis_seq=1)
 
     def test_error_names_the_log(self, tmp_path):
@@ -143,261 +172,3 @@ class TestClosedLog:
         wal.close()  # no error the second time
         # reads never needed the handle: the file is still consultable
         assert [r.seq for r in wal.records()] == [1]
-
-
-class TestCompactionAndRotation:
-    def journaled_wal(self, tmp_path, **kwargs):
-        """A WAL carrying operation-journal chatter around real records."""
-        from repro.txn.journal import OperationJournal
-
-        wal = WriteAheadLog(tmp_path / "wal.log", **kwargs)
-        journal = OperationJournal(wal)
-        wal.append("insert", {"eid": 1, "mask": 0b11})
-        committed = journal.begin("merge", {"min_fill": 0.5})
-        for index in range(5):
-            journal.step(committed, index, "merge:member-moved")
-        journal.commit(committed, "merge", {"min_fill": 0.5})
-        aborted = journal.begin("reorganize", {"order": "size"})
-        journal.abort(aborted, "ValueError: nope")
-        interrupted = journal.begin("merge", {"min_fill": 0.9})
-        journal.step(interrupted, 0, "merge:member-moved")
-        wal.append("insert", {"eid": 2, "mask": 0b1100})
-        return wal
-
-    def test_compact_drops_journal_chatter_only(self, tmp_path):
-        wal = self.journaled_wal(tmp_path)
-        dropped = wal.compact()
-        # 6 step records + finished begin/abort markers (2 begins, 1 abort)
-        assert dropped == 9
-        ops = [r.op for r in wal.records()]
-        # real operations, the commit, and the *interrupted* begin survive
-        assert ops == ["insert", "op_commit", "op_begin", "insert"]
-
-    def test_compaction_preserves_sequence_numbers(self, tmp_path):
-        wal = self.journaled_wal(tmp_path)
-        before = {r.seq: r.op for r in wal.records()}
-        last = wal.last_seq
-        wal.compact()
-        for record in wal.records():
-            assert before[record.seq] == record.op
-        # appends continue from the pre-compaction position
-        assert wal.append("insert", {"eid": 3, "mask": 1}) == last + 1
-
-    def test_compacted_log_reopens_and_tolerates_gaps(self, tmp_path):
-        wal = self.journaled_wal(tmp_path)
-        wal.compact()
-        wal.close()
-        reopened = WriteAheadLog(tmp_path / "wal.log")
-        assert reopened.compactions == 1
-        assert [r.op for r in reopened.records()] == [
-            "insert", "op_commit", "op_begin", "insert",
-        ]
-
-    def test_uncompacted_log_still_rejects_gaps(self, tmp_path):
-        # compaction must not weaken gap detection for ordinary logs
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append("insert", {"eid": 1, "mask": 1})
-        wal.append("insert", {"eid": 2, "mask": 1})
-        wal.close()
-        lines = (tmp_path / "wal.log").read_text().splitlines(keepends=True)
-        del lines[1]
-        (tmp_path / "wal.log").write_text("".join(lines))
-        with pytest.raises(WALFormatError):
-            read_wal(tmp_path / "wal.log")
-
-    def test_size_threshold_rotation(self, tmp_path):
-        from repro.txn.journal import OperationJournal
-
-        def run(wal):
-            journal = OperationJournal(wal)
-            for _round in range(30):
-                op = journal.begin("merge", {"min_fill": 0.5})
-                journal.step(op, 0, "merge:member-moved")
-                journal.commit(op, "merge", {"min_fill": 0.5})
-
-        rotated = WriteAheadLog(tmp_path / "rotated.log", max_bytes=2_000)
-        run(rotated)
-        unbounded = WriteAheadLog(tmp_path / "unbounded.log")
-        run(unbounded)
-        assert rotated.compactions > 0, "rotation never triggered"
-        # rotation keeps only commit records (plus the most recent,
-        # not-yet-compacted chatter) — strictly smaller than unbounded
-        assert rotated.size_bytes() < unbounded.size_bytes() * 0.6
-        # every commit survives compaction — replay stays complete
-        commits = [r for r in rotated.records() if r.op == "op_commit"]
-        assert len(commits) == 30
-
-    def test_sync_appends_are_counted(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append("insert", {"eid": 1, "mask": 1})
-        wal.append("op_commit", {"op_id": "op-1", "kind": "merge"}, sync=True)
-        assert wal.syncs == 1
-
-    def test_recovery_from_compacted_wal_is_exact(self, tmp_path):
-        """Checkpoint + compacted WAL recovers the same store state."""
-        store, wal = make_store(tmp_path)
-        for eid in range(20):
-            store.insert(eid, 0b11 if eid % 2 else 0b1100)
-        store.checkpoint(tmp_path / "snap.json")
-        for eid in range(10):
-            store.delete(eid)
-        store.merge_small(0.9)  # journaled: begin/steps/commit in the WAL
-        wal.compact()
-        recovered = DistributedUniversalStore.recover(
-            tmp_path / "snap.json", tmp_path / "wal.log"
-        )
-
-        def sig(s):
-            return (
-                sorted((p.pid, p.mask, tuple(p.members())) for p in s.catalog),
-                {
-                    pid: s.cluster.replica_nodes(pid)
-                    for pid in s.cluster.partition_ids()
-                },
-            )
-
-        assert sig(recovered) == sig(store)
-        assert recovered.check_placement() == []
-
-    def test_invalid_max_bytes_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            WriteAheadLog(tmp_path / "wal.log", max_bytes=0)
-
-
-class TestJournaledStore:
-    def test_operations_are_journaled(self, tmp_path):
-        store, wal = make_store(tmp_path)
-        store.insert(1, 0b11)
-        store.insert(2, 0b1100)
-        store.delete(1)
-        store.update(2, 0b1111)
-        store.crash_node(0)
-        store.re_replicate()
-        store.recover_node(0)
-        ops = [record.op for record in wal.records()]
-        assert ops == [
-            "insert", "insert", "delete", "update",
-            "crash", "re_replicate", "recover",
-        ]
-        assert store.counters.wal_records_appended == 7
-
-    def test_full_replay_reproduces_catalog(self, tmp_path):
-        store, wal = make_store(tmp_path)
-        for eid in range(40):
-            store.insert(eid, 0b11 if eid % 2 else 0b1100)
-        for eid in range(0, 40, 5):
-            store.delete(eid)
-        replayed = DistributedUniversalStore(
-            3,
-            CinderellaPartitioner(
-                CinderellaConfig(max_partition_size=6, weight=0.4)
-            ),
-            replication_factor=2,
-        )
-        replayed.replay_wal(wal.records())
-
-        def sig(s):
-            return (
-                sorted(
-                    (p.pid, p.mask, tuple(p.members())) for p in s.catalog
-                ),
-                {
-                    pid: s.cluster.replica_nodes(pid)
-                    for pid in s.cluster.partition_ids()
-                },
-            )
-
-        assert sig(replayed) == sig(store)
-
-    def test_checkpoint_plus_wal_recovery_is_exact(self, tmp_path):
-        store, wal = make_store(tmp_path)
-        for eid in range(30):
-            store.insert(eid, 0b11 if eid % 3 else 0b111000)
-        store.checkpoint(tmp_path / "snap.json")
-        # post-checkpoint activity, including failures
-        for eid in range(30, 45):
-            store.insert(eid, 0b1010)
-        store.crash_node(1)
-        store.re_replicate()
-        for eid in range(5):
-            store.delete(eid)
-
-        recovered = DistributedUniversalStore.recover(
-            tmp_path / "snap.json", tmp_path / "wal.log"
-        )
-
-        def sig(s):
-            return (
-                sorted(
-                    (
-                        p.pid, p.mask, tuple(p.members()),
-                        (p.starters.eid_a, p.starters.mask_a,
-                         p.starters.eid_b, p.starters.mask_b),
-                    )
-                    for p in s.catalog
-                ),
-                {
-                    pid: s.cluster.replica_nodes(pid)
-                    for pid in s.cluster.partition_ids()
-                },
-                sorted(s.cluster.unhosted_partitions()),
-                s.partitioner.split_count,
-                [n.state.value for n in s.cluster.nodes],
-            )
-
-        assert sig(recovered) == sig(store)
-        assert recovered.check_placement() == []
-        assert recovered.counters.wal_records_replayed > 0
-
-    def test_recovered_store_keeps_journaling(self, tmp_path):
-        store, wal = make_store(tmp_path)
-        store.insert(1, 0b1)
-        store.checkpoint(tmp_path / "snap.json")
-        store.insert(2, 0b10)
-        recovered = DistributedUniversalStore.recover(
-            tmp_path / "snap.json", tmp_path / "wal.log"
-        )
-        recovered.insert(3, 0b100)
-        assert [r.op for r in recovered.wal.records()] == ["insert", "insert"]
-
-    def test_mismatched_wal_basis_rejected(self, tmp_path):
-        store, wal = make_store(tmp_path)
-        store.insert(1, 0b1)
-        store.checkpoint(tmp_path / "snap.json")
-        store.insert(2, 0b10)
-        wal.reset(basis_seq=99)  # checkpoint the snapshot does not know
-        with pytest.raises(WALFormatError):
-            DistributedUniversalStore.recover(
-                tmp_path / "snap.json", tmp_path / "wal.log"
-            )
-
-
-class TestStoreSnapshot:
-    def test_roundtrip_preserves_exact_pids(self, tmp_path):
-        store, _wal = make_store(tmp_path, b=4)
-        for eid in range(50):
-            store.insert(eid, 0b11 if eid % 2 else 0b1100)
-        for eid in range(0, 50, 7):
-            store.delete(eid)
-        save_store(store, tmp_path / "snap.json")
-        restored, wal_seq = load_store(tmp_path / "snap.json")
-        assert restored.catalog.partition_ids() == store.catalog.partition_ids()
-        assert restored.catalog.next_partition_id == store.catalog.next_partition_id
-        assert restored.check_placement() == []
-
-    def test_corrupted_store_snapshot_rejected(self, tmp_path):
-        store, _wal = make_store(tmp_path)
-        store.insert(1, 0b1)
-        path = tmp_path / "snap.json"
-        save_store(store, path)
-        text = path.read_text()
-        path.write_text(text.replace('"split_count": 0', '"split_count": 7'))
-        with pytest.raises(SnapshotFormatError):
-            load_store(path)
-
-    def test_baseline_partitioner_not_persistable(self, tmp_path):
-        from repro.baselines.hash_partitioner import HashPartitioner
-
-        store = DistributedUniversalStore(2, HashPartitioner(num_partitions=4))
-        with pytest.raises(SnapshotFormatError):
-            save_store(store, tmp_path / "snap.json")
