@@ -436,15 +436,18 @@ def _run_obs_workload(args: argparse.Namespace) -> None:
             wal.sync()
 
 
-def _parse_address(address: str) -> tuple[str, int]:
-    """Parse a ``host:port`` argument (for --cluster and ``top``)."""
+def _parse_address(address: str, error: Optional[str] = None) -> tuple[str, int]:
+    """Parse a ``host:port`` argument (``--cluster``, ``top``, a ``route``
+    node); exit with *error*, or the bad-address message, if it is not."""
     host, _, port_text = address.rpartition(":")
     try:
         port = int(port_text)
     except ValueError:
         port = -1
     if not host or not 0 < port < 65536:
-        raise SystemExit(f"error: bad address {address!r} (want host:port)")
+        raise SystemExit(
+            error or f"error: bad address {address!r} (want host:port)"
+        )
     return host, port
 
 
@@ -838,12 +841,51 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the serving layer until interrupted, then drain gracefully."""
+def _run_front_door(args: argparse.Namespace, door, details: str, summary) -> int:
+    """Run *door* (a node or the router) until SIGINT/SIGTERM or a
+    ``shutdown`` op, drain it, and return what *summary* makes of it.
+
+    The banner's ``listening on HOST:PORT`` is what the benchmark
+    launcher (``benchmarks/layers/procs.py``) parses.
+    """
     import asyncio
     import signal
 
     from repro import obs as obs_runtime
+
+    async def _run() -> int:
+        host, port = await door.start()
+        print(f"repro {door.TIER.events} listening on {host}:{port} "
+              f"({details})", flush=True)
+        loop = asyncio.get_running_loop()
+        stopping = asyncio.Event()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
+        stopped = asyncio.ensure_future(door.serve_until_stopped())
+        interrupted = asyncio.ensure_future(stopping.wait())
+        await asyncio.wait(
+            (stopped, interrupted), return_when=asyncio.FIRST_COMPLETED
+        )
+        if not stopped.done():
+            print("draining...", file=sys.stderr)
+            await door.stop()
+            await stopped
+        interrupted.cancel()
+        return summary(door)
+
+    if args.obs:
+        # propagate=True: accept and emit wire trace contexts so this
+        # process's spans join cluster-wide traces
+        obs_runtime.enable(propagate=True)
+    try:
+        return asyncio.run(_run())
+    finally:
+        if args.obs:
+            obs_runtime.disable()
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """Run the serving layer until interrupted, then drain gracefully."""
     from repro.adapt.controller import AdaptationConfig
     from repro.server.server import CinderellaServer, ServerConfig
 
@@ -873,26 +915,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         use_synopsis_index=True,
     )
 
-    async def _serve() -> int:
-        server = CinderellaServer(config=config, table_config=table_config)
-        host, port = await server.start()
-        print(f"repro server listening on {host}:{port} "
-              f"(B={args.partition_size:g}, w={args.weight}, "
-              f"max_pending={args.max_pending})", flush=True)
-        loop = asyncio.get_running_loop()
-        stopping = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, stopping.set)
-        stopped = asyncio.ensure_future(server.serve_until_stopped())
-        interrupted = asyncio.ensure_future(stopping.wait())
-        await asyncio.wait(
-            (stopped, interrupted), return_when=asyncio.FIRST_COMPLETED
-        )
-        if not stopped.done():
-            print("draining...", file=sys.stderr)
-            await server.stop()
-            await stopped
-        interrupted.cancel()
+    def summary(server: CinderellaServer) -> int:
         snapshot = server._stats_snapshot()
         counters = snapshot["counters"]
         print(f"served {counters['requests_total']} requests "
@@ -906,46 +929,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"integrity problem: {problem}", file=sys.stderr)
         return 1 if problems else 0
 
-    if args.obs:
-        # propagate=True: accept and emit wire trace contexts so this
-        # process's spans join cluster-wide traces
-        obs_runtime.enable(propagate=True)
-    try:
-        return asyncio.run(_serve())
-    finally:
-        if args.obs:
-            obs_runtime.disable()
-
-
-def _parse_node_spec(spec: str, index: int) -> "NodeAddress":
-    """Parse one ``route`` node argument: ``host:port`` or ``name=host:port``."""
-    from repro.router.placement import NodeAddress
-
-    name, _, rest = spec.rpartition("=")
-    if not name:
-        name, rest = f"node{index}", spec
-    host, _, port_text = rest.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        port = -1
-    if not host or not 0 < port < 65536:
-        raise SystemExit(
-            f"error: bad node spec {spec!r} (want host:port or name=host:port)"
-        )
-    return NodeAddress(name=name, host=host, port=port)
+    return _run_front_door(
+        args, CinderellaServer(config=config, table_config=table_config),
+        f"B={args.partition_size:g}, w={args.weight}, "
+        f"max_pending={args.max_pending}",
+        summary,
+    )
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
     """Run the routing tier in front of already-running serve nodes."""
-    import asyncio
-    import signal
-
-    from repro import obs as obs_runtime
-    from repro.router.placement import PlacementMap
+    from repro.router.placement import NodeAddress, PlacementMap
     from repro.router.router import CinderellaRouter, RouterConfig
 
-    nodes = [_parse_node_spec(spec, i) for i, spec in enumerate(args.nodes)]
+    nodes = []
+    for index, spec in enumerate(args.nodes):
+        name, _, address = spec.rpartition("=")
+        host, port = _parse_address(
+            address,
+            f"error: bad node spec {spec!r} (want host:port or name=host:port)",
+        )
+        nodes.append(NodeAddress(name=name or f"node{index}", host=host, port=port))
     placement = PlacementMap(
         nodes,
         n_shards=args.shards,
@@ -959,26 +963,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         failure_threshold=args.failure_threshold,
     )
 
-    async def _route() -> int:
-        router = CinderellaRouter(placement, config=config)
-        host, port = await router.start()
-        print(f"repro router listening on {host}:{port} "
-              f"({len(nodes)} nodes, {placement.n_shards} shards, "
-              f"rf={placement.replication_factor})", flush=True)
-        loop = asyncio.get_running_loop()
-        stopping = asyncio.Event()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, stopping.set)
-        stopped = asyncio.ensure_future(router.serve_until_stopped())
-        interrupted = asyncio.ensure_future(stopping.wait())
-        await asyncio.wait(
-            (stopped, interrupted), return_when=asyncio.FIRST_COMPLETED
-        )
-        if not stopped.done():
-            print("draining...", file=sys.stderr)
-            await router.stop()
-            await stopped
-        interrupted.cancel()
+    def summary(router: CinderellaRouter) -> int:
         counters = router.counters.as_dict()
         print(f"routed {counters['requests_total']} requests "
               f"({counters['writes_routed']} writes, "
@@ -987,15 +972,12 @@ def _cmd_route(args: argparse.Namespace) -> int:
               f"availability {counters['availability']:.4f})")
         return 0
 
-    if args.obs:
-        # propagate=True: accept and emit wire trace contexts so this
-        # process's spans join cluster-wide traces
-        obs_runtime.enable(propagate=True)
-    try:
-        return asyncio.run(_route())
-    finally:
-        if args.obs:
-            obs_runtime.disable()
+    return _run_front_door(
+        args, CinderellaRouter(placement, config=config),
+        f"{len(nodes)} nodes, {placement.n_shards} shards, "
+        f"rf={placement.replication_factor}",
+        summary,
+    )
 
 
 def _cmd_verify_catalog(args: argparse.Namespace) -> int:

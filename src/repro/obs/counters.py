@@ -295,7 +295,9 @@ class RouterCounters(CounterSet):
         "connections_opened": ("repro_router_connections_opened_total", COUNTER, "Client connections accepted by the router"),
         "connections_closed": ("repro_router_connections_closed_total", COUNTER, "Router client connections closed"),
         "requests_total": ("repro_router_requests_total", COUNTER, "Requests handled by the router"),
+        "requests_failed": ("repro_router_requests_failed_total", COUNTER, "Router requests answered with a non-ok status"),
         "bad_requests": ("repro_router_bad_requests_total", COUNTER, "Frames the router refused as malformed"),
+        "connections_force_closed": ("repro_router_connections_force_closed_total", COUNTER, "Router connections aborted at the drain deadline"),
         "writes_routed": ("repro_router_writes_routed_total", COUNTER, "Writes routed to their owning shard"),
         "queries_scattered": ("repro_router_queries_scattered_total", COUNTER, "Queries fanned out across shards"),
         "replies_complete": ("repro_router_replies_complete_total", COUNTER, "Router replies with every shard answering"),

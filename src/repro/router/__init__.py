@@ -22,6 +22,11 @@ Section II placement cost model):
   nodes-plus-router topology with ``kill_node`` / ``restart_node``
   chaos verbs.
 
+The router's TCP front door — listener, sessions, framing, request
+accounting, bounded drain — is the serving node's
+(:mod:`repro.server.frontdoor`), and so is its in-process harness
+(:class:`~repro.server.testing.ServerThread` runs either tier).
+
 Start one with ``python -m repro route``; see
 ``docs/DISTRIBUTED_SERVING.md``.
 """
@@ -34,7 +39,7 @@ from repro.router.placement import (
 )
 from repro.router.pool import NodePool, UpstreamError
 from repro.router.router import CinderellaRouter, RouterConfig
-from repro.router.testing import ClusterHarness, RouterThread
+from repro.router.testing import ClusterHarness
 
 __all__ = [
     "CinderellaRouter",
@@ -48,7 +53,6 @@ __all__ = [
     "PlacementMap",
     "ROUTER_EID_BASE",
     "RouterConfig",
-    "RouterThread",
     "SUSPECT",
     "UpstreamError",
 ]

@@ -29,6 +29,9 @@ from repro.server import protocol
 from repro.server.protocol import ProtocolError, Response
 from repro.router.placement import NodeAddress
 
+#: idle connections kept warm per node
+_MAX_IDLE = 2
+
 
 class UpstreamError(ConnectionError):
     """Talking to one upstream node failed (transport or framing)."""
@@ -60,15 +63,9 @@ class _Conn:
 class NodePool:
     """Pooled request/response exchanges with one serving node."""
 
-    def __init__(
-        self,
-        address: NodeAddress,
-        timeout_s: float = 2.0,
-        max_idle: int = 2,
-    ) -> None:
+    def __init__(self, address: NodeAddress, timeout_s: float = 2.0) -> None:
         self.address = address
         self.timeout_s = timeout_s
-        self.max_idle = max_idle
         self._idle: list[_Conn] = []
         self._next_id = 0
         #: exchanges completed / connections dialed (stats)
@@ -134,7 +131,7 @@ class NodePool:
                 self.address.name, f"exchange failed: {err or type(err).__name__}"
             ) from None
         self.exchanges += 1
-        if len(self._idle) < self.max_idle:
+        if len(self._idle) < _MAX_IDLE:
             self._idle.append(conn)
         else:
             conn.close()

@@ -30,11 +30,11 @@ aggregates and ``ORDER BY`` are per-shard, not global; and write
 fan-out is asynchronous replication — a replica that missed a write
 serves slightly stale reads until its catch-up replay lands.
 
-Spans and the event loop: the tracer's span stack is per *thread*, so
-holding a span across an ``await`` inside concurrent tasks would
-mis-parent everything.  As in :mod:`repro.server.server`, latency goes
-straight into histograms and spans only wrap synchronous regions (the
-gather merge).
+Listener, sessions, framing, request accounting and the bounded drain
+are the front door it shares with the serving node
+(:class:`~repro.server.frontdoor.FrontDoor`); the router keeps its own
+one-request-at-a-time connection loop and its part of the drain: stop
+the resync monitor, close the upstream pools.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.obs import runtime as obs
 from repro.obs.counters import RouterCounters
@@ -64,23 +64,29 @@ from repro.router.health import (
 from repro.router.placement import ROUTER_EID_BASE, NodeAddress, PlacementMap
 from repro.router.pool import NodePool, UpstreamError
 from repro.server import protocol
+from repro.server.frontdoor import (
+    Answer,
+    FrontDoor,
+    Outcome,
+    Refused,
+    Session,
+    Tier,
+    request_trace_context,
+)
 from repro.server.protocol import ProtocolError, Request, Response
-from repro.server.server import Session
 from repro.storage.record import valid_entity_id
-
-_REQUEST_SECONDS = "repro_router_request_seconds"
-_REQUESTS_BY_OP = "repro_router_requests_by_op_total"
 
 #: refusal codes that mean "the write actually landed, the ack was
 #: lost" when they follow a transport failure on the same exchange
 _DEDUP_CODES = {"insert": "duplicate_entity", "delete": "unknown_entity"}
-
-
-def _request_trace_context(request: Request) -> Optional[TraceContext]:
-    """The adopted trace context _dispatch stashed on the request (the
-    isinstance check also drops a wire-supplied impostor field)."""
-    context = request.fields.get("_trace_context")
-    return context if isinstance(context, TraceContext) else None
+#: entities copied per ``sync_snapshot``/``sync_delta`` page of a resync
+#: — the 1 MiB frame bound is the real ceiling, this keeps each exchange
+#: comfortably under it
+_SYNC_PAGE_ENTITIES = 200
+#: count/digest agreement attempts before a resync is abandoned (live
+#: traffic can race the comparison; each retry re-drains the buffered
+#: delta first)
+_RESYNC_VERIFY_ATTEMPTS = 8
 
 
 @dataclass
@@ -107,35 +113,29 @@ class RouterConfig:
     #: overflowing this budget marks the replica ``diverged`` (resync
     #: rebuilds it) instead of silently dropping buffered writes
     catchup_limit: int = 512
-    #: idle upstream connections kept warm per node
-    pool_max_idle: int = 2
     #: graceful-drain bound (same contract as the serving nodes)
     drain_deadline_s: float = 5.0
     #: how often the resync monitor looks for diverged replicas to
     #: repair (seconds; 0 disables the monitor — resyncs then only run
     #: when driven explicitly, which is what the tests want)
     resync_interval_s: float = 0.25
-    #: entities copied per ``sync_snapshot``/``sync_delta`` page — the
-    #: 1 MiB frame bound is the real ceiling, this keeps each exchange
-    #: comfortably under it
-    sync_page_entities: int = 200
-    #: count/digest agreement attempts before a resync is abandoned
-    #: (live traffic can race the comparison; each retry re-drains the
-    #: buffered delta first)
-    resync_verify_attempts: int = 8
 
 
-class _Refused(Exception):
-    """A request the router answers with a non-ok status (no traceback)."""
-
-    def __init__(self, status: str, code: str, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-
-
-class CinderellaRouter:
+class CinderellaRouter(FrontDoor):
     """A placement-driven proxy over serving nodes (see module docs)."""
+
+    TIER = Tier(
+        events="router",
+        hop="router",
+        request_seconds=(
+            "repro_router_request_seconds",
+            "Router request latency by op (fan-out included)",
+        ),
+        requests_total=(
+            "repro_router_requests_by_op_total",
+            "Router requests by op and status",
+        ),
+    )
 
     def __init__(
         self,
@@ -144,8 +144,9 @@ class CinderellaRouter:
         rng: Optional[random.Random] = None,
     ) -> None:
         self.placement = placement
-        self.config = config if config is not None else RouterConfig()
-        self.counters = RouterCounters()
+        super().__init__(
+            config if config is not None else RouterConfig(), RouterCounters()
+        )
         self._rng = rng if rng is not None else random.Random()
         self.health: dict[str, NodeHealth] = {
             node.name: NodeHealth(
@@ -158,11 +159,7 @@ class CinderellaRouter:
             for node in placement.nodes
         }
         self.pools: dict[str, NodePool] = {
-            node.name: NodePool(
-                node,
-                timeout_s=self.config.upstream_timeout_s,
-                max_idle=self.config.pool_max_idle,
-            )
+            node.name: NodePool(node, timeout_s=self.config.upstream_timeout_s)
             for node in placement.nodes
         }
         self._catchup: dict[str, deque[tuple[str, dict[str, Any]]]] = {
@@ -186,237 +183,62 @@ class CinderellaRouter:
         self._resyncing: set[str] = set()
         self._monitor_task: Optional[asyncio.Task] = None
         self._next_eid = ROUTER_EID_BASE
-        self.sessions: dict[int, Session] = {}
-        self._next_sid = 1
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._stop_task: Optional[asyncio.Task] = None
-        self._draining = False
-        self._stopped = asyncio.Event()
-        self._started_monotonic = 0.0
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle: the router's hooks into the front door
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._server is None:
-            raise RuntimeError("router not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
-
-    async def start(self) -> tuple[str, int]:
-        if self._server is not None:
-            raise RuntimeError("router already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
-        self._started_monotonic = time.monotonic()
+    def _launch(self) -> None:
         if self.config.resync_interval_s > 0:
-            self._monitor_task = asyncio.get_running_loop().create_task(
-                self._resync_monitor()
-            )
-        host, port = self.address
-        obs.event(
-            "router.started", host=host, port=port,
-            nodes=len(self.placement.nodes),
-            n_shards=self.placement.n_shards,
-        )
-        return host, port
+            self._monitor_task = asyncio.create_task(self._resync_monitor())
 
-    async def serve_until_stopped(self) -> None:
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Bounded graceful drain, mirroring the serving node's contract:
-        in-flight requests get until ``drain_deadline_s``, stragglers are
-        force-closed with a typed ``shutting_down`` frame."""
-        if self._server is None:
-            self._stopped.set()
-            return
-        if self._draining:
-            await self._stopped.wait()
-            return
-        self._draining = True
-        deadline = time.monotonic() + self.config.drain_deadline_s
-        forced = False
+    async def _quiesce(self, deadline: float) -> bool:
+        """Stop repairing replicas; in-flight requests finish on their
+        connections, which the front door drains."""
         if self._monitor_task is not None:
             self._monitor_task.cancel()
-            try:
-                await self._monitor_task
-            except asyncio.CancelledError:
-                pass
+            await asyncio.gather(self._monitor_task, return_exceptions=True)
             self._monitor_task = None
-        self._server.close()
-        await self._server.wait_closed()
-        for session in self.sessions.values():
-            session.closing = True
-        await asyncio.sleep(0)
-        for writer in list(self._writers.values()):
-            writer.close()
-        if self._conn_tasks:
-            _done, survivors = await asyncio.wait(
-                list(self._conn_tasks),
-                timeout=max(0.05, deadline - time.monotonic()),
-            )
-            if survivors:
-                forced = True
-                for sid, writer in list(self._writers.items()):
-                    try:
-                        writer.write(protocol.encode_response(
-                            0, protocol.SHUTTING_DOWN,
-                            error=protocol.error_body(
-                                "drain_deadline",
-                                "connection force-closed at the drain deadline",
-                            ),
-                        ))
-                    except Exception:
-                        pass  # transport already dying
-                    transport = writer.transport
-                    if transport is not None:
-                        transport.abort()
-                for task in list(self._conn_tasks):
-                    task.cancel()
-                await asyncio.wait(list(survivors), timeout=1.0)
+        return False
+
+    def _release(self) -> None:
         for pool in self.pools.values():
             pool.close()
-        obs.event("router.stopped", name=self.config.name, forced=forced)
-        self._stopped.set()
 
     # ------------------------------------------------------------------
-    # connection handling (same loop shape as the serving node)
+    # the connection loop: one request at a time, each answer written
+    # and drained before the next frame is read
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _serve_connection(
+        self,
+        session: Session,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        session = Session(
-            sid=self._next_sid, peer=peer, opened_monotonic=time.monotonic()
-        )
-        self._next_sid += 1
-        self.sessions[session.sid] = session
-        self._writers[session.sid] = writer
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self.counters.connections_opened += 1
-        obs.event("router.connect", sid=session.sid, peer=peer)
-        try:
-            while not session.closing:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self.counters.bad_requests += 1
-                    writer.write(protocol.encode_response(
-                        0, protocol.BAD_REQUEST,
-                        error=protocol.error_body(
-                            "frame_too_long",
-                            f"frame exceeds {protocol.MAX_LINE_BYTES} bytes",
-                        ),
-                    ))
-                    await writer.drain()
-                    break
-                if not line:
-                    break  # EOF
-                if not line.strip():
-                    continue
-                payload = await self._dispatch(line.strip(), session)
-                writer.write(payload)
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client vanished mid-response
-        except asyncio.CancelledError:
-            pass  # force-close cancelled us: end the task quietly
-        finally:
-            self.sessions.pop(session.sid, None)
-            self._writers.pop(session.sid, None)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self.counters.connections_closed += 1
-            obs.event(
-                "router.disconnect", sid=session.sid,
-                requests=session.requests,
-            )
-            writer.close()
+        while not session.closing:
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+                line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
+                writer.write(self._frame_too_long())
+                await writer.drain()
+                break
+            if not line:
+                break  # EOF
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                request, started = self._decode(line)
+            except ProtocolError as err:
+                payload = self._undecodable(session, err)
+            else:
+                payload = await self._respond(session, request, started)
+            writer.write(payload)
+            await writer.drain()
 
-    async def _dispatch(self, line: bytes, session: Session) -> bytes:
-        """Decode, route, and encode one request; never raises."""
-        try:
-            request = protocol.decode_request(line)
-        except ProtocolError as err:
-            self.counters.bad_requests += 1
-            session.observe("?", ok=False)
-            return protocol.encode_response(
-                0, protocol.BAD_REQUEST,
-                error=protocol.error_body("protocol", str(err)),
-            )
-        self.counters.requests_total += 1
-        started = time.perf_counter()
-        trace_context: Optional[TraceContext] = None
-        wire = request.fields.pop("trace", None)
-        if wire is not None:
-            # adopt the caller's trace context; it rides on the request
-            # object (handlers run concurrently on the loop, so a
-            # thread-local would bleed across tasks) and every upstream
-            # exchange below stamps its own child context on the wire
-            trace_context = obs.adopt_wire_trace(wire)
-            if trace_context is not None:
-                request.fields["_trace_context"] = trace_context
-        try:
-            status, fields, error = await self._route(request, session)
-        except _Refused as refusal:
-            status = refusal.status
-            fields = {}
-            error = protocol.error_body(refusal.code, str(refusal))
-        except Exception as err:  # a routing bug must not kill the loop
-            status = protocol.ERROR
-            fields = {}
-            error = protocol.error_body(
-                "internal", f"{type(err).__name__}: {err}"
-            )
-        ended = time.perf_counter()
-        obs.observe(
-            _REQUEST_SECONDS, ended - started,
-            "Router request latency by op (fan-out included)",
-            buckets=SERVER_LATENCY_BUCKETS, op=request.op,
-        )
-        obs.inc(
-            _REQUESTS_BY_OP,
-            help_text="Router requests by op and status",
-            op=request.op, status=status,
-        )
-        ok = status in protocol.SUCCESS_STATUSES
-        session.observe(request.op, ok=ok)
-        if trace_context is not None:
-            # the router's hop in the distributed trace (recorded after
-            # the fact: this coroutine awaited, so a stack-held span
-            # would mis-parent interleaved tasks)
-            obs.record_remote_span(
-                "router.request", started, ended, trace_context,
-                error=None if ok or status in protocol.PARTIAL_STATUSES
-                else status,
-                op=request.op, router=self.config.name, status=status,
-            )
-        return protocol.encode_response(
-            request.id, status, error=error, **fields
-        )
-
-    async def _route(
-        self, request: Request, session: Session
-    ) -> tuple[str, dict[str, Any], Optional[dict[str, Any]]]:
+    async def _route(self, request: Request, session: Session) -> Outcome:
         op = request.op
         if self._draining and op not in ("ping", "stats", "obs"):
-            raise _Refused(
+            raise Refused(
                 protocol.SHUTTING_DOWN, "draining",
                 "router is draining; no new work",
             )
@@ -438,10 +260,8 @@ class CinderellaRouter:
         if op == "maintain":
             return await self._fanout_maintain(request)
         if op == "shutdown":
-            session.closing = True
-            self._stop_task = asyncio.get_running_loop().create_task(self.stop())
-            return protocol.OK, {"draining": True}, None
-        raise _Refused(  # unreachable: decode_request validates ops
+            return self._shutdown(session)
+        raise Refused(  # unreachable: decode_request validates ops
             protocol.BAD_REQUEST, "unknown_op", f"unhandled op {op!r}"
         )
 
@@ -690,7 +510,7 @@ class CinderellaRouter:
         started = time.perf_counter()
         try:
             ok = await self._run_resync(node_name)
-        except (UpstreamError, _Refused) as err:
+        except (UpstreamError, Refused) as err:
             obs.event(
                 "router.resync_failed", node=node_name, error=str(err),
             )
@@ -736,7 +556,7 @@ class CinderellaRouter:
                 page = await self._resync_request(peer, "sync_snapshot", {
                     "n_shards": n_shards, "shards": peer_group,
                     "after_eid": after_eid,
-                    "limit": self.config.sync_page_entities,
+                    "limit": _SYNC_PAGE_ENTITIES,
                 })
                 entities = page.get("entities", [])
                 if entities:
@@ -755,7 +575,7 @@ class CinderellaRouter:
         # 4. drain the writes buffered since the resync began, then
         #    verify target and peers agree per shard group — retrying,
         #    because live traffic keeps moving the goalposts
-        for attempt in range(1, self.config.resync_verify_attempts + 1):
+        for attempt in range(1, _RESYNC_VERIFY_ATTEMPTS + 1):
             if attempt > 1:
                 await asyncio.sleep(0.02)
             await self._replay_catchup(node_name, force=True)
@@ -837,7 +657,7 @@ class CinderellaRouter:
             self.counters.node_restores += 1
         if not response.ok:
             error = response.error or {}
-            raise _Refused(
+            raise Refused(
                 response.status, error.get("code", "sync_failed"),
                 f"{op} on {node.name}: "
                 f"{error.get('message', 'refused')}",
@@ -849,14 +669,14 @@ class CinderellaRouter:
     # ------------------------------------------------------------------
     async def _route_write(
         self, request: Request
-    ) -> tuple[str, dict[str, Any], Optional[dict[str, Any]]]:
+    ) -> Answer:
         op = request.op
         eid = request.get("eid")
         if op == "insert" and eid is None:
             eid = self._next_eid
             self._next_eid += 1
         if not valid_entity_id(eid):
-            raise _Refused(
+            raise Refused(
                 protocol.REJECTED, "invalid_entity_id",
                 f"entity id must be a non-negative integer below 2**70, "
                 f"got {eid!r}",
@@ -865,7 +685,7 @@ class CinderellaRouter:
         replicas = self.placement.replicas(shard)
         fields = dict(request.fields)
         fields.pop("_trace_context", None)  # router-internal, not wire
-        context = _request_trace_context(request)
+        context = request_trace_context(request)
         fields["eid"] = eid
         self.counters.writes_routed += 1
         # diverged/resyncing replicas are out of the write set entirely:
@@ -966,7 +786,7 @@ class CinderellaRouter:
     # ------------------------------------------------------------------
     async def _scatter(
         self, request: Request
-    ) -> tuple[str, dict[str, Any], Optional[dict[str, Any]]]:
+    ) -> Answer:
         """Shard-scoped scatter-gather with per-shard replica failover.
 
         Every shard is assigned to its first available replica, shards
@@ -981,7 +801,7 @@ class CinderellaRouter:
         base_fields = dict(request.fields)
         base_fields.pop("shard_filter", None)  # router-owned field
         base_fields.pop("_trace_context", None)  # router-internal
-        context = _request_trace_context(request)
+        context = request_trace_context(request)
         n_shards = self.placement.n_shards
         remaining: set[int] = set(self.placement.shards)
         tried: dict[int, set[str]] = {shard: set() for shard in remaining}
@@ -1057,7 +877,7 @@ class CinderellaRouter:
         op: str,
         gathered: list[Response],
         unreachable: list[int],
-    ) -> tuple[str, dict[str, Any], Optional[dict[str, Any]]]:
+    ) -> Answer:
         rows: list[Any] = []
         stats_sum: dict[str, int] = {}
         pruned_partitions = 0
@@ -1103,27 +923,34 @@ class CinderellaRouter:
     # ------------------------------------------------------------------
     # admin ops
     # ------------------------------------------------------------------
-    async def _fanout_maintain(
-        self, request: Request
-    ) -> tuple[str, dict[str, Any], Optional[dict[str, Any]]]:
+    async def _ask_every_node(
+        self, op: str, fields: dict[str, Any], request: Request
+    ) -> list[tuple[NodeAddress, Union[Response, UpstreamError]]]:
+        """Send *op* to every node at once, under *request*'s trace; a
+        node that cannot be reached answers with its :class:`UpstreamError`."""
+        context = request_trace_context(request)
+
+        async def ask(node: NodeAddress) -> Union[Response, UpstreamError]:
+            try:
+                return await self._node_exchange(node, op, fields, context=context)
+            except UpstreamError as err:
+                return err
+
+        nodes = self.placement.nodes
+        return list(zip(nodes, await asyncio.gather(*map(ask, nodes))))
+
+    async def _fanout_maintain(self, request: Request) -> Answer:
         fields: dict[str, Any] = {}
         if request.get("checkpoint"):
             fields["checkpoint"] = True
-        context = _request_trace_context(request)
-
-        async def one(node: NodeAddress) -> tuple[str, dict[str, Any]]:
-            try:
-                response = await self._node_exchange(
-                    node, "maintain", fields, context=context
-                )
-            except UpstreamError as err:
-                return node.name, {"error": str(err)}
-            return node.name, dict(response.fields)
-
-        outcomes = await asyncio.gather(
-            *(one(node) for node in self.placement.nodes)
-        )
-        return protocol.OK, {"nodes": dict(outcomes)}, None
+        answers = await self._ask_every_node("maintain", fields, request)
+        return protocol.OK, {"nodes": {
+            node.name: (
+                {"error": str(answer)} if isinstance(answer, UpstreamError)
+                else dict(answer.fields)
+            )
+            for node, answer in answers
+        }}, None
 
     async def _gather_heat(self, request: Request) -> dict[str, Any]:
         """Partition heat federated from every node's ``stats``.
@@ -1133,28 +960,14 @@ class CinderellaRouter:
         node that cannot be scraped — or that serves with adaptation
         disabled — simply contributes nothing.
         """
-        context = _request_trace_context(request)
-
-        async def one(node: NodeAddress) -> tuple[str, dict[str, Any]]:
-            try:
-                response = await self._node_exchange(
-                    node, "stats", {}, context=context
-                )
-            except UpstreamError:
-                return node.name, {}
-            return node.name, response.get("heat") or {}
-
-        outcomes = await asyncio.gather(
-            *(one(node) for node in self.placement.nodes)
-        )
         return {
-            f"{name}/{pid}": doc
-            for name, heat in outcomes for pid, doc in heat.items()
+            f"{node.name}/{pid}": doc
+            for node, answer in await self._ask_every_node("stats", {}, request)
+            if not isinstance(answer, UpstreamError)
+            for pid, doc in (answer.get("heat") or {}).items()
         }
 
-    async def _fanout_obs(
-        self, request: Request
-    ) -> tuple[str, dict[str, Any], Optional[dict[str, Any]]]:
+    async def _fanout_obs(self, request: Request) -> Answer:
         """Metrics federation: scatter ``obs`` to every node, merge.
 
         Every node's observability document (registry + trace
@@ -1165,23 +978,13 @@ class CinderellaRouter:
         labeled samples, bucket-merged histograms, staleness marks —
         is returned under ``cluster``.
         """
-        context = _request_trace_context(request)
         started = time.perf_counter()
-
-        async def one(node: NodeAddress) -> dict[str, Any]:
-            try:
-                response = await self._node_exchange(
-                    node, "obs", {}, context=context
-                )
-            except UpstreamError as err:
-                return unreachable_document(node.name, str(err))
-            document = dict(response.fields)
-            document.setdefault("name", node.name)
-            return document
-
-        documents = list(await asyncio.gather(
-            *(one(node) for node in self.placement.nodes)
-        ))
+        documents = [
+            unreachable_document(node.name, str(answer))
+            if isinstance(answer, UpstreamError)
+            else {**answer.fields, "name": answer.get("name", node.name)}
+            for node, answer in await self._ask_every_node("obs", {}, request)
+        ]
         documents.append(
             local_obs_document(self.config.name, tier="router")
         )

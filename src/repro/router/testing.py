@@ -1,10 +1,10 @@
 """In-process cluster harness: serving nodes + router, kill switches.
 
-:class:`RouterThread` mirrors :class:`~repro.server.testing.ServerThread`
-for the routing tier.  :class:`ClusterHarness` assembles the whole
-topology the chaos suite exercises — *n* WAL-backed serving nodes, a
-placement map over them, and one router in front — and exposes the two
-verbs chaos testing needs:
+:class:`ClusterHarness` assembles the whole topology the chaos suite
+exercises — *n* WAL-backed serving nodes, a placement map over them, and
+one router in front, each tier on its own
+:class:`~repro.server.testing.ServerThread` — and exposes the two verbs
+chaos testing needs:
 
 * :meth:`ClusterHarness.kill_node` — crash a node (RSTs on the wire,
   queued writes dropped, only the WAL survives);
@@ -21,8 +21,6 @@ nodes die.
 
 from __future__ import annotations
 
-import asyncio
-import threading
 from pathlib import Path
 from typing import Optional, Union
 
@@ -33,75 +31,6 @@ from repro.server.client import ServerClient
 from repro.server.server import CinderellaServer, ServerConfig
 from repro.server.testing import ServerThread
 from repro.table.partitioned import CinderellaTable
-
-
-class RouterThread:
-    """Run one router on its own event loop in a background thread."""
-
-    def __init__(
-        self,
-        router: CinderellaRouter,
-        startup_timeout_s: float = 10.0,
-    ) -> None:
-        self.router = router
-        self._startup_timeout_s = startup_timeout_s
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self.address: tuple[str, int] = ("", 0)
-
-    def start(self) -> "RouterThread":
-        if self._thread is not None:
-            raise RuntimeError("harness already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-router-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(self._startup_timeout_s):
-            raise TimeoutError("router failed to start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("router startup failed") from self._startup_error
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self._serve())
-        finally:
-            loop.close()
-
-    async def _serve(self) -> None:
-        try:
-            self.address = await self.router.start()
-        except BaseException as err:  # surface bind errors to the caller
-            self._startup_error = err
-            self._started.set()
-            return
-        self._started.set()
-        await self.router.serve_until_stopped()
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive() and self._startup_error is None:
-            future = asyncio.run_coroutine_threadsafe(
-                self.router.stop(), self._loop
-            )
-            future.result(timeout=timeout_s)
-        self._thread.join(timeout=timeout_s)
-        if self._thread.is_alive():  # pragma: no cover - debugging aid
-            raise TimeoutError("router loop thread did not exit")
-        self._thread = None
-        self._loop = None
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *_exc: object) -> None:
-        self.stop()
 
 
 def small_partition_table() -> CinderellaTable:
@@ -144,7 +73,7 @@ class ClusterHarness:
         self.addresses: dict[str, NodeAddress] = {}
         self.placement: Optional[PlacementMap] = None
         self.router: Optional[CinderellaRouter] = None
-        self.router_thread: Optional[RouterThread] = None
+        self.router_thread: Optional[ServerThread] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -186,7 +115,7 @@ class ClusterHarness:
         self.router = CinderellaRouter(
             self.placement, config=self._router_config
         )
-        self.router_thread = RouterThread(self.router).start()
+        self.router_thread = ServerThread(self.router).start()
         return self
 
     @property

@@ -16,10 +16,13 @@ concurrent front door that makes "online" literal:
   transaction (per-op savepoints) and one WAL fsync per batch, and
   cooperative background maintenance (merge / reorganize) running
   between batches;
+* :mod:`repro.server.frontdoor` — the TCP shell the node shares with
+  the router (:mod:`repro.router`): listener, sessions, framing,
+  request accounting, the bounded drain;
 * :mod:`repro.server.client` — the small blocking client used by the
   tests, the soak suite, and ``benchmarks/bench_server.py``;
 * :mod:`repro.server.testing` — :class:`ServerThread`, an in-process
-  server harness for tests and load generators.
+  harness for either tier, for tests and load generators.
 
 Start one with ``python -m repro serve``; see ``docs/SERVER.md``.
 """

@@ -3,10 +3,12 @@
 One :class:`CinderellaServer` owns one
 :class:`~repro.table.partitioned.CinderellaTable` and exposes it over
 TCP with the line-delimited JSON protocol of
-:mod:`repro.server.protocol`.  The concurrency architecture, in one
-paragraph:
+:mod:`repro.server.protocol`.  Listener, sessions, framing, request
+accounting and the bounded drain are the front door it shares with the
+router (:class:`~repro.server.frontdoor.FrontDoor`); what is the node's
+own, in one paragraph:
 
-* every **connection** gets a :class:`Session` and an independent
+* every **connection** gets a session and an independent
   request loop; requests on one connection are answered in order,
   requests on different connections interleave freely.  The loop does
   not wait for a write's batch before it parses the next frame: a
@@ -45,9 +47,10 @@ paragraph:
   maintenance pass waiting behind the current batch runs before the
   next one and the catalog keeps adapting while traffic flows — the
   paper's online setting made literal;
-* **shutdown** is a drain: stop accepting, shed new work with
-  ``shutting_down``, flush the write queue, then close every
-  connection (reads are non-blocking, so there is nothing to quiesce).
+* **shutdown** is the front door's bounded drain; the node's part is
+  to shed new writes with ``shutting_down``, flush the write queue and
+  stop the batcher and maintenance tasks (reads are non-blocking, so
+  there is nothing else to quiesce), then close its WAL.
 
 A node's read path is therefore one path: latest snapshot →
 per-snapshot response cache → per-partition-state chunk cache → decoded
@@ -74,7 +77,7 @@ import json
 import time
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -90,11 +93,20 @@ from repro.obs import runtime as obs
 from repro.obs.counters import ServerCounters
 from repro.obs.federation import local_obs_document
 from repro.obs.registry import SERVER_LATENCY_BUCKETS
-from repro.obs.tracing import TraceContext
 from repro.query.query import AttributeQuery
 from repro.query.snapshot import ShardScope, SnapshotManager, TableSnapshot
 from repro.server import protocol
 from repro.server.admission import AdaptiveAdmission
+from repro.server.frontdoor import (
+    Answer,
+    FrontDoor,
+    Outcome,
+    Raw,
+    Refused,
+    Session,
+    Tier,
+    request_trace_context,
+)
 from repro.server.protocol import ProtocolError, Request
 from repro.storage.record import valid_entity_id, validate_value
 from repro.storage.snapshot import (
@@ -107,13 +119,10 @@ from repro.table.partitioned import CinderellaTable
 
 # NOTE on spans: the tracer's span stack is per *thread*; concurrent
 # tasks on the event loop would interleave enter/exit and mis-parent
-# each other's spans if one were held across an ``await``.  Request
-# latency is therefore measured directly into a histogram, and spans
-# are only opened around purely synchronous regions: batch application
-# and maintenance passes on their worker thread, snapshot scans on the
-# loop.
-_REQUEST_SECONDS = "repro_server_request_seconds"
-_REQUESTS_TOTAL = "repro_server_requests_total"
+# each other's spans if one were held across an ``await``.  Spans are
+# therefore only opened around purely synchronous regions: batch
+# application and maintenance passes on their worker thread, snapshot
+# scans on the loop.
 
 #: the ops that go through admission → queue → batcher
 _WRITE_OPS = frozenset(("insert", "update", "delete"))
@@ -131,13 +140,6 @@ obs.bind_span_histogram(
 )
 
 
-def _request_trace_context(request: Request) -> Optional[TraceContext]:
-    """The adopted trace context _decode stashed on the request (the
-    isinstance check also drops a wire-supplied impostor field)."""
-    context = request.fields.get("_trace_context")
-    return context if isinstance(context, TraceContext) else None
-
-
 def _shard_scope(spec: Any) -> ShardScope:
     """Validate a ``{"n_shards", "shards"}`` object: a read's
     ``shard_filter``, a sync op's own pair, a ``sync_delta``'s ``reset``."""
@@ -150,7 +152,7 @@ def _shard_scope(spec: Any) -> ShardScope:
         or not isinstance(shards, list)
         or not all(type(shard) is int for shard in shards)
     ):
-        raise _OpRefused(
+        raise Refused(
             protocol.BAD_REQUEST, "bad_shard_spec",
             "a shard scope is {'n_shards': int > 0, 'shards': [int, ...]}",
         )
@@ -177,9 +179,6 @@ class ServerConfig:
     #: the writes it may have queued before it stops to collect acks,
     #: and the depth below which admission never sheds
     batch_max: int = 32
-    #: MVCC snapshots retained beyond the latest (pinned snapshots are
-    #: always kept regardless)
-    snapshot_retain: int = 8
     #: cooperative maintenance cadence (seconds; 0 disables the task)
     maintenance_interval_s: float = 0.25
     #: merge threshold handed to the maintenance pass
@@ -217,44 +216,6 @@ class ServerConfig:
 
 
 @dataclass
-class Session:
-    """Per-connection bookkeeping."""
-
-    sid: int
-    peer: str
-    opened_monotonic: float
-    requests: int = 0
-    errors: int = 0
-    ops: dict[str, int] = field(default_factory=dict)
-    closing: bool = False
-
-    def observe(self, op: str, ok: bool) -> None:
-        self.requests += 1
-        self.ops[op] = self.ops.get(op, 0) + 1
-        if not ok:
-            self.errors += 1
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "sid": self.sid,
-            "peer": self.peer,
-            "age_s": round(time.monotonic() - self.opened_monotonic, 3),
-            "requests": self.requests,
-            "errors": self.errors,
-            "ops": dict(self.ops),
-        }
-
-
-class _OpRefused(Exception):
-    """A request the server answers with a non-ok status (no traceback)."""
-
-    def __init__(self, status: str, code: str, message: str) -> None:
-        super().__init__(message)
-        self.status = status
-        self.code = code
-
-
-@dataclass
 class _PendingWrite:
     """One admitted modification waiting for the batcher."""
 
@@ -262,23 +223,20 @@ class _PendingWrite:
     future: asyncio.Future
 
 
-class _Raw:
-    """A pre-serialized response fragment from the snapshot fast path.
-
-    Holds everything of the wire line after the request id; the
-    dispatcher splices ``{"id":N`` in front instead of re-encoding the
-    rows through ``json.dumps`` — repeat queries cost no serialization.
-    """
-
-    __slots__ = ("status", "fragment")
-
-    def __init__(self, status: str, fragment: bytes) -> None:
-        self.status = status
-        self.fragment = fragment
-
-
-class CinderellaServer:
+class CinderellaServer(FrontDoor):
     """A Cinderella table behind a TCP socket (see the module docstring)."""
+
+    TIER = Tier(
+        events="server",
+        hop="node",
+        request_seconds=(
+            "repro_server_request_seconds",
+            "Server request latency by op (admission wait included)",
+        ),
+        requests_total=(
+            "repro_server_requests_total", "Server requests by op and status",
+        ),
+    )
 
     def __init__(
         self,
@@ -294,8 +252,9 @@ class CinderellaServer:
                 )
             table = CinderellaTable(table_config)
         self.table = table
-        self.config = config if config is not None else ServerConfig()
-        self.counters = ServerCounters()
+        super().__init__(
+            config if config is not None else ServerConfig(), ServerCounters()
+        )
         #: the closed adaptation loop, consulted from the maintenance
         #: slot every ``adapt_every`` passes (None while disabled)
         self.adapt: Optional[AdaptationController] = None
@@ -306,10 +265,8 @@ class CinderellaServer:
         #: readers never take it.  asyncio.Lock wakes waiters FIFO, so a
         #: waiting maintenance pass gets in behind the current batch
         self._write_lock = asyncio.Lock()
-        self.sessions: dict[int, Session] = {}
-        self._next_sid = 1
         self._write_queue: asyncio.Queue[_PendingWrite] = asyncio.Queue()
-        self._snapshots = SnapshotManager(retain=self.config.snapshot_retain)
+        self._snapshots = SnapshotManager()
         self._admission = AdaptiveAdmission(
             self.config.max_pending,
             target_latency_s=self.config.admission_target_latency_s,
@@ -320,18 +277,10 @@ class CinderellaServer:
             # start, it says little about what a full batch drains
             min_window=max(1, self.config.batch_max),
         )
-        self._server: Optional[asyncio.AbstractServer] = None
         self._batcher_task: Optional[asyncio.Task] = None
         self._maintenance_task: Optional[asyncio.Task] = None
-        self._stop_task: Optional[asyncio.Task] = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._draining = False
-        self._aborted = False
-        self._stopped = asyncio.Event()
         self._writes_since_maintenance = 0
         self._maintenance_passes = 0
-        self._started_monotonic = 0.0
         self._wal: Optional[WriteAheadLog] = None
         self._archive: Optional[BackupArchive] = (
             BackupArchive(self.config.archive_dir)
@@ -339,47 +288,21 @@ class CinderellaServer:
         )
         self._wal_writes_since_checkpoint = 0
         self._last_checkpoint_seq = 0
-        # per-dispatch metric children, pre-resolved per (op)/(op, status)
-        # and keyed on the registry's identity so an obs.enable() cycle
-        # (which swaps the registry) invalidates the cache.  _dispatch
-        # runs for every request; going through the runtime facade there
-        # costs a label-key build per call that this skips entirely
-        self._dispatch_metrics: Optional[
-            tuple[Any, dict[str, Any], dict[tuple[str, str], Any]]
-        ] = None
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle: the node's hooks into the front door
     # ------------------------------------------------------------------
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` — useful after an ephemeral bind."""
-        if self._server is None:
-            raise RuntimeError("server not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
-
-    async def start(self) -> tuple[str, int]:
-        """Bind, start the background tasks, and begin accepting.
-
-        With ``wal_path`` configured the journal is opened — and any
+    def _prepare(self) -> None:
+        """With ``wal_path`` configured the journal is opened — and any
         existing records replayed into the table — *before* the socket
         binds, so a restarted node never serves a request against a
-        state missing writes it acknowledged in a previous life.
-        """
-        if self._server is not None:
-            raise RuntimeError("server already started")
+        state missing writes it acknowledged in a previous life."""
         self._recover_state()
         # first snapshot before the socket binds: a query can never find
         # no published state to serve from
         self._publish()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=self.config.host,
-            port=self.config.port,
-            limit=protocol.MAX_LINE_BYTES,
-        )
+
+    def _launch(self) -> None:
         self._batcher_task = asyncio.create_task(
             self._batcher(), name="repro-server-batcher"
         )
@@ -387,14 +310,6 @@ class CinderellaServer:
             self._maintenance_task = asyncio.create_task(
                 self._maintenance_loop(), name="repro-server-maintenance"
             )
-        self._started_monotonic = time.monotonic()
-        host, port = self.address
-        obs.event("server.started", host=host, port=port)
-        return host, port
-
-    async def serve_until_stopped(self) -> None:
-        """Block until :meth:`stop` (or a ``shutdown`` op) completes."""
-        await self._stopped.wait()
 
     def _recover_state(self) -> None:
         """Restore durable state before binding: checkpoint, then WAL tail.
@@ -446,24 +361,13 @@ class CinderellaServer:
                 records=replayed, path=str(self.config.wal_path),
             )
 
-    async def stop(self) -> None:
-        """Graceful drain, bounded: flush queued writes and finish
-        in-flight work, but only until ``drain_deadline_s`` — past the
-        deadline, still-queued writes are refused with a typed
-        ``shutting_down`` status and surviving connections are
-        force-closed, so one stalled client can never hang shutdown."""
-        if self._server is None:  # never started: nothing to drain
-            self._stopped.set()
-            return
-        if self._draining:
-            await self._stopped.wait()
-            return
-        self._draining = True
-        deadline = time.monotonic() + self.config.drain_deadline_s
+    async def _quiesce(self, deadline: float) -> bool:
+        """Flush queued writes, but only until *deadline* — past it,
+        still-queued writes are refused with a typed ``shutting_down``
+        status.  Reads never block: they serve from an immutable
+        snapshot on the event loop, so there is no scan to quiesce."""
         forced = False
         obs.event("server.draining", queued=self._write_queue.qsize())
-        self._server.close()  # stop accepting
-        await self._server.wait_closed()
         # flush: the batcher keeps applying while the queue drains
         try:
             await asyncio.wait_for(
@@ -480,7 +384,7 @@ class CinderellaServer:
             # with a typed refusal instead of leaving futures hanging
             while not self._write_queue.empty():
                 pending = self._write_queue.get_nowait()
-                self._resolve(pending, _OpRefused(
+                self._resolve(pending, Refused(
                     protocol.SHUTTING_DOWN, "drain_deadline",
                     "drain deadline reached before this write was applied",
                 ))
@@ -488,58 +392,11 @@ class CinderellaServer:
         if self._maintenance_task is not None:
             self._maintenance_task.cancel()
             await asyncio.gather(self._maintenance_task, return_exceptions=True)
-        # reads never block: they serve from an immutable snapshot on
-        # the event loop, so there is no in-flight scan to quiesce
-        for session in self.sessions.values():
-            session.closing = True
-        # handler tasks blocked in readline() only notice `closing` on
-        # the next frame; yield once so finished dispatches flush their
-        # responses, then force EOF on every remaining stream
-        await asyncio.sleep(0)
-        for writer in list(self._writers.values()):
-            writer.close()
-        if self._conn_tasks:
-            _done, survivors = await asyncio.wait(
-                list(self._conn_tasks),
-                timeout=max(0.05, deadline - time.monotonic()),
-            )
-            if survivors:
-                # a close() is graceful — it still waits for the kernel
-                # buffer to drain, which a client that stopped reading
-                # can stall forever.  The deadline's teeth: abort.
-                forced = True
-                self._force_close_connections()
-                await asyncio.wait(list(survivors), timeout=1.0)
+        return forced
+
+    def _release(self) -> None:
         if self._wal is not None:
             self._wal.close()
-        obs.event(
-            "server.stopped", node=self.config.name,
-            sessions=len(self.sessions), forced=forced,
-        )
-        self._stopped.set()
-
-    def _force_close_connections(self) -> None:
-        """Abort every surviving connection with a best-effort typed frame."""
-        for sid, writer in list(self._writers.items()):
-            try:
-                writer.write(protocol.encode_response(
-                    0, protocol.SHUTTING_DOWN,
-                    error=protocol.error_body(
-                        "drain_deadline",
-                        "connection force-closed at the drain deadline",
-                    ),
-                ))
-            except Exception:
-                pass  # transport already dying; the abort below settles it
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-            self.counters.connections_force_closed += 1
-            obs.event(
-                "server.force_close", sid=sid, node=self.config.name
-            )
-        for task in list(self._conn_tasks):
-            task.cancel()
 
     async def abort(self) -> None:
         """Crash the node: RST every connection, cancel every task, drop
@@ -547,10 +404,9 @@ class CinderellaServer:
         holds.  The chaos suite's kill switch — the durability contract
         is that acknowledged writes survive exactly this plus a restart
         (:meth:`start` replays the journal before binding)."""
-        self._aborted = True
         self._draining = True
-        if self._server is not None:
-            self._server.close()
+        if self._listener is not None:
+            self._listener.close()
         for task in (self._batcher_task, self._maintenance_task):
             if task is not None:
                 task.cancel()
@@ -566,31 +422,20 @@ class CinderellaServer:
             if not pending.future.done():
                 pending.future.cancel()
             self._write_queue.task_done()
-        if self._wal is not None:
-            self._wal.close()
+        self._release()
         obs.event("server.aborted", node=self.config.name)
         self._stopped.set()
         await asyncio.sleep(0)  # let cancellations propagate
 
     # ------------------------------------------------------------------
-    # connection handling
+    # the connection loop
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _serve_connection(
+        self,
+        session: Session,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
-        peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        session = Session(
-            sid=self._next_sid, peer=peer, opened_monotonic=time.monotonic()
-        )
-        self._next_sid += 1
-        self.sessions[session.sid] = session
-        self._writers[session.sid] = writer
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self.counters.connections_opened += 1
-        obs.event("server.connect", sid=session.sid, peer=peer)
         out: list[bytes] = []  # responses accumulated for one flush
         # this connection's writes still owed an answer, oldest first:
         # (request, started, future of the verdict)
@@ -624,17 +469,8 @@ class CinderellaServer:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    # an over-long frame: answer once, then give up on the
-                    # stream (framing can no longer be trusted)
-                    self.counters.bad_requests += 1
                     await self._collect_acks(unanswered, out, session)
-                    out.append(protocol.encode_response(
-                        0, protocol.BAD_REQUEST,
-                        error=protocol.error_body(
-                            "frame_too_long",
-                            f"frame exceeds {protocol.MAX_LINE_BYTES} bytes",
-                        ),
-                    ))
+                    out.append(self._frame_too_long())
                     session.closing = True
                     continue
                 if not line:
@@ -645,13 +481,8 @@ class CinderellaServer:
                 try:
                     request, started = self._decode(line)
                 except ProtocolError as err:
-                    self.counters.bad_requests += 1
-                    session.observe("?", ok=False)
                     await self._collect_acks(unanswered, out, session)
-                    out.append(protocol.encode_response(
-                        0, protocol.BAD_REQUEST,
-                        error=protocol.error_body("protocol", str(err)),
-                    ))
+                    out.append(self._undecodable(session, err))
                     continue
                 if request.op in _WRITE_OPS:
                     # queued (or refused) at once, answered in turn: the
@@ -660,7 +491,7 @@ class CinderellaServer:
                     # a group commit
                     try:
                         verdict = self._handle_write(request)
-                    except _OpRefused as refusal:
+                    except Refused as refusal:
                         verdict = loop.create_future()
                         verdict.set_result(refusal)
                     unanswered.append((request, started, verdict))
@@ -670,50 +501,12 @@ class CinderellaServer:
                 # read sees every write sent before it (their batches
                 # have published by the time their futures resolve)
                 await self._collect_acks(unanswered, out, session)
-                out.append(self._finish(
-                    session, request, started,
-                    await self._route(request, session),
-                ))
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client vanished mid-response
-        except asyncio.CancelledError:
-            pass  # force-close/abort cancelled us: end the task quietly
+                out.append(await self._respond(session, request, started))
         finally:
             # writes still queued for a connection that is gone are
             # applied all the same; nobody is left to hear the verdict
             for _request, _started, verdict in unanswered:
                 verdict.cancel()
-            self.sessions.pop(session.sid, None)
-            self._writers.pop(session.sid, None)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self.counters.connections_closed += 1
-            obs.event(
-                "server.disconnect", sid=session.sid,
-                requests=session.requests,
-            )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    def _decode(self, line: bytes) -> tuple[Request, float]:
-        """Parse one frame; with the request, the clock reading its
-        latency counts from."""
-        request = protocol.decode_request(line)
-        self.counters.requests_total += 1
-        started = time.perf_counter()
-        wire = request.fields.pop("trace", None)
-        if wire is not None:
-            # adopt the caller's trace context: this request's span
-            # becomes a child of the caller's span.  The context rides
-            # on the request object because handlers run concurrently
-            # on the loop — a thread-local would bleed across tasks
-            trace_context = obs.adopt_wire_trace(wire)
-            if trace_context is not None:
-                request.fields["_trace_context"] = trace_context
-        return request, started
 
     async def _collect_acks(
         self,
@@ -727,110 +520,30 @@ class CinderellaServer:
             request, started, verdict = unanswered.popleft()
             out.append(self._finish(session, request, started, await verdict))
 
-    def _finish(
-        self,
-        session: Session,
-        request: Request,
-        started: float,
-        outcome: Union[_Raw, _OpRefused, tuple[str, dict[str, Any]]],
-    ) -> bytes:
-        """Account for one answered request and encode its response."""
-        raw: Optional[_Raw] = None
-        fields: dict[str, Any] = {}
-        error = None
-        if isinstance(outcome, _Raw):
-            raw = outcome
-            status = outcome.status
-        elif isinstance(outcome, _OpRefused):
-            status = outcome.status
-            error = protocol.error_body(outcome.code, str(outcome))
-        else:
-            status, fields = outcome
-        ended = time.perf_counter()
-        registry = obs.registry()
-        if registry is not None:
-            cache = self._dispatch_metrics
-            if cache is None or cache[0] is not registry:
-                cache = self._dispatch_metrics = (registry, {}, {})
-            op = request.op
-            histogram = cache[1].get(op)
-            if histogram is None:
-                histogram = cache[1][op] = registry.histogram(
-                    _REQUEST_SECONDS,
-                    "Server request latency by op "
-                    "(admission wait included)",
-                    ("op",), buckets=SERVER_LATENCY_BUCKETS,
-                ).labels(op=op)
-            histogram.observe(ended - started)
-            counter = cache[2].get((op, status))
-            if counter is None:
-                counter = cache[2][(op, status)] = registry.counter(
-                    _REQUESTS_TOTAL,
-                    "Server requests by op and status",
-                    ("op", "status"),
-                ).labels(op=op, status=status)
-            counter.inc()
-        ok = status in protocol.SUCCESS_STATUSES
-        session.observe(request.op, ok=ok)
-        if not ok:
-            self.counters.requests_failed += 1
-        trace_context = _request_trace_context(request)
-        if trace_context is not None:
-            # the node's hop in the distributed trace.  Recorded after
-            # the fact (record_remote_span) because the request awaited
-            # — a stack-held span would mis-parent interleaved tasks;
-            # synchronous children (query execution) already nested
-            # under this context via trace_scope
-            obs.record_remote_span(
-                "node.request", started, ended, trace_context,
-                error=None if ok else status,
-                op=request.op, node=self.config.name, status=status,
-            )
-        if raw is not None:
-            return b'{"id":' + str(request.id).encode() + raw.fragment
-        return protocol.encode_response(
-            request.id, status, error=error, **fields
-        )
-
-    async def _route(
-        self, request: Request, session: Session
-    ) -> Union[_Raw, _OpRefused, tuple[str, dict[str, Any]]]:
-        """Serve one request that is not a queued write.  Never raises:
-        a refusal comes back as the :class:`_OpRefused` to answer with,
-        and so does a handler bug, which must not kill the loop."""
+    async def _route(self, request: Request, session: Session) -> Outcome:
+        """Serve one request that is not a queued write."""
         op = request.op
-        try:
-            if op == "ping":
-                return protocol.OK, {"payload": request.get("payload")}
-            if op == "query":
-                return await self._handle_query(request)
-            if op == "sql":
-                return await self._handle_sql(request)
-            if op == "stats":
-                return protocol.OK, self._stats_snapshot()
-            if op == "obs":
-                return protocol.OK, self._obs_snapshot()
-            if op == "maintain":
-                return await self._handle_maintain(request)
-            if op == "sync_snapshot":
-                return await self._handle_sync_snapshot(request)
-            if op == "sync_delta":
-                return await self._handle_sync_delta(request)
-            if op == "shutdown":
-                session.closing = True
-                self._stop_task = asyncio.get_running_loop().create_task(
-                    self.stop()
-                )
-                return protocol.OK, {"draining": True}
-            raise _OpRefused(  # unreachable: decode_request validates ops
-                protocol.BAD_REQUEST, "unknown_op", f"unhandled op {op!r}"
-            )
-        except _OpRefused as refusal:
-            return refusal
-        except Exception as err:
-            return _OpRefused(
-                protocol.ERROR, "internal", f"{type(err).__name__}: {err}"
-            )
+        if op == "ping":
+            return protocol.OK, {"payload": request.get("payload")}, None
+        if op == "query":
+            return await self._handle_query(request)
+        if op == "sql":
+            return await self._handle_sql(request)
+        if op == "stats":
+            return protocol.OK, self._stats_snapshot(), None
+        if op == "obs":
+            return protocol.OK, self._obs_snapshot(), None
+        if op == "maintain":
+            return await self._handle_maintain(request)
+        if op == "sync_snapshot":
+            return await self._handle_sync_snapshot(request)
+        if op == "sync_delta":
+            return await self._handle_sync_delta(request)
+        if op == "shutdown":
+            return self._shutdown(session)
+        raise Refused(  # unreachable: decode_request validates ops
+            protocol.BAD_REQUEST, "unknown_op", f"unhandled op {op!r}"
+        )
 
     # ------------------------------------------------------------------
     # writes: admission → queue → batcher
@@ -838,11 +551,11 @@ class CinderellaServer:
     def _handle_write(self, request: Request) -> asyncio.Future:
         """Validate, admit and queue one modification, or raise the
         refusal.  The future resolves, once the write's batch is durable
-        and published, to its ack (:class:`_Raw`) or to the
-        :class:`_OpRefused` the batcher answered it with."""
+        and published, to its ack (:class:`Raw`) or to the
+        :class:`Refused` the batcher answered it with."""
         if self._draining:
             self.counters.writes_shed_shutdown += 1
-            raise _OpRefused(
+            raise Refused(
                 protocol.SHUTTING_DOWN, "draining",
                 "server is draining; no new modifications",
             )
@@ -856,7 +569,7 @@ class CinderellaServer:
                 pending=self._write_queue.qsize(),
                 window=self._admission.window,
             )
-            raise _OpRefused(
+            raise Refused(
                 protocol.OVERLOADED, "overloaded",
                 f"write queue full ({self._write_queue.qsize()} pending, "
                 f"window {self._admission.window}); back off and resubmit",
@@ -879,13 +592,13 @@ class CinderellaServer:
         if op in ("insert", "update"):
             attributes = request.get("attributes")
             if not isinstance(attributes, dict) or not attributes:
-                raise _OpRefused(
+                raise Refused(
                     protocol.REJECTED, "empty_synopsis",
                     f"{op} needs a non-empty 'attributes' object; Cinderella "
                     f"cannot rate an entity without attributes",
                 )
             if not all(isinstance(name, str) for name in attributes):
-                raise _OpRefused(
+                raise Refused(
                     protocol.REJECTED, "bad_attributes",
                     "attribute names must be strings",
                 )
@@ -893,12 +606,12 @@ class CinderellaServer:
                 for value in attributes.values():
                     validate_value(value)
             except ValueError as err:
-                raise _OpRefused(
+                raise Refused(
                     protocol.REJECTED, "bad_attributes", str(err)
                 ) from None
         eid = request.get("eid")
         if not valid_entity_id(eid) and (eid is not None or op != "insert"):
-            raise _OpRefused(
+            raise Refused(
                 protocol.REJECTED, "invalid_entity_id",
                 f"{op} needs a non-negative integer 'eid' below 2**70, "
                 f"got {eid!r}",
@@ -951,8 +664,8 @@ class CinderellaServer:
     def _apply_batch(
         self, batch: list[_PendingWrite]
     ) -> tuple[
-        list[tuple[_PendingWrite, dict[str, Any], _Raw]],
-        list[tuple[_PendingWrite, _OpRefused]],
+        list[tuple[_PendingWrite, dict[str, Any], Raw]],
+        list[tuple[_PendingWrite, Refused]],
     ]:
         """Group-commit one batch on a worker thread.
 
@@ -965,8 +678,8 @@ class CinderellaServer:
         Nothing here touches futures (asyncio futures are not
         thread-safe): verdicts return to the batcher for resolution.
         """
-        acked: list[tuple[_PendingWrite, dict[str, Any], _Raw]] = []
-        refused: list[tuple[_PendingWrite, _OpRefused]] = []
+        acked: list[tuple[_PendingWrite, dict[str, Any], Raw]] = []
+        refused: list[tuple[_PendingWrite, Refused]] = []
         txn = self.table.catalog.begin_transaction()
         try:
             with obs.span("server.batch", size=len(batch)):
@@ -975,7 +688,7 @@ class CinderellaServer:
                     savepoint = txn.savepoint()
                     try:
                         payload, outcome = self._apply_to_table(request)
-                    except _OpRefused as refusal:
+                    except Refused as refusal:
                         txn.rollback_to(savepoint)
                         self.counters.writes_rejected += 1
                         refused.append((pending, refusal))
@@ -989,7 +702,7 @@ class CinderellaServer:
                             "server.write_rollback", op=request.op,
                             error=f"{type(err).__name__}: {err}",
                         )
-                        refused.append((pending, _OpRefused(
+                        refused.append((pending, Refused(
                             protocol.ERROR, "internal",
                             f"{type(err).__name__}: {err}",
                         )))
@@ -998,7 +711,7 @@ class CinderellaServer:
                         # pre-serialize the ack on the worker thread:
                         # the loop splices the request id in front of
                         # this fragment instead of re-encoding JSON
-                        acked.append((pending, payload, _Raw(
+                        acked.append((pending, payload, Raw(
                             protocol.APPLIED,
                             (
                                 f',"ok":true,"status":"applied"'
@@ -1030,7 +743,7 @@ class CinderellaServer:
                 # would-be ack becomes a typed refusal so no client
                 # hangs on an unresolved future
                 refused.extend(
-                    (pending, _OpRefused(
+                    (pending, Refused(
                         protocol.ERROR, "not_durable",
                         "write applied but could not be made durable",
                     ))
@@ -1055,12 +768,12 @@ class CinderellaServer:
         try:
             outcome = apply_record(self.table, op, payload)
         except refused as err:
-            raise _OpRefused(protocol.REJECTED, code, str(err)) from None
+            raise Refused(protocol.REJECTED, code, str(err)) from None
         payload["eid"] = outcome.entity_id  # the id an insert was given
         return payload, outcome
 
     def _resolve(
-        self, pending: _PendingWrite, verdict: Union[_Raw, _OpRefused]
+        self, pending: _PendingWrite, verdict: Union[Raw, Refused]
     ) -> None:
         """Hand the batcher's verdict back to the waiting connection.
 
@@ -1107,7 +820,7 @@ class CinderellaServer:
             snapshot = self._publish()
         return snapshot
 
-    async def _handle_query(self, request: Request) -> _Raw:
+    async def _handle_query(self, request: Request) -> Raw:
         attributes = request.get("attributes")
         mode = request.get("mode", "any")
         if (
@@ -1115,14 +828,14 @@ class CinderellaServer:
             or not attributes
             or not all(isinstance(name, str) for name in attributes)
         ):
-            raise _OpRefused(
+            raise Refused(
                 protocol.BAD_REQUEST, "bad_query",
                 "query needs a non-empty 'attributes' list of strings",
             )
         try:
             query = AttributeQuery(tuple(attributes), mode)
         except ValueError as err:
-            raise _OpRefused(
+            raise Refused(
                 protocol.BAD_REQUEST, "bad_query", str(err)
             ) from None
         snapshot = self._read_snapshot(request)
@@ -1143,26 +856,26 @@ class CinderellaServer:
         # serve_query is synchronous — and parents any execution spans
         # (index prune, scan) under this request's hop in the
         # distributed trace
-        with obs.trace_scope(_request_trace_context(request)):
+        with obs.trace_scope(request_trace_context(request)):
             fragment, _row_count, from_cache = snapshot.serve_query(query)
         if from_cache:
             self.counters.snapshot_response_cache_hits += 1
-        return _Raw(protocol.OK, fragment)
+        return Raw(protocol.OK, fragment)
 
-    async def _handle_sql(self, request: Request) -> tuple[str, dict[str, Any]]:
+    async def _handle_sql(self, request: Request) -> Answer:
         text = request.get("sql")
         if not isinstance(text, str) or not text.strip():
-            raise _OpRefused(
+            raise Refused(
                 protocol.BAD_REQUEST, "bad_sql", "sql op needs a 'sql' string"
             )
         from repro.sql import SqlSyntaxError, execute
 
         snapshot = self._read_snapshot(request)
         try:
-            with obs.trace_scope(_request_trace_context(request)):
+            with obs.trace_scope(request_trace_context(request)):
                 result = execute(text, snapshot)
         except SqlSyntaxError as err:
-            raise _OpRefused(
+            raise Refused(
                 protocol.BAD_REQUEST, "sql_syntax", str(err)
             ) from None
         self.counters.sql_served += 1
@@ -1171,7 +884,7 @@ class CinderellaServer:
             "rows": result.rows,
             "row_count": len(result.rows),
             "pruned_partitions": len(result.pruned_pids),
-        }
+        }, None
 
     def _read_snapshot(self, request: Request) -> TableSnapshot:
         """The latest snapshot, scoped by the read's optional
@@ -1285,26 +998,24 @@ class CinderellaServer:
         self.counters.checkpoint_records_truncated += report["records_truncated"]
         return report
 
-    async def _handle_maintain(self, request: Request) -> tuple[str, dict[str, Any]]:
+    async def _handle_maintain(self, request: Request) -> Answer:
         force_checkpoint = bool(request.get("checkpoint"))
         if force_checkpoint and (
             self._wal is None or self.config.snapshot_path is None
         ):
-            raise _OpRefused(
+            raise Refused(
                 protocol.REJECTED, "checkpoint_unconfigured",
                 "this node has no wal_path/snapshot_path configured; "
                 "nothing to checkpoint",
             )
         return protocol.OK, await self._maintenance_pass(
             force_checkpoint=force_checkpoint
-        )
+        ), None
 
     # ------------------------------------------------------------------
     # replica repair: sync_snapshot (read side) / sync_delta (write side)
     # ------------------------------------------------------------------
-    async def _handle_sync_snapshot(
-        self, request: Request
-    ) -> tuple[str, dict[str, Any]]:
+    async def _handle_sync_snapshot(self, request: Request) -> Answer:
         """Serve one page of this node's entities for a set of shards.
 
         The router pages a resync from a healthy peer with this op.  The
@@ -1320,7 +1031,7 @@ class CinderellaServer:
             or isinstance(limit, bool) or not isinstance(limit, int)
             or limit <= 0
         ):
-            raise _OpRefused(
+            raise Refused(
                 protocol.BAD_REQUEST, "bad_sync_page",
                 "'after_eid' must be an int and 'limit' a positive int",
             )
@@ -1329,7 +1040,7 @@ class CinderellaServer:
             self._latest_snapshot().scoped(scope), after_eid, limit, count_only
         )
         self.counters.sync_pages_served += 1
-        return protocol.OK, fields
+        return protocol.OK, fields, None
 
     @staticmethod
     def _collect_sync_page(
@@ -1368,9 +1079,7 @@ class CinderellaServer:
             "count": len(eids),
         }
 
-    async def _handle_sync_delta(
-        self, request: Request
-    ) -> tuple[str, dict[str, Any]]:
+    async def _handle_sync_delta(self, request: Request) -> Answer:
         """Bulk-apply copied entities on this (resyncing) node.
 
         Deliberately bypasses the admission queue: this op is
@@ -1380,7 +1089,7 @@ class CinderellaServer:
         a crash mid-resync replays exactly what was acknowledged.
         """
         if self._draining:
-            raise _OpRefused(
+            raise Refused(
                 protocol.SHUTTING_DOWN, "draining",
                 "server is draining; no new modifications",
             )
@@ -1391,7 +1100,7 @@ class CinderellaServer:
             and isinstance(e.get("attributes"), dict)
             for e in entities
         ):
-            raise _OpRefused(
+            raise Refused(
                 protocol.BAD_REQUEST, "bad_sync_delta",
                 "'entities' must be a list of {'eid': int >= 0, "
                 "'attributes': {}}",
@@ -1416,7 +1125,7 @@ class CinderellaServer:
             removed=outcome["removed"], reset=reset is not None,
             final=bool(request.get("final")),
         )
-        return protocol.OK, outcome
+        return protocol.OK, outcome, None
 
     def _apply_sync_delta(
         self,
@@ -1452,7 +1161,7 @@ class CinderellaServer:
                     removed = outcome
         except Exception as err:
             txn.rollback()
-            raise _OpRefused(
+            raise Refused(
                 protocol.ERROR, "sync_delta_failed",
                 f"{type(err).__name__}: {err}",
             ) from None
@@ -1465,7 +1174,7 @@ class CinderellaServer:
             try:
                 self._wal.sync()
             except OSError as err:
-                raise _OpRefused(
+                raise Refused(
                     protocol.ERROR, "wal_sync_failed",
                     f"could not make the sync delta durable: {err}",
                 ) from None

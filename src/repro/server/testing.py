@@ -1,8 +1,11 @@
-"""In-process server harness for tests and load generators.
+"""In-process harness for tests and load generators.
 
-:class:`ServerThread` runs a :class:`~repro.server.server.CinderellaServer`
-on a dedicated event loop in a daemon thread, so blocking test code (and
-the benchmark's worker threads) can drive it through real sockets:
+:class:`ServerThread` runs either serving tier — a
+:class:`~repro.server.server.CinderellaServer` (the default) or a
+:class:`~repro.router.router.CinderellaRouter`, anything built on the
+shared :class:`~repro.server.frontdoor.FrontDoor` — on a dedicated event
+loop in a daemon thread, so blocking test code (and the benchmark's
+worker threads) can drive it through real sockets:
 
 >>> with ServerThread() as harness:                    # doctest: +SKIP
 ...     with ServerClient(*harness.address) as client:
@@ -10,7 +13,7 @@ the benchmark's worker threads) can drive it through real sockets:
 
 ``stop()`` (also run by ``__exit__``) performs the server's graceful
 drain and then joins the loop thread, so by the time the context block
-exits the table is quiescent and safe to inspect from the test thread —
+exits a node's table is quiescent and safe to inspect from the test thread —
 the soak suite runs its invariant and cache-coherence checks exactly
 there.
 """
@@ -21,15 +24,16 @@ import asyncio
 import threading
 from typing import Optional
 
+from repro.server.frontdoor import FrontDoor
 from repro.server.server import CinderellaServer, ServerConfig
 
 
 class ServerThread:
-    """Run one server on its own event loop in a background thread."""
+    """Run one server or router on its own event loop in a thread."""
 
     def __init__(
         self,
-        server: Optional[CinderellaServer] = None,
+        server: Optional[FrontDoor] = None,
         config: Optional[ServerConfig] = None,
         startup_timeout_s: float = 10.0,
     ) -> None:
@@ -80,38 +84,31 @@ class ServerThread:
 
     def stop(self, timeout_s: float = 30.0) -> None:
         """Graceful drain, then join the loop thread."""
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive() and self._startup_error is None:
-            stopping = self.server.stop()
-            try:
-                future = asyncio.run_coroutine_threadsafe(stopping, self._loop)
-            except RuntimeError:
-                # a `shutdown` op stopped the server and its loop closed
-                # between the liveness test and the submission
-                stopping.close()
-            else:
-                future.result(timeout=timeout_s)
-        self._thread.join(timeout=timeout_s)
-        if self._thread.is_alive():  # pragma: no cover - debugging aid
-            raise TimeoutError("server loop thread did not exit")
-        self._thread = None
-        self._loop = None
+        self._end(self.server.stop, timeout_s)
 
     def kill(self, timeout_s: float = 10.0) -> None:
         """Crash the node: no drain, connections get RSTs, queued writes
         die unacknowledged.  The chaos suite uses this to test the
         durability contract — only the WAL survives a :meth:`kill`."""
+        self._end(self.server.abort, timeout_s)
+
+    def _end(self, ending, timeout_s: float) -> None:
+        """Run *ending* (a coroutine function) on the loop, then join."""
         if self._thread is None or self._loop is None:
             return
         if self._thread.is_alive() and self._startup_error is None:
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.abort(), self._loop
-            )
-            future.result(timeout=timeout_s)
+            coroutine = ending()
+            try:
+                future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+            except RuntimeError:
+                # a `shutdown` op stopped the tier and its loop closed
+                # between the liveness test and the submission
+                coroutine.close()
+            else:
+                future.result(timeout=timeout_s)
         self._thread.join(timeout=timeout_s)
         if self._thread.is_alive():  # pragma: no cover - debugging aid
-            raise TimeoutError("server loop thread did not exit after kill")
+            raise TimeoutError("server loop thread did not exit")
         self._thread = None
         self._loop = None
 

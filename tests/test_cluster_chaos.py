@@ -24,9 +24,8 @@ import time
 
 import pytest
 
-from repro.core.config import CinderellaConfig
 from repro.router import ClusterHarness, RouterConfig
-from repro.server import CinderellaServer, ServerConfig, ServerThread
+from repro.server import ServerConfig, ServerThread
 from repro.server.client import ServerClient
 from repro.server.protocol import encode_request
 
@@ -338,45 +337,34 @@ def _stall_connection(address, rows: int):
 
 
 class TestBoundedDrain:
-    def test_stalled_client_cannot_hang_server_shutdown(self):
-        config = ServerConfig(maintenance_interval_s=0, drain_deadline_s=0.5)
-        server = CinderellaServer(config=config)
-        harness = ServerThread(server=server).start()
-        with ServerClient(*harness.address) as client:
-            blob = "x" * 2_000
-            for i in range(200):
-                client.insert({"blob": blob, "i": i}, eid=i)
-        stalled = _stall_connection(harness.address, rows=400)
+    @pytest.mark.parametrize("tier", ["server", "router"])
+    def test_stalled_client_cannot_hang_shutdown(self, tmp_path, tier):
+        """Both tiers drain through the same front door: a client that
+        never reads is force-closed at the deadline, and counted."""
+        if tier == "server":
+            harness = door = ServerThread(config=ServerConfig(
+                maintenance_interval_s=0, drain_deadline_s=0.5,
+            )).start()
+        else:
+            harness = ClusterHarness(
+                tmp_path, n_nodes=1, replication_factor=1,
+                router_config=RouterConfig(drain_deadline_s=0.5),
+            ).start()
+            door = harness.router_thread
         try:
-            time.sleep(0.3)  # let the writer block on the full socket
-            started = time.monotonic()
-            harness.stop()
-            elapsed = time.monotonic() - started
-            assert elapsed < 5.0, f"drain took {elapsed:.1f}s"
-            assert server.counters.connections_force_closed >= 1
-        finally:
-            stalled.close()
-
-    def test_stalled_client_cannot_hang_router_shutdown(self, tmp_path):
-        harness = ClusterHarness(
-            tmp_path, n_nodes=1, replication_factor=1,
-            router_config=RouterConfig(drain_deadline_s=0.5),
-        )
-        cluster = harness.start()
-        try:
-            with cluster.client() as client:
+            with ServerClient(*door.address) as client:
                 blob = "x" * 2_000
                 for i in range(200):
                     client.insert({"blob": blob, "i": i}, eid=i)
-            stalled = _stall_connection(cluster.router_address, rows=400)
+            stalled = _stall_connection(door.address, rows=400)
             try:
-                time.sleep(0.3)
+                time.sleep(0.3)  # let the writer block on the full socket
                 started = time.monotonic()
-                cluster.router_thread.stop()
-                cluster.router_thread = None
+                door.stop()
                 elapsed = time.monotonic() - started
-                assert elapsed < 5.0, f"router drain took {elapsed:.1f}s"
+                assert elapsed < 5.0, f"{tier} drain took {elapsed:.1f}s"
+                assert door.server.counters.connections_force_closed >= 1
             finally:
                 stalled.close()
         finally:
-            cluster.stop()
+            harness.stop()

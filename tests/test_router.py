@@ -7,23 +7,30 @@ protocol, so the client cannot tell the difference.  That transparency
 is itself under test.
 """
 
+import importlib.util
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.router import (
     ROUTER_EID_BASE,
     ClusterHarness,
     NodeAddress,
     PlacementMap,
-    RouterConfig,
 )
 from repro.server import ServerConfig, ServerThread
 from repro.server.client import ServerClient, ServerError
 
 from tests.conftest import wait_until
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _nodes(count):
@@ -410,3 +417,73 @@ class TestRetryingClient:
         # and has been removed; this pins the removal so it cannot
         # silently come back
         assert not hasattr(ServerClient, "insert_with_backoff")
+
+
+class TestRouterLifecycle:
+    def test_shutdown_op_drains_the_router_then_harness_stop_returns(
+        self, tmp_path
+    ):
+        """The ``shutdown`` verb stops the router and closes its loop;
+        the harness's own stop() must not race that close."""
+        with ClusterHarness(tmp_path, n_nodes=1, replication_factor=1) as h:
+            with h.client() as client:
+                client.insert({"a": 1}, eid=1)
+                assert client.shutdown().get("draining") is True
+            router_loop = h.router_thread._thread
+            assert wait_until(lambda: not router_loop.is_alive())
+            assert h.router.counters.requests_failed == 0
+            h.stop()  # the router is already gone: must still return
+            assert h.router_thread is None
+
+
+def _launch(args, tmp_path):
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        cwd=tmp_path,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+
+
+def _banner_port(proc) -> int:
+    """The port of a ``listening on HOST:PORT`` banner, parsed the way
+    the benchmark launcher (``benchmarks/layers/procs.py``) parses it."""
+    spec = importlib.util.spec_from_file_location(
+        "procs", REPO / "benchmarks" / "layers" / "procs.py"
+    )
+    procs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(procs)
+    match = procs._BANNER.search(proc.stdout.readline().encode())
+    assert match is not None
+    return int(match.group(2))
+
+
+class TestRouteCommand:
+    def test_cli_route_round_trip(self, tmp_path):
+        """``python -m repro route`` fronts a ``serve`` node, routes
+        traffic, and drains on SIGTERM with its summary line."""
+        node = _launch(["serve", "--port", "0", "--name", "node0"], tmp_path)
+        router = None
+        try:
+            node_port = _banner_port(node)
+            router = _launch([
+                "route", f"node0=127.0.0.1:{node_port}", "--port", "0",
+                "--replication-factor", "1",
+            ], tmp_path)
+            with ServerClient("127.0.0.1", _banner_port(router)) as client:
+                for i in range(5):
+                    client.insert({"x": i})
+                assert len(client.query(["x"])) == 5
+            router.send_signal(signal.SIGTERM)
+            out, err = router.communicate(timeout=30)
+            assert router.returncode == 0, err
+            assert "routed 6 requests (5 writes, 1 scatters" in out
+        finally:
+            for proc in (router, node):
+                if proc is not None:
+                    proc.kill()
+                    proc.communicate()
+
+    def test_bad_node_spec_is_refused(self):
+        with pytest.raises(SystemExit, match="bad node spec 'node0=nohost'"):
+            main(["route", "node0=nohost"])

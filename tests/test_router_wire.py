@@ -23,8 +23,8 @@ from repro.router import (
     NodeAddress,
     PlacementMap,
     RouterConfig,
-    RouterThread,
 )
+from repro.server import ServerThread
 from repro.server.protocol import MAX_LINE_BYTES
 
 
@@ -141,7 +141,7 @@ def misbehaving_router(request):
         upstream_timeout_s=0.25, upstream_attempts=2,
         retry_base_s=0.005, retry_max_s=0.01,
     ))
-    with RouterThread(router) as running:
+    with ServerThread(router) as running:
         yield running
     node.shutdown()
     node.server_close()
@@ -194,7 +194,7 @@ class TestPartialScatterOnTheWire:
             router = CinderellaRouter(placement, config=RouterConfig(
                 upstream_timeout_s=0.25, upstream_attempts=1,
             ))
-            with RouterThread(router) as running:
+            with ServerThread(router) as running:
                 documents = _exchange_lines(
                     running.address,
                     b'{"op": "insert", "id": 1, "attributes": {"a": 1},'

@@ -348,10 +348,10 @@ class TestAdmissionControl:
             ))
             await server.start()
             server._draining = True
+            from repro.server.frontdoor import Refused
             from repro.server.protocol import Request
-            from repro.server.server import _OpRefused
 
-            with pytest.raises(_OpRefused) as excinfo:
+            with pytest.raises(Refused) as excinfo:
                 await server._handle_write(Request(
                     "insert", 1, {"attributes": {"a": 1}}
                 ))
