@@ -10,9 +10,10 @@ Section II placement cost model):
 * :mod:`repro.router.health` — the per-node circuit breaker
   (healthy → suspect → ejected → probing) with jittered, exponentially
   growing ejection windows;
-* :mod:`repro.router.pool` — pooled upstream connections where *every*
-  failure mode (refused, timeout, EOF, garbage) collapses into one
-  typed :class:`~repro.router.pool.UpstreamError`;
+* :mod:`repro.router.pool` — pipelined upstream channels, one per
+  client session and node, where *every* failure mode (refused,
+  timeout, EOF, garbage) collapses into one typed
+  :class:`~repro.router.pool.UpstreamError`;
 * :mod:`repro.router.router` — :class:`CinderellaRouter` itself:
   partition-aware write fan-out with catch-up buffering, scatter-gather
   reads with per-shard replica failover, and the explicit

@@ -20,7 +20,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional, Union
+from typing import Any, Awaitable, NamedTuple, Optional, Union
 
 from repro.obs import runtime as obs
 from repro.obs.registry import SERVER_LATENCY_BUCKETS
@@ -109,6 +109,14 @@ _FORCE_CLOSED = protocol.encode_response(
         "drain_deadline", "connection force-closed at the drain deadline",
     ),
 )
+
+
+def as_refusal(err: Exception) -> Refused:
+    """How a failed request is answered: a refusal as itself, anything
+    else (a handler bug) as ``error/internal``."""
+    if isinstance(err, Refused):
+        return err
+    return Refused(protocol.ERROR, "internal", f"{type(err).__name__}: {err}")
 
 
 def request_trace_context(request: Request) -> Optional[TraceContext]:
@@ -341,19 +349,22 @@ class FrontDoor:
     # answering and accounting
     # ------------------------------------------------------------------
     async def _respond(
-        self, session: Session, request: Request, started: float
+        self,
+        session: Session,
+        request: Request,
+        started: float,
+        routed: Optional[Awaitable[Outcome]] = None,
     ) -> bytes:
-        """Serve one request through the tier's ``_route`` and account for
-        it.  Never raises: a refusal is answered as one, and so is a
+        """Serve one request through the tier's ``_route`` — or await the
+        outcome the tier already set in motion (*routed*) — and account
+        for it.  Never raises: a refusal is answered as one, and so is a
         handler bug, which must not kill the connection loop."""
         try:
-            outcome = await self._route(request, session)
-        except Refused as refusal:
-            outcome = refusal
-        except Exception as err:
-            outcome = Refused(
-                protocol.ERROR, "internal", f"{type(err).__name__}: {err}"
+            outcome = await (
+                routed if routed is not None else self._route(request, session)
             )
+        except Exception as err:
+            outcome = as_refusal(err)
         return self._finish(session, request, started, outcome)
 
     def _finish(
