@@ -21,10 +21,11 @@ connection in request order, so a channel is a FIFO:
   not answer at all.
 
 Each client session of the router owns one channel per node
-(:meth:`NodePool.channel`), and so do a resync and each admin fan-out
-for as long as they run; the pool's one-shot :meth:`NodePool.request`
-(barrier requests, retries, catch-up replay) runs on one channel the
-pool owns itself and redials when that one broke.
+(:meth:`NodePool.channel`), closed once the session's requests have
+settled, and so do a resync and each admin fan-out for as long as they
+run; the pool's one-shot :meth:`NodePool.request` (the reads and writes
+the front door serves as barriers, retries, catch-up replay) runs on
+one channel the pool owns itself and redials when that one broke.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ class NodePool:
         self._next_id = 0
         self._channels: set[Channel] = set()
         #: the channel behind the one-shot :meth:`request`
-        #: (barriers, retries, catch-up replay)
+        #: (barrier reads and writes, retries, catch-up replay)
         self._shared: Optional[Channel] = None
         #: exchanges completed / connections dialed (stats)
         self.exchanges = 0

@@ -30,27 +30,28 @@ aggregates and ``ORDER BY`` are per-shard, not global; and write
 fan-out is asynchronous replication — a replica that missed a write
 serves slightly stale reads until its catch-up replay lands.
 
-Listener, sessions, framing, request accounting and the bounded drain
-are the front door it shares with the serving node
-(:class:`~repro.server.frontdoor.FrontDoor`); the router keeps its own
-connection loop and its part of the drain: stop the resync monitor, let
-every session answer what it has in flight, close the upstream pools.
+Listener, sessions, framing, request accounting, the bounded drain and
+the connection loop are the front door it shares with the serving node
+(:class:`~repro.server.frontdoor.FrontDoor`); the router keeps its
+dispatch rule, the teardown of a session's upstream channels and its
+part of the drain: stop the resync monitor, close the upstream pools.
 
-The connection loop pipelines, one tier up from what a node does for a
+Its dispatch rule pipelines, one tier up from what a node does for a
 pipelining client.  Each client session owns one pipelined upstream
 channel per node (:class:`~repro.router.pool.Channel`).  A read or write
 is *dispatched* the moment its frame is decoded — placement, then its
 frames written to the chosen replicas' channels, with no ``await`` in
 between — so one session's requests reach every replica in arrival
 order; it is *completed* concurrently with the requests behind it, and
-*answered* in request order, at most :data:`_SESSION_INFLIGHT` at a time.
+the front door answers in request order, owing at most
+:data:`_SESSION_INFLIGHT` at a time.
 Since a node answers a pipelined connection exactly like one request at
 a time, a routed write set (``insert X`` then ``update X``) shares the
 nodes' group commits without ever being reordered.  This fast path is
 taken only when nothing is degraded; anything else — a replica out of
 the write set, ejected, catching up, or a session channel that failed
-— and the admin ops are *barriers*: the session waits for its
-unanswered requests and serves the barrier one at a time, through the
+— and the admin ops are *barriers*: the front door waits for the
+session's unanswered requests and serves the barrier alone, through the
 same retry, failover, dedup and catch-up logic as ever.  A request acts
 on its replies only after the session's earlier requests completed, so
 an exchange whose channel fails mid-flight retries behind them, and a
@@ -94,10 +95,9 @@ from repro.server.frontdoor import (
     Refused,
     Session,
     Tier,
-    as_refusal,
     request_trace_context,
 )
-from repro.server.protocol import ProtocolError, Request, Response
+from repro.server.protocol import Request, Response
 from repro.storage.record import valid_entity_id
 
 #: refusal codes that mean "the write actually landed, the ack was
@@ -187,13 +187,6 @@ class _Scatter:
 _Round = tuple[dict[NodeAddress, list[int]], list[Awaitable[Response]]]
 
 
-def _answered(line: bytes) -> asyncio.Future:
-    """An answer that is already known, as an entry of the answer queue."""
-    future = asyncio.get_running_loop().create_future()
-    future.set_result(line)
-    return future
-
-
 async def _completed(future: Optional[asyncio.Future]) -> None:
     """Wait until *future* (if any) is done, whatever its outcome."""
     if future is not None and not future.done():
@@ -224,7 +217,8 @@ class CinderellaRouter(FrontDoor):
     ) -> None:
         self.placement = placement
         super().__init__(
-            config if config is not None else RouterConfig(), RouterCounters()
+            config if config is not None else RouterConfig(), RouterCounters(),
+            inflight=_SESSION_INFLIGHT,
         )
         self._rng = rng if rng is not None else random.Random()
         self.health: dict[str, NodeHealth] = {
@@ -271,11 +265,9 @@ class CinderellaRouter(FrontDoor):
             node.name: 0 for node in placement.nodes
         }
         self._resyncing: set[str] = set()
-        #: every live session's connection task and unanswered requests,
-        #: by session id — a graceful stop lets them answer first
-        self._owing: dict[int, tuple[asyncio.Task, deque[asyncio.Future]]] = {}
-        #: requests of sessions whose client vanished, running to the end
-        self._settling: set[asyncio.Future] = set()
+        #: each session's upstream channels (by node name, opened
+        #: lazily), by session id
+        self._session_channels: dict[int, dict[str, Channel]] = {}
         self._monitor_task: Optional[asyncio.Task] = None
         self._next_eid = ROUTER_EID_BASE
 
@@ -287,195 +279,57 @@ class CinderellaRouter(FrontDoor):
             self._monitor_task = asyncio.create_task(self._resync_monitor())
 
     async def _quiesce(self, deadline: float) -> bool:
-        """Stop repairing replicas and let in-flight requests finish,
-        until *deadline*: a live session writes the answers it owes and
-        closes (the front door closes the idle ones), and the requests
-        of vanished clients settle."""
+        """Stop repairing replicas; the front door then lets every
+        session answer the requests it has in flight."""
         if self._monitor_task is not None:
             self._monitor_task.cancel()
             await asyncio.gather(self._monitor_task, return_exceptions=True)
             self._monitor_task = None
-        owing = list(self._settling)
-        for sid, (task, unanswered) in self._owing.items():
-            self.sessions[sid].closing = True
-            if unanswered:
-                owing.append(task)
-        if owing:
-            _done, pending = await asyncio.wait(
-                owing, timeout=max(0.0, deadline - time.monotonic()),
-            )
-            return bool(pending)
         return False
 
     def _release(self) -> None:
         for pool in self.pools.values():
             pool.close()
 
-    # ------------------------------------------------------------------
-    # the connection loop: dispatch in arrival order, complete
-    # concurrently, answer in request order
-    # ------------------------------------------------------------------
-    async def _serve_connection(
-        self,
-        session: Session,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        # this session's upstream channels, by node name, opened lazily
-        channels: dict[str, Channel] = {}
-        # one future per unanswered request, oldest first, resolving to
-        # its answer's wire line
-        unanswered: deque[asyncio.Future] = deque()
-        task = asyncio.current_task()
-        assert task is not None
-        self._owing[session.sid] = (task, unanswered)
-        # a pending read of the next frame, raced against the oldest
-        # request's completion while requests are in flight
-        read: Optional[asyncio.Future] = None
-        try:
-            while True:
-                # the answering half lives in this task, so a client that
-                # stops reading holds the task in drain(), where the
-                # bounded drain finds it and force-closes the connection
-                if session.closing and unanswered:
-                    await asyncio.wait(unanswered)  # in flight: finish it
-                out = []
-                while unanswered and unanswered[0].done():
-                    out.append(unanswered.popleft().result())
-                if out:
-                    writer.write(b"".join(out))
-                    await writer.drain()
-                if session.closing:
-                    break
-                if len(unanswered) >= _SESSION_INFLIGHT:
-                    await asyncio.wait((unanswered[0],))
-                    continue
-                if read is None and unanswered:
-                    read = asyncio.ensure_future(reader.readline())
-                try:
-                    if read is None:  # nothing in flight: just read
-                        line = await reader.readline()
-                    else:
-                        await asyncio.wait(
-                            {read, unanswered[0]} if unanswered else {read},
-                            return_when=asyncio.FIRST_COMPLETED,
-                        )
-                        if not read.done():
-                            continue  # the oldest request completed
-                        line, read = read.result(), None
-                except (asyncio.LimitOverrunError, ValueError):
-                    read = None
-                    unanswered.append(_answered(self._frame_too_long()))
-                    session.closing = True
-                    continue
-                if not line:  # EOF: answer what is in flight, then close
-                    session.closing = True
-                    continue
-                line = line.strip()
-                if line:
-                    await self._accept(session, line, channels, unanswered)
-        except asyncio.CancelledError:
-            # force-closed at the drain deadline: abandon what is left
-            for completion in unanswered:
-                completion.cancel()
-            unanswered.clear()
-            raise
-        finally:
-            del self._owing[session.sid]
-            if read is not None:
-                read.cancel()
-            pending = [c for c in unanswered if not c.done()]
-            if pending:
-                # the client vanished mid-burst: nobody hears these
-                # answers, but their verdicts still catch up a replica
-                # that missed a write, so they run to the end
-                settling = asyncio.ensure_future(
-                    self._settle(pending, channels)
-                )
-                self._settling.add(settling)
-                settling.add_done_callback(self._settling.discard)
-            else:
-                for channel in channels.values():
-                    channel.close()
-
-    @staticmethod
-    async def _settle(
-        pending: list[asyncio.Future], channels: dict[str, Channel]
-    ) -> None:
-        """Let a gone session's requests finish, then close its channels."""
-        await asyncio.wait(pending)
-        for channel in channels.values():
+    def _end_session(self, session: Session) -> None:
+        """Close the session's upstream channels: its requests settled."""
+        for channel in self._session_channels.pop(session.sid, {}).values():
             channel.close()
 
-    async def _accept(
-        self,
-        session: Session,
-        line: bytes,
-        channels: dict[str, Channel],
-        unanswered: deque[asyncio.Future],
-    ) -> None:
-        """Decode one frame and dispatch it, or serve it as a barrier."""
-        try:
-            request, started = self._decode(line)
-        except ProtocolError as err:
-            unanswered.append(_answered(self._undecodable(session, err)))
-            return
-        # the latest request still in flight: once it completed, so did
-        # every earlier one (each waits on its own predecessor, answered
-        # entries are done and a barrier starts when all are)
-        previous = next((f for f in reversed(unanswered) if not f.done()), None)
-        try:
-            routed = self._dispatch(request, channels, previous)
-        except Exception as err:
-            unanswered.append(_answered(
-                self._finish(session, request, started, as_refusal(err))
-            ))
-            return
-        if routed is not None:
-            unanswered.append(asyncio.ensure_future(
-                self._respond(session, request, started, routed)
-            ))
-            return
-        # a barrier: every earlier request settles first, then this one
-        # is served alone — failover, catch-up and dedup exactly as a
-        # one-request-at-a-time session would see them
-        if previous is not None:
-            await asyncio.wait((previous,))
-        for name, channel in list(channels.items()):
-            if channel.broken is not None:
-                del channels[name]
-        barrier = asyncio.ensure_future(self._respond(session, request, started))
-        unanswered.append(barrier)  # owed: a graceful stop waits for it
-        await asyncio.wait((barrier,))
-
+    # ------------------------------------------------------------------
+    # the dispatch rule: pipelined when nothing on the path is degraded
+    # ------------------------------------------------------------------
     def _dispatch(
         self,
         request: Request,
-        channels: dict[str, Channel],
+        session: Session,
         previous: Optional[asyncio.Future],
     ) -> Optional[Awaitable[Answer]]:
         """Send a read or write on the session's channels now, when
         nothing on its path is degraded; the awaitable is its answer.
-        None makes the request a barrier.  *previous* is the session's
-        latest request in flight: each exchange waits for it to complete
-        before acting on its reply (see :meth:`_exchange_attempts`)."""
-        if self._draining:
-            return None
-        if request.op in _WRITE_OPS:
+        None makes the request a barrier, after which the session's
+        failed channels are redialed.  Each exchange waits for
+        *previous* to complete before acting on its reply (see
+        :meth:`_exchange_attempts`)."""
+        channels = self._session_channels.setdefault(session.sid, {})
+        routed: Optional[Awaitable[Answer]] = None
+        if not self._draining and request.op in _WRITE_OPS:
             shard, replicas = self._write_target(request)
-            if not all(self._fast(node, channels) for node in replicas):
-                return None
-            return self._send_write(
-                request, shard, replicas, replicas, channels, previous
-            )
-        if request.op in ("query", "sql"):
-            if not all(self._fast(node, channels) for node in self._primaries):
-                return None
-            scatter = self._begin_scatter(request)
-            return self._gather(
-                scatter, self._scatter_round(scatter, channels, previous)
-            )
-        return None
+            if all(self._fast(node, channels) for node in replicas):
+                routed = self._send_write(
+                    request, shard, replicas, replicas, channels, previous
+                )
+        elif not self._draining and request.op in ("query", "sql"):
+            if all(self._fast(node, channels) for node in self._primaries):
+                scatter = self._begin_scatter(request)
+                routed = self._gather(
+                    scatter, self._scatter_round(scatter, channels, previous)
+                )
+        if routed is None:
+            for name, channel in list(channels.items()):
+                if channel.broken is not None:
+                    del channels[name]
+        return routed
 
     def _fast(self, node: NodeAddress, channels: dict[str, Channel]) -> bool:
         """May a pipelined exchange go to *node* right now: in the write

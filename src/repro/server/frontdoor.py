@@ -5,9 +5,19 @@ router (:class:`~repro.router.router.CinderellaRouter`) speak the same
 protocol, and everything between the socket and a tier's own request
 handling is one :class:`FrontDoor`: the listener, the :class:`Session`
 registry, framing and trace adoption, the one refusal type
-(:class:`Refused`), request accounting, and the bounded drain with its
-typed force-close.  ``docs/SERVER.md`` ("The front door") describes it
-once for both tiers.
+(:class:`Refused`), request accounting, the bounded drain with its
+typed force-close — and the one connection loop.  ``docs/SERVER.md``
+("The front door") describes it once for both tiers.
+
+The connection loop reads frames as they arrive and asks the tier's
+``_dispatch`` about each decoded request.  A dispatched request (a
+node's queued write, a router's pipelined read or write) completes
+while the loop reads on; one the tier did not dispatch is a *barrier*:
+the loop waits for the session's earlier requests, pauses reading and
+serves it alone.  Answers leave in request order, every ready one in
+one write, and a session owes at most the tier's ``inflight`` bound —
+TCP back-pressure holds the rest of a burst.  The two tiers differ only
+in their dispatch rule.
 
 Spans and the event loop: the tracer's span stack is per *thread*, so a
 span held across an ``await`` would mis-parent the spans of interleaved
@@ -19,8 +29,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from repro.obs import runtime as obs
 from repro.obs.registry import SERVER_LATENCY_BUCKETS
@@ -43,6 +54,12 @@ class Tier(NamedTuple):
     requests_total: tuple[str, str]
 
 
+#: one unanswered request: the request, the clock reading its latency
+#: counts from and the future of its outcome — or, for a frame that is
+#: no request, ``(None, 0.0, future of its wire line)``
+Owed = tuple[Optional[Request], float, asyncio.Future]
+
+
 @dataclass
 class Session:
     """Per-connection bookkeeping."""
@@ -54,6 +71,8 @@ class Session:
     errors: int = 0
     ops: dict[str, int] = field(default_factory=dict)
     closing: bool = False
+    #: the session's unanswered requests, oldest first
+    owed: deque[Owed] = field(default_factory=deque)
 
     def observe(self, op: str, ok: bool) -> None:
         self.requests += 1
@@ -119,6 +138,21 @@ def as_refusal(err: Exception) -> Refused:
     return Refused(protocol.ERROR, "internal", f"{type(err).__name__}: {err}")
 
 
+def _outcome(answer: asyncio.Future) -> Outcome:
+    """What a completed answer says; a failure is answered as a refusal."""
+    try:
+        return answer.result()
+    except Exception as err:
+        return as_refusal(err)
+
+
+def _ready(value: Any) -> asyncio.Future:
+    """An answer already known, as an entry of a session's FIFO."""
+    future = asyncio.get_running_loop().create_future()
+    future.set_result(value)
+    return future
+
+
 def request_trace_context(request: Request) -> Optional[TraceContext]:
     """The adopted trace context :meth:`FrontDoor._decode` stashed on the
     request (the isinstance check also drops a wire-supplied impostor)."""
@@ -132,13 +166,17 @@ class FrontDoor:
     *config* carries ``host``, ``port``, ``name`` and
     ``drain_deadline_s``; *counters* carries ``connections_opened``,
     ``connections_closed``, ``connections_force_closed``,
-    ``requests_total``, ``requests_failed`` and ``bad_requests``.
+    ``requests_total``, ``requests_failed`` and ``bad_requests``;
+    *inflight* bounds the requests one session may owe answers to.
 
     A tier supplies the rest as hooks: :meth:`_prepare` (before the
     socket binds), ``_launch()`` (start its background tasks),
-    ``_serve_connection(session, reader, writer)`` (its request loop;
-    returns at EOF or when the session is closing), ``_route(request,
-    session)`` (serve one decoded request; may raise :class:`Refused`),
+    ``_dispatch(request, session, previous)`` (set one decoded request
+    in motion and return the awaitable of its outcome, or None to make
+    it a barrier; may raise :class:`Refused`; *previous* is the
+    session's latest dispatched or served answer), ``_route(request,
+    session)`` (serve a barrier; may raise :class:`Refused`),
+    :meth:`_end_session` (once the session's requests have settled),
     ``_quiesce(deadline)`` (finish its own work once no connection is
     accepted any more; true when *deadline* cut that short) and
     ``_release()`` (free what it holds once its connections are gone).
@@ -147,9 +185,10 @@ class FrontDoor:
     #: set by each tier
     TIER: Tier
 
-    def __init__(self, config: Any, counters: Any) -> None:
+    def __init__(self, config: Any, counters: Any, inflight: int) -> None:
         self.config = config
         self.counters = counters
+        self._inflight = inflight
         self.sessions: dict[int, Session] = {}
         self._next_sid = 1
         self._listener: Optional[asyncio.AbstractServer] = None
@@ -169,6 +208,10 @@ class FrontDoor:
 
     def _prepare(self) -> None:
         """Runs once before the socket binds (a tier hook)."""
+
+    def _end_session(self, session: Session) -> None:
+        """Runs once a session's connection is gone and its requests
+        have settled (a tier hook)."""
 
     # ------------------------------------------------------------------
     # listener
@@ -213,9 +256,10 @@ class FrontDoor:
     # ------------------------------------------------------------------
     async def stop(self) -> None:
         """Graceful drain, bounded: stop accepting, let the tier finish
-        its work, close every connection — but only until
-        ``drain_deadline_s``; past it, surviving connections are
-        force-closed, so one stalled client can never hang shutdown."""
+        its work and every session answer the requests it has read,
+        close every connection — but only until ``drain_deadline_s``;
+        past it, surviving connections are force-closed, so one stalled
+        client can never hang shutdown."""
         if self._listener is None:  # never started: nothing to drain
             self._stopped.set()
             return
@@ -227,8 +271,15 @@ class FrontDoor:
         self._listener.close()  # stop accepting
         await self._listener.wait_closed()
         forced = await self._quiesce(deadline)
+        owed = []
         for session in self.sessions.values():
             session.closing = True
+            owed += [answer for _, _, answer in session.owed if not answer.done()]
+        if owed:
+            _done, late = await asyncio.wait(
+                owed, timeout=max(0.0, deadline - time.monotonic()),
+            )
+            forced = forced or bool(late)
         # handler tasks blocked in readline() only notice `closing` on
         # the next frame; yield once so finished requests flush their
         # responses, then force EOF on every remaining stream
@@ -313,6 +364,102 @@ class FrontDoor:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    # ------------------------------------------------------------------
+    # the connection loop: read ahead, dispatch, answer in request order
+    # ------------------------------------------------------------------
+    async def _serve_connection(
+        self,
+        session: Session,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        owed = session.owed
+        # the latest answer dispatched or served.  Each completes no
+        # earlier than the one before it — a node resolves a session's
+        # writes in queue order, and a router's request acts on its
+        # replies only after *previous* completed — so once it is done,
+        # every earlier one is
+        last: Optional[asyncio.Future] = None
+
+        def answer_ready(_answer: object = None) -> None:
+            """Write every ready answer at the head of the FIFO, at once."""
+            out = []
+            while owed and owed[0][2].done():
+                request, started, answer = owed.popleft()
+                if request is None:
+                    out.append(answer.result())
+                elif not answer.cancelled():
+                    out.append(self._finish(
+                        session, request, started, _outcome(answer)
+                    ))
+            if out and not writer.transport.is_closing():
+                writer.write(b"".join(out))
+
+        def owe(
+            request: Optional[Request], started: float, answer: asyncio.Future
+        ) -> asyncio.Future:
+            owed.append((request, started, answer))
+            # done callbacks run on a later turn of the loop, once the
+            # frames already buffered are read: ready answers coalesce
+            answer.add_done_callback(answer_ready)
+            return answer
+
+        try:
+            try:
+                while not session.closing:
+                    # the answers are written by done callbacks; a client
+                    # that stops reading them holds this task here, where
+                    # the bounded drain finds it
+                    await writer.drain()
+                    if len(owed) >= self._inflight:
+                        await asyncio.wait((owed[0][2],))
+                        continue
+                    try:
+                        line = await reader.readline()
+                    except (asyncio.LimitOverrunError, ValueError):
+                        owe(None, 0.0, _ready(self._frame_too_long()))
+                        break
+                    if not line:
+                        break  # EOF: answer what was read, then close
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        request, started = self._decode(line)
+                    except ProtocolError as err:
+                        owe(None, 0.0, _ready(self._undecodable(session, err)))
+                        continue
+                    try:
+                        routed = self._dispatch(request, session, last)
+                    except Exception as err:
+                        owe(request, started, _ready(as_refusal(err)))
+                        continue
+                    if routed is not None:
+                        last = owe(request, started, asyncio.ensure_future(routed))
+                        continue
+                    # a barrier: served alone once every earlier request
+                    # completed, owed meanwhile (a graceful stop waits)
+                    if last is not None and not last.done():
+                        await asyncio.wait((last,))
+                    last = owe(
+                        request, started,
+                        asyncio.get_running_loop().create_future(),
+                    )
+                    last.set_result(await self._respond(request, session))
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # the client vanished: what it sent runs to the end
+            if last is not None and not last.done():
+                await asyncio.wait((last,))
+            answer_ready()
+            await writer.drain()
+        finally:
+            # left owed only when cancelled (force-close, crash)
+            abandoned = list(owed)
+            owed.clear()
+            for _request, _started, answer in abandoned:
+                answer.cancel()
+            self._end_session(session)
+
     def _frame_too_long(self) -> bytes:
         """Count an over-long frame and build its answer; the caller then
         gives up on the stream (framing can no longer be trusted)."""
@@ -348,24 +495,14 @@ class FrontDoor:
     # ------------------------------------------------------------------
     # answering and accounting
     # ------------------------------------------------------------------
-    async def _respond(
-        self,
-        session: Session,
-        request: Request,
-        started: float,
-        routed: Optional[Awaitable[Outcome]] = None,
-    ) -> bytes:
-        """Serve one request through the tier's ``_route`` — or await the
-        outcome the tier already set in motion (*routed*) — and account
-        for it.  Never raises: a refusal is answered as one, and so is a
-        handler bug, which must not kill the connection loop."""
+    async def _respond(self, request: Request, session: Session) -> Outcome:
+        """Serve a barrier through the tier's ``_route``.  Never raises:
+        a refusal is answered as one, and so is a handler bug, which
+        must not kill the connection loop."""
         try:
-            outcome = await (
-                routed if routed is not None else self._route(request, session)
-            )
+            return await self._route(request, session)
         except Exception as err:
-            outcome = as_refusal(err)
-        return self._finish(session, request, started, outcome)
+            return as_refusal(err)
 
     def _finish(
         self,

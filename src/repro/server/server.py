@@ -4,22 +4,18 @@ One :class:`CinderellaServer` owns one
 :class:`~repro.table.partitioned.CinderellaTable` and exposes it over
 TCP with the line-delimited JSON protocol of
 :mod:`repro.server.protocol`.  Listener, sessions, framing, request
-accounting and the bounded drain are the front door it shares with the
-router (:class:`~repro.server.frontdoor.FrontDoor`); what is the node's
-own, in one paragraph:
+accounting, the bounded drain and the connection loop are the front
+door it shares with the router
+(:class:`~repro.server.frontdoor.FrontDoor`); what is the node's own,
+in one paragraph:
 
-* every **connection** gets a session and an independent
-  request loop; requests on one connection are answered in order,
-  requests on different connections interleave freely.  The loop does
-  not wait for a write's batch before it parses the next frame: a
-  modification is validated, admitted and queued at once and answered
-  later, so a connection's consecutive writes share a group commit.
-  It collects its acks — oldest first — when the read buffer holds no
-  complete frame, when it has ``batch_max`` writes unanswered (TCP
-  back-pressure holds the rest of a burst), or when the next request is
-  not a write: anything else is served behind the connection's own
-  queued writes, which keeps responses in request order and gives every
-  connection read-your-writes;
+* its **dispatch rule**: a modification is validated, admitted and
+  queued the moment its frame is decoded and answered once its batch
+  is durable and published, so a connection's consecutive writes share
+  a group commit; anything else is a barrier, served behind the
+  connection's own queued writes, which gives every connection
+  read-your-writes.  A connection owes at most ``batch_max`` answers —
+  one batch's worth, the depth below which admission never sheds;
 * every **query** (attribute query or SQL) is served from the latest
   :class:`~repro.query.snapshot.TableSnapshot` — an immutable MVCC view
   the writer publishes after every committed batch — directly on the
@@ -76,7 +72,6 @@ import asyncio
 import json
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -107,7 +102,7 @@ from repro.server.frontdoor import (
     Tier,
     request_trace_context,
 )
-from repro.server.protocol import ProtocolError, Request
+from repro.server.protocol import Request
 from repro.storage.record import valid_entity_id, validate_value
 from repro.storage.snapshot import (
     SnapshotFormatError,
@@ -176,8 +171,8 @@ class ServerConfig:
     #: within this latency at the batcher's measured rate
     admission_target_latency_s: float = 0.05
     #: modifications applied per group commit — and so, per connection,
-    #: the writes it may have queued before it stops to collect acks,
-    #: and the depth below which admission never sheds
+    #: the answers it may owe before it stops reading, and the depth
+    #: below which admission never sheds
     batch_max: int = 32
     #: cooperative maintenance cadence (seconds; 0 disables the task)
     maintenance_interval_s: float = 0.25
@@ -252,9 +247,8 @@ class CinderellaServer(FrontDoor):
                 )
             table = CinderellaTable(table_config)
         self.table = table
-        super().__init__(
-            config if config is not None else ServerConfig(), ServerCounters()
-        )
+        config = config if config is not None else ServerConfig()
+        super().__init__(config, ServerCounters(), inflight=config.batch_max)
         #: the closed adaptation loop, consulted from the maintenance
         #: slot every ``adapt_every`` passes (None while disabled)
         self.adapt: Optional[AdaptationController] = None
@@ -428,97 +422,22 @@ class CinderellaServer(FrontDoor):
         await asyncio.sleep(0)  # let cancellations propagate
 
     # ------------------------------------------------------------------
-    # the connection loop
+    # the dispatch rule
     # ------------------------------------------------------------------
-    async def _serve_connection(
+    def _dispatch(
         self,
+        request: Request,
         session: Session,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        out: list[bytes] = []  # responses accumulated for one flush
-        # this connection's writes still owed an answer, oldest first:
-        # (request, started, future of the verdict)
-        unanswered: deque[tuple[Request, float, asyncio.Future]] = deque()
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                # pipelined clients batch many requests per segment.
-                # Consecutive writes are queued without waiting for each
-                # one's group commit, and answering each request with
-                # its own send syscall dominates the loop at high
-                # concurrency — so acks are collected and responses
-                # flushed, in one write, only when the read buffer has
-                # no complete frame left or a bound is reached: one
-                # batch's worth of queued writes (TCP back-pressure
-                # holds the rest of the burst) or 128 built responses
-                if session.closing or (
-                    (unanswered or out) and (
-                        len(unanswered) >= self.config.batch_max
-                        or len(out) >= 128
-                        or b"\n" not in getattr(reader, "_buffer", b"")
-                    )
-                ):
-                    await self._collect_acks(unanswered, out, session)
-                    if out:
-                        writer.write(out[0] if len(out) == 1 else b"".join(out))
-                        out.clear()
-                        await writer.drain()
-                if session.closing:
-                    break
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._collect_acks(unanswered, out, session)
-                    out.append(self._frame_too_long())
-                    session.closing = True
-                    continue
-                if not line:
-                    break  # EOF
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request, started = self._decode(line)
-                except ProtocolError as err:
-                    await self._collect_acks(unanswered, out, session)
-                    out.append(self._undecodable(session, err))
-                    continue
-                if request.op in _WRITE_OPS:
-                    # queued (or refused) at once, answered in turn: the
-                    # next frame is parsed while this write's batch
-                    # fills, so a connection's consecutive writes share
-                    # a group commit
-                    try:
-                        verdict = self._handle_write(request)
-                    except Refused as refusal:
-                        verdict = loop.create_future()
-                        verdict.set_result(refusal)
-                    unanswered.append((request, started, verdict))
-                    continue
-                # anything else is served behind the connection's own
-                # queued writes: responses leave in request order, and a
-                # read sees every write sent before it (their batches
-                # have published by the time their futures resolve)
-                await self._collect_acks(unanswered, out, session)
-                out.append(await self._respond(session, request, started))
-        finally:
-            # writes still queued for a connection that is gone are
-            # applied all the same; nobody is left to hear the verdict
-            for _request, _started, verdict in unanswered:
-                verdict.cancel()
-
-    async def _collect_acks(
-        self,
-        unanswered: deque[tuple[Request, float, asyncio.Future]],
-        out: list[bytes],
-        session: Session,
-    ) -> None:
-        """Answer the connection's queued writes, oldest first, each as
-        soon as its batch is durable and published."""
-        while unanswered:
-            request, started, verdict = unanswered.popleft()
-            out.append(self._finish(session, request, started, await verdict))
+        previous: Optional[asyncio.Future],
+    ) -> Optional[asyncio.Future]:
+        """Queue a write at once (or raise its refusal): the next frame
+        is read while its batch fills, so a connection's consecutive
+        writes share a group commit.  Anything else is a barrier, served
+        once the connection's queued writes have published: a read sees
+        every write sent before it."""
+        if request.op in _WRITE_OPS:
+            return self._handle_write(request)
+        return None
 
     async def _route(self, request: Request, session: Session) -> Outcome:
         """Serve one request that is not a queued write."""

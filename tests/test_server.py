@@ -7,9 +7,7 @@ path production traffic takes.
 """
 
 import asyncio
-import gc
 import json
-import logging
 import socket
 import subprocess
 import sys
@@ -518,27 +516,6 @@ class TestPipelinedWrites:
         assert [r.status for r in (inserted, updated, deleted)] == ["applied"] * 3
         assert query.ok and query.get("rows") == []
 
-    def test_each_refusal_sits_at_its_own_position(self, harness):
-        burst = [
-            b'{"op":"insert","id":1,"eid":5,"attributes":{"a":1}}',
-            b'{"op":"insert","id":2,"eid":5,"attributes":{"a":2}}',
-            b'{"op":"insert","id":3,"attributes":{}}',
-            b"this is not json",
-            b'{"op":"insert","id":5,"eid":6,"attributes":{"a":3}}',
-            b'{"op":"query","id":6,"attributes":["a"]}',
-        ]
-        with socket.create_connection(harness.address, timeout=10) as sock:
-            sock.sendall(b"\n".join(burst) + b"\n")
-            reader = sock.makefile("rb")
-            answers = [json.loads(reader.readline()) for _ in burst]
-        assert [a["id"] for a in answers] == [1, 2, 3, 0, 5, 6]
-        assert [a["status"] for a in answers] == [
-            "applied", "rejected", "rejected", "bad_request", "applied", "ok",
-        ]
-        assert answers[1]["error"]["code"] == "duplicate_entity"
-        assert answers[2]["error"]["code"] == "empty_synopsis"
-        assert answers[5]["rows"] == [{"a": 1}, {"a": 3}]
-
     def test_burst_past_the_window_is_shed_in_order(self):
         config = ServerConfig(max_pending=8, maintenance_interval_s=0)
         with ServerThread(config=config) as harness:
@@ -556,33 +533,6 @@ class TestPipelinedWrites:
         counters = harness.server.counters
         assert counters.writes_applied == len(applied)
         assert counters.writes_shed_overloaded == 64 - len(applied)
-
-    def test_client_that_never_reads_its_acks_is_reaped(self, caplog):
-        server = CinderellaServer(config=ServerConfig(maintenance_interval_s=0))
-        # what earlier tests left uncollected (a killed node's connection
-        # task complains the same way) is not this server's doing
-        gc.collect()
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            with ServerThread(server=server) as harness:
-                sock = socket.create_connection(harness.address, timeout=10)
-                sock.sendall(b"".join(
-                    b'{"op":"insert","id":%d,"eid":%d,"attributes":{"a":1}}\n'
-                    % (i, i)
-                    for i in range(200)
-                ))
-                sock.close()  # 200 acks on their way to nobody
-                assert wait_until(
-                    lambda: server.counters.connections_closed == 1
-                )
-                assert server.sessions == {}
-            gc.collect()  # an unretrieved future complains when collected
-        assert caplog.records == []
-        assert server._write_queue.qsize() == 0
-        # what was queued before the connection died was applied whole
-        assert len(list(server.table.entity_ids())) == (
-            server.counters.writes_applied
-        )
-        assert server.table.check_consistency() == []
 
     def test_stop_flushes_queued_writes_and_their_acks(self):
         """A drain that begins with writes queued behind a batch in
