@@ -8,11 +8,7 @@ from repro.query.executor import (
     execute_uncached_full_scan,
     execute_union_all,
 )
-from repro.query.pruning import (
-    candidate_pids_from_index,
-    is_prunable,
-    split_by_pruning,
-)
+from repro.query.pruning import clause_masks, prune, surviving_pids_from_index
 from repro.query.query import AttributeQuery
 from repro.query.rewrite import UnionAllPlan, rewrite
 
@@ -22,11 +18,11 @@ __all__ = [
     "ExecutionStats",
     "QueryResultCache",
     "UnionAllPlan",
-    "candidate_pids_from_index",
+    "clause_masks",
     "execute_full_scan",
     "execute_uncached_full_scan",
     "execute_union_all",
-    "is_prunable",
+    "prune",
     "rewrite",
-    "split_by_pruning",
+    "surviving_pids_from_index",
 ]

@@ -171,8 +171,8 @@ def verify_cache_coherence(cache: QueryResultCache, table) -> list[str]:
             continue
         query = AttributeQuery(attributes, mode)
         fresh: list[dict[str, Any]] = []
-        scan_heap(table.heap_of(pid), query, table.dictionary,
-                  ExecutionStats(), fresh)
+        scan_heap(table.heap_of(pid), table.dictionary, ExecutionStats(),
+                  fresh, query.matches, query.project)
         stored = cache.rows_at((attributes, mode, pid))
         if fresh != stored:
             problems.append(

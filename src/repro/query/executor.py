@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.obs import runtime as obs
 from repro.query.query import AttributeQuery
@@ -73,12 +73,14 @@ class ExecutionResult:
 
 def scan_heap(
     heap: "HeapFile",
-    query: AttributeQuery,
     dictionary: "AttributeDictionary",
     stats: ExecutionStats,
-    out_rows: list[dict[str, Any]],
+    out_rows: list,
+    matches: Callable[[dict[str, Any]], bool],
+    project: Callable[[dict[str, Any]], Any],
 ) -> None:
-    """Scan one heap file, appending qualifying projected rows.
+    """Scan one heap file, appending ``project(attributes)`` for every
+    record ``matches`` accepts: the read path's one heap scan.
 
     Charges page/byte reads through the heap's I/O stats and mirrors the
     deltas into *stats*; every live record is deserialized and tested
@@ -88,8 +90,8 @@ def scan_heap(
     for _rid, record in heap.scan():
         _eid, attributes = deserialize_record(record, dictionary)
         stats.entities_read += 1
-        if query.matches(attributes):
-            out_rows.append(query.project(attributes))
+        if matches(attributes):
+            out_rows.append(project(attributes))
             stats.rows_returned += 1
     delta = heap.io.delta_since(before)
     stats.pages_read += delta.pages_read
@@ -115,6 +117,7 @@ def execute_union_all(
     """
     if cache is not None and catalog is None:
         raise ValueError("a result cache requires the catalog for versions")
+    query = plan.query
     stats = ExecutionStats(
         partitions_total=plan.partitions_total,
         partitions_pruned=len(plan.pruned_pids),
@@ -126,9 +129,10 @@ def execute_union_all(
     ) as span:
         for pid in plan.branch_pids:
             stats.union_branches += 1
+            branch_rows = rows
             if cache is not None:
                 version = catalog.version_of(pid)
-                cached = cache.lookup(plan.query, pid, version)
+                cached = cache.lookup(query, pid, version)
                 if cached is not None:
                     stats.cache_hits += 1
                     stats.rows_returned += len(cached)
@@ -137,18 +141,16 @@ def execute_union_all(
                         counters.rows_served_from_cache += len(cached)
                     continue
                 stats.cache_misses += 1
-                branch_rows: list[dict[str, Any]] = []
-                stats.partitions_scanned += 1
-                with obs.span("query.scan", pid=pid):
-                    scan_heap(
-                        heaps[pid], plan.query, dictionary, stats, branch_rows
-                    )
-                cache.store(plan.query, pid, version, branch_rows)
-                rows.extend(branch_rows)
-                continue
+                branch_rows = []
             stats.partitions_scanned += 1
             with obs.span("query.scan", pid=pid):
-                scan_heap(heaps[pid], plan.query, dictionary, stats, rows)
+                scan_heap(
+                    heaps[pid], dictionary, stats, branch_rows,
+                    query.matches, query.project,
+                )
+            if cache is not None:
+                cache.store(query, pid, version, branch_rows)
+                rows.extend(branch_rows)
         if span.is_recording:
             span.set("cache_hits", stats.cache_hits)
             span.set("cache_misses", stats.cache_misses)
@@ -187,7 +189,9 @@ def execute_uncached_full_scan(
     for pid in sorted(heaps):
         stats.partitions_scanned += 1
         stats.union_branches += 1
-        scan_heap(heaps[pid], query, dictionary, stats, rows)
+        scan_heap(
+            heaps[pid], dictionary, stats, rows, query.matches, query.project
+        )
     stats.wall_time_s = time.perf_counter() - started
     return ExecutionResult(rows=rows, stats=stats)
 
@@ -201,6 +205,6 @@ def execute_full_scan(
     stats = ExecutionStats(partitions_total=1, partitions_scanned=1)
     rows: list[dict[str, Any]] = []
     started = time.perf_counter()
-    scan_heap(heap, query, dictionary, stats, rows)
+    scan_heap(heap, dictionary, stats, rows, query.matches, query.project)
     stats.wall_time_s = time.perf_counter() - started
     return ExecutionResult(rows=rows, stats=stats)

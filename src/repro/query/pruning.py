@@ -4,117 +4,95 @@
 only entities irrelevant to the query, i.e., partitions for which
 ``|p ∧ q| = 0`` holds."
 
-Pruning is *sound* by construction: a partition synopsis is the union of
-its members' attribute sets, so ``|p ∧ q| = 0`` implies ``|e ∧ q| = 0``
-for every member ``e``.  It is not *complete*: a surviving partition may
-still contain individual irrelevant entities — that residue is exactly
-what Definition 1's efficiency measures.
+This module is the only home of that rule.  Every read path — attribute
+queries, the MVCC snapshot's plan and SQL on every table layout — states
+its query as **clause masks**: attribute bitmasks that must each overlap
+a partition's synopsis mask for it to survive.  An ``any`` query (the
+paper's OR form) is one clause; an ``all`` query is one clause per
+attribute, since a qualifying entity — and so its partition's synopsis —
+has every one; a SQL WHERE clause compiles to such a conjunction.  A
+clause with no attribute known to the dictionary has mask ``0`` and
+prunes everything: no entity instantiates an attribute nobody ever had.
 
-Two resolution strategies produce the same surviving set:
+Pruning is *sound*: a partition synopsis is the union of its members'
+attribute sets, so a clause that misses it misses every member.  It is
+not *complete*: a survivor may still hold irrelevant entities — the
+residue Definition 1's efficiency measures.
 
-* :func:`split_by_pruning` — test every catalog entry (the paper's
-  metadata scan);
-* :func:`candidate_pids_from_index` — resolve the survivors from the
-  inverted :class:`~repro.catalog.synopsis_index.SynopsisIndex` posting
-  lists without touching non-overlapping catalog entries at all (the
-  "specialized data structures for many synopses" extension).  ``any``
-  mode unions the referenced attributes' posting lists; ``all`` mode
-  intersects them, smallest posting list first.
-
-The empty-synopsis query — every referenced attribute unknown to the
-dictionary, so ``q = 0`` — deserves a note because the index keeps a
-dedicated posting list for *empty-synopsis partitions* that must NOT be
-consulted here: ``SynopsisIndex.candidate_pids(0)`` answers the insert
-question ("which partitions could an attribute-less *entity* join?"),
-while a query referencing only unknown attributes matches no entity at
-all (``IS NOT NULL`` fails on a column nobody instantiates).  Both
-strategies therefore prune everything: ``is_prunable`` is true for every
-partition and :func:`candidate_pids_from_index` returns the empty set —
-equivalence is pinned by regression tests in
-``tests/test_query_layer.py``.
+:func:`prune` tests every ``(key, mask)`` pair (the paper's metadata
+scan); :func:`surviving_pids_from_index` resolves the same survivors
+from the :class:`~repro.catalog.synopsis_index.SynopsisIndex` posting
+lists without touching non-overlapping partitions (tests pin the two
+equal).  It must not consult the index's list of empty-synopsis
+partitions: ``SynopsisIndex.candidate_pids(0)`` answers the insert
+question ("where could an attribute-less *entity* go?"), while a clause
+mask of ``0`` unions no posting list and so keeps nothing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, TYPE_CHECKING
+from typing import Iterable, Sequence, TYPE_CHECKING, TypeVar
 
+from repro.catalog.partition import iter_attribute_ids
 from repro.query.query import AttributeQuery
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.dictionary import AttributeDictionary
-    from repro.catalog.partition import Partition
     from repro.catalog.synopsis_index import SynopsisIndex
 
+Key = TypeVar("Key")
 
-def is_prunable(
-    partition_mask: int, query: AttributeQuery, dictionary: "AttributeDictionary"
-) -> bool:
-    """Can the partition be skipped without looking at its entities?
 
-    * ``any`` mode: prunable iff ``|p ∧ q| = 0`` (Definition 1's test).
-    * ``all`` mode: prunable iff some referenced attribute is absent from
-      the partition synopsis — a qualifying entity instantiates all of
-      them, so its partition's synopsis must contain all of them.
-    """
-    query_mask = query.synopsis_mask(dictionary)
+def clause_masks(
+    query: AttributeQuery, dictionary: "AttributeDictionary"
+) -> list[int]:
+    """The attribute query as clause masks (see the module docstring)."""
     if query.mode == "any":
-        # the empty-synopsis query (query_mask == 0) prunes everything:
-        # no entity instantiates an unknown attribute (see module docs)
-        return (partition_mask & query_mask) == 0
-    if len(query.attributes) != query_mask.bit_count():
-        return True  # references an attribute no entity ever had
-    return (partition_mask & query_mask) != query_mask
+        return [dictionary.encode_known(query.attributes)]
+    return [dictionary.encode_known((name,)) for name in query.attributes]
 
 
-def candidate_pids_from_index(
-    index: "SynopsisIndex", query: AttributeQuery, dictionary: "AttributeDictionary"
+def prune(
+    entries: Iterable[tuple[Key, int]], masks: Sequence[int]
+) -> tuple[list[Key], list[Key]]:
+    """Split ``(key, mask)`` pairs into ``(surviving, pruned)`` keys.
+
+    A pair survives when its mask overlaps every clause mask; order is
+    kept within both lists.  No clause at all keeps everything.
+    """
+    surviving: list[Key] = []
+    pruned: list[Key] = []
+    for key, mask in entries:
+        for clause in masks:
+            if not mask & clause:
+                pruned.append(key)
+                break
+        else:
+            surviving.append(key)
+    return surviving, pruned
+
+
+def surviving_pids_from_index(
+    index: "SynopsisIndex", masks: Sequence[int]
 ) -> set[int]:
-    """Surviving partition ids resolved from inverted posting lists.
+    """The partition ids :func:`prune` keeps, from the posting lists.
 
-    Exactly the complement of :func:`is_prunable` over the indexed
-    catalog: ``any`` mode unions the posting lists of the query's known
-    attributes, ``all`` mode intersects them (smallest first, bailing
-    out as soon as the intersection empties).  A query whose attributes
-    are all unknown to the dictionary returns the empty set in either
-    mode — see the module docstring for why the index's empty-synopsis
-    posting list is deliberately not consulted.
+    Needs at least one clause: with none, every partition survives, and
+    the index has no posting list of all partitions.
     """
-    query_mask = query.synopsis_mask(dictionary)
-    if query_mask == 0:
-        return set()
-    from repro.catalog.partition import iter_attribute_ids
-
-    if query.mode == "any":
-        survivors: set[int] = set()
-        for attr_id in iter_attribute_ids(query_mask):
-            survivors.update(index.partitions_with_attribute(attr_id))
-        return survivors
-    if len(query.attributes) != query_mask.bit_count():
-        return set()  # `all` over an unknown attribute matches nothing
-    postings = sorted(
-        (index.partitions_with_attribute(attr_id)
-         for attr_id in iter_attribute_ids(query_mask)),
+    candidates = sorted(
+        (
+            set().union(*(
+                index.partitions_with_attribute(attr_id)
+                for attr_id in iter_attribute_ids(mask)
+            ))
+            for mask in masks
+        ),
         key=len,
     )
-    survivors = set(postings[0])
-    for posting in postings[1:]:
-        survivors &= posting
+    survivors = candidates[0]
+    for candidate in candidates[1:]:
         if not survivors:
             break
+        survivors &= candidate
     return survivors
-
-
-def split_by_pruning(
-    partitions: Iterable["Partition"],
-    query: AttributeQuery,
-    dictionary: "AttributeDictionary",
-) -> tuple[list["Partition"], list["Partition"]]:
-    """Partition the catalog into ``(surviving, pruned)`` for a query."""
-    surviving: list["Partition"] = []
-    pruned: list["Partition"] = []
-    for partition in partitions:
-        if is_prunable(partition.mask, query, dictionary):
-            pruned.append(partition)
-        else:
-            surviving.append(partition)
-    return surviving, pruned

@@ -49,8 +49,9 @@ class AttributeQuery:
         """The query synopsis ``q`` as a bitmask over *dictionary*.
 
         Attributes unknown to the dictionary are dropped: no entity can
-        instantiate them, so they never contribute to relevance (and, in
-        ``all`` mode, their absence is checked separately).
+        instantiate them, so they never contribute to relevance.  Pruning
+        states the query as clause masks instead
+        (:func:`repro.query.pruning.clause_masks`).
         """
         return dictionary.encode_known(self.attributes)
 
@@ -59,15 +60,6 @@ class AttributeQuery:
         if self.mode == "any":
             return any(name in attributes for name in self.attributes)
         return all(name in attributes for name in self.attributes)
-
-    def matches_mask(self, entity_mask: int, dictionary: "AttributeDictionary") -> bool:
-        """Synopsis-level qualification test (used by the efficiency metric)."""
-        query_mask = self.synopsis_mask(dictionary)
-        if self.mode == "any":
-            return (entity_mask & query_mask) != 0
-        if len(self.attributes) != query_mask.bit_count():
-            return False  # an attribute unknown to the table ⇒ nothing matches
-        return (entity_mask & query_mask) == query_mask
 
     def project(self, attributes: Mapping[str, Any]) -> dict[str, Any]:
         """Project an entity's values to the query's attribute list."""

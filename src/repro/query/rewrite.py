@@ -11,10 +11,10 @@ the table layer, printable for humans, and inspectable by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 from repro.obs import runtime as obs
-from repro.query.pruning import candidate_pids_from_index, split_by_pruning
+from repro.query.pruning import clause_masks, prune, surviving_pids_from_index
 from repro.query.query import AttributeQuery
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,42 +59,47 @@ class UnionAllPlan:
         )
 
 
+def prune_catalog(
+    masks: Sequence[int], catalog: "PartitionCatalog", use_index: bool = True
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(branch pids, pruned pids)`` of *catalog* for clause masks.
+
+    With ``use_index`` (and a catalog that carries a
+    :class:`~repro.catalog.synopsis_index.SynopsisIndex`) the survivors
+    come from the posting lists, otherwise from testing every catalog
+    entry.  Both are in ascending pid order, so the plan — and the row
+    order of its execution — does not depend on the strategy.
+    """
+    if use_index and catalog.index is not None and masks:
+        with obs.span("query.index_prune"):
+            survivors = surviving_pids_from_index(catalog.index, masks)
+            pids = sorted(catalog.partition_ids())
+            return (
+                tuple(pid for pid in pids if pid in survivors),
+                tuple(pid for pid in pids if pid not in survivors),
+            )
+    with obs.span("query.catalog_prune"):
+        surviving, pruned = prune(
+            ((partition.pid, partition.mask) for partition in catalog), masks
+        )
+    return tuple(sorted(surviving)), tuple(sorted(pruned))
+
+
 def rewrite(
     query: AttributeQuery,
     catalog: "PartitionCatalog",
     dictionary: "AttributeDictionary",
     use_index: bool = True,
 ) -> UnionAllPlan:
-    """Prune the catalog and build the UNION ALL plan for *query*.
-
-    With ``use_index`` (and a catalog that carries a
-    :class:`~repro.catalog.synopsis_index.SynopsisIndex`) the surviving
-    set is resolved from the inverted posting lists without scanning the
-    catalog; otherwise every catalog entry is tested.  Both paths emit
-    branches in ascending pid order, so the plan — and therefore the row
-    order of its execution — is identical regardless of strategy.
-    """
+    """Prune the catalog and build the UNION ALL plan for *query*
+    (see :func:`prune_catalog` for ``use_index``)."""
     with obs.span("query.rewrite") as span:
-        if use_index and catalog.index is not None:
-            with obs.span("query.index_prune"):
-                surviving_pids = candidate_pids_from_index(
-                    catalog.index, query, dictionary
-                )
-                branch_pids = tuple(sorted(surviving_pids))
-                pruned_pids = tuple(
-                    pid for pid in sorted(catalog.partition_ids())
-                    if pid not in surviving_pids
-                )
-            plan = UnionAllPlan(query=query, branch_pids=branch_pids,
-                                pruned_pids=pruned_pids)
-        else:
-            with obs.span("query.catalog_prune"):
-                surviving, pruned = split_by_pruning(catalog, query, dictionary)
-            plan = UnionAllPlan(
-                query=query,
-                branch_pids=tuple(sorted(p.pid for p in surviving)),
-                pruned_pids=tuple(sorted(p.pid for p in pruned)),
-            )
+        branch_pids, pruned_pids = prune_catalog(
+            clause_masks(query, dictionary), catalog, use_index
+        )
+        plan = UnionAllPlan(
+            query=query, branch_pids=branch_pids, pruned_pids=pruned_pids
+        )
         if span.is_recording:
             span.set("branches", len(plan.branch_pids))
             span.set("pruned", len(plan.pruned_pids))

@@ -46,10 +46,13 @@ import json
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING
+from typing import (
+    Any, Callable, Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING,
+)
 
 from repro.obs import runtime as obs
 from repro.query.executor import ExecutionResult, ExecutionStats
+from repro.query.pruning import clause_masks, prune
 from repro.query.query import AttributeQuery
 from repro.storage.record import deserialize_record
 
@@ -215,6 +218,22 @@ class PartitionView:
     def chunk(self, query: AttributeQuery, sig: QuerySig) -> tuple[str, int]:
         return self._state.matched_chunk(query, sig, self.count, self.scope)
 
+    def scan(
+        self,
+        stats: ExecutionStats,
+        out_rows: list,
+        matches: Callable[[dict[str, Any]], bool],
+        project: Callable[[dict[str, Any]], Any],
+    ) -> None:
+        """:func:`~repro.query.executor.scan_heap` over the decoded
+        entities in scope, so no pages or bytes are read: the one scan of
+        :meth:`TableSnapshot.execute` and of SQL on a snapshot."""
+        for _eid, attributes in self.entities():
+            stats.entities_read += 1
+            if matches(attributes):
+                out_rows.append(project(attributes))
+                stats.rows_returned += 1
+
     def entities(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """The ``(eid, attributes)`` pairs in scope, in heap-scan order.
 
@@ -302,7 +321,7 @@ class TableSnapshot:
             yield from view.entities()
 
     # ------------------------------------------------------------------
-    # planning (the pruning math of repro.query.pruning over the views)
+    # planning (the one rule of repro.query.pruning over the views)
     # ------------------------------------------------------------------
     def _branches(
         self, query: AttributeQuery, sig: QuerySig
@@ -311,19 +330,11 @@ class TableSnapshot:
         plan = self._plan_cache.get(sig)
         if plan is None:
             with obs.span("query.index_prune", partitions=len(views)) as span:
-                query_mask = query.synopsis_mask(self.dictionary)
-                if query.mode == "any":
-                    positions = tuple(
-                        i for i, v in enumerate(views) if v.mask & query_mask
-                    ) if query_mask else ()
-                elif query_mask and len(query.attributes) == query_mask.bit_count():
-                    positions = tuple(
-                        i for i, v in enumerate(views)
-                        if (v.mask & query_mask) == query_mask
-                    )
-                else:  # `all` over an attribute no entity ever had matches nothing
-                    positions = ()
-                plan = (positions, len(views) - len(positions))
+                positions, pruned = prune(
+                    ((i, view.mask) for i, view in enumerate(views)),
+                    clause_masks(query, self.dictionary),
+                )
+                plan = (tuple(positions), len(pruned))
                 span.set("pruned", plan[1])
             if len(self._plan_cache) >= _RESPONSE_CACHE_SIGS:
                 self._plan_cache.clear()
@@ -407,15 +418,9 @@ class TableSnapshot:
             union_branches=len(branches),
         )
         rows: list[dict[str, Any]] = []
-        matches = query.matches
-        project = query.project
         with obs.span("query.snapshot_scan", branches=len(branches)):
             for view in branches:
-                for _eid, attributes in view.entities():
-                    stats.entities_read += 1
-                    if matches(attributes):
-                        rows.append(project(attributes))
-        stats.rows_returned = len(rows)
+                view.scan(stats, rows, query.matches, query.project)
         return ExecutionResult(rows=rows, stats=stats)
 
 

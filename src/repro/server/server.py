@@ -103,9 +103,11 @@ from repro.server.frontdoor import (
     request_trace_context,
 )
 from repro.server.protocol import Request
+from repro.storage.page import PageFullError
 from repro.storage.record import valid_entity_id, validate_value
 from repro.storage.snapshot import (
     SnapshotFormatError,
+    _decode_value,
     _encode_value,
     load_node_checkpoint,
 )
@@ -1024,6 +1026,18 @@ class CinderellaServer(FrontDoor):
                 "'entities' must be a list of {'eid': int >= 0, "
                 "'attributes': {}}",
             )
+        # every value is checked before anything is applied: a value the
+        # table refuses mid-delta would roll the catalog back but not the
+        # heaps, leaving rows served that the catalog does not hold
+        try:
+            for entity in entities:
+                for value in entity["attributes"].values():
+                    validate_value(_decode_value(value))
+        except ValueError as err:
+            raise Refused(
+                protocol.BAD_REQUEST, "bad_sync_delta",
+                f"entity {entity['eid']}: {err}",
+            ) from None
         spec = request.get("reset")
         reset = None if spec is None else _shard_scope(spec)
         async with self._write_lock:
@@ -1060,6 +1074,19 @@ class CinderellaServer(FrontDoor):
         new state is published only once they are fsynced.
         """
         table = self.table
+        # a put no page holds would fail after the reset's deletions,
+        # which rolling the catalog back does not restore
+        for entity in entities:
+            try:
+                table.record_of(entity["eid"], {
+                    name: _decode_value(value)
+                    for name, value in entity["attributes"].items()
+                })
+            except PageFullError as err:
+                raise Refused(
+                    protocol.BAD_REQUEST, "bad_sync_delta",
+                    f"entity {entity['eid']}: {err}",
+                ) from None
         journal: list[tuple[str, dict[str, Any]]] = []
         if reset is not None:
             journal.append(("sync_reset", {

@@ -1,34 +1,34 @@
 """Execution of parsed SELECT statements against universal tables.
 
-Works with all three table layouts:
-
-* on a :class:`~repro.table.partitioned.CinderellaTable`, the WHERE
-  clause's pruning clauses eliminate partitions before any data is
-  touched (the SQL-level generalisation of the prototype's rewrite);
-* on a :class:`~repro.query.snapshot.TableSnapshot`, the same pruning
-  runs over the snapshot's immutable partition views — records are
-  already decoded, so no pages or bytes are read (the serving layer's
-  lock-free read path; a snapshot ``scoped()`` to some shards answers
-  for those);
-* on a :class:`~repro.table.universal.UniversalTable`, the statement is a
-  plain filtered full scan.
-
-Results carry the same :class:`~repro.query.executor.ExecutionStats`
-the attribute-query path produces, so the cost model applies unchanged.
+Every layout runs the attribute-query path's own code: the WHERE
+clause's pruning clauses become clause masks for the one rule of
+:mod:`repro.query.pruning`, then each surviving branch is scanned.  A
+:class:`~repro.table.partitioned.CinderellaTable` plans through
+:func:`~repro.query.rewrite.prune_catalog` (index resolution, ascending
+pid) and scans with :func:`~repro.query.executor.scan_heap`; a
+:class:`~repro.query.snapshot.TableSnapshot`, perhaps ``scoped()`` to
+some shards, prunes its partition views and scans their decoded records
+(no pages or bytes read: the serving layer's lock-free read path); a
+:class:`~repro.table.universal.UniversalTable` has no synopses and is
+one plain scan.  Results carry the same
+:class:`~repro.query.executor.ExecutionStats` as attribute queries, so
+the cost model applies unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Union
+from functools import partial
+from typing import Any, Callable, Union
 
-from repro.query.executor import ExecutionStats
+from repro.query.executor import ExecutionStats, scan_heap
+from repro.query.pruning import prune
+from repro.query.rewrite import prune_catalog
 from repro.query.snapshot import TableSnapshot
 from repro.sql.ast import OrderItem, SelectStatement
 from repro.sql.compiler import compile_predicate, pruning_clauses
 from repro.sql.parser import parse
-from repro.storage.record import deserialize_record
 from repro.table.partitioned import CinderellaTable
 from repro.table.universal import UniversalTable
 
@@ -73,107 +73,54 @@ def _order_and_limit(
     return rows
 
 
-def _project(attributes: dict[str, Any], statement: SelectStatement) -> dict:
+def _projection(statement: SelectStatement) -> Callable[[dict], dict]:
     if statement.columns is None:  # SELECT *: the entity's own attributes
-        return dict(attributes)
-    return {name: attributes.get(name) for name in statement.columns}
+        return dict
+    columns = statement.columns
+    return lambda attributes: {name: attributes.get(name) for name in columns}
+
+
+def _every_row(_attributes: dict) -> bool:
+    return True
 
 
 def execute_statement(statement: SelectStatement, table: Table) -> SqlResult:
-    """Execute a parsed statement against either table layout."""
-    predicate = (
-        compile_predicate(statement.where) if statement.where is not None else None
-    )
-    stats = ExecutionStats()
+    """Execute a parsed statement: prune, then scan each branch."""
+    where = statement.where
+    matches = compile_predicate(where) if where is not None else _every_row
+    project = _projection(statement)
     rows: list[dict[str, Any]] = []
-    pruned: tuple[int, ...] = ()
     started = time.perf_counter()
-
-    if isinstance(table, TableSnapshot):
-        clauses = (
-            pruning_clauses(statement.where) if statement.where is not None else []
-        )
-        clause_masks = [
-            table.dictionary.encode_known(clause) for clause in clauses
-        ]
-        # a clause none of whose attributes exist anywhere ⇒ empty result
-        if any(clause and mask == 0 for clause, mask in zip(clauses, clause_masks)):
-            stats.partitions_total = len(table.views)
-            stats.partitions_pruned = len(table.views)
-            stats.wall_time_s = time.perf_counter() - started
-            return SqlResult(
-                [], stats, statement, tuple(v.pid for v in table.views)
-            )
-        pruned_list = []
-        stats.partitions_total = len(table.views)
-        for view in table.views:
-            if any(view.mask & mask == 0 for mask in clause_masks if mask):
-                pruned_list.append(view.pid)
-                continue
-            stats.partitions_scanned += 1
-            stats.union_branches += 1
-            # records are already decoded in the snapshot: no pages or
-            # bytes are read on this path
-            for _eid, attributes in view.entities():
-                stats.entities_read += 1
-                if predicate is None or predicate(attributes):
-                    rows.append(_project(attributes, statement))
-                    stats.rows_returned += 1
-        stats.partitions_pruned = len(pruned_list)
-        pruned = tuple(pruned_list)
-    elif isinstance(table, CinderellaTable):
-        clauses = (
-            pruning_clauses(statement.where) if statement.where is not None else []
-        )
-        clause_masks = [
-            table.dictionary.encode_known(clause) for clause in clauses
-        ]
-        # a clause none of whose attributes exist anywhere ⇒ empty result
-        if any(clause and mask == 0 for clause, mask in zip(clauses, clause_masks)):
-            stats.partitions_total = len(table.catalog)
-            stats.partitions_pruned = len(table.catalog)
-            stats.wall_time_s = time.perf_counter() - started
-            return SqlResult(
-                [], stats, statement, tuple(p.pid for p in table.catalog)
-            )
-        surviving = []
-        pruned_list = []
-        for partition in table.catalog:
-            if any(partition.mask & mask == 0 for mask in clause_masks if mask):
-                pruned_list.append(partition.pid)
-            else:
-                surviving.append(partition.pid)
-        stats.partitions_total = len(table.catalog)
-        stats.partitions_pruned = len(pruned_list)
-        pruned = tuple(pruned_list)
-        for pid in surviving:
-            heap = table.heap_of(pid)
-            stats.partitions_scanned += 1
-            stats.union_branches += 1
-            before = heap.io.snapshot()
-            for _rid, record in heap.scan():
-                _eid, attributes = deserialize_record(record, table.dictionary)
-                stats.entities_read += 1
-                if predicate is None or predicate(attributes):
-                    rows.append(_project(attributes, statement))
-                    stats.rows_returned += 1
-            delta = heap.io.delta_since(before)
-            stats.pages_read += delta.pages_read
-            stats.bytes_read += delta.bytes_read
+    if isinstance(table, UniversalTable):
+        # no synopses to prune by: one plain scan, no UNION ALL
+        stats = ExecutionStats(partitions_total=1, partitions_scanned=1)
+        scan_heap(table.heap, table.dictionary, stats, rows, matches, project)
+        pruned: tuple[int, ...] = ()
     else:
-        stats.partitions_total = 1
-        stats.partitions_scanned = 1
-        heap = table.heap
-        before = heap.io.snapshot()
-        for _rid, record in heap.scan():
-            _eid, attributes = deserialize_record(record, table.dictionary)
-            stats.entities_read += 1
-            if predicate is None or predicate(attributes):
-                rows.append(_project(attributes, statement))
-                stats.rows_returned += 1
-        delta = heap.io.delta_since(before)
-        stats.pages_read += delta.pages_read
-        stats.bytes_read += delta.bytes_read
+        masks = [
+            table.dictionary.encode_known(clause)
+            for clause in (pruning_clauses(where) if where is not None else [])
+        ]
+        if isinstance(table, TableSnapshot):
+            views, pruned_views = prune(
+                ((view, view.mask) for view in table.views), masks
+            )
+            pruned = tuple(view.pid for view in pruned_views)
+            scans = [view.scan for view in views]
+        else:
+            pids, pruned = prune_catalog(masks, table.catalog)
+            scans = [
+                partial(scan_heap, table.heap_of(pid), table.dictionary)
+                for pid in pids
+            ]
+        stats = ExecutionStats(
+            partitions_total=len(scans) + len(pruned),
+            partitions_pruned=len(pruned),
+        )
+        for scan in scans:
+            stats.partitions_scanned += 1
+            stats.union_branches += 1
+            scan(stats, rows, matches, project)
 
     rows = _order_and_limit(rows, statement)
     stats.rows_returned = len(rows)

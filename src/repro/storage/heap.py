@@ -16,7 +16,9 @@ from typing import Iterator, Optional
 
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
-from repro.storage.page import DEFAULT_PAGE_SIZE, Page, PageFullError
+from repro.storage.page import (
+    DEFAULT_PAGE_SIZE, Page, PageFullError, check_record_size,
+)
 
 _file_ids = itertools.count()
 
@@ -78,10 +80,7 @@ class HeapFile:
         hint list fed by deletions — constant work per insert instead of a
         full page-directory scan.
         """
-        if len(record) + 8 > self.page_size:
-            raise PageFullError(
-                f"record of {len(record)} bytes exceeds page size {self.page_size}"
-            )
+        check_record_size(record, self.page_size)
         page_number = -1
         if self._pages and self._pages[-1].fits(record):
             page_number = len(self._pages) - 1

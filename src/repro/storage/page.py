@@ -22,6 +22,14 @@ class PageFullError(RuntimeError):
     """Raised when a record cannot fit into the page."""
 
 
+def check_record_size(record: bytes, page_size: int) -> None:
+    """Raise :class:`PageFullError` unless an empty page holds *record*."""
+    if len(record) + _SLOT_OVERHEAD > page_size:
+        raise PageFullError(
+            f"record of {len(record)} bytes exceeds page size {page_size}"
+        )
+
+
 class Page:
     """One fixed-size slotted page of serialized records."""
 

@@ -37,7 +37,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.entity import Entity
 from repro.storage.heap import HeapFile, RecordId
 from repro.storage.iostats import IOStats
-from repro.storage.page import DEFAULT_PAGE_SIZE
+from repro.storage.page import DEFAULT_PAGE_SIZE, check_record_size
 from repro.storage.record import deserialize_record, serialize_record
 
 
@@ -99,7 +99,7 @@ class CinderellaTable:
         eid = self._next_eid if entity_id is None else entity_id
         if eid in self._rids:
             raise ValueError(f"entity {eid} already exists")
-        record = serialize_record(eid, attributes, self.dictionary)
+        record = self.record_of(eid, attributes)
         # claimed only once the record exists: an id the format refuses
         # must not push the counter where every later id is refused too
         self._next_eid = max(self._next_eid, eid) + 1
@@ -126,7 +126,7 @@ class CinderellaTable:
         """Update an entity; Cinderella moves it only if a better partition wins."""
         if eid not in self._rids:
             raise KeyError(f"no entity {eid}")
-        record = serialize_record(eid, attributes, self.dictionary)
+        record = self.record_of(eid, attributes)
         mask = self.dictionary.encode(attributes)
         old_pid = self.catalog.partition_of(eid)
         outcome = self.partitioner.update(eid, mask, payload_bytes=len(record))
@@ -140,6 +140,14 @@ class CinderellaTable:
             self._apply(outcome, fresh_records={eid: record})
         self._observe_write(outcome)
         return outcome
+
+    def record_of(self, eid: int, attributes: Mapping[str, Any]) -> bytes:
+        """The record an entity is stored as; raises before anything is
+        touched when the format or a page cannot hold it (a split's
+        moves would outlive a catalog rollback)."""
+        record = serialize_record(eid, attributes, self.dictionary)
+        check_record_size(record, self.page_size)
+        return record
 
     def _observe_write(self, outcome: ModificationOutcome) -> None:
         if self.adapt is not None and outcome.partition_id is not None:
@@ -358,8 +366,17 @@ class CinderellaTable:
             if partition.pid not in self._heaps:
                 problems.append(f"partition {partition.pid} has no heap file")
         for eid, rid in self._rids.items():
-            pid = self.catalog.partition_of(eid)
-            record = self._heaps[pid]._pages[rid.page].read(rid.slot)
+            if not self.catalog.has_entity(eid):
+                problems.append(f"entity {eid} is stored but not in the catalog")
+                continue
+            heap = self._heaps.get(self.catalog.partition_of(eid))
+            if heap is None:
+                continue  # reported above: the partition has no heap file
+            try:
+                record = heap._pages[rid.page].read(rid.slot)
+            except (IndexError, KeyError):
+                problems.append(f"rid of entity {eid} points at no record")
+                continue
             stored_eid, _ = deserialize_record(record, self.dictionary)
             if stored_eid != eid:
                 problems.append(f"rid of entity {eid} points at record {stored_eid}")

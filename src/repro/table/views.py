@@ -12,16 +12,17 @@ across tables (``l_…``, ``o_…``, …), Cinderella recovers partitions that
 each hold entities of exactly one table — the view then prunes every
 foreign partition, and the only residual cost is the union overhead that
 Table I quantifies.
+A view is an ``all``-mode attribute query: it plans and scans through
+the code of every other read path, so its costs are charged alike.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence, TYPE_CHECKING
 
-from repro.query.executor import ExecutionStats
+from repro.query.executor import ExecutionStats, scan_heap
 from repro.query.query import AttributeQuery
 from repro.query.rewrite import UnionAllPlan
-from repro.storage.record import deserialize_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.table.partitioned import CinderellaTable
@@ -73,27 +74,25 @@ class TableView:
         costs to the query that consumed it.
         """
         plan = self.plan()
-        query = plan.query
         stats = ExecutionStats(
             partitions_total=plan.partitions_total,
             partitions_pruned=len(plan.pruned_pids),
         )
         self.last_stats = stats
-        dictionary = self.table.dictionary
+        columns = self.columns
+
+        def project(attributes: dict[str, Any]) -> dict[str, Any]:
+            return {name: attributes.get(name) for name in columns}
+
         for pid in plan.branch_pids:
-            heap = self.table.heap_of(pid)
             stats.partitions_scanned += 1
             stats.union_branches += 1
-            before = heap.io.snapshot()
-            for _rid, record in heap.scan():
-                _eid, attributes = deserialize_record(record, dictionary)
-                stats.entities_read += 1
-                if query.matches(attributes):
-                    stats.rows_returned += 1
-                    yield {name: attributes.get(name) for name in self.columns}
-            delta = heap.io.delta_since(before)
-            stats.pages_read += delta.pages_read
-            stats.bytes_read += delta.bytes_read
+            rows: list[dict[str, Any]] = []
+            scan_heap(
+                self.table.heap_of(pid), self.table.dictionary, stats, rows,
+                plan.query.matches, project,
+            )
+            yield from rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TableView({self.name}, {len(self.columns)} columns)"

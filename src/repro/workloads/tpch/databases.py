@@ -21,11 +21,11 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.config import CinderellaConfig
-from repro.query.executor import ExecutionStats
+from repro.query.executor import ExecutionStats, scan_heap
 from repro.storage.heap import HeapFile
 from repro.storage.iostats import IOStats
 from repro.storage.page import DEFAULT_PAGE_SIZE
-from repro.storage.record import deserialize_record, serialize_record
+from repro.storage.record import serialize_record
 from repro.table.partitioned import CinderellaTable
 from repro.table.views import TableView
 from repro.workloads.tpch.dbgen import Row, TPCHData
@@ -41,6 +41,14 @@ def _merge(total: ExecutionStats, delta: ExecutionStats) -> None:
     total.pages_read += delta.pages_read
     total.bytes_read += delta.bytes_read
     total.union_branches += delta.union_branches
+
+
+def _every_row(_row: Row) -> bool:
+    return True
+
+
+def _as_is(row: Row) -> Row:
+    return row
 
 
 class StandardTPCHDatabase:
@@ -64,18 +72,14 @@ class StandardTPCHDatabase:
 
     def table(self, name: str) -> Iterator[Row]:
         """Full scan of one table's heap, accumulating read statistics."""
-        heap = self._heaps[name]
-        before = heap.io.snapshot()
+        rows: list[Row] = []
         self.stats.partitions_total += 1
         self.stats.partitions_scanned += 1
-        for _rid, record in heap.scan():
-            _eid, attributes = deserialize_record(record, self.dictionary)
-            self.stats.entities_read += 1
-            self.stats.rows_returned += 1
-            yield attributes
-        delta = heap.io.delta_since(before)
-        self.stats.pages_read += delta.pages_read
-        self.stats.bytes_read += delta.bytes_read
+        scan_heap(
+            self._heaps[name], self.dictionary, self.stats, rows,
+            _every_row, _as_is,
+        )
+        yield from rows
 
     def pop_stats(self) -> ExecutionStats:
         """Return and reset the accumulated statistics."""

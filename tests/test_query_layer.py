@@ -9,11 +9,18 @@ from repro.core.config import CinderellaConfig
 from repro.core.partitioner import CinderellaPartitioner
 from repro.cost.model import CostModel
 from repro.query.executor import ExecutionStats
-from repro.query.pruning import is_prunable, split_by_pruning
+from repro.query.pruning import clause_masks, prune, surviving_pids_from_index
 from repro.query.query import AttributeQuery
 from repro.query.rewrite import rewrite
 
 masks = st.integers(min_value=0, max_value=2**16 - 1)
+
+
+def prunes(mask: int, query: AttributeQuery, d: AttributeDictionary) -> bool:
+    """Does the one rule prune a partition (or entity) with *mask*?"""
+    surviving, pruned = prune([(0, mask)], clause_masks(query, d))
+    assert len(surviving) + len(pruned) == 1
+    return pruned == [0]
 
 
 class TestAttributeQuery:
@@ -45,20 +52,6 @@ class TestAttributeQuery:
         d = AttributeDictionary(["a"])
         assert AttributeQuery(("a", "zz")).synopsis_mask(d) == 0b1
 
-    def test_matches_mask(self):
-        d = AttributeDictionary(["a", "b"])
-        q_any = AttributeQuery(("a",))
-        assert q_any.matches_mask(0b01, d)
-        assert not q_any.matches_mask(0b10, d)
-        q_all = AttributeQuery(("a", "b"), mode="all")
-        assert q_all.matches_mask(0b11, d)
-        assert not q_all.matches_mask(0b01, d)
-
-    def test_all_mode_with_unknown_attribute_matches_nothing(self):
-        d = AttributeDictionary(["a"])
-        q = AttributeQuery(("a", "never"), mode="all")
-        assert not q.matches_mask(0b1, d)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AttributeQuery(())
@@ -72,19 +65,45 @@ class TestPruning:
     def test_any_mode_prunes_on_zero_overlap(self):
         d = AttributeDictionary(["a", "b", "c"])
         q = AttributeQuery(("a",))
-        assert is_prunable(0b110, q, d)  # partition has only b, c
-        assert not is_prunable(0b001, q, d)
+        assert prunes(0b110, q, d)  # partition has only b, c
+        assert not prunes(0b001, q, d)
 
     def test_all_mode_prunes_on_any_missing_attribute(self):
         d = AttributeDictionary(["a", "b", "c"])
         q = AttributeQuery(("a", "b"), mode="all")
-        assert is_prunable(0b001, q, d)  # b missing from the synopsis
-        assert not is_prunable(0b011, q, d)
+        assert prunes(0b001, q, d)  # b missing from the synopsis
+        assert not prunes(0b011, q, d)
 
     def test_all_mode_with_unknown_attribute_prunes_everything(self):
         d = AttributeDictionary(["a"])
         q = AttributeQuery(("a", "ghost"), mode="all")
-        assert is_prunable(0b1, q, d)
+        assert prunes(0b1, q, d)
+
+    def test_entity_mask_qualifies_by_the_same_rule(self):
+        """An entity qualifies exactly when the rule keeps its own mask
+        (formerly ``AttributeQuery.matches_mask``)."""
+        d = AttributeDictionary(["a", "b"])
+        q_any = AttributeQuery(("a",))
+        assert not prunes(0b01, q_any, d)
+        assert prunes(0b10, q_any, d)
+        q_all = AttributeQuery(("a", "b"), mode="all")
+        assert not prunes(0b11, q_all, d)
+        assert prunes(0b01, q_all, d)
+
+    def test_entity_mask_with_unknown_attribute_in_all_mode_never_qualifies(self):
+        d = AttributeDictionary(["a"])
+        q = AttributeQuery(("a", "never"), mode="all")
+        assert prunes(0b1, q, d)
+
+    def test_clause_masks(self):
+        d = AttributeDictionary(["a", "b", "c"])
+        assert clause_masks(AttributeQuery(("a", "c")), d) == [0b101]
+        assert clause_masks(AttributeQuery(("a", "c"), mode="all"), d) == [
+            0b001, 0b100,
+        ]
+        assert clause_masks(AttributeQuery(("a", "zz"), mode="all"), d) == [
+            0b001, 0,
+        ]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(masks, min_size=1, max_size=40), masks.filter(bool))
@@ -95,11 +114,37 @@ class TestPruning:
         p = CinderellaPartitioner(CinderellaConfig(max_partition_size=6, weight=0.4))
         for eid, mask in enumerate(entity_masks):
             p.insert(eid, mask)
-        _surviving, pruned = split_by_pruning(p.catalog, query, d)
+        _surviving, pruned = prune(
+            ((partition, partition.mask) for partition in p.catalog),
+            clause_masks(query, d),
+        )
         qmask = query.synopsis_mask(d)
         for partition in pruned:
             for _eid, mask, _size in partition.members():
                 assert mask & qmask == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(masks, min_size=1, max_size=40),
+        st.lists(st.integers(0, 15), min_size=1, max_size=4, unique=True),
+        st.sampled_from(["any", "all"]),
+    )
+    def test_index_resolution_equals_the_catalog_scan(
+        self, entity_masks, attr_ids, mode
+    ):
+        """The posting-list resolution keeps exactly what the rule keeps."""
+        d = AttributeDictionary(f"a{i}" for i in range(16))
+        query = AttributeQuery(tuple(f"a{i}" for i in attr_ids), mode=mode)
+        p = CinderellaPartitioner(CinderellaConfig(
+            max_partition_size=6, weight=0.4, use_synopsis_index=True,
+        ))
+        for eid, mask in enumerate(entity_masks):
+            p.insert(eid, mask)
+        clauses = clause_masks(query, d)
+        surviving, _pruned = prune(
+            ((partition.pid, partition.mask) for partition in p.catalog), clauses
+        )
+        assert surviving_pids_from_index(p.catalog.index, clauses) == set(surviving)
 
 
 class TestRewrite:
@@ -166,11 +211,10 @@ class TestEmptySynopsisQuery:
 
     @pytest.mark.parametrize("mode", ["any", "all"])
     def test_index_resolution_returns_empty_set(self, mode):
-        from repro.query.pruning import candidate_pids_from_index
-
         d, p = self._partitioner()
         query = AttributeQuery(("ghost",), mode=mode)
-        assert candidate_pids_from_index(p.catalog.index, query, d) == set()
+        clauses = clause_masks(query, d)
+        assert surviving_pids_from_index(p.catalog.index, clauses) == set()
 
     def test_contrast_with_index_empty_synopsis_posting(self):
         """The index's own empty-mask lookup is NOT empty here — it

@@ -155,6 +155,51 @@ class TestRejections:
             assert excinfo.value.code == "bad_sync_delta"
         assert client.stats()["entities"] == 0
 
+    @pytest.mark.parametrize("fields", [
+        {
+            "reset": {"n_shards": 2, "shards": [0]},
+            "entities": [{"eid": 7, "attributes": {"a": [1]}}],
+        },
+        {
+            "entities": [
+                {"eid": 10, "attributes": {"a": 10}},
+                {"eid": 11, "attributes": {"a": {"nested": 1}}},
+            ],
+        },
+        {
+            "reset": {"n_shards": 2, "shards": [0]},
+            "entities": [{"eid": 7, "attributes": {"a": "x" * 9000}}],
+        },
+    ], ids=[
+        "unstorable_after_a_reset", "unstorable_after_a_good_entity",
+        "larger_than_a_page_after_a_reset",
+    ])
+    def test_refused_sync_delta_applies_nothing(self, tmp_path, fields):
+        """A delta with a record the table refuses used to be applied up
+        to that record and rolled back in the catalog only: the heaps
+        kept the reset's deletions and the earlier puts, so the next
+        publish served rows the catalog did not hold (or dropped rows it
+        did), and a later insert of a put's eid was refused as a
+        duplicate."""
+        wal = tmp_path / "node.wal"
+        server = CinderellaServer(config=ServerConfig(
+            maintenance_interval_s=0, wal_path=wal,
+        ))
+        with ServerThread(server=server) as harness, \
+                ServerClient(*harness.address) as client:
+            for eid in range(6):
+                client.insert({"a": eid}, eid=eid)
+            journal = wal.read_bytes()
+            with pytest.raises(ServerError) as excinfo:
+                client.request("sync_delta", **fields)
+            assert excinfo.value.status == "bad_request"
+            assert excinfo.value.code == "bad_sync_delta"
+            client.request("sync_delta", entities=[])  # publishes, journals nothing
+            assert sorted(row["a"] for row in client.query(["a"])) == list(range(6))
+            assert harness.server.table.check_consistency() == []
+            assert wal.read_bytes() == journal
+            assert client.insert({"a": 10}, eid=10).status == "applied"
+
     def test_bad_query_shape(self, client):
         with pytest.raises(ServerError) as excinfo:
             client.request("query", attributes=[])

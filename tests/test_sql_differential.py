@@ -4,13 +4,16 @@
 query (``SELECT a, b FROM universalTable WHERE a IS NOT NULL OR b IS NOT
 NULL``).  Feeding that text back through :func:`repro.sql.execute` must
 produce exactly the rows the native :meth:`CinderellaTable.execute` path
-produces on the same catalog — the two executors share the storage layer
-but nothing above it (different pruning, different predicate evaluation,
-different projection code), so agreement pins them to each other.
+produces on the same catalog.  The two share the pruning rule, the
+planner and the heap scan, and differ in predicate evaluation and
+projection; agreement pins those to each other.
 
-The comparison is by row multiset: the native path visits partitions in
-plan order, the SQL path in catalog order, and neither order is part of
-the contract.
+Both paths visit partitions in plan order (ascending pid) and records in
+heap-scan order, so rows are compared in order, and SQL's pruned
+partitions must be the native plan's.  The same holds on a published
+:class:`~repro.query.snapshot.TableSnapshot` of the table; a snapshot
+``scoped()`` to some shards must return the rows of the entities in
+scope.  The naive full scan is compared by row multiset.
 """
 
 import pytest
@@ -18,19 +21,39 @@ import pytest
 from repro.core.config import CinderellaConfig
 from repro.query.cache import QueryResultCache
 from repro.query.query import AttributeQuery
+from repro.query.snapshot import ShardScope, SnapshotManager
 from repro.sql import execute
 from repro.table.partitioned import CinderellaTable
 from repro.workloads.dbpedia import generate_dbpedia_persons
 
 from tests.conftest import row_multiset
 
+SCOPE = ShardScope(3, frozenset({0, 2}))
+
 
 def assert_same_rows(query: AttributeQuery, table: CinderellaTable) -> None:
+    """SQL agrees with the native path on the live table, on a published
+    snapshot of it and on a scoped view of that snapshot."""
+    sql = query.sql()
+    plan = table.plan(query)
     native = table.execute(query).rows
     naive = table.execute_naive(query).rows
-    via_sql = execute(query.sql(), table).rows
-    assert row_multiset(via_sql) == row_multiset(native), query.sql()
-    assert row_multiset(via_sql) == row_multiset(naive), query.sql()
+    snapshot = SnapshotManager().publish(table)
+    for target in (table, snapshot):
+        result = execute(sql, target)
+        assert result.rows == native, (sql, target)
+        assert result.pruned_pids == plan.pruned_pids, (sql, target)
+    assert row_multiset(native) == row_multiset(naive), sql
+    scoped = execute(sql, snapshot.scoped(SCOPE))
+    in_scope = [
+        query.project(entity.attributes)
+        for entity in table.scan()
+        if entity.entity_id % SCOPE.n_shards in SCOPE.shards
+        and query.matches(entity.attributes)
+    ]
+    assert row_multiset(scoped.rows) == row_multiset(in_scope), sql
+    assert scoped.rows == snapshot.scoped(SCOPE).execute(query).rows, sql
+    assert scoped.pruned_pids == plan.pruned_pids, sql
 
 
 @pytest.fixture()

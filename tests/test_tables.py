@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.config import CinderellaConfig
 from repro.query.query import AttributeQuery
 from repro.storage.buffer import BufferPool
+from repro.storage.page import PageFullError
 from repro.table.partitioned import CinderellaTable
 from repro.table.universal import UniversalTable
 from repro.table.views import TableView
@@ -138,6 +139,46 @@ class TestCinderellaTable:
         assert t.execute(AttributeQuery(("a",))).rows == [{"a": 1}]
         assert t.insert({"a": 3}).entity_id == 1  # the id counter stayed put
         assert t.check_consistency() == []
+
+    @pytest.mark.parametrize("rows", [
+        [{"a": 9}],
+        [{"z": 9}],
+        [{"a": 9}] * 5,
+    ], ids=["existing_partition", "new_partition", "split"])
+    def test_consistency_check_reports_a_stored_entity_the_catalog_lacks(
+        self, rows
+    ):
+        """A rolled-back catalog transaction restores the catalog but not
+        the heaps; the check reports that state instead of raising."""
+        t = self.make(b=5)
+        t.insert({"a": 1}, entity_id=1)
+        txn = t.catalog.begin_transaction()
+        outcomes = [
+            t.insert(row, entity_id=eid) for eid, row in enumerate(rows, 2)
+        ]
+        txn.rollback()
+        assert (sum(o.splits for o in outcomes) > 0) == (len(rows) > 1)
+        problems = t.check_consistency()
+        assert "entity 2 is stored but not in the catalog" in problems
+
+    @pytest.mark.parametrize("op", ["insert", "update"])
+    def test_a_record_no_page_holds_is_refused_before_anything_moves(self, op):
+        """Such a write once split the full partition (or dropped the old
+        record) before the heap refused the record; the moves outlived
+        the catalog rollback around it."""
+        t = self.make(b=3)
+        for eid in range(3):
+            t.insert({"a": eid, "b": eid}, entity_id=eid)
+        before = t.execute_naive(AttributeQuery(("a",))).rows
+        txn = t.catalog.begin_transaction()
+        with pytest.raises(PageFullError):
+            if op == "insert":
+                t.insert({"a": "x" * t.page_size}, entity_id=3)
+            else:
+                t.update(0, {"a": "x" * t.page_size})
+        txn.rollback()
+        assert t.check_consistency() == []
+        assert t.execute_naive(AttributeQuery(("a",))).rows == before
 
     def test_buffer_pool_integration(self):
         pool = BufferPool(64)
