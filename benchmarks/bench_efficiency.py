@@ -16,8 +16,7 @@ within reach of the offline clustering despite being online.
 """
 
 from repro.baselines.hash_partitioner import HashPartitioner
-from repro.baselines.offline_clustering import OfflineClusteringPartitioner
-from repro.baselines.oracle import OraclePartitioner
+from repro.baselines.offline import clustering_partitioning, oracle_partitioning
 from repro.baselines.round_robin import RoundRobinPartitioner
 from repro.core.config import CinderellaConfig
 from repro.core.efficiency import catalog_efficiency, universal_table_efficiency
@@ -49,29 +48,27 @@ def test_efficiency_across_partitioners(benchmark, dbpedia, query_workload):
         hash_partitioner.insert(eid, mask)
         round_robin.insert(eid, mask)
 
-    clustering = OfflineClusteringPartitioner(
-        max_partition_size=B_DEFAULT, threshold=0.4
+    clustering = clustering_partitioning(
+        entities, max_partition_size=B_DEFAULT, threshold=0.4
     )
-    clustering.fit(entities)
-    oracle = OraclePartitioner(max_partition_size=B_DEFAULT)
-    oracle.fit(entities)
+    oracle = oracle_partitioning(entities, max_partition_size=B_DEFAULT)
 
     sized = [(mask, 1.0) for _eid, mask in entities]
     scores = {
         "universal table": universal_table_efficiency(sized, queries),
         "hash": catalog_efficiency(hash_partitioner.catalog, queries),
         "round robin": catalog_efficiency(round_robin.catalog, queries),
-        "offline clustering": catalog_efficiency(clustering.catalog, queries),
+        "offline clustering": catalog_efficiency(clustering, queries),
         "cinderella (online)": catalog_efficiency(cinderella.catalog, queries),
-        "oracle (upper bound)": catalog_efficiency(oracle.catalog, queries),
+        "oracle (upper bound)": catalog_efficiency(oracle, queries),
     }
     partition_counts = {
         "universal table": 1,
         "hash": len(hash_partitioner.catalog),
         "round robin": len(round_robin.catalog),
-        "offline clustering": len(clustering.catalog),
+        "offline clustering": len(clustering),
         "cinderella (online)": len(cinderella.catalog),
-        "oracle (upper bound)": len(oracle.catalog),
+        "oracle (upper bound)": len(oracle),
     }
     print()
     print(

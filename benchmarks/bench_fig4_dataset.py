@@ -11,7 +11,7 @@ paper states in Section V-B:
 * overall sparseness ≈ 0.94.
 """
 
-from repro.metrics.histogram import LogHistogram, render_histogram
+from repro.reporting.histogram import LogHistogram, render_histogram
 from repro.reporting.tables import format_kv_block, format_table
 from repro.workloads.dbpedia import generate_dbpedia_persons
 

@@ -18,8 +18,8 @@ Paper findings this bench reproduces and asserts:
 """
 
 from repro.core.config import CinderellaConfig
+from repro.core.efficiency import summarize_catalog
 from repro.core.partitioner import CinderellaPartitioner
-from repro.metrics.partition_stats import summarize_catalog
 from repro.reporting.tables import format_table
 
 from conftest import B_DEFAULT, W_SWEEP

@@ -14,8 +14,8 @@ Paper findings this bench reproduces and asserts:
   while each split gets more expensive (more entities to move).
 """
 
-from repro.metrics.histogram import LogHistogram, render_histogram
-from repro.metrics.partition_stats import percentile
+from repro.core.efficiency import percentile
+from repro.reporting.histogram import LogHistogram, render_histogram
 from repro.reporting.tables import format_table
 
 from conftest import B_VALUES

@@ -4,7 +4,8 @@ The paper defines the update and delete routines (Section III) but its
 evaluation only measures bulk inserts.  This bench closes that gap: after
 a warm-up load, a long mixed trace of inserts, drift updates, churn
 updates (entities changing their latent type), and deletes streams
-through Cinderella while telemetry samples partitioning health.
+through Cinderella while Definition 1 efficiency is sampled at a fixed
+operation cadence.
 
 Asserted behaviour:
 
@@ -16,8 +17,8 @@ Asserted behaviour:
 """
 
 from repro.core.config import CinderellaConfig
+from repro.core.efficiency import catalog_efficiency
 from repro.core.partitioner import CinderellaPartitioner
-from repro.metrics.telemetry import TelemetryCollector
 from repro.reporting.chart import render_line_chart
 from repro.reporting.tables import format_table
 from repro.workloads.modifications import generate_trace
@@ -43,9 +44,8 @@ def test_partitioning_stability_under_churn(benchmark, dbpedia, query_workload):
     partitioner = CinderellaPartitioner(
         CinderellaConfig(max_partition_size=200, weight=0.3)
     )
-    telemetry = TelemetryCollector(
-        interval=max(1, (warmup + operations) // 20), query_masks=queries
-    )
+    interval = max(1, (warmup + operations) // 20)
+    efficiency_series = []
     moved_updates = 0
     in_place_updates = 0
     applied = {"insert": 0, "update": 0, "delete": 0}
@@ -66,15 +66,17 @@ def test_partitioning_stability_under_churn(benchmark, dbpedia, query_workload):
         else:
             partitioner.delete(operation.entity_id)
         applied[operation.kind] += 1
-        telemetry.observe(partitioner)
+        if (position + 1) % interval == 0:
+            efficiency_series.append(
+                (float(position + 1), catalog_efficiency(partitioner.catalog, queries))
+            )
         if position + 1 == warmup:
-            from repro.core.efficiency import catalog_efficiency
-
             efficiency_after_warmup = catalog_efficiency(
                 partitioner.catalog, queries
             )
 
-    final = telemetry.sample_now(partitioner)
+    final_efficiency = catalog_efficiency(partitioner.catalog, queries)
+    efficiency_series.append((float(len(trace)), final_efficiency))
     assert partitioner.check_invariants() == []
 
     print()
@@ -86,15 +88,15 @@ def test_partitioning_stability_under_churn(benchmark, dbpedia, query_workload):
              f"{applied['insert']} / {applied['update']} / {applied['delete']}"],
             ["updates moved / in place", f"{moved_updates} / {in_place_updates}"],
             ["efficiency after warm-up", efficiency_after_warmup],
-            ["efficiency at end", final.efficiency],
-            ["partitions at end", final.partition_count],
-            ["splits total", final.split_count],
+            ["efficiency at end", final_efficiency],
+            ["partitions at end", len(partitioner.catalog)],
+            ["splits total", partitioner.split_count],
         ],
         title="Partitioning stability under mixed modifications",
     ))
     print()
     print(render_line_chart(
-        {"efficiency": telemetry.series("efficiency")},
+        {"efficiency": efficiency_series},
         title="Definition 1 efficiency over the trace",
         height=10,
     ))
@@ -105,8 +107,8 @@ def test_partitioning_stability_under_churn(benchmark, dbpedia, query_workload):
     benchmark(lambda: partitioner.update(sample_update.entity_id, mask))
 
     # stability: efficiency stays within a band of the warm-up value
-    assert final.efficiency is not None
-    assert final.efficiency > 0.85 * efficiency_after_warmup
+    assert final_efficiency is not None
+    assert final_efficiency > 0.85 * efficiency_after_warmup
     # churn updates do get relocated; drift updates mostly stay
     assert moved_updates > 0
     assert in_place_updates > 0

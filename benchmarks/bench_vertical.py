@@ -18,11 +18,9 @@ What the numbers show:
   exact objection the paper raises.
 """
 
-from repro.baselines.vertical import (
-    HiddenSchemaPartitioner,
-    horizontal_cell_efficiency,
-)
+from repro.baselines.vertical import fragment_cells, hidden_schema_fragments
 from repro.core.config import CinderellaConfig
+from repro.core.efficiency import catalog_cells, cell_efficiency
 from repro.core.partitioner import CinderellaPartitioner
 from repro.reporting.tables import format_table
 
@@ -41,15 +39,16 @@ def test_vertical_vs_horizontal(benchmark, dbpedia, query_workload):
     )
     for eid, mask in enumerate(masks):
         cinderella.insert(eid, mask)
-    horizontal = horizontal_cell_efficiency(cinderella.catalog, queries)
+    horizontal = cell_efficiency(masks, catalog_cells(cinderella.catalog), queries)
 
     rows = []
     fragment_counts = {}
     vertical_scores = {}
     for k in (1, 2, 3, 5, 10):
-        partitioner = HiddenSchemaPartitioner(k_neighbors=k, min_jaccard=0.05)
-        fragments = partitioner.fit(masks, n_attributes)
-        score = partitioner.cell_efficiency(masks, queries)
+        fragments = hidden_schema_fragments(
+            masks, n_attributes, k_neighbors=k, min_jaccard=0.05
+        )
+        score = cell_efficiency(masks, fragment_cells(fragments, masks), queries)
         fragment_counts[k] = len(fragments)
         vertical_scores[k] = score
         rows.append([f"hidden schema k={k}", len(fragments), score])
@@ -74,8 +73,8 @@ def test_vertical_vs_horizontal(benchmark, dbpedia, query_workload):
 
     # benchmark kernel: one clustering run
     benchmark.pedantic(
-        lambda: HiddenSchemaPartitioner(k_neighbors=3, min_jaccard=0.05).fit(
-            masks, n_attributes
+        lambda: hidden_schema_fragments(
+            masks, n_attributes, k_neighbors=3, min_jaccard=0.05
         ),
         rounds=1,
         iterations=1,

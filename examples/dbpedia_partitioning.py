@@ -20,7 +20,7 @@ from repro import (
     catalog_efficiency,
     universal_table_efficiency,
 )
-from repro.metrics import summarize_catalog
+from repro.core import summarize_catalog
 from repro.reporting import format_kv_block, format_table
 from repro.workloads import (
     build_query_workload,

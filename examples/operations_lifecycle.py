@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro import CinderellaTable
 from repro.adapt import advise
-from repro.metrics import summarize_catalog
+from repro.core import summarize_catalog
 from repro.reporting import format_kv_block, format_table
 from repro.storage.snapshot import load_table, save_table
 from repro.workloads import generate_dbpedia_persons

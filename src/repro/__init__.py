@@ -5,8 +5,10 @@ ICDE Workshops 2014).
 The package implements the full system stack of the paper:
 
 * :mod:`repro.core` — the Cinderella algorithm: synopsis ratings, split
-  starters, Algorithm 1's insert/update/delete routines, the partitioning
-  efficiency metric (Definition 1), and the workload-based mode.
+  starters, Algorithm 1's insert/update/delete routines, the online
+  ``Partitioner`` contract, the workload-based mode, and the one quality
+  module (:mod:`repro.core.efficiency`): Definition 1, its cell-level
+  form, and the Figure 7 partitioning statistics.
 * :mod:`repro.catalog` — the system catalog: attribute dictionary,
   partition metadata, and the inverted synopsis index extension.
 * :mod:`repro.storage` — the storage substrate: sparse interpreted
@@ -19,10 +21,11 @@ The package implements the full system stack of the paper:
 * :mod:`repro.workloads` — the DBpedia-person data generator (calibrated
   to Figure 4), the synthetic selective query workload, and a TPC-H
   dbgen plus all 22 queries.
-* :mod:`repro.baselines` — hash / round-robin / offline-clustering /
-  oracle partitioners for comparison.
-* :mod:`repro.metrics` / :mod:`repro.reporting` — partitioning statistics
-  (Figure 7), timing histograms (Figure 8), and figure/table renderers.
+* :mod:`repro.baselines` — the comparators: hash and round-robin online
+  partitioners, the oracle and offline-clustering partitionings, and the
+  vertical hidden-schema fragments [18].
+* :mod:`repro.reporting` — table, chart and log-histogram (Figure 8)
+  renderers.
 
 Quickstart::
 

@@ -1,31 +1,39 @@
-"""Baseline partitioners for comparison against Cinderella."""
+"""The partitionings Cinderella is compared against (Section VI).
+
+Online baselines meet the :class:`~repro.core.partitioner.Partitioner`
+contract; offline comparators are functions of the whole data set that
+return a catalog (horizontal) or fragments (vertical).  All are scored by
+:mod:`repro.core.efficiency`.
+"""
 
 from repro.baselines.hash_partitioner import HashPartitioner
-from repro.baselines.offline_clustering import (
-    OfflineClusteringPartitioner,
+from repro.baselines.offline import (
+    clustering_partitioning,
     jaccard,
     leader_clusters,
+    oracle_partitioning,
+    pack,
 )
-from repro.baselines.oracle import OraclePartitioner
 from repro.baselines.round_robin import RoundRobinPartitioner
 from repro.baselines.vertical import (
-    HiddenSchemaPartitioner,
     VerticalFragment,
     attribute_jaccard,
-    horizontal_cell_efficiency,
+    fragment_cells,
+    hidden_schema_fragments,
     masks_to_matrix,
 )
 
 __all__ = [
     "HashPartitioner",
-    "HiddenSchemaPartitioner",
+    "RoundRobinPartitioner",
     "VerticalFragment",
     "attribute_jaccard",
-    "horizontal_cell_efficiency",
-    "masks_to_matrix",
-    "OfflineClusteringPartitioner",
-    "OraclePartitioner",
-    "RoundRobinPartitioner",
+    "clustering_partitioning",
+    "fragment_cells",
+    "hidden_schema_fragments",
     "jaccard",
     "leader_clusters",
+    "masks_to_matrix",
+    "oracle_partitioning",
+    "pack",
 ]

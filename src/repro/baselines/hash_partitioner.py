@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.catalog.catalog import PartitionCatalog
-from repro.core.outcomes import ModificationOutcome, Move
-from repro.core.sizes import SizeModel, UniformSizeModel
+from repro.baselines.placement import PlacementPartitioner
+from repro.core.sizes import SizeModel
 
 
 def _mix(eid: int) -> int:
@@ -25,13 +24,12 @@ def _mix(eid: int) -> int:
     return value ^ (value >> 33)
 
 
-class HashPartitioner:
+class HashPartitioner(PlacementPartitioner):
     """Online partitioner assigning entities by entity-id hash.
 
     The partition count is fixed up front (as in Dynamo-style systems);
-    partitions are created lazily on first use.  The interface mirrors
-    :class:`~repro.core.partitioner.CinderellaPartitioner` so the
-    efficiency benchmark can drive all partitioners uniformly.
+    partitions are created lazily on first use.  It meets the same
+    :class:`~repro.core.partitioner.Partitioner` contract as Cinderella.
     """
 
     def __init__(
@@ -41,38 +39,13 @@ class HashPartitioner:
     ) -> None:
         if num_partitions < 1:
             raise ValueError("need at least one partition")
+        super().__init__(size_model)
         self.num_partitions = num_partitions
-        self.size_model = size_model if size_model is not None else UniformSizeModel()
-        self.catalog = PartitionCatalog()
         self._slot_to_pid: dict[int, int] = {}
 
-    def insert(self, eid: int, mask: int, payload_bytes: int = 0) -> ModificationOutcome:
-        slot = _mix(eid) % self.num_partitions
-        pid = self._slot_to_pid.get(slot)
-        outcome = ModificationOutcome(entity_id=eid)
-        if pid is None:
-            partition = self.catalog.create_partition()
-            pid = self._slot_to_pid[slot] = partition.pid
-            outcome.created_partitions.append(pid)
-        size = self.size_model.entity_size(mask, payload_bytes)
-        self.catalog.add_entity(pid, eid, mask, size)
-        outcome.partition_id = pid
-        outcome.moves.append(Move(eid, None, pid))
-        return outcome
+    def _home(self, eid: int, size: float) -> Optional[int]:
+        pid = self._slot_to_pid.get(_mix(eid) % self.num_partitions)
+        return pid if pid in self.catalog else None
 
-    def delete(self, eid: int) -> ModificationOutcome:
-        pid, _mask, _size = self.catalog.remove_entity(eid)
-        outcome = ModificationOutcome(entity_id=eid, partition_id=None)
-        if self.catalog.get(pid).is_empty():
-            self.catalog.drop_partition(pid)
-            for slot, slot_pid in list(self._slot_to_pid.items()):
-                if slot_pid == pid:
-                    del self._slot_to_pid[slot]
-            outcome.dropped_partitions.append(pid)
-        return outcome
-
-    def update(self, eid: int, mask: int, payload_bytes: int = 0) -> ModificationOutcome:
-        """Hash placement depends only on the id: always in place."""
-        size = self.size_model.entity_size(mask, payload_bytes)
-        pid = self.catalog.update_entity(eid, mask, size)
-        return ModificationOutcome(entity_id=eid, partition_id=pid, in_place=True)
+    def _opened(self, eid: int, pid: int) -> None:
+        self._slot_to_pid[_mix(eid) % self.num_partitions] = pid

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.catalog.catalog import PartitionCatalog
-from repro.core.outcomes import ModificationOutcome, Move
-from repro.core.sizes import SizeModel, UniformSizeModel
+from repro.baselines.placement import PlacementPartitioner
+from repro.core.sizes import SizeModel
 
 
-class RoundRobinPartitioner:
+class RoundRobinPartitioner(PlacementPartitioner):
     """Fill partitions in arrival order up to ``max_partition_size``."""
 
     def __init__(
@@ -27,40 +26,17 @@ class RoundRobinPartitioner:
     ) -> None:
         if max_partition_size <= 0:
             raise ValueError("max_partition_size must be positive")
+        super().__init__(size_model)
         self.max_partition_size = max_partition_size
-        self.size_model = size_model if size_model is not None else UniformSizeModel()
-        self.catalog = PartitionCatalog()
         self._open_pid: Optional[int] = None
 
-    def insert(self, eid: int, mask: int, payload_bytes: int = 0) -> ModificationOutcome:
-        size = self.size_model.entity_size(mask, payload_bytes)
-        outcome = ModificationOutcome(entity_id=eid)
+    def _home(self, eid: int, size: float) -> Optional[int]:
         pid = self._open_pid
-        if pid is not None:
-            partition = self.catalog.get(pid)
-            if partition.total_size + size > self.max_partition_size:
-                pid = None
-        if pid is None:
-            partition = self.catalog.create_partition()
-            pid = self._open_pid = partition.pid
-            outcome.created_partitions.append(pid)
-        self.catalog.add_entity(pid, eid, mask, size)
-        outcome.partition_id = pid
-        outcome.moves.append(Move(eid, None, pid))
-        return outcome
+        if pid in self.catalog and (
+            self.catalog.get(pid).total_size + size <= self.max_partition_size
+        ):
+            return pid
+        return None
 
-    def delete(self, eid: int) -> ModificationOutcome:
-        pid, _mask, _size = self.catalog.remove_entity(eid)
-        outcome = ModificationOutcome(entity_id=eid, partition_id=None)
-        if self.catalog.get(pid).is_empty():
-            self.catalog.drop_partition(pid)
-            if self._open_pid == pid:
-                self._open_pid = None
-            outcome.dropped_partitions.append(pid)
-        return outcome
-
-    def update(self, eid: int, mask: int, payload_bytes: int = 0) -> ModificationOutcome:
-        """Arrival-order placement never moves entities."""
-        size = self.size_model.entity_size(mask, payload_bytes)
-        pid = self.catalog.update_entity(eid, mask, size)
-        return ModificationOutcome(entity_id=eid, partition_id=pid, in_place=True)
+    def _opened(self, eid: int, pid: int) -> None:
+        self._open_pid = pid

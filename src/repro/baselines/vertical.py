@@ -12,12 +12,12 @@ This module implements the technique faithfully enough to *measure* that
 argument instead of only citing it:
 
 * :func:`attribute_jaccard` computes the pairwise co-occurrence matrix;
-* :class:`HiddenSchemaPartitioner` builds the k-nearest-neighbour graph
-  over attributes and takes connected components as vertical fragments
-  (singleton attributes join their best neighbour's fragment);
-* cell-level read volumes let the benchmark compare the resulting
-  vertical layout against Cinderella's horizontal layout on the *same*
-  workload — the quantitative version of the paper's Section VI claim.
+* :func:`hidden_schema_fragments` builds the k-nearest-neighbour graph
+  over attributes and takes connected components as vertical fragments;
+* :func:`fragment_cells` gives each fragment's instantiated-cell volume,
+  so :func:`repro.core.efficiency.cell_efficiency` scores the vertical
+  layout and Cinderella's horizontal one on the *same* workload — the
+  quantitative version of the paper's Section VI claim.
 
 numpy is used for the co-occurrence counting (the only dense-matrix step).
 """
@@ -72,128 +72,69 @@ class VerticalFragment:
         return value
 
 
-class HiddenSchemaPartitioner:
-    """Offline vertical partitioning by attribute co-occurrence clustering."""
+def hidden_schema_fragments(
+    entity_masks: Sequence[int],
+    n_attributes: int,
+    k_neighbors: int = 3,
+    min_jaccard: float = 0.1,
+) -> list[VerticalFragment]:
+    """Cluster the attributes into vertical fragments.
 
-    def __init__(self, k_neighbors: int = 3, min_jaccard: float = 0.1) -> None:
-        """Configure the clustering.
+    Args:
+        entity_masks: the data set's entity synopses.
+        n_attributes: size of the attribute universe.
+        k_neighbors: each attribute links to its ``k`` most co-occurring
+            peers (the technique's ``k`` — the parameter the paper notes
+            requires "additional knowledge about the data" to choose well).
+        min_jaccard: links below this coefficient are ignored, so
+            unrelated attributes do not chain into one fragment.
 
-        Args:
-            k_neighbors: each attribute links to its ``k`` most
-                co-occurring peers (the technique's ``k`` — the parameter
-                the paper notes requires "additional knowledge about the
-                data" to choose well).
-            min_jaccard: links below this coefficient are ignored, so
-                unrelated attributes do not chain into one fragment.
-        """
-        if k_neighbors < 1:
-            raise ValueError("k_neighbors must be at least 1")
-        if not 0.0 <= min_jaccard <= 1.0:
-            raise ValueError("min_jaccard must lie in [0, 1]")
-        self.k_neighbors = k_neighbors
-        self.min_jaccard = min_jaccard
-        self.fragments: list[VerticalFragment] = []
-
-    def fit(
-        self, entity_masks: Sequence[int], n_attributes: int
-    ) -> list[VerticalFragment]:
-        """Cluster the attributes; returns (and stores) the fragments."""
-        if self.fragments:
-            raise RuntimeError("fit() may only be called once per instance")
-        matrix = masks_to_matrix(entity_masks, n_attributes)
-        jaccard = attribute_jaccard(matrix)
-
-        # undirected k-NN graph over attributes, thresholded
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n_attributes))
-        for attr_id in range(n_attributes):
-            scores = jaccard[attr_id].copy()
-            scores[attr_id] = -1.0  # no self edges
-            neighbour_order = np.argsort(-scores)[: self.k_neighbors]
-            for neighbour in neighbour_order:
-                if scores[neighbour] >= self.min_jaccard:
-                    graph.add_edge(attr_id, int(neighbour))
-        self.fragments = [
-            VerticalFragment(frozenset(component))
-            for component in nx.connected_components(graph)
-        ]
-        self.fragments.sort(key=lambda fragment: min(fragment.attribute_ids))
-        return self.fragments
-
-    # ------------------------------------------------------------------
-    # cell-level accounting
-    # ------------------------------------------------------------------
-    def fragment_volumes(self, entity_masks: Sequence[int]) -> list[float]:
-        """Instantiated-cell volume stored in each fragment.
-
-        Sparse storage: a fragment holds, per entity, only the cells of
-        its attributes the entity instantiates.
-        """
-        if not self.fragments:
-            raise RuntimeError("call fit() first")
-        volumes = []
-        for fragment in self.fragments:
-            fragment_mask = fragment.mask()
-            volumes.append(
-                float(
-                    sum((mask & fragment_mask).bit_count() for mask in entity_masks)
-                )
-            )
-        return volumes
-
-    def cell_efficiency(
-        self, entity_masks: Sequence[int], query_masks: Sequence[int]
-    ) -> float:
-        """Definition-1-style efficiency of the vertical layout, in cells.
-
-        A query reads every fragment containing at least one referenced
-        attribute, in full; the relevant volume is the instantiated cells
-        of exactly the referenced attributes.
-        """
-        if not self.fragments:
-            raise RuntimeError("call fit() first")
-        volumes = self.fragment_volumes(entity_masks)
-        read = 0.0
-        relevant = 0.0
-        for query_mask in query_masks:
-            for fragment, volume in zip(self.fragments, volumes):
-                if fragment.mask() & query_mask:
-                    read += volume
-            relevant += float(
-                sum((mask & query_mask).bit_count() for mask in entity_masks)
-            )
-        if read == 0.0:
-            return 1.0
-        return relevant / read
-
-
-def horizontal_cell_efficiency(catalog, query_masks: Sequence[int]) -> float:
-    """Cell-level Definition 1 efficiency of a horizontal partitioning.
-
-    The comparable number for :meth:`HiddenSchemaPartitioner.cell_efficiency`:
-    a non-pruned horizontal partition is read in full — all instantiated
-    cells of all its members — while only the members' cells in the
-    queried attributes are relevant.
+    Returns:
+        The fragments (connected components of the thresholded k-NN
+        graph), ordered by their smallest attribute id.
     """
-    read = 0.0
-    relevant = 0.0
-    partition_volumes = {}
-    for partition in catalog:
-        partition_volumes[partition.pid] = float(
-            sum(mask.bit_count() for _eid, mask, _size in partition.members())
+    if k_neighbors < 1:
+        raise ValueError("k_neighbors must be at least 1")
+    if not 0.0 <= min_jaccard <= 1.0:
+        raise ValueError("min_jaccard must lie in [0, 1]")
+    jaccard = attribute_jaccard(masks_to_matrix(entity_masks, n_attributes))
+
+    # undirected k-NN graph over attributes, thresholded
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n_attributes))
+    for attr_id in range(n_attributes):
+        scores = jaccard[attr_id].copy()
+        scores[attr_id] = -1.0  # no self edges
+        for neighbour in np.argsort(-scores)[:k_neighbors]:
+            if scores[neighbour] >= min_jaccard:
+                graph.add_edge(attr_id, int(neighbour))
+    fragments = [
+        VerticalFragment(frozenset(component))
+        for component in nx.connected_components(graph)
+    ]
+    fragments.sort(key=lambda fragment: min(fragment.attribute_ids))
+    return fragments
+
+
+def fragment_cells(
+    fragments: Sequence[VerticalFragment], entity_masks: Sequence[int]
+) -> list[tuple[int, float]]:
+    """``(attribute mask, instantiated cells)`` per fragment, for
+    :func:`repro.core.efficiency.cell_efficiency`.
+
+    Sparse storage: a fragment holds, per entity, only the cells of its
+    attributes the entity instantiates, and a query touching any of its
+    attributes reads it in full.
+    """
+    units = []
+    for fragment in fragments:
+        fragment_mask = fragment.mask()
+        units.append(
+            (
+                fragment_mask,
+                float(sum((mask & fragment_mask).bit_count() for mask in entity_masks)),
+            )
         )
-    for query_mask in query_masks:
-        for partition in catalog:
-            if partition.mask & query_mask:
-                read += partition_volumes[partition.pid]
-                relevant += float(
-                    sum(
-                        (mask & query_mask).bit_count()
-                        for _eid, mask, _size in partition.members()
-                    )
-                )
-    if read == 0.0:
-        return 1.0
-    return relevant / read
+    return units

@@ -84,7 +84,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_dbpedia(args: argparse.Namespace) -> int:
-    from repro.metrics.partition_stats import summarize_catalog
+    from repro.core.efficiency import summarize_catalog
     from repro.reporting.tables import format_kv_block
     from repro.table.partitioned import CinderellaTable
     from repro.workloads.dbpedia import generate_dbpedia_persons
@@ -286,7 +286,7 @@ def _load_snapshot_file(path: str):
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.metrics.partition_stats import summarize_catalog
+    from repro.core.efficiency import summarize_catalog
     from repro.reporting.tables import format_kv_block
     from repro.storage.snapshot import SnapshotFormatError
 

@@ -1,13 +1,18 @@
-"""Core of the reproduction: the Cinderella algorithm and its metrics."""
+"""Core of the reproduction: the Cinderella algorithm, the online
+partitioner contract, and the quality measures every partitioning is
+judged by."""
 
 from repro.core.config import CinderellaConfig
 from repro.core.efficiency import (
+    catalog_cells,
     catalog_efficiency,
+    cell_efficiency,
     partitioning_efficiency,
+    summarize_catalog,
     universal_table_efficiency,
 )
 from repro.core.outcomes import ModificationOutcome, Move
-from repro.core.partitioner import CinderellaPartitioner
+from repro.core.partitioner import CinderellaPartitioner, Partitioner
 from repro.core.rating import RatingBreakdown, rate, rate_fast
 from repro.core.sizes import (
     AttributeCountSizeModel,
@@ -26,6 +31,7 @@ __all__ = [
     "CinderellaPartitioner",
     "ModificationOutcome",
     "Move",
+    "Partitioner",
     "RatingBreakdown",
     "SizeModel",
     "SplitStarters",
@@ -33,9 +39,12 @@ __all__ = [
     "UniformSizeModel",
     "WorkloadBasedPartitioner",
     "WorkloadSynopsisEncoder",
+    "catalog_cells",
     "catalog_efficiency",
+    "cell_efficiency",
     "partitioning_efficiency",
     "rate",
     "rate_fast",
+    "summarize_catalog",
     "universal_table_efficiency",
 ]

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from time import perf_counter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 from repro.catalog.catalog import PartitionCatalog
 from repro.catalog.partition import Partition
@@ -53,6 +53,31 @@ obs.bind_span_histogram(
     "repro_insert_latency_seconds",
     "Latency of one insert, split cascades included",
 )
+
+
+class Partitioner(Protocol):
+    """The online contract every compared horizontal partitioner meets.
+
+    A partitioner owns a :class:`PartitionCatalog` and changes it only
+    through the three modification routines of Section III, each
+    reporting what moved in a :class:`ModificationOutcome`.  Cinderella,
+    its workload-based mode and the hash and round-robin baselines all
+    satisfy it; offline comparators are plain functions returning a
+    catalog instead.
+    """
+
+    @property
+    def catalog(self) -> PartitionCatalog: ...
+
+    def insert(
+        self, eid: int, mask: int, payload_bytes: int = 0
+    ) -> ModificationOutcome: ...
+
+    def update(
+        self, eid: int, mask: int, payload_bytes: int = 0
+    ) -> ModificationOutcome: ...
+
+    def delete(self, eid: int) -> ModificationOutcome: ...
 
 
 class CinderellaPartitioner:

@@ -10,15 +10,19 @@ This module translates attribute-space synopses into *workload space*: bit
 ``i`` of a workload-space synopsis means "relevant to query ``i``".  The
 translated masks feed the unchanged Cinderella algorithm — the rating, the
 starters, and the splits are completely agnostic to what the bits mean.
+``SIZE(e)`` is the one exception: it prices the stored entity, so it comes
+from the attribute synopsis and the payload, never from the query bits.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.core.config import CinderellaConfig
 from repro.core.outcomes import ModificationOutcome
 from repro.core.partitioner import CinderellaPartitioner
+from repro.core.sizes import SizeModel
 
 
 class WorkloadSynopsisEncoder:
@@ -59,12 +63,26 @@ class WorkloadSynopsisEncoder:
         return 1 << query_index
 
 
+class _PricedSizeModel(SizeModel):
+    """Hands the inner partitioner the ``SIZE(e)`` priced in attribute
+    space: it only ever sees workload-space masks, whose bits count
+    queries, not stored attributes."""
+
+    def __init__(self) -> None:
+        self.size = 0.0
+
+    def entity_size(self, mask: int, payload_bytes: int = 0) -> float:
+        return self.size
+
+
 class WorkloadBasedPartitioner:
     """Cinderella driven by workload-space synopses.
 
     Wraps a :class:`CinderellaPartitioner` and an encoder; callers keep
     speaking attribute masks, the wrapper translates.  Pruning for query
     ``i`` tests bit ``i`` of the partition's workload-space synopsis.
+    The configured size model prices each entity from its attribute
+    synopsis and payload before the translated mask goes in.
     """
 
     def __init__(
@@ -72,20 +90,31 @@ class WorkloadBasedPartitioner:
         query_masks: Sequence[int],
         config: Optional[CinderellaConfig] = None,
     ) -> None:
+        config = config if config is not None else CinderellaConfig()
         self.encoder = WorkloadSynopsisEncoder(query_masks)
-        self.partitioner = CinderellaPartitioner(config)
+        self.size_model = config.size_model
+        self._priced = _PricedSizeModel()
+        self.partitioner = CinderellaPartitioner(
+            replace(config, size_model=self._priced)
+        )
 
     @property
     def catalog(self):
         return self.partitioner.catalog
 
-    def insert(self, eid: int, attr_mask: int) -> ModificationOutcome:
+    def insert(
+        self, eid: int, attr_mask: int, payload_bytes: int = 0
+    ) -> ModificationOutcome:
+        self._priced.size = self.size_model.entity_size(attr_mask, payload_bytes)
         return self.partitioner.insert(eid, self.encoder.encode(attr_mask))
 
     def delete(self, eid: int) -> ModificationOutcome:
         return self.partitioner.delete(eid)
 
-    def update(self, eid: int, attr_mask: int) -> ModificationOutcome:
+    def update(
+        self, eid: int, attr_mask: int, payload_bytes: int = 0
+    ) -> ModificationOutcome:
+        self._priced.size = self.size_model.entity_size(attr_mask, payload_bytes)
         return self.partitioner.update(eid, self.encoder.encode(attr_mask))
 
     def partitions_for_query(self, query_index: int) -> list[int]:

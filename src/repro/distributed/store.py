@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.config import CinderellaConfig
-from repro.core.partitioner import CinderellaPartitioner
+from repro.core.partitioner import CinderellaPartitioner, Partitioner
 from repro.distributed.cluster import PlacementError, SimulatedCluster
 
 
@@ -66,17 +66,16 @@ class DistributedQueryStats:
 class DistributedUniversalStore:
     """Coordinator view: logical partitioner + cluster placement.
 
-    The partitioner can be a :class:`CinderellaPartitioner` or any
-    baseline with the same ``insert``/``delete``/``update`` outcome
-    contract (e.g. :class:`repro.baselines.HashPartitioner`), so the
-    distributed benefit of schema-aware partitioning is directly
+    The partitioner is any :class:`~repro.core.partitioner.Partitioner`
+    (Cinderella by default, or e.g. :class:`repro.baselines.HashPartitioner`),
+    so the distributed benefit of schema-aware partitioning is directly
     comparable.
     """
 
     def __init__(
         self,
         node_count: int,
-        partitioner=None,
+        partitioner: Optional[Partitioner] = None,
         network: Optional[NetworkCostModel] = None,
     ) -> None:
         self.partitioner = (

@@ -1,6 +1,8 @@
-"""Reporting: ASCII renderers for the benchmark harness output."""
+"""Reporting: ASCII renderers (tables, charts, log histograms) for the
+benchmark harness output."""
 
 from repro.reporting.chart import render_line_chart
+from repro.reporting.histogram import HistogramBucket, LogHistogram, render_histogram
 from repro.reporting.obs_summary import (
     format_metrics_table,
     format_recent_events,
@@ -12,6 +14,8 @@ from repro.reporting.obs_summary import (
 from repro.reporting.tables import format_kv_block, format_series, format_table
 
 __all__ = [
+    "HistogramBucket",
+    "LogHistogram",
     "format_kv_block",
     "format_metrics_table",
     "format_recent_events",
@@ -21,5 +25,6 @@ __all__ = [
     "format_top_spans",
     "format_series",
     "format_table",
+    "render_histogram",
     "render_line_chart",
 ]

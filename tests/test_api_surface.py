@@ -29,7 +29,6 @@ class TestPublicApi:
             "repro.workloads",
             "repro.workloads.tpch",
             "repro.baselines",
-            "repro.metrics",
             "repro.reporting",
             "repro.maintenance",
             "repro.adapt",

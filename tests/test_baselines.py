@@ -3,16 +3,18 @@
 import pytest
 
 from repro.baselines.hash_partitioner import HashPartitioner
-from repro.baselines.offline_clustering import (
-    OfflineClusteringPartitioner,
+from repro.baselines.offline import (
+    clustering_partitioning,
     jaccard,
     leader_clusters,
+    oracle_partitioning,
+    pack,
 )
-from repro.baselines.oracle import OraclePartitioner
 from repro.baselines.round_robin import RoundRobinPartitioner
 from repro.core.config import CinderellaConfig
 from repro.core.efficiency import catalog_efficiency, universal_table_efficiency
 from repro.core.partitioner import CinderellaPartitioner
+from repro.core.sizes import AttributeCountSizeModel
 
 
 class TestHashPartitioner:
@@ -110,24 +112,32 @@ class TestOfflinePartitioners:
     ENTITIES = [(eid, 0b0011 if eid % 2 else 0b1100) for eid in range(20)]
 
     def test_offline_clustering_packs_to_capacity(self):
-        p = OfflineClusteringPartitioner(max_partition_size=4, threshold=0.5)
-        p.fit(self.ENTITIES)
-        assert all(len(part) <= 4 for part in p.catalog)
-        assert p.catalog.entity_count == 20
-        assert p.cluster_count == 2
+        catalog = clustering_partitioning(
+            self.ENTITIES, max_partition_size=4, threshold=0.5
+        )
+        assert all(len(part) <= 4 for part in catalog)
+        assert catalog.entity_count == 20
+        assert len(leader_clusters(self.ENTITIES, threshold=0.5)) == 2
 
     def test_oracle_partitions_are_signature_pure(self):
-        p = OraclePartitioner(max_partition_size=4)
-        p.fit(self.ENTITIES)
-        for part in p.catalog:
+        catalog = oracle_partitioning(self.ENTITIES, max_partition_size=4)
+        for part in catalog:
             signatures = {mask for _eid, mask, _size in part.members()}
             assert len(signatures) == 1
 
-    def test_fit_twice_rejected(self):
-        p = OraclePartitioner(max_partition_size=4)
-        p.fit(self.ENTITIES)
-        with pytest.raises(RuntimeError):
-            p.fit(self.ENTITIES)
+    def test_an_entity_larger_than_b_gets_a_partition_of_its_own(self):
+        entities = [(1, 0b1111), (2, 0b1)]
+        catalog = pack([entities], 2, AttributeCountSizeModel())
+        assert [len(part) for part in catalog] == [1, 1]
+        assert catalog.check_invariants() == []
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            oracle_partitioning(self.ENTITIES, max_partition_size=0)
+        with pytest.raises(ValueError):
+            clustering_partitioning(self.ENTITIES, max_partition_size=0)
+        with pytest.raises(ValueError):
+            clustering_partitioning(self.ENTITIES, 4, threshold=1.5)
 
 
 class TestEfficiencyOrdering:
@@ -142,8 +152,7 @@ class TestEfficiencyOrdering:
         )
         for eid, mask in entities:
             cinderella.insert(eid, mask)
-        oracle = OraclePartitioner(10)
-        oracle.fit(entities)
+        oracle = oracle_partitioning(entities, 10)
         hashp = HashPartitioner(len(cinderella.catalog))
         for eid, mask in entities:
             hashp.insert(eid, mask)
@@ -152,7 +161,7 @@ class TestEfficiencyOrdering:
         eff_universal = universal_table_efficiency(sized, queries)
         eff_hash = catalog_efficiency(hashp.catalog, queries)
         eff_cin = catalog_efficiency(cinderella.catalog, queries)
-        eff_oracle = catalog_efficiency(oracle.catalog, queries)
+        eff_oracle = catalog_efficiency(oracle, queries)
 
         assert eff_oracle == 1.0
         assert eff_cin == 1.0  # clean two-family data: Cinderella is exact

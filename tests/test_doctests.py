@@ -12,8 +12,6 @@ import repro.catalog.dictionary
 import repro.core.partitioner
 import repro.core.synopsis
 import repro.core.workload_mode
-import repro.metrics.telemetry
-import repro.metrics.timing
 import repro.txn.crash
 
 MODULES = [
@@ -21,8 +19,6 @@ MODULES = [
     repro.core.partitioner,
     repro.core.synopsis,
     repro.core.workload_mode,
-    repro.metrics.telemetry,
-    repro.metrics.timing,
     repro.txn.crash,
 ]
 

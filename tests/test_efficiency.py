@@ -4,13 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.hash_partitioner import HashPartitioner
+from repro.baselines.offline import clustering_partitioning, oracle_partitioning
+from repro.baselines.round_robin import RoundRobinPartitioner
+from repro.baselines.vertical import fragment_cells, hidden_schema_fragments
 from repro.core.config import CinderellaConfig
 from repro.core.efficiency import (
+    catalog_cells,
     catalog_efficiency,
+    cell_efficiency,
     partitioning_efficiency,
     universal_table_efficiency,
 )
 from repro.core.partitioner import CinderellaPartitioner
+from repro.workloads.dbpedia import generate_dbpedia_persons
+from repro.workloads.querygen import build_query_workload, representative_queries
 
 masks = st.integers(min_value=0, max_value=2**16 - 1)
 
@@ -92,3 +100,81 @@ class TestProperties:
             [(part.mask, part.total_size) for part in p.catalog],
         )
         assert catalog_efficiency(p.catalog, queries) == pytest.approx(raw)
+
+
+class TestComparatorScoresPinned:
+    """``bench_efficiency`` and ``bench_vertical`` at a small fixed scale:
+    1,500 DBpedia persons, B = 100, w = 0.2, the representative workload.
+    The expected values are those the comparators scored before they
+    became functions over one packer and one cell-level Definition 1;
+    any change to them is a change in what the benches report."""
+
+    @pytest.fixture(scope="class")
+    def scored(self):
+        dataset = generate_dbpedia_persons(n_entities=1500, seed=42)
+        dictionary = dataset.dictionary()
+        entities = [
+            (entity.entity_id, entity.synopsis_mask(dictionary))
+            for entity in dataset.entities
+        ]
+        masks = [mask for _eid, mask in entities]
+        specs = build_query_workload(masks, dictionary, max_triples=200)
+        queries = [
+            spec.query.synopsis_mask(dictionary)
+            for spec in representative_queries(specs, bucket_width=0.05, per_bucket=3)
+        ]
+        cinderella = CinderellaPartitioner(
+            CinderellaConfig(max_partition_size=100, weight=0.2)
+        )
+        for eid, mask in entities:
+            cinderella.insert(eid, mask)
+        hashed = HashPartitioner(num_partitions=len(cinderella.catalog))
+        round_robin = RoundRobinPartitioner(max_partition_size=100)
+        for eid, mask in entities:
+            hashed.insert(eid, mask)
+            round_robin.insert(eid, mask)
+        catalogs = {
+            "hash": hashed.catalog,
+            "round robin": round_robin.catalog,
+            "offline clustering": clustering_partitioning(
+                entities, max_partition_size=100, threshold=0.4
+            ),
+            "cinderella": cinderella.catalog,
+            "oracle": oracle_partitioning(entities, max_partition_size=100),
+        }
+        scores = {
+            name: (len(catalog), catalog_efficiency(catalog, queries))
+            for name, catalog in catalogs.items()
+        }
+        scores["universal table"] = (
+            1,
+            universal_table_efficiency([(mask, 1.0) for mask in masks], queries),
+        )
+        scores["horizontal cells"] = (
+            len(cinderella.catalog),
+            cell_efficiency(masks, catalog_cells(cinderella.catalog), queries),
+        )
+        for k in (1, 3):
+            fragments = hidden_schema_fragments(
+                masks, len(dictionary), k_neighbors=k, min_jaccard=0.05
+            )
+            scores[f"vertical k={k}"] = (
+                len(fragments),
+                cell_efficiency(masks, fragment_cells(fragments, masks), queries),
+            )
+        return len(queries), scores
+
+    def test_scores_match_the_recorded_values(self, scored):
+        query_count, scores = scored
+        assert query_count == 63
+        assert scores == {
+            "universal table": (1, 0.524973544973545),
+            "hash": (113, 0.5611800504507766),
+            "round robin": (15, 0.5272051009564294),
+            "offline clustering": (45, 0.5655946096929759),
+            "cinderella": (113, 0.8043256213622141),
+            "oracle": (1383, 1.0),
+            "horizontal cells": (113, 0.1174600483235132),
+            "vertical k=1": (19, 0.15810398460839736),
+            "vertical k=3": (7, 0.09199036474793777),
+        }

@@ -1,16 +1,16 @@
-"""Tests for metrics: percentiles, summaries, histograms, timing."""
+"""Tests for the Figure 7 statistics (percentiles, summaries) and the
+Figure 8 log histograms."""
 
 import pytest
 
 from repro.core.config import CinderellaConfig
 from repro.core.partitioner import CinderellaPartitioner
-from repro.metrics.histogram import LogHistogram, render_histogram
-from repro.metrics.partition_stats import (
+from repro.core.efficiency import (
     DistributionSummary,
     percentile,
     summarize_catalog,
 )
-from repro.metrics.timing import Timer, time_call
+from repro.reporting.histogram import LogHistogram, render_histogram
 
 
 class TestPercentile:
@@ -80,11 +80,6 @@ class TestLogHistogram:
         assert h.underflow == 1 and h.overflow == 1
         assert h.samples == 2
 
-    def test_fraction_between(self):
-        h = LogHistogram(low=0.1, high=1000.0, buckets_per_decade=1)
-        h.add_all([0.5, 5.0, 5.5, 50.0])
-        assert h.fraction_between(1.0, 10.0) == pytest.approx(0.5)
-
     def test_trims_empty_tails(self):
         h = LogHistogram(low=0.01, high=10_000.0, buckets_per_decade=1)
         h.add(5.0)
@@ -104,15 +99,3 @@ class TestLogHistogram:
         assert "#" in text
         assert render_histogram([]) == "(no samples)"
 
-
-class TestTiming:
-    def test_timer_context(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.elapsed_s >= 0.0
-        assert t.elapsed_ms == t.elapsed_s * 1000.0
-
-    def test_time_call(self):
-        result, elapsed = time_call(lambda: 41 + 1)
-        assert result == 42
-        assert elapsed >= 0.0

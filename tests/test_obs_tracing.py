@@ -9,7 +9,6 @@ the module-level helpers.
 import pytest
 
 from repro import obs
-from repro.metrics.timing import Timer
 from repro.obs.events import EventLog
 from repro.obs.tracing import NOOP_SPAN, Tracer
 
@@ -252,24 +251,3 @@ class TestRuntimeSwitch:
             from repro.obs import runtime
 
             runtime._SPAN_HISTOGRAMS.pop("obs_test.bound_op", None)
-
-    def test_timer_routes_through_registry(self):
-        obs.enable()
-        with Timer(metric="timer_seconds", help_text="timed") as timer:
-            pass
-        state = obs.disable()
-        child = state.registry.get("timer_seconds")._unlabeled()
-        assert child.count == 1
-        assert child.sum == pytest.approx(timer.elapsed_s)
-
-    def test_timer_without_metric_stays_registry_free(self):
-        obs.enable()
-        with Timer():
-            pass
-        state = obs.disable()
-        # span-bound histogram families materialize at enable(); the
-        # metric-less Timer itself must not create anything
-        assert all(
-            "timer" not in family.name
-            for family in state.registry.families()
-        )

@@ -1,54 +1,6 @@
-"""Tests for the telemetry collector and the ASCII chart renderer."""
+"""Tests for the ASCII chart renderer."""
 
-from repro.core.config import CinderellaConfig
-from repro.core.partitioner import CinderellaPartitioner
-from repro.metrics.telemetry import TelemetryCollector
 from repro.reporting.chart import render_line_chart
-
-
-class TestTelemetryCollector:
-    def test_samples_at_interval(self):
-        collector = TelemetryCollector(interval=5)
-        p = CinderellaPartitioner(CinderellaConfig(max_partition_size=4, weight=0.4))
-        for eid in range(12):
-            p.insert(eid, 0b11)
-            collector.observe(p)
-        assert [s.operations for s in collector.samples] == [5, 10]
-        assert collector.samples[-1].entity_count == 10
-
-    def test_sample_now_forces_a_point(self):
-        collector = TelemetryCollector(interval=100)
-        p = CinderellaPartitioner()
-        p.insert(1, 0b1)
-        sample = collector.sample_now(p)
-        assert sample.partition_count == 1
-        assert sample.mean_fill == 1.0
-        assert sample.efficiency is None  # no workload configured
-
-    def test_efficiency_tracked_with_workload(self):
-        collector = TelemetryCollector(interval=1, query_masks=[0b1])
-        p = CinderellaPartitioner(CinderellaConfig(max_partition_size=10, weight=0.4))
-        p.insert(1, 0b1)
-        collector.observe(p)
-        assert collector.samples[0].efficiency == 1.0
-
-    def test_series_extraction(self):
-        collector = TelemetryCollector(interval=2)
-        p = CinderellaPartitioner(CinderellaConfig(max_partition_size=4, weight=0.4))
-        for eid in range(6):
-            p.insert(eid, 0b11)
-            collector.observe(p)
-        series = collector.series("partition_count")
-        assert [x for x, _y in series] == [2.0, 4.0, 6.0]
-        assert collector.series("efficiency") == []  # all None: dropped
-
-    def test_split_count_propagates(self):
-        collector = TelemetryCollector(interval=1)
-        p = CinderellaPartitioner(CinderellaConfig(max_partition_size=2, weight=0.5))
-        for eid in range(6):
-            p.insert(eid, 0b11)
-            collector.observe(p)
-        assert collector.samples[-1].split_count == p.split_count
 
 
 class TestRenderLineChart:

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.baselines.vertical import (
-    HiddenSchemaPartitioner,
     attribute_jaccard,
-    horizontal_cell_efficiency,
+    fragment_cells,
+    hidden_schema_fragments,
     masks_to_matrix,
 )
 from repro.core.config import CinderellaConfig
+from repro.core.efficiency import catalog_cells, cell_efficiency
 from repro.core.partitioner import CinderellaPartitioner
 
 
@@ -42,10 +43,14 @@ def two_family_masks(n: int = 60) -> list[int]:
     return [0b000111 if i % 2 else 0b111000 for i in range(n)]
 
 
+def vertical_efficiency(masks, query_masks, k_neighbors=2):
+    fragments = hidden_schema_fragments(masks, 6, k_neighbors=k_neighbors)
+    return cell_efficiency(masks, fragment_cells(fragments, masks), query_masks)
+
+
 class TestHiddenSchemaPartitioner:
     def test_finds_the_two_hidden_schemas(self):
-        partitioner = HiddenSchemaPartitioner(k_neighbors=2)
-        fragments = partitioner.fit(two_family_masks(), 6)
+        fragments = hidden_schema_fragments(two_family_masks(), 6, k_neighbors=2)
         attribute_sets = sorted(
             tuple(sorted(f.attribute_ids)) for f in fragments
         )
@@ -54,56 +59,38 @@ class TestHiddenSchemaPartitioner:
     def test_min_jaccard_prevents_chaining(self):
         # one noisy entity carrying attributes of both families
         masks = two_family_masks() + [0b111111]
-        strict = HiddenSchemaPartitioner(k_neighbors=2, min_jaccard=0.2)
-        fragments = strict.fit(masks, 6)
+        fragments = hidden_schema_fragments(masks, 6, k_neighbors=2, min_jaccard=0.2)
         assert len(fragments) == 2
 
     def test_zero_threshold_chains_everything(self):
         masks = two_family_masks() + [0b111111]
-        loose = HiddenSchemaPartitioner(k_neighbors=5, min_jaccard=0.0)
-        fragments = loose.fit(masks, 6)
+        fragments = hidden_schema_fragments(masks, 6, k_neighbors=5, min_jaccard=0.0)
         assert len(fragments) == 1
-
-    def test_fit_twice_rejected(self):
-        partitioner = HiddenSchemaPartitioner()
-        partitioner.fit(two_family_masks(), 6)
-        with pytest.raises(RuntimeError):
-            partitioner.fit(two_family_masks(), 6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HiddenSchemaPartitioner(k_neighbors=0)
+            hidden_schema_fragments(two_family_masks(), 6, k_neighbors=0)
         with pytest.raises(ValueError):
-            HiddenSchemaPartitioner(min_jaccard=2.0)
-
-    def test_accounting_requires_fit(self):
-        with pytest.raises(RuntimeError):
-            HiddenSchemaPartitioner().fragment_volumes([0b1])
+            hidden_schema_fragments(two_family_masks(), 6, min_jaccard=2.0)
 
 
 class TestCellEfficiency:
     def test_perfect_vertical_layout(self):
         masks = two_family_masks()
-        partitioner = HiddenSchemaPartitioner(k_neighbors=2)
-        partitioner.fit(masks, 6)
         # query references all of family 0's attributes: the fragment read
         # contains exactly the relevant cells
-        assert partitioner.cell_efficiency(masks, [0b000111]) == pytest.approx(1.0)
+        assert vertical_efficiency(masks, [0b000111]) == pytest.approx(1.0)
 
     def test_partial_query_reads_whole_fragment(self):
         masks = two_family_masks()
-        partitioner = HiddenSchemaPartitioner(k_neighbors=2)
-        partitioner.fit(masks, 6)
         # querying one of the three attributes still reads the fragment
-        assert partitioner.cell_efficiency(masks, [0b000001]) == pytest.approx(
-            1 / 3
-        )
+        assert vertical_efficiency(masks, [0b000001]) == pytest.approx(1 / 3)
 
     def test_fragment_volumes(self):
         masks = two_family_masks(10)
-        partitioner = HiddenSchemaPartitioner(k_neighbors=2)
-        partitioner.fit(masks, 6)
-        assert sorted(partitioner.fragment_volumes(masks)) == [15.0, 15.0]
+        fragments = hidden_schema_fragments(masks, 6, k_neighbors=2)
+        volumes = [cells for _mask, cells in fragment_cells(fragments, masks)]
+        assert sorted(volumes) == [15.0, 15.0]
 
     def test_horizontal_counterpart_on_clean_data(self):
         masks = two_family_masks()
@@ -112,17 +99,13 @@ class TestCellEfficiency:
         )
         for eid, mask in enumerate(masks):
             cinderella.insert(eid, mask)
+        units = catalog_cells(cinderella.catalog)
         # horizontal partitions are signature-pure here: single-attribute
         # queries read whole 3-attribute-wide rows -> 1/3 cell efficiency
-        value = horizontal_cell_efficiency(cinderella.catalog, [0b000001])
+        value = cell_efficiency(masks, units, [0b000001])
         assert value == pytest.approx(1 / 3)
         # full-family queries are perfect
-        assert horizontal_cell_efficiency(
-            cinderella.catalog, [0b000111]
-        ) == pytest.approx(1.0)
+        assert cell_efficiency(masks, units, [0b000111]) == pytest.approx(1.0)
 
     def test_vacuous_workload(self):
-        masks = two_family_masks()
-        partitioner = HiddenSchemaPartitioner(k_neighbors=2)
-        partitioner.fit(masks, 6)
-        assert partitioner.cell_efficiency(masks, [1 << 40]) == 1.0
+        assert vertical_efficiency(two_family_masks(), [1 << 40]) == 1.0

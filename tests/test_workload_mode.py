@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import CinderellaConfig
+from repro.core.sizes import AttributeCountSizeModel, ByteSizeModel
 from repro.core.workload_mode import WorkloadBasedPartitioner, WorkloadSynopsisEncoder
 
 
@@ -72,3 +73,28 @@ class TestWorkloadBasedPartitioner:
         assert p.partitions_for_query(1) == [p.catalog.partition_of(1)]
         p.delete(1)
         assert p.catalog.entity_count == 0
+
+    def test_size_comes_from_the_attribute_synopsis(self):
+        # none of the 3 attributes is queried: the workload-space synopsis
+        # is empty, but the stored entity still weighs 3 cells
+        p = WorkloadBasedPartitioner(
+            [0b0001, 0b0010],
+            CinderellaConfig(max_partition_size=6, size_model=AttributeCountSizeModel()),
+        )
+        for eid in range(20):
+            p.insert(eid, 0b11100)
+        sizes = [partition.total_size for partition in p.catalog]
+        assert sum(sizes) == 60.0
+        assert max(sizes) <= 6.0
+        assert len(sizes) >= 10
+        assert p.partitioner.check_invariants() == []
+
+    def test_payload_bytes_price_the_entity(self):
+        p = WorkloadBasedPartitioner(
+            self.workload(),
+            CinderellaConfig(max_partition_size=100, size_model=ByteSizeModel()),
+        )
+        pid = p.insert(1, 0b0001, payload_bytes=40).partition_id
+        assert p.catalog.get(pid).total_size == 40.0
+        p.update(1, 0b0011, payload_bytes=25)
+        assert p.catalog.get(p.catalog.partition_of(1)).total_size == 25.0
