@@ -17,13 +17,22 @@ Shared partition states keep publication cheap enough to run once per
 group commit, and two caches keep repeated queries cheap:
 
 * ``_PartitionState`` holds one partition's raw records in heap-scan
-  order, decoded lazily on first read.  States are *shared across
+  order, decoded lazily on first read, and each record's rendered row
+  per query shape, rendered on first serve.  States are *shared across
   snapshots*: when a publish finds a partition whose new contents are a
   strict append of the old (the common case — inserts into an existing
   partition), it extends the state in place and every older snapshot
   keeps addressing its shorter prefix.  Any other change (delete,
   in-place update, split/merge move) builds a fresh state object, so
   snapshots taken before the change keep the old one alive untouched.
+  The fresh state is the *successor* of the states that publish
+  replaced — those of every partition it rebuilds or drops: for each
+  record it shares with one of them (the same ``bytes`` object; split
+  and merge moves carry it from heap to heap) it borrows the decoded
+  ``(eid, attributes)`` and the rendered rows, so re-serving a changed
+  partition decodes and renders only the records that changed.  A
+  successor reads its predecessors without editing them and keeps no
+  reference to them, so borrowing never chains.
 * per-state **chunk caches** remember the serialized rows a query
   matched, within one scope, up to a prefix length, so a fresh
   snapshot's first serve of a known shape over a growing partition
@@ -105,14 +114,23 @@ class _PartitionState:
     be *extended* in place by a later publish (append-only growth), so
     every reader must address it through a snapshot's fixed ``count``
     prefix and never through ``len(raw)``.
+
+    ``decoded`` and the per-shape ``rows`` are per-record and in the
+    same order.  A fresh state is the *successor* of the states its
+    publish replaced (see :class:`_Donors`): it starts with their
+    decoded record and rendered rows for every record it holds too, so
+    re-serving a changed partition decodes and renders only the records
+    that changed.  A successor only reads its predecessors and keeps no
+    reference to them.
     """
 
-    __slots__ = ("pid", "version", "raw", "eids", "attrs",
-                 "chunk_cache", "dictionary",
-                 "heap_id", "seen_clock")
+    __slots__ = ("pid", "version", "raw", "decoded", "ready", "rows",
+                 "chunk_cache", "dictionary", "heap_id", "seen_clock",
+                 "__weakref__")
 
     def __init__(
-        self, pid: int, version: int, raw: list, dictionary: "AttributeDictionary"
+        self, pid: int, version: int, raw: list,
+        dictionary: "AttributeDictionary", donors: Optional["_Donors"] = None,
     ) -> None:
         self.pid = pid
         #: version of the newest publish this state is current for
@@ -124,8 +142,15 @@ class _PartitionState:
         #: structural clock instead of rescanning and prefix-comparing
         self.heap_id = -1
         self.seen_clock = -1
-        self.eids: list[int] = []
-        self.attrs: list[dict[str, Any]] = []
+        #: ``(eid, attributes)`` per record of ``raw``, ``None`` until
+        #: decoded; the publisher extends it together with ``raw``.
+        #: ``rows``: sig -> per record its projected row as a JSON
+        #: object, ``""`` when it does not match, ``None`` until rendered
+        self.decoded, self.rows = (
+            ([None] * len(raw), {}) if donors is None else donors.take(raw)
+        )
+        #: leading entries of ``decoded`` known to be filled in
+        self.ready = 0
         #: (sig, scope) -> (prefix length, row count, serialized row
         #: chunk) — the matched rows pre-rendered as comma-joined JSON
         #: objects, so a fresh snapshot's first serve of a known shape
@@ -137,32 +162,51 @@ class _PartitionState:
 
     def ensure_decoded(self, n: int) -> None:
         """Decode records until the first *n* are available."""
-        attrs = self.attrs
-        eids = self.eids
+        i = self.ready
+        if i >= n:
+            return
+        decoded = self.decoded
         raw = self.raw
         dictionary = self.dictionary
-        while len(attrs) < n:
-            eid, attributes = deserialize_record(raw[len(attrs)][1], dictionary)
-            eids.append(eid)
-            attrs.append(attributes)
+        while i < n:
+            if decoded[i] is None:
+                decoded[i] = deserialize_record(raw[i][1], dictionary)
+            i += 1
+        if n > self.ready:
+            self.ready = n
 
     def _render(
-        self, query: AttributeQuery, scope: Optional[ShardScope],
-        start: int, n: int,
+        self, query: AttributeQuery, sig: QuerySig,
+        scope: Optional[ShardScope], start: int, n: int,
     ) -> tuple[str, int]:
         """Match, project and serialize the records ``[start, n)`` that
-        are in *scope*."""
+        are in *scope*, rendering each record at most once per shape."""
         self.ensure_decoded(n)
-        attrs = self.attrs[start:n]
-        if scope is not None:
-            attrs = scope.select(self.eids[start:n], attrs)
+        rows = self.rows.get(sig)
+        if rows is None:
+            if len(self.rows) >= _CHUNK_CACHE_SIGS:
+                self.rows.clear()
+            rows = self.rows[sig] = []
+        if len(rows) < n:
+            rows.extend([None] * (n - len(rows)))
+        decoded = self.decoded
         matches = query.matches
         project = query.project
-        rendered = [
-            json.dumps(project(a), separators=(",", ":"))
-            for a in attrs if matches(a)
-        ]
-        return ",".join(rendered), len(rendered)
+        dumps = json.dumps
+        picked = []
+        for i in range(start, n):
+            eid, attributes = decoded[i]
+            if scope is not None and eid % scope.n_shards not in scope.shards:
+                continue
+            row = rows[i]
+            if row is None:
+                row = rows[i] = (
+                    dumps(project(attributes), separators=(",", ":"))
+                    if matches(attributes) else ""
+                )
+            if row:
+                picked.append(row)
+        return ",".join(picked), len(picked)
 
     def matched_chunk(
         self, query: AttributeQuery, sig: QuerySig, n: int,
@@ -189,13 +233,77 @@ class _PartitionState:
             if cached_n == n:
                 return chunk, count
             if cached_n > n:  # shorter prefix: serve without storing
-                return self._render(query, scope, 0, n)
-        tail, added = self._render(query, scope, cached_n, n)
+                return self._render(query, sig, scope, 0, n)
+        tail, added = self._render(query, sig, scope, cached_n, n)
         if added:
             chunk = f"{chunk},{tail}" if chunk else tail
             count += added
         self.chunk_cache[key] = (n, count, chunk)
         return chunk, count
+
+
+class _Donors:
+    """What the states one publish replaces hold, by record identity.
+
+    The predecessors of a publish are the current states of every
+    partition it rebuilds or drops.  A record a successor shares with
+    one of them is the same ``bytes`` object — a split or merge moves
+    that object from heap to heap, and an untouched record stays put —
+    so its decoded ``(eid, attributes)`` and its rendered rows carry
+    over exactly.  Built once per publish from the predecessors' lists
+    (read, never edited) and dropped with it, so borrowing never chains:
+    a successor holds the borrowed entries, not the states they came
+    from.
+    """
+
+    __slots__ = ("index", "decoded", "rows")
+
+    def __init__(self, states: list[_PartitionState]) -> None:
+        #: id of a decoded record's bytes -> its position in the lists
+        self.index: dict[int, int] = {}
+        self.decoded: list[Optional[tuple[int, dict[str, Any]]]] = []
+        self.rows: dict[QuerySig, list[Optional[str]]] = {}
+        for state in states:
+            raw = state.raw
+            base = len(self.decoded)
+            n = len(raw)
+            decoded = state.decoded[:n]
+            if decoded.count(None) == n:
+                continue  # never read: nothing to lend
+            self.index.update(
+                (id(raw[i][1]), base + i)
+                for i, entry in enumerate(decoded) if entry is not None
+            )
+            self.decoded.extend(decoded)
+            # a copy: a reader may add a shape to the dict meanwhile
+            for sig, rows in state.rows.copy().items():
+                flat = self.rows.get(sig)
+                if flat is None:
+                    flat = self.rows[sig] = [None] * base
+                flat.extend(rows[:n])
+            for flat in self.rows.values():
+                flat.extend([None] * (base + n - len(flat)))
+
+    def take(self, raw: list) -> tuple[
+        list[Optional[tuple[int, dict[str, Any]]]],
+        dict[QuerySig, list[Optional[str]]],
+    ]:
+        """The decoded entries (``None``: not held) and, per shape, the
+        rendered rows of *raw*'s records."""
+        index = self.index
+        if not index:
+            return [None] * len(raw), {}
+        positions = [index.get(id(record), -1) for _rid, record in raw]
+        if positions.count(-1) == len(positions):
+            return [None] * len(raw), {}
+        decoded = self.decoded
+        return (
+            [decoded[g] if g >= 0 else None for g in positions],
+            {
+                sig: [flat[g] if g >= 0 else None for g in positions]
+                for sig, flat in self.rows.items()
+            },
+        )
 
 
 class PartitionView:
@@ -242,11 +350,10 @@ class PartitionView:
         """
         state = self._state
         state.ensure_decoded(self.count)
-        eids = state.eids[: self.count]
-        pairs = zip(eids, state.attrs[: self.count])
+        pairs = state.decoded[: self.count]
         if self.scope is None:
-            return pairs
-        return iter(self.scope.select(eids, pairs))
+            return iter(pairs)
+        return iter(self.scope.select((eid for eid, _ in pairs), pairs))
 
 
 class TableSnapshot:
@@ -476,12 +583,12 @@ class SnapshotManager:
         catalog = table.catalog
         dictionary = table.dictionary
         states = self._states
-        views: list[PartitionView] = []
-        live_pids = set()
+        current = []  # (partition, version) in catalog order
+        rebuilt = []  # (pid, version, heap): a fresh successor state
         for partition in catalog:
             pid = partition.pid
-            live_pids.add(pid)
             version = catalog.version_of(pid)
+            current.append((partition, version))
             state = states.get(pid)
             if state is None or state.version != version:
                 heap = table.heap_of(pid)
@@ -497,22 +604,41 @@ class SnapshotManager:
                     if heap.mutation_clock != state.seen_clock:
                         tail = state.raw[-1][0] if state.raw else None
                         state.raw.extend(heap.scan_suffix(tail))
+                        state.decoded.extend(
+                            [None] * (len(state.raw) - len(state.decoded))
+                        )
                         state.seen_clock = heap.mutation_clock
                     state.version = version
                 else:
                     # anything else (delete, in-place update, move):
-                    # a fresh state — old snapshots keep the old object
-                    state = states[pid] = _PartitionState(
-                        pid, version, list(heap.scan()), dictionary
-                    )
-                    state.heap_id = heap.file_id
-                    state.seen_clock = heap.mutation_clock
-            views.append(
-                PartitionView(pid, partition.mask, version, len(state.raw), state)
+                    # a fresh state, built below once every state it
+                    # replaces is known — old snapshots keep the old one
+                    rebuilt.append((pid, version, heap))
+        live_pids = {partition.pid for partition, _version in current}
+        # the predecessors: every replaced state, rebuilt or dropped
+        replaced = [
+            states[pid] for pid, _version, _heap in rebuilt if pid in states
+        ]
+        replaced.extend(
+            state for pid, state in states.items() if pid not in live_pids
+        )
+        donors = _Donors(replaced) if replaced else None
+        for pid, version, heap in rebuilt:
+            state = states[pid] = _PartitionState(
+                pid, version, list(heap.scan()), dictionary, donors
             )
+            state.heap_id = heap.file_id
+            state.seen_clock = heap.mutation_clock
         for pid in list(states):
             if pid not in live_pids:
                 del states[pid]
+        views = [
+            PartitionView(
+                partition.pid, partition.mask, version,
+                len(states[partition.pid].raw), states[partition.pid],
+            )
+            for partition, version in current
+        ]
         views.sort(key=lambda view: view.pid)
         snapshot = TableSnapshot(
             self._next_snapshot_id,

@@ -23,10 +23,18 @@ the single-writer read barrier:
 5. **Version-clock edges** — ``adopt_version_clock`` across an offline
    reorganization keeps publication monotonic, and a pinned snapshot
    outlives a merge/split cascade without a bit changing.
+6. **Successor states** — a partition state rebuilt after a delete, an
+   update or a split/merge move borrows its predecessors' decoded
+   records and rendered rows: it serves byte-identically to a fresh
+   publish, re-serving costs only the records that changed, and
+   borrowing never keeps a replaced state alive.
 """
 
+import gc
+import json
 import random
 import threading
+import weakref
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -36,6 +44,7 @@ from repro.query.query import AttributeQuery
 from repro.query.snapshot import ShardScope, SnapshotManager, query_sig
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient
+from repro.sql import execute as execute_sql
 from repro.table.partitioned import CinderellaTable
 
 from tests.conftest import WORKLOAD_SEED, row_multiset, served_rows
@@ -601,3 +610,231 @@ class TestVersionClockEdges:
         table.insert({"common": 1, "tail": 1}, entity_id=999)
         manager.publish(table)
         assert pinned.snapshot_id not in manager.retained_ids()
+
+
+# ----------------------------------------------------------------------
+# 6. successor states: borrowed, proportional, never chained
+# ----------------------------------------------------------------------
+SQL_PROBES = (
+    "SELECT attr0, common FROM t WHERE attr0 IS NOT NULL",
+    "SELECT * FROM t WHERE common = 1 OR renamed IS NOT NULL",
+)
+ALL_SCOPES = (None, SCOPE_A, SCOPE_B, SCOPE_AB)
+
+
+def serve_everything(snapshot) -> None:
+    """Serve every probe through every scope: decodes and renders the
+    whole snapshot, so the next publish has everything to lend."""
+    for query in PROBES:
+        for scope in ALL_SCOPES:
+            snapshot.scoped(scope).serve_query(query)
+
+
+def sql_rows(sql: str, snapshot) -> list[dict]:
+    return [dict(row) for row in execute_sql(sql, snapshot).rows]
+
+
+class TestSuccessorStates:
+    def test_successors_serve_like_a_fresh_publish(self):
+        """Seeded inserts, in-place and moving updates, deletes, splits
+        and merges: at every publish the latest snapshot — its rebuilt
+        states borrowing from the ones it replaced — answers every probe
+        byte for byte like a fresh manager's first publish of the same
+        table, and every pinned older snapshot keeps its commit point."""
+        rng = random.Random(WORKLOAD_SEED)
+        table = build_table(max_partition_size=6.0)
+        manager = SnapshotManager(retain=3)
+        live: list[int] = []
+        next_eid = 0
+        seen = {"in_place": 0, "moved": 0, "deletes": 0, "merged": 0}
+        pinned = []  # (snapshot, {(probe, scope): commit-point rows})
+        splits_before = table.partitioner.split_count
+
+        for batch in range(16):
+            for _ in range(8):
+                choice = rng.random()
+                if choice < 0.5 or len(live) < 4:
+                    table.insert(
+                        {
+                            "common": next_eid % 3,
+                            f"attr{rng.randrange(3)}": next_eid,
+                        },
+                        entity_id=next_eid,
+                    )
+                    live.append(next_eid)
+                    next_eid += 1
+                elif choice < 0.65:  # same attributes: stays put
+                    eid = live[rng.randrange(len(live))]
+                    attributes = dict(table.get(eid).attributes, common=7)
+                    outcome = table.update(eid, attributes)
+                    seen["in_place" if outcome.in_place else "moved"] += 1
+                elif choice < 0.8:  # new attributes: may move
+                    eid = live[rng.randrange(len(live))]
+                    outcome = table.update(
+                        eid, {"renamed": eid, f"attr{eid % 3}": eid}
+                    )
+                    seen["in_place" if outcome.in_place else "moved"] += 1
+                else:
+                    table.delete(live.pop(rng.randrange(len(live))))
+                    seen["deletes"] += 1
+            if batch % 5 == 4:
+                report = table.merge_small_partitions(min_fill=0.9)
+                seen["merged"] += len(report.moves)
+            latest = manager.publish(table)
+            fresh = SnapshotManager().publish(table)
+            for query in PROBES:
+                for scope in ALL_SCOPES:
+                    assert latest.scoped(scope).serve_query(query) == (
+                        fresh.scoped(scope).serve_query(query)
+                    )
+                    assert latest.scoped(scope).execute(query).rows == (
+                        fresh.scoped(scope).execute(query).rows
+                    )
+            for sql in SQL_PROBES:
+                for scope in ALL_SCOPES:
+                    assert sql_rows(sql, latest.scoped(scope)) == sql_rows(
+                        sql, fresh.scoped(scope)
+                    )
+            if batch % 2 == 0:
+                oracle = {
+                    (query, scope): naive_rows(latest, query, scope)
+                    for query in PROBES for scope in ALL_SCOPES
+                }
+                for query in PROBES:
+                    assert oracle[query, None] == freeze(table.execute_naive(query))
+                pinned.append((manager.pin(latest), oracle))
+            for snapshot, oracle in pinned:
+                for (query, scope), expected in oracle.items():
+                    assert naive_rows(snapshot, query, scope) == expected
+                    fragment = snapshot.scoped(scope).serve_query(query)[0]
+                    assert served_rows(fragment) == expected
+
+        assert table.partitioner.split_count > splits_before
+        assert seen["merged"] > 0 and seen["deletes"] > 0
+        assert seen["in_place"] > 0 and seen["moved"] > 0
+
+    #: the shapes the proportionality pin serves
+    SHAPES = (
+        AttributeQuery(("attr0",)),
+        AttributeQuery(("attr1", "common"), mode="all"),
+        AttributeQuery(("common", "other"), mode="any"),
+    )
+
+    def counted(self, monkeypatch):
+        """Count record decodes (by entity id) and row renders."""
+        import repro.query.snapshot as snapshot_module
+
+        decoded: list[int] = []
+        renders = [0]
+        decode, dumps = snapshot_module.deserialize_record, json.dumps
+
+        def counting_decode(data, dictionary):
+            eid, attributes = decode(data, dictionary)
+            decoded.append(eid)
+            return eid, attributes
+
+        def counting_dumps(*args, **kwargs):
+            renders[0] += 1
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(snapshot_module, "deserialize_record", counting_decode)
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        return decoded, renders
+
+    def serve_counted(self, snapshot, decoded, renders) -> list[int]:
+        """Serve every shape once; the renders each shape cost."""
+        del decoded[:]
+        per_shape = []
+        for query in self.SHAPES:
+            renders[0] = 0
+            fragment, row_count, from_cache = snapshot.serve_query(query)
+            assert not from_cache
+            assert served_rows(fragment) == naive_rows(snapshot, query, None)
+            per_shape.append(renders[0])
+        return per_shape
+
+    def test_re_serving_costs_the_records_changed(self, monkeypatch):
+        """One 400-record partition served for three shapes: after an
+        in-place update, a delete and a moving update — each published —
+        the next serve decodes and renders at most the one changed
+        record (the whole partition before successor states)."""
+        table = build_table(max_partition_size=100_000.0)
+        for i in range(400):
+            table.insert({"common": i % 3, "attr0": i, "attr1": i}, entity_id=i)
+        assert len(table.catalog) == 1
+        manager = SnapshotManager()
+        decoded, renders = self.counted(monkeypatch)
+        assert self.serve_counted(manager.publish(table), decoded, renders) == [
+            400, 400, 400
+        ]
+        assert len(decoded) == 400
+
+        in_place = table.update(5, {"common": 7, "attr0": -5, "attr1": -5})
+        assert in_place.in_place
+        assert max(self.serve_counted(manager.publish(table), decoded, renders)) <= 1
+        assert decoded == [5]
+
+        table.delete(9)
+        assert self.serve_counted(manager.publish(table), decoded, renders) == [0, 0, 0]
+        assert decoded == []
+
+        moving = table.update(11, {"other": 11})
+        assert not moving.in_place and len(table.catalog) == 2
+        assert max(self.serve_counted(manager.publish(table), decoded, renders)) <= 1
+        assert decoded == [11]
+
+        # the same three changes with no serve between them: borrowing
+        # flows through the successors nobody read
+        table.update(6, {"common": 8, "attr0": -6, "attr1": -6})
+        manager.publish(table)
+        table.delete(10)
+        manager.publish(table)
+        table.update(12, {"other": 12})
+        assert max(self.serve_counted(manager.publish(table), decoded, renders)) <= 2
+        assert sorted(decoded) == [6, 12]  # two records changed
+
+    def test_a_split_decodes_none_of_the_records_it_moved(self, monkeypatch):
+        """Inserts into a served partition until one splits it: the
+        partitions the split made serve the moved records from what the
+        split source had decoded and rendered."""
+        table = build_table(max_partition_size=60.0)
+        manager = SnapshotManager()
+        decoded, renders = self.counted(monkeypatch)
+        self.serve_counted(manager.publish(table), decoded, renders)
+        for eid in range(200):
+            outcome = table.insert(
+                {"common": eid % 3, f"attr{eid % 2}": eid}, entity_id=eid
+            )
+            per_shape = self.serve_counted(manager.publish(table), decoded, renders)
+            assert decoded == [eid]  # just the new record
+            assert max(per_shape) <= 1
+            if outcome.splits:
+                moved = {move.eid for move in outcome.moves} - {eid}
+                assert len(moved) > 1
+                break
+        else:
+            raise AssertionError("no insert split the partition")
+
+    def test_a_replaced_state_is_not_kept_alive_by_its_successors(self):
+        """Borrowing never chains: two rebuilds later, with no pins and
+        the retention window past, the first state is garbage."""
+        table = build_table(max_partition_size=100_000.0)
+        for i in range(50):
+            table.insert({"common": i % 3, "attr0": i}, entity_id=i)
+        manager = SnapshotManager(retain=2)
+        snapshot = manager.publish(table)
+        serve_everything(snapshot)
+        (view,) = snapshot.views
+        first = weakref.ref(view._state)
+        del snapshot, view
+        for eid in (1, 2):  # a delete rebuilds the one partition
+            table.delete(eid)
+            snapshot = manager.publish(table)
+            serve_everything(snapshot)
+            assert snapshot.views[0]._state is not first()
+        del snapshot
+        for i in range(manager.retain):
+            table.insert({"common": 0, "attr0": 100 + i}, entity_id=100 + i)
+            serve_everything(manager.publish(table))
+        gc.collect()
+        assert first() is None
