@@ -79,6 +79,10 @@ class Partition:
         """Return ``(mask, size)`` of a member entity."""
         return self._members[eid]
 
+    def mask_of(self, eid: int) -> int:
+        """Return a member entity's synopsis mask."""
+        return self._members[eid][0]
+
     def is_empty(self) -> bool:
         return not self._members
 

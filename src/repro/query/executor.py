@@ -7,6 +7,15 @@ of full partition scans.  What matters for the reproduction is the
 touched, which feeds the cost model (:mod:`repro.cost.model`) that
 stands in for the paper's wall-clock measurements.
 
+Within a surviving partition, :func:`execute_union_all` applies the
+pruning rule once more, per entity: a record whose entity synopsis (in
+the partition's catalog entry) misses the query is skipped without
+being decoded, and a qualifying one is decoded to the query's
+attributes only.  Every page is still read and every record still
+counts, so the accounting is the same as a full decode's.  The oracle
+(:func:`execute_uncached_full_scan`), SQL and the schema views decode
+every record they scan in full, trusting no entity synopsis.
+
 On top of that baseline sits the read-side fast path: when a
 :class:`~repro.query.cache.QueryResultCache` is passed in, each UNION
 ALL branch first consults the cache under the partition's current
@@ -23,16 +32,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from functools import reduce
+from operator import or_
+from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
+from repro.catalog.partition import iter_attribute_ids
 from repro.obs import runtime as obs
+from repro.query.pruning import clause_masks, prune
 from repro.query.query import AttributeQuery
 from repro.query.rewrite import UnionAllPlan
-from repro.storage.record import deserialize_record
+from repro.storage.record import deserialize_record, record_entity_id
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.catalog import PartitionCatalog
     from repro.catalog.dictionary import AttributeDictionary
+    from repro.catalog.partition import Partition
     from repro.obs.counters import QueryPathCounters
     from repro.query.cache import QueryResultCache
     from repro.storage.heap import HeapFile
@@ -78,21 +92,49 @@ def scan_heap(
     out_rows: list,
     matches: Callable[[dict[str, Any]], bool],
     project: Callable[[dict[str, Any]], Any],
+    entry: Optional["Partition"] = None,
+    clauses: Sequence[int] = (),
 ) -> None:
     """Scan one heap file, appending ``project(attributes)`` for every
     record ``matches`` accepts: the read path's one heap scan.
 
     Charges page/byte reads through the heap's I/O stats and mirrors the
-    deltas into *stats*; every live record is deserialized and tested
-    (there are no indexes, matching the paper's setup).
+    deltas into *stats*.  Every page is read and every live record
+    counts as read (there are no indexes, matching the paper's setup).
+    Without *entry* every record is decoded in full and tested.
+
+    With *entry* (the partition's catalog entry) and *clauses* (the
+    query's clause masks, :func:`repro.query.pruning.clause_masks`), a
+    record is first tested by its entity's catalog synopsis, found from
+    the record's entity id alone: one that misses a clause is skipped
+    undecoded — the partition pruning rule, applied per entity.  A
+    survivor is decoded to the clauses' attributes only, so *matches*
+    and *project* must read no other attribute.
     """
     before = heap.io.snapshot()
-    for _rid, record in heap.scan():
-        _eid, attributes = deserialize_record(record, dictionary)
-        stats.entities_read += 1
-        if matches(attributes):
-            out_rows.append(project(attributes))
-            stats.rows_returned += 1
+    if entry is None:
+        for _rid, record in heap.scan():
+            _eid, attributes = deserialize_record(record, dictionary)
+            stats.entities_read += 1
+            if matches(attributes):
+                out_rows.append(project(attributes))
+                stats.rows_returned += 1
+    else:
+        mask_of = entry.mask_of
+        qualifying, skipped = prune(
+            (
+                (record, mask_of(record_entity_id(record)))
+                for _rid, record in heap.scan()
+            ),
+            clauses,
+        )
+        stats.entities_read += len(qualifying) + len(skipped)
+        only = frozenset(iter_attribute_ids(reduce(or_, clauses)))
+        for record in qualifying:
+            _eid, attributes = deserialize_record(record, dictionary, only)
+            if matches(attributes):
+                out_rows.append(project(attributes))
+                stats.rows_returned += 1
     delta = heap.io.delta_since(before)
     stats.pages_read += delta.pages_read
     stats.bytes_read += delta.bytes_read
@@ -108,16 +150,20 @@ def execute_union_all(
 ) -> ExecutionResult:
     """Execute a UNION ALL plan over partition heap files.
 
-    With *cache* (which requires *catalog* for the content versions),
-    each branch is first looked up under the partition's current
-    version; only misses scan, and their per-partition rows are stored
-    for the next execution of the same query.  Row order is identical
-    with and without a cache: branches run in plan order and a cached
-    branch contributes exactly the rows its scan produced.
+    With *catalog*, each branch scan tests records by their entity
+    synopses before decoding them (:func:`scan_heap`); without it, every
+    record is decoded in full.  With *cache* (which requires *catalog*
+    for the content versions), each branch is first looked up under the
+    partition's current version; only misses scan, and their
+    per-partition rows are stored for the next execution of the same
+    query.  Row order is identical with and without a cache: branches
+    run in plan order and a cached branch contributes exactly the rows
+    its scan produced.
     """
     if cache is not None and catalog is None:
         raise ValueError("a result cache requires the catalog for versions")
     query = plan.query
+    clauses = clause_masks(query, dictionary) if catalog is not None else ()
     stats = ExecutionStats(
         partitions_total=plan.partitions_total,
         partitions_pruned=len(plan.pruned_pids),
@@ -147,6 +193,8 @@ def execute_union_all(
                 scan_heap(
                     heaps[pid], dictionary, stats, branch_rows,
                     query.matches, query.project,
+                    entry=catalog.get(pid) if catalog is not None else None,
+                    clauses=clauses,
                 )
             if cache is not None:
                 cache.store(query, pid, version, branch_rows)

@@ -369,7 +369,8 @@ class CinderellaTable:
             if not self.catalog.has_entity(eid):
                 problems.append(f"entity {eid} is stored but not in the catalog")
                 continue
-            heap = self._heaps.get(self.catalog.partition_of(eid))
+            pid = self.catalog.partition_of(eid)
+            heap = self._heaps.get(pid)
             if heap is None:
                 continue  # reported above: the partition has no heap file
             try:
@@ -377,7 +378,13 @@ class CinderellaTable:
             except (IndexError, KeyError):
                 problems.append(f"rid of entity {eid} points at no record")
                 continue
-            stored_eid, _ = deserialize_record(record, self.dictionary)
+            stored_eid, attributes = deserialize_record(record, self.dictionary)
             if stored_eid != eid:
                 problems.append(f"rid of entity {eid} points at record {stored_eid}")
+                continue
+            # the pruned scan skips a record by this mask, undecoded
+            if self.dictionary.encode(attributes) != self.catalog.get(pid).mask_of(eid):
+                problems.append(
+                    f"entity {eid}: stored attributes differ from its catalog synopsis"
+                )
         return problems

@@ -16,8 +16,11 @@ suite re-establishes the three health checks ISSUE 3 asks for:
   its stored rows (:func:`~repro.query.cache.verify_cache_coherence`).
 
 Each checkpoint also runs the query battery through the cache so the
-coherence check is never vacuous, and every tenth checkpoint replays the
-battery against the naive full-scan oracle.
+coherence check is never vacuous, and replays it against the naive
+full-scan oracle: the pruned scan skips records by their catalog
+synopses, so the oracle must see every checkpoint.  There each query's
+pruned scan must also account exactly as a full-decode scan of the same
+plan (pages, bytes, entities, rows, branches).
 """
 
 import pytest
@@ -25,12 +28,14 @@ import pytest
 from repro.core.config import CinderellaConfig
 from repro.core.efficiency import catalog_efficiency, universal_table_efficiency
 from repro.query.cache import QueryResultCache, verify_cache_coherence
+from repro.query.executor import execute_union_all
 from repro.query.query import AttributeQuery
 from repro.table.partitioned import CinderellaTable
 from repro.workloads.dbpedia import generate_dbpedia_persons
 from repro.workloads.modifications import generate_trace
 
 from tests.conftest import WORKLOAD_SEED
+from tests.test_pruned_scan import accounting, full_decode
 
 pytestmark = pytest.mark.slow
 
@@ -38,7 +43,6 @@ N_ENTITIES = 30_000  # enough unseen entities that 50k mixed ops never drain
 OPERATIONS = 50_000
 WARMUP = 2_000
 CHECK_EVERY = 1_000
-DIFFERENTIAL_EVERY = 10_000
 MERGE_EVERY = 10_000
 REORGANIZE_AT = 25_000
 
@@ -54,13 +58,20 @@ QUERIES = (
 )
 
 
-def checkpoint(table, live_count, *, differential):
+def checkpoint(table, live_count):
     """The per-1k-ops health check battery."""
     # exercise the cache first so the coherence check has entries to audit
     for query in QUERIES:
         fast = table.execute(query)
-        if differential:
-            assert fast.rows == table.execute_naive(query).rows, query.sql()
+        assert fast.rows == table.execute_naive(query).rows, query.sql()
+        # the scan the cache hid: the same plan, pruned per entity
+        heaps = {pid: table.heap_of(pid) for pid in fast.plan.branch_pids}
+        pruned = execute_union_all(
+            fast.plan, heaps, table.dictionary, catalog=table.catalog
+        )
+        full = full_decode(table, fast.plan)
+        assert pruned.rows == full.rows == fast.rows, query.sql()
+        assert accounting(pruned.stats) == accounting(full.stats), query.sql()
 
     problems = table.partitioner.check_invariants()
     problems += table.check_consistency()
@@ -127,12 +138,7 @@ def test_soak_50k_mixed_operations():
         if done == REORGANIZE_AT:
             table.reorganize(order="size")
         if done % CHECK_EVERY == 0:
-            efficiencies.append(
-                checkpoint(
-                    table, len(live),
-                    differential=done % DIFFERENTIAL_EVERY == 0,
-                )
-            )
+            efficiencies.append(checkpoint(table, len(live)))
 
     assert len(efficiencies) == (OPERATIONS + WARMUP) // CHECK_EVERY
     # the workload must have exercised the machinery it claims to soak

@@ -161,6 +161,23 @@ class TestCinderellaTable:
         problems = t.check_consistency()
         assert "entity 2 is stored but not in the catalog" in problems
 
+    def test_consistency_check_reports_a_member_mask_its_record_lacks(self):
+        """The pruned scan skips a record by its entity's catalog mask
+        without decoding it, so a mask that disagrees with the stored
+        attributes would silently drop (or keep) rows: the check must
+        report it.  The corruption keeps the catalog's own invariants
+        (synopsis, counts, index) intact, so only this comparison sees it."""
+        t = self.make(b=5)
+        t.insert({"a": 1, "b": 1}, entity_id=1)
+        t.insert({"a": 2}, entity_id=2)
+        partition = t.catalog.get(t.catalog.partition_of(2))
+        assert 1 in partition and partition.mask == t.dictionary.encode(["a", "b"])
+        partition.update_member(2, partition.mask, partition.member(2)[1])
+        assert t.partitioner.check_invariants() == []
+        assert t.check_consistency() == [
+            "entity 2: stored attributes differ from its catalog synopsis"
+        ]
+
     @pytest.mark.parametrize("op", ["insert", "update"])
     def test_a_record_no_page_holds_is_refused_before_anything_moves(self, op):
         """Such a write once split the full partition (or dropped the old
