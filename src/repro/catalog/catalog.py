@@ -76,8 +76,8 @@ class PartitionCatalog:
     def adopt_version_clock(self, other_clock: int) -> None:
         """Make this catalog's versions succeed another catalog's.
 
-        Used when a rebuilt catalog replaces a live one (offline
-        reorganization, :func:`repro.txn.ops.atomic_reorganize`): the
+        Used when a rebuilt catalog replaces a live one (the swap of
+        :meth:`repro.table.partitioned.CinderellaTable.reorganize`): the
         rebuilt catalog restarts pids from zero, so without this step a
         ``(pid, version)`` pair could collide with an entry cached
         against the replaced catalog.  Advancing the clock past the old

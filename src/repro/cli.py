@@ -387,15 +387,14 @@ def _run_obs_workload(args: argparse.Namespace) -> None:
 
     Touches every instrumented in-process subsystem so the exposition
     covers their metric families: table inserts with splits and
-    repeated queries (partitioner + query + cache), a merge and a
-    reorganization through the transactional layer (maintenance + txn),
-    and one fsynced write-ahead-log append (WAL).
+    repeated queries (partitioner + query + cache), the table's
+    transactional merge and its reorganization (maintenance + txn), and
+    one fsynced write-ahead-log append (WAL).
     """
     from repro.query.cache import QueryResultCache
     from repro.storage.scratch import scratch_dir
     from repro.storage.wal import WriteAheadLog
     from repro.table.partitioned import CinderellaTable
-    from repro.txn.ops import atomic_merge, atomic_reorganize
     from repro.workloads.dbpedia import generate_dbpedia_persons
     from repro.workloads.querygen import (
         build_query_workload,
@@ -425,9 +424,9 @@ def _run_obs_workload(args: argparse.Namespace) -> None:
         for query in queries:
             table.execute(query)
 
-    # maintenance through the transactional layer ----------------------
-    atomic_merge(table.partitioner, min_fill=0.5)
-    atomic_reorganize(table.partitioner)
+    # maintenance on the table -----------------------------------------
+    table.merge_small_partitions(min_fill=0.5)
+    table.reorganize()
 
     # one durable write-ahead-log record -------------------------------
     with scratch_dir(prefix="repro-obs-") as tmp:

@@ -111,11 +111,11 @@ class CinderellaPartitioner:
         self.split_count = 0
         #: cumulative number of partition ratings computed (scan effort)
         self.ratings_computed = 0
-        #: step-boundary hook for the transactional operation layer: when
-        #: set, it is called with a label at every multi-step mutation
-        #: boundary (split creation, starter moves, drain re-inserts).
-        #: The fault-injection matrix uses it to crash operations
-        #: mid-flight; ``repro.txn.ops`` uses it to journal progress.
+        #: step-boundary hook: when set, it is called with a label at every
+        #: multi-step mutation boundary (split creation, starter moves,
+        #: drain re-inserts, merge moves and drops, reorganize replays and
+        #: swap) — the one injection point the fault-injection matrix
+        #: uses to crash operations mid-flight.
         self.crash_hook: Optional[Callable[[str], None]] = None
 
     def _step(self, label: str) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.outcomes import Move
 from repro.core.rating import rate_fast
@@ -73,7 +73,6 @@ def merge_small_partitions(
     partitioner: "CinderellaPartitioner",
     min_fill: float = 0.25,
     query_masks: Optional[Sequence[int]] = None,
-    crash_hook: Optional[Callable[[str], None]] = None,
 ) -> MergeReport:
     """Merge partitions filled below ``min_fill · B`` into rated hosts.
 
@@ -87,16 +86,18 @@ def merge_small_partitions(
     ``query_masks`` arms the *efficiency guard*: a merge is only taken
     when no workload query distinguishes source from target, so the
     Definition 1 efficiency over that workload can never drop below its
-    pre-merge value.  ``crash_hook`` is the transactional layer's step
-    hook (see :mod:`repro.txn.ops`) — call
-    :func:`repro.txn.ops.atomic_merge` instead of passing it directly.
+    pre-merge value.
+
+    This is the logical pass alone: it announces every member move and
+    source drop as a step through the partitioner's ``crash_hook`` and
+    opens no transaction.  The table's
+    :meth:`~repro.table.partitioned.CinderellaTable.merge_small_partitions`
+    runs it atomically and mirrors the moves into the heaps.
     """
     if not 0.0 < min_fill <= 1.0:
         raise ValueError(f"min_fill must lie in (0, 1], got {min_fill}")
     with obs.span("maintenance.merge", min_fill=min_fill) as span:
-        report = _merge_small_partitions(
-            partitioner, min_fill, query_masks, crash_hook
-        )
+        report = _merge_small_partitions(partitioner, min_fill, query_masks)
         if span.is_recording:
             span.set("examined", report.examined)
             span.set("merged", report.merge_count)
@@ -117,7 +118,6 @@ def _merge_small_partitions(
     partitioner: "CinderellaPartitioner",
     min_fill: float,
     query_masks: Optional[Sequence[int]],
-    crash_hook: Optional[Callable[[str], None]],
 ) -> MergeReport:
     config = partitioner.config
     catalog = partitioner.catalog
@@ -169,11 +169,9 @@ def _merge_small_partitions(
             catalog.remove_entity(eid, repair_starters=False)
             catalog.add_entity(best_pid, eid, mask, size)
             report.moves.append(Move(eid, source_pid, best_pid))
-            if crash_hook is not None:
-                crash_hook("merge:member-moved")
+            partitioner._step("merge:member-moved")
         catalog.drop_partition(source_pid)
-        if crash_hook is not None:
-            crash_hook("merge:source-dropped")
+        partitioner._step("merge:source-dropped")
         merged_away.add(source_pid)
         report.merged.append((source_pid, best_pid))
         report.dropped_partitions.append(source_pid)

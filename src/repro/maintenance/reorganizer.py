@@ -12,14 +12,15 @@ The rebuilt catalog restarts partition ids from zero; callers that swap
 it in over a live one must re-stamp its partition content versions past
 the replaced catalog's clock (``adopt_version_clock``) so query-result
 cache entries keyed against the old catalog can never be served —
-:func:`repro.txn.ops.atomic_reorganize` does this as part of the swap.
+:meth:`repro.table.partitioned.CinderellaTable.reorganize` does this as
+part of its swap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.config import CinderellaConfig
 from repro.core.efficiency import catalog_efficiency
@@ -49,9 +50,14 @@ def reorganize(
     config: Optional[CinderellaConfig] = None,
     query_masks: Optional[Sequence[int]] = None,
     order: str = "size",
-    crash_hook: Optional[Callable[[str], None]] = None,
 ) -> ReorganizationReport:
     """Rebuild the partitioning with a fresh Cinderella run.
+
+    Every replayed entity is announced as a step through the live
+    partitioner's ``crash_hook``.  The rebuild only touches the fresh
+    scratch partitioner, so a failure here strands nothing;
+    :meth:`repro.table.partitioned.CinderellaTable.reorganize` swaps the
+    result into a table whole.
 
     Args:
         partitioner: the live partitioner to reorganize (left untouched;
@@ -63,11 +69,6 @@ def reorganize(
         order: replay order — ``"size"`` feeds large-synopsis entities
             first (they make better early split starters), ``"stored"``
             preserves the current partition-by-partition order.
-        crash_hook: step hook of the transactional layer, fired once
-            per replayed entity.  The rebuild only touches the fresh
-            scratch partitioner, so a crash here strands nothing; use
-            :func:`repro.txn.ops.atomic_reorganize` to also swap the
-            result in atomically.
 
     Returns:
         A report carrying the fresh partitioner and the efficiency delta.
@@ -90,8 +91,7 @@ def reorganize(
         )
         for eid, mask, _size in entities:
             fresh.insert(eid, mask)
-            if crash_hook is not None:
-                crash_hook("reorganize:replayed-entity")
+            partitioner._step("reorganize:replayed-entity")
 
         efficiency_before = None
         efficiency_after = None

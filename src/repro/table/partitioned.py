@@ -17,13 +17,17 @@ entities from partition to partition").
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Optional
+from dataclasses import replace
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.catalog.catalog import PartitionCatalog
 from repro.catalog.dictionary import AttributeDictionary
 from repro.core.config import CinderellaConfig
-from repro.core.outcomes import ModificationOutcome
+from repro.core.outcomes import ModificationOutcome, Move
 from repro.core.partitioner import CinderellaPartitioner
+from repro.maintenance.merger import MergeReport, merge_small_partitions
+from repro.maintenance.reorganizer import ReorganizationReport, reorganize
+from repro.obs import runtime as obs
 from repro.obs.counters import QueryPathCounters
 from repro.query.cache import QueryResultCache
 from repro.query.executor import (
@@ -38,7 +42,19 @@ from repro.storage.entity import Entity
 from repro.storage.heap import HeapFile, RecordId
 from repro.storage.iostats import IOStats
 from repro.storage.page import DEFAULT_PAGE_SIZE, check_record_size
-from repro.storage.record import deserialize_record, serialize_record
+from repro.storage.record import (
+    deserialize_record,
+    record_entity_id,
+    serialize_record,
+)
+
+
+def _count_txn(outcome: str) -> None:
+    obs.inc(
+        "repro_txn_ops_total",
+        help_text="Atomic catalog operations by kind and outcome",
+        kind="merge", outcome=outcome,
+    )
 
 
 class CinderellaTable:
@@ -117,7 +133,7 @@ class CinderellaTable:
         outcome = self.partitioner.delete(eid)
         heap = self._heaps[pid]
         heap.delete(self._rids.pop(eid))
-        self._drop_heaps(outcome)
+        self._drop_heaps(outcome.dropped_partitions)
         if self.adapt is not None:
             self.adapt.observe_write(pid, version=self.catalog.version_clock)
         return outcome
@@ -158,6 +174,11 @@ class CinderellaTable:
     # ------------------------------------------------------------------
     # physical mirroring of partitioner outcomes
     # ------------------------------------------------------------------
+    def _new_heap(self) -> HeapFile:
+        return HeapFile(
+            page_size=self.page_size, io=self.io, buffer_pool=self.buffer_pool
+        )
+
     def _apply(
         self, outcome: ModificationOutcome, fresh_records: dict[int, bytes]
     ) -> None:
@@ -167,22 +188,29 @@ class CinderellaTable:
         not yet stored anywhere (the incoming insert / the updated record).
         """
         for pid in outcome.created_partitions:
-            self._heaps[pid] = HeapFile(
-                page_size=self.page_size, io=self.io, buffer_pool=self.buffer_pool
-            )
-        for move in outcome.moves:
-            if move.eid in fresh_records:
-                record = fresh_records.pop(move.eid)
-            else:
+            self._heaps[pid] = self._new_heap()
+        self._move_records(outcome.moves, fresh_records)
+        self._drop_heaps(outcome.dropped_partitions)
+
+    def _move_records(
+        self,
+        moves: Iterable[Move],
+        fresh_records: Optional[dict[int, bytes]] = None,
+    ) -> None:
+        """Carry each moved entity's stored record (the same ``bytes``
+        object, so snapshot successors borrow its decode) to its target;
+        a fresh record is used by the entity's first move only."""
+        for move in moves:
+            record = fresh_records.pop(move.eid, None) if fresh_records else None
+            if record is None:
                 source_heap = self._heaps[move.from_pid]
                 rid = self._rids.pop(move.eid)
                 record = source_heap.read(rid)
                 source_heap.delete(rid)
             self._rids[move.eid] = self._heaps[move.to_pid].insert(record)
-        self._drop_heaps(outcome)
 
-    def _drop_heaps(self, outcome: ModificationOutcome) -> None:
-        for pid in outcome.dropped_partitions:
+    def _drop_heaps(self, dropped_partitions: Iterable[int]) -> None:
+        for pid in dropped_partitions:
             heap = self._heaps.pop(pid)
             if len(heap):
                 raise AssertionError(
@@ -205,9 +233,7 @@ class CinderellaTable:
         stored member order.  Returns the fresh partition id.
         """
         partition = self.catalog.create_partition()
-        heap = self._heaps[partition.pid] = HeapFile(
-            page_size=self.page_size, io=self.io, buffer_pool=self.buffer_pool
-        )
+        heap = self._heaps[partition.pid] = self._new_heap()
         for eid, attributes in members:
             if eid in self._rids:
                 raise ValueError(f"entity {eid} restored twice")
@@ -222,65 +248,85 @@ class CinderellaTable:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def merge_small_partitions(self, min_fill: float = 0.25):
+    def merge_small_partitions(
+        self, min_fill: float = 0.25, query_masks: Optional[Sequence[int]] = None
+    ) -> MergeReport:
         """Merge under-filled partitions (see :mod:`repro.maintenance.merger`)
-        and mirror the relocations physically.
+        atomically, then mirror the relocations physically.
 
-        Returns the :class:`~repro.maintenance.merger.MergeReport`.
+        The logical pass runs inside one catalog transaction: a failure
+        at any step — a crash injected through the partitioner's
+        ``crash_hook`` included — rolls the catalog back exactly, and
+        the heaps, untouched until the commit, still match it.
         """
-        from repro.maintenance.merger import merge_small_partitions
-
-        report = merge_small_partitions(self.partitioner, min_fill=min_fill)
-        for move in report.moves:
-            source_heap = self._heaps[move.from_pid]
-            rid = self._rids.pop(move.eid)
-            record = source_heap.read(rid)
-            source_heap.delete(rid)
-            self._rids[move.eid] = self._heaps[move.to_pid].insert(record)
-        for pid in report.dropped_partitions:
-            heap = self._heaps.pop(pid)
-            heap.free()
-            if self.result_cache is not None:
-                self.result_cache.invalidate_partition(pid)
+        txn = self.catalog.begin_transaction()
+        with obs.span("txn.merge") as span:
+            try:
+                report = merge_small_partitions(
+                    self.partitioner, min_fill, query_masks
+                )
+            except BaseException as error:
+                txn.rollback()
+                obs.event(
+                    "txn.rollback", kind="merge",
+                    error=f"{type(error).__name__}: {error}",
+                )
+                _count_txn("rolled_back")
+                raise
+            txn.commit()
+            _count_txn("committed")
+            if span.is_recording:
+                span.set(
+                    "steps", len(report.moves) + len(report.dropped_partitions)
+                )
+        self._move_records(report.moves)
+        self._drop_heaps(report.dropped_partitions)
         return report
 
     def reorganize(
         self,
         config: Optional[CinderellaConfig] = None,
-        query_masks=None,
+        query_masks: Optional[Sequence[int]] = None,
         order: str = "size",
-    ):
-        """Rebuild the partitioning offline and mirror it physically.
+    ) -> ReorganizationReport:
+        """Rebuild the partitioning offline and swap it in whole.
 
-        Runs :func:`repro.txn.ops.atomic_reorganize` on the logical
-        partitioner (which also re-stamps every partition version past
-        the replaced catalog's clock, so no pre-reorganization cache
-        entry can ever be served again), then rebuilds the heap files to
-        match the adopted layout.  Returns the
-        :class:`~repro.maintenance.reorganizer.ReorganizationReport`.
+        The rebuild runs on a scratch partitioner and the new heaps are
+        filled with the stored records themselves (no decode, and the
+        same ``bytes`` objects, so snapshot successors borrow every
+        decoded record); neither touches the live table, so a failure
+        before the swap leaves it as it was.  The swap re-stamps every
+        rebuilt partition version past the replaced catalog's clock, so
+        no pre-reorganization cache entry can ever be served again.
+        The returned report's ``partitioner`` is the table's own.
         """
-        from repro.txn.ops import atomic_reorganize
-
-        attributes_by_eid = {
-            entity.entity_id: entity.attributes for entity in self.scan()
-        }
-        report = atomic_reorganize(
-            self.partitioner, config, query_masks=query_masks, order=order
-        )
+        partitioner = self.partitioner
+        report = reorganize(partitioner, config, query_masks, order)
+        rebuilt = report.partitioner
+        records = {}
+        for heap in self._heaps.values():
+            for _rid, record in heap.scan():
+                records[record_entity_id(record)] = record
+        heaps: dict[int, HeapFile] = {}
+        rids: dict[int, RecordId] = {}
+        for partition in rebuilt.catalog:
+            heap = heaps[partition.pid] = self._new_heap()
+            for eid in partition.entity_ids():
+                rids[eid] = heap.insert(records[eid])
+        partitioner._step("reorganize:swap")
+        # the rebuilt catalog restarts pids from zero; re-stamp all its
+        # partition versions past the replaced catalog's clock so no
+        # result-cache entry keyed against the old catalog can collide
+        rebuilt.catalog.adopt_version_clock(partitioner.catalog.version_clock)
+        partitioner.config = rebuilt.config
+        partitioner.catalog = rebuilt.catalog
+        partitioner.split_count += rebuilt.split_count
+        partitioner.ratings_computed += rebuilt.ratings_computed
         for heap in self._heaps.values():
             heap.free()
-        self._heaps = {}
-        self._rids = {}
-        for partition in self.catalog:
-            heap = self._heaps[partition.pid] = HeapFile(
-                page_size=self.page_size, io=self.io, buffer_pool=self.buffer_pool
-            )
-            for eid, _mask, _size in partition.members():
-                record = serialize_record(
-                    eid, attributes_by_eid[eid], self.dictionary
-                )
-                self._rids[eid] = heap.insert(record)
-        return report
+        self._heaps = heaps
+        self._rids = rids
+        return replace(report, partitioner=partitioner)
 
     # ------------------------------------------------------------------
     # reads

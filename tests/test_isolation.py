@@ -815,6 +815,38 @@ class TestSuccessorStates:
         else:
             raise AssertionError("no insert split the partition")
 
+    def test_a_reorganization_decodes_none_of_the_records_it_moved(
+        self, monkeypatch
+    ):
+        """A reorganization carries the stored records themselves into
+        its new heaps: after it, a publish plus serve decodes no record
+        an earlier serve had decoded, and serves what a fresh publish of
+        the reorganized table serves, byte for byte."""
+        table = build_table(max_partition_size=150.0)
+        for i in range(400):
+            table.insert(
+                {"common": i % 3, f"attr{i % 2}": i, f"other{i % 5}": i},
+                entity_id=i,
+            )
+        manager = SnapshotManager()
+        decoded, renders = self.counted(monkeypatch)
+        self.serve_counted(manager.publish(table), decoded, renders)
+        assert sorted(decoded) == list(range(400))
+
+        def heap_ids():
+            return {table.heap_of(p.pid).file_id for p in table.catalog}
+
+        heaps_before = heap_ids()
+        table.reorganize(order="size")
+        assert heap_ids().isdisjoint(heaps_before)  # every state rebuilt
+        assert table.check_consistency() == []
+        latest = manager.publish(table)
+        del decoded[:]
+        served = [latest.serve_query(query)[:2] for query in self.SHAPES]
+        assert decoded == []
+        fresh = SnapshotManager().publish(table)
+        assert served == [fresh.serve_query(query)[:2] for query in self.SHAPES]
+
     def test_a_replaced_state_is_not_kept_alive_by_its_successors(self):
         """Borrowing never chains: two rebuilds later, with no pins and
         the retention window past, the first state is garbage."""

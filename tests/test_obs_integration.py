@@ -38,7 +38,7 @@ from repro.query.query import AttributeQuery
 from repro.router.testing import ClusterHarness
 from repro.storage.wal import WriteAheadLog
 from repro.table.partitioned import CinderellaTable
-from repro.txn.ops import atomic_merge
+from repro.txn.crash import CrashInjector, MidOperationCrash
 
 
 @pytest.fixture(autouse=True)
@@ -384,7 +384,7 @@ class TestSubsystemCoverage:
             result_cache=QueryResultCache(),
         )
         _run_query_workload(table)
-        atomic_merge(table.partitioner, min_fill=0.9)
+        table.merge_small_partitions(min_fill=0.9)
 
         wal = WriteAheadLog(tmp_path / "test.wal")
         wal.append("noop", {}, sync=True)
@@ -418,6 +418,40 @@ class TestSubsystemCoverage:
             "repro_maintenance_partitions_merged_total"
         ) == report.merge_count
         assert state.tracer.find_trace("maintenance.merge") is not None
+
+    def test_the_table_merge_transaction_is_traced_and_counted(self):
+        """A committed merge and a crashed one: ``txn.merge`` wraps the
+        logical pass, and each outcome is counted once under
+        ``repro_txn_ops_total{kind="merge"}`` — the crash with a
+        ``txn.rollback`` event."""
+        table = CinderellaTable(
+            CinderellaConfig(max_partition_size=10.0, weight=0.4)
+        )
+        for eid in range(30):  # four of every five deleted: fragments
+            table.insert({f"a{eid % 2}": eid, f"b{eid % 2}": eid}, entity_id=eid)
+        for eid in range(30):
+            if eid % 5:
+                table.delete(eid)
+        state = obs.enable(slow_op_threshold_s=None)
+        table.partitioner.crash_hook = CrashInjector(crash_at=0).reached
+        with pytest.raises(MidOperationCrash):
+            table.merge_small_partitions(min_fill=0.9)
+        table.partitioner.crash_hook = None
+        report = table.merge_small_partitions(min_fill=0.9)
+        obs.disable()
+        assert report.merge_count > 0
+        assert table.check_consistency() == []
+        for outcome in ("committed", "rolled_back"):
+            assert state.registry.get_value(
+                "repro_txn_ops_total", kind="merge", outcome=outcome
+            ) == 1
+        (rollback,) = state.events.of_kind("txn.rollback")
+        assert rollback.fields["kind"] == "merge"
+        root = state.tracer.find_trace("txn.merge")
+        assert [child.name for child in root.children] == ["maintenance.merge"]
+        assert root.attributes["steps"] == (
+            len(report.moves) + len(report.dropped_partitions)
+        )
 
 
 class TestCliSurface:

@@ -1,15 +1,11 @@
-"""Tests for the transactional operation layer (undo log + atomic wrappers)."""
+"""Tests for the transactional layer (the catalog's undo log)."""
 
 import pytest
 
 from repro.core.config import CinderellaConfig
 from repro.core.partitioner import CinderellaPartitioner
-from repro.txn import (
-    TransactionError,
-    atomic_delete,
-    atomic_insert,
-    atomic_update,
-)
+from repro.table.partitioned import CinderellaTable
+from repro.txn import TransactionError
 
 
 def catalog_signature(partitioner):
@@ -110,31 +106,52 @@ class TestCatalogTransaction:
         txn.rollback()
 
 
+def small_table():
+    table = CinderellaTable(CinderellaConfig(max_partition_size=4, weight=0.4))
+    for eid in range(8):
+        attributes = {"a": eid, "b": eid} if eid % 2 else {"c": eid}
+        table.insert(attributes, entity_id=eid)
+    return table
+
+
 class TestAtomicOperations:
-    def test_atomic_insert_returns_outcome(self):
-        p = small_partitioner()
-        outcome = atomic_insert(p, 500, 0b0011)
-        assert p.catalog.partition_of(500) == outcome.partition_id
-        assert p.check_invariants() == []
+    """Table modifications inside a transaction opened the way the
+    server's group commit opens it."""
+
+    def test_insert_returns_outcome(self):
+        table = small_table()
+        with table.catalog.begin_transaction():
+            outcome = table.insert({"a": 1, "b": 2}, entity_id=500)
+        assert table.catalog.partition_of(500) == outcome.partition_id
+        assert table.check_consistency() == []
 
     def test_validation_failure_rolls_back_and_propagates(self):
-        p = small_partitioner()
-        before = catalog_signature(p)
+        table = small_table()
+        before = catalog_signature(table.partitioner)
+        txn = table.catalog.begin_transaction()
+        savepoint = txn.savepoint()
         with pytest.raises(ValueError):
-            atomic_insert(p, 0, 0b0011)  # duplicate entity id
-        assert catalog_signature(p) == before
+            table.insert({"a": 1}, entity_id=0)  # duplicate entity id
+        txn.rollback_to(savepoint)
+        txn.commit()
+        assert catalog_signature(table.partitioner) == before
+        assert table.check_consistency() == []
 
     def test_update_and_delete_commit_or_roll_back(self):
-        p = small_partitioner()
-        atomic_update(p, 0, 0b0011)
-        atomic_delete(p, 1)
-        assert not p.catalog.has_entity(1)
-        assert p.check_invariants() == []
-        before = catalog_signature(p)
+        table = small_table()
+        with table.catalog.begin_transaction():
+            table.update(0, {"a": 0, "b": 0})
+            table.delete(1)
+        assert not table.catalog.has_entity(1)
+        assert table.check_consistency() == []
+        before = catalog_signature(table.partitioner)
         for refused in (
-            lambda: atomic_update(p, 999, 0b0011),  # unknown entity
-            lambda: atomic_delete(p, 999),
+            lambda: table.update(999, {"a": 1}),  # unknown entity
+            lambda: table.delete(999),
         ):
+            txn = table.catalog.begin_transaction()
             with pytest.raises(KeyError):
                 refused()
-            assert catalog_signature(p) == before
+            txn.rollback()
+            assert catalog_signature(table.partitioner) == before
+        assert table.check_consistency() == []
