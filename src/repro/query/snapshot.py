@@ -25,12 +25,17 @@ group commit, and two caches keep repeated queries cheap:
   keeps addressing its shorter prefix.  Any other change (delete,
   in-place update, split/merge move) builds a fresh state object, so
   snapshots taken before the change keep the old one alive untouched.
-  The fresh state is the *successor* of the states that publish
-  replaced — those of every partition it rebuilds or drops: for each
-  record it shares with one of them (the same ``bytes`` object; split
-  and merge moves carry it from heap to heap) it borrows the decoded
-  ``(eid, attributes)`` and the rendered rows, so re-serving a changed
-  partition decodes and renders only the records that changed.  A
+  The fresh state is built page by page.  A heap page that has not
+  changed since the predecessor of the same heap observed it
+  (``HeapFile.page_clocks``) contributes that predecessor's run of
+  records — raw, decoded and rendered — as list slices; only the pages
+  that changed are read (``HeapFile.scan_page``).  The records read
+  borrow through :class:`_Donors` from the runs the publish replaced:
+  the old runs of the changed pages, and the whole states of dropped
+  partitions and of partitions now on another heap.  A record borrows
+  when it is the same ``bytes`` object (split and merge moves carry it
+  from heap to heap), so a rebuild reads the pages that changed and
+  re-serving it decodes and renders only the records that changed.  A
   successor reads its predecessors without editing them and keeps no
   reference to them, so borrowing never chains.
 * per-state **chunk caches** remember the serialized rows a query
@@ -54,6 +59,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import (
     Any, Callable, Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING,
@@ -67,6 +73,7 @@ from repro.storage.record import deserialize_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.dictionary import AttributeDictionary
+    from repro.storage.heap import HeapFile
     from repro.table.partitioned import CinderellaTable
 
 #: query identity — the same pair the result cache keys by
@@ -117,38 +124,42 @@ class _PartitionState:
 
     ``decoded`` and the per-shape ``rows`` are per-record and in the
     same order.  A fresh state is the *successor* of the states its
-    publish replaced (see :class:`_Donors`): it starts with their
-    decoded record and rendered rows for every record it holds too, so
-    re-serving a changed partition decodes and renders only the records
-    that changed.  A successor only reads its predecessors and keeps no
-    reference to them.
+    publish replaced (see :meth:`successor`): every heap page unchanged
+    since its predecessor of the same heap saw it is that predecessor's
+    run of records, sliced with its decoded records and rendered rows;
+    every other page is read and borrows from :class:`_Donors`.  So a
+    rebuild reads the pages that changed, and re-serving it decodes and
+    renders only the records that changed.  A successor only reads its
+    predecessors and keeps no reference to them.
     """
 
-    __slots__ = ("pid", "version", "raw", "decoded", "ready", "rows",
+    __slots__ = ("pid", "version", "mask", "raw", "decoded", "ready", "rows",
                  "chunk_cache", "dictionary", "heap_id", "seen_clock",
                  "__weakref__")
 
     def __init__(
         self, pid: int, version: int, raw: list,
-        dictionary: "AttributeDictionary", donors: Optional["_Donors"] = None,
+        decoded: list, rows: dict, dictionary: "AttributeDictionary",
     ) -> None:
         self.pid = pid
         #: version of the newest publish this state is current for
         self.version = version
+        #: the partition's mask at that version (set by the publisher)
+        self.mask = -1
         self.raw = raw
         #: which physical heap (``HeapFile.file_id``) and how much of its
         #: mutation history this state has observed; publish uses the
         #: pair to detect append-only growth in O(1) via the heap's
-        #: structural clock instead of rescanning and prefix-comparing
+        #: structural clock, and a rebuild to keep the pages whose
+        #: ``page_clocks`` entry is at most ``seen_clock``
         self.heap_id = -1
         self.seen_clock = -1
         #: ``(eid, attributes)`` per record of ``raw``, ``None`` until
         #: decoded; the publisher extends it together with ``raw``.
         #: ``rows``: sig -> per record its projected row as a JSON
         #: object, ``""`` when it does not match, ``None`` until rendered
-        self.decoded, self.rows = (
-            ([None] * len(raw), {}) if donors is None else donors.take(raw)
-        )
+        self.decoded = decoded
+        self.rows = rows
         #: leading entries of ``decoded`` known to be filled in
         self.ready = 0
         #: (sig, scope) -> (prefix length, row count, serialized row
@@ -160,6 +171,57 @@ class _PartitionState:
         ] = {}
         self.dictionary = dictionary
 
+    @classmethod
+    def successor(
+        cls, pid: int, version: int, heap: "HeapFile",
+        dictionary: "AttributeDictionary",
+        kept: list[tuple[int, int, int, int]],
+        old: Optional["_PartitionState"], donors: Optional["_Donors"],
+    ) -> tuple["_PartitionState", int]:
+        """The state of *heap*, and how many of its pages it read.
+
+        *kept* is the page runs of :func:`_page_runs` that *old*, the
+        predecessor of the same heap, still holds (none when there is
+        no such predecessor).  A kept run is sliced out of *old*; the
+        pages between are read and borrow through *donors*.
+        """
+        raw: list = []
+        decoded: list = []
+        rows: dict[QuerySig, list[Optional[str]]] = {}
+        pages_read = 0
+        page = 0
+        end_of_heap = (heap.page_count, heap.page_count, 0, 0)
+        for first, end, lo, hi in [*kept, end_of_heap]:
+            if page < first:
+                pairs = []
+                for number in range(page, first):
+                    pairs += heap.scan_page(number)
+                pages_read += first - page
+                raw += pairs
+                if donors is None:
+                    _append_run(decoded, rows, [None] * len(pairs), {})
+                else:
+                    _append_run(decoded, rows, *donors.take(pairs))
+            if hi > lo:
+                assert old is not None
+                raw += old.raw[lo:hi]
+                _append_run(decoded, rows, *old.run(lo, hi))
+            page = end
+        state = cls(pid, version, raw, decoded, rows, dictionary)
+        state.heap_id = heap.file_id
+        state.seen_clock = heap.mutation_clock
+        return state, pages_read
+
+    def run(self, lo: int, hi: int) -> tuple[list, dict[QuerySig, list]]:
+        """The decoded entries and, per shape, the rendered rows of the
+        records ``[lo, hi)`` (a row list may stop short: not rendered)."""
+        # a copy: a reader may add a shape to the dict meanwhile
+        shapes = self.rows.copy()
+        return (
+            self.decoded[lo:hi],
+            {sig: rows[lo:hi] for sig, rows in shapes.items()},
+        )
+
     def ensure_decoded(self, n: int) -> None:
         """Decode records until the first *n* are available."""
         i = self.ready
@@ -168,10 +230,13 @@ class _PartitionState:
         decoded = self.decoded
         raw = self.raw
         dictionary = self.dictionary
-        while i < n:
-            if decoded[i] is None:
+        try:
+            while True:
+                i = decoded.index(None, i, n)
                 decoded[i] = deserialize_record(raw[i][1], dictionary)
-            i += 1
+                i += 1
+        except ValueError:  # no record in [i, n) is left undecoded
+            pass
         if n > self.ready:
             self.ready = n
 
@@ -193,10 +258,25 @@ class _PartitionState:
         matches = query.matches
         project = query.project
         dumps = json.dumps
+        if scope is None:
+            i = start
+            try:
+                while True:
+                    i = rows.index(None, i, n)
+                    attributes = decoded[i][1]
+                    rows[i] = (
+                        dumps(project(attributes), separators=(",", ":"))
+                        if matches(attributes) else ""
+                    )
+                    i += 1
+            except ValueError:  # every row in [start, n) is rendered
+                pass
+            picked = list(filter(None, rows[start:n]))
+            return ",".join(picked), len(picked)
         picked = []
         for i in range(start, n):
             eid, attributes = decoded[i]
-            if scope is not None and eid % scope.n_shards not in scope.shards:
+            if eid % scope.n_shards not in scope.shards:
                 continue
             row = rows[i]
             if row is None:
@@ -243,46 +323,38 @@ class _PartitionState:
 
 
 class _Donors:
-    """What the states one publish replaces hold, by record identity.
+    """What the runs one publish replaces hold, by record identity.
 
-    The predecessors of a publish are the current states of every
-    partition it rebuilds or drops.  A record a successor shares with
-    one of them is the same ``bytes`` object — a split or merge moves
-    that object from heap to heap, and an untouched record stays put —
-    so its decoded ``(eid, attributes)`` and its rendered rows carry
-    over exactly.  Built once per publish from the predecessors' lists
-    (read, never edited) and dropped with it, so borrowing never chains:
-    a successor holds the borrowed entries, not the states they came
-    from.
+    The runs are the records a publish's rebuilt states do not keep by
+    page: the old runs of their changed pages, and the whole states of
+    partitions dropped or now on another heap.  A record a successor
+    shares with one of them is the same ``bytes`` object — a split or
+    merge moves that object from heap to heap, an in-place update keeps
+    the page's other records — so its decoded ``(eid, attributes)`` and
+    its rendered rows carry over exactly.  Built once per publish from
+    the predecessors' lists (read, never edited) and dropped with it,
+    so borrowing never chains: a successor holds the borrowed entries,
+    not the states they came from.
     """
 
     __slots__ = ("index", "decoded", "rows")
 
-    def __init__(self, states: list[_PartitionState]) -> None:
+    def __init__(self, runs: list[tuple[_PartitionState, int, int]]) -> None:
         #: id of a decoded record's bytes -> its position in the lists
         self.index: dict[int, int] = {}
         self.decoded: list[Optional[tuple[int, dict[str, Any]]]] = []
         self.rows: dict[QuerySig, list[Optional[str]]] = {}
-        for state in states:
+        for state, lo, hi in runs:
+            decoded, rows = state.run(lo, hi)
+            if decoded.count(None) == len(decoded):
+                continue  # never read: nothing to lend
             raw = state.raw
             base = len(self.decoded)
-            n = len(raw)
-            decoded = state.decoded[:n]
-            if decoded.count(None) == n:
-                continue  # never read: nothing to lend
             self.index.update(
-                (id(raw[i][1]), base + i)
+                (id(raw[lo + i][1]), base + i)
                 for i, entry in enumerate(decoded) if entry is not None
             )
-            self.decoded.extend(decoded)
-            # a copy: a reader may add a shape to the dict meanwhile
-            for sig, rows in state.rows.copy().items():
-                flat = self.rows.get(sig)
-                if flat is None:
-                    flat = self.rows[sig] = [None] * base
-                flat.extend(rows[:n])
-            for flat in self.rows.values():
-                flat.extend([None] * (base + n - len(flat)))
+            _append_run(self.decoded, self.rows, decoded, rows)
 
     def take(self, raw: list) -> tuple[
         list[Optional[tuple[int, dict[str, Any]]]],
@@ -304,6 +376,62 @@ class _Donors:
                 for sig, flat in self.rows.items()
             },
         )
+
+
+def _append_run(
+    decoded: list, rows: dict[QuerySig, list], run_decoded: list,
+    run_rows: dict[QuerySig, list],
+) -> None:
+    """Append one run's decoded entries and rendered rows to *decoded*
+    and *rows*, padding every shape's list with ``None`` to full length."""
+    base = len(decoded)
+    decoded += run_decoded
+    for sig, part in run_rows.items():
+        flat = rows.get(sig)
+        if flat is None:
+            flat = rows[sig] = [None] * base
+        flat += part
+    for flat in rows.values():
+        flat += [None] * (len(decoded) - len(flat))
+
+
+def _page_of(pair: tuple[Any, bytes]) -> int:
+    return pair[0].page
+
+
+def _page_runs(heap: "HeapFile", old: _PartitionState) -> tuple[
+    list[tuple[int, int, int, int]], list[tuple[_PartitionState, int, int]]
+]:
+    """Which records of *old* its successor on *heap* keeps, which not.
+
+    *old* observed *heap* at ``old.seen_clock``: a page whose clock is
+    not newer still holds exactly *old*'s records of that page.  Each
+    maximal run of such pages is kept as ``(first_page, end_page, lo,
+    hi)``, with ``old.raw[lo:hi]`` its records (``raw`` is in page
+    order); the records between are the runs ``(old, lo, hi)`` the
+    successor re-reads, lent to the publish's donors.
+    """
+    seen = old.seen_clock
+    raw = old.raw
+    kept = []
+    lent = []
+    position = 0  # end of the last kept run in raw
+    first = -1  # first page of the open kept run
+    for number, clock in enumerate([*heap.page_clocks, seen + 1]):
+        if clock <= seen:
+            if first < 0:
+                first = number
+        elif first >= 0:
+            lo = bisect_left(raw, first, position, key=_page_of)
+            hi = bisect_left(raw, number, lo, key=_page_of)
+            kept.append((first, number, lo, hi))
+            if lo > position:
+                lent.append((old, position, lo))
+            position = hi
+            first = -1
+    if position < len(raw):
+        lent.append((old, position, len(raw)))
+    return kept, lent
 
 
 class PartitionView:
@@ -375,7 +503,8 @@ class TableSnapshot:
         self.created_monotonic = created_monotonic
         #: pin count — the manager's GC skips pinned snapshots
         self.pins = 0
-        #: sig -> (positions in ``views`` of the survivors, pruned count)
+        #: sig -> (positions in ``views`` of the survivors, pruned count);
+        #: the publisher hands it on while no partition's pid or mask moves
         self._plan_cache: dict[QuerySig, tuple[tuple[int, ...], int]] = {}
         #: sig -> (wire fragment, row count) for repeat queries
         self._response_cache: dict[QuerySig, tuple[bytes, int]] = {}
@@ -580,17 +709,35 @@ class SnapshotManager:
             return self._publish_locked(table)
 
     def _publish_locked(self, table: "CinderellaTable") -> TableSnapshot:
+        with obs.span("snapshot.publish") as span:
+            snapshot = self._build_locked(table, span)
+        self._next_snapshot_id += 1
+        self._retained[snapshot.snapshot_id] = snapshot
+        self._latest = snapshot
+        self.published += 1
+        self.last_publish_monotonic = snapshot.created_monotonic
+        self._gc_locked()
+        return snapshot
+
+    def _build_locked(self, table: "CinderellaTable", span: Any) -> TableSnapshot:
         catalog = table.catalog
         dictionary = table.dictionary
         states = self._states
         current = []  # (partition, version) in catalog order
-        rebuilt = []  # (pid, version, heap): a fresh successor state
+        rebuilt = []  # (partition, version, heap): a fresh successor state
+        appended = 0
+        # whether any partition's pid or mask moved: the views of the
+        # previous snapshot are then laid out differently (a mask only
+        # changes with the partition's version)
+        relaid = False
         for partition in catalog:
             pid = partition.pid
             version = catalog.version_of(pid)
             current.append((partition, version))
             state = states.get(pid)
             if state is None or state.version != version:
+                if state is None or state.mask != partition.mask:
+                    relaid = True
                 heap = table.heap_of(pid)
                 if (
                     state is not None
@@ -608,30 +755,50 @@ class SnapshotManager:
                             [None] * (len(state.raw) - len(state.decoded))
                         )
                         state.seen_clock = heap.mutation_clock
+                        appended += 1
                     state.version = version
+                    state.mask = partition.mask
                 else:
                     # anything else (delete, in-place update, move):
-                    # a fresh state, built below once every state it
+                    # a fresh state, built below once every run it
                     # replaces is known — old snapshots keep the old one
-                    rebuilt.append((pid, version, heap))
+                    rebuilt.append((partition, version, heap))
         live_pids = {partition.pid for partition, _version in current}
-        # the predecessors: every replaced state, rebuilt or dropped
-        replaced = [
-            states[pid] for pid, _version, _heap in rebuilt if pid in states
-        ]
-        replaced.extend(
-            state for pid, state in states.items() if pid not in live_pids
+        relaid = relaid or len(live_pids) != len(states)
+        # what each rebuild keeps by page from its predecessor of the
+        # same heap, and what the publish replaces: the rest of those
+        # predecessors, the states now on another heap, the dropped ones
+        plans = []  # (partition, version, heap, kept, same-heap predecessor)
+        lent: list[tuple[_PartitionState, int, int]] = []
+        for partition, version, heap in rebuilt:
+            old = states.get(partition.pid)
+            kept: list[tuple[int, int, int, int]] = []
+            if old is not None and old.heap_id == heap.file_id:
+                kept, old_runs = _page_runs(heap, old)
+                lent += old_runs
+            elif old is not None:  # now on another heap: lend it whole
+                lent.append((old, 0, len(old.raw)))
+                old = None
+            plans.append((partition, version, heap, kept, old))
+        lent.extend(
+            (state, 0, len(state.raw))
+            for pid, state in states.items() if pid not in live_pids
         )
-        donors = _Donors(replaced) if replaced else None
-        for pid, version, heap in rebuilt:
-            state = states[pid] = _PartitionState(
-                pid, version, list(heap.scan()), dictionary, donors
+        donors = _Donors(lent) if lent else None
+        pages_read = 0
+        for partition, version, heap, kept, old in plans:
+            state, pages = _PartitionState.successor(
+                partition.pid, version, heap, dictionary, kept, old, donors
             )
-            state.heap_id = heap.file_id
-            state.seen_clock = heap.mutation_clock
+            state.mask = partition.mask
+            states[partition.pid] = state
+            pages_read += pages
         for pid in list(states):
             if pid not in live_pids:
                 del states[pid]
+        span.set("rebuilt", len(rebuilt))
+        span.set("appended", appended)
+        span.set("pages_read", pages_read)
         views = [
             PartitionView(
                 partition.pid, partition.mask, version,
@@ -647,12 +814,15 @@ class SnapshotManager:
             dictionary,
             time.monotonic(),
         )
-        self._next_snapshot_id += 1
-        self._retained[snapshot.snapshot_id] = snapshot
-        self._latest = snapshot
-        self.published += 1
-        self.last_publish_monotonic = snapshot.created_monotonic
-        self._gc_locked()
+        # a plan is positions into the views, chosen by their masks:
+        # equal layouts share one plan cache
+        previous = self._latest
+        if (
+            not relaid
+            and previous is not None
+            and previous.dictionary is dictionary
+        ):
+            snapshot._plan_cache = previous._plan_cache
         return snapshot
 
     # ------------------------------------------------------------------

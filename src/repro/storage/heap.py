@@ -6,6 +6,10 @@ single big heap file for the unpartitioned universal table baseline).
 Records are addressed by :class:`RecordId` (page number, slot); scans go
 page-by-page, charging the shared :class:`~repro.storage.iostats.IOStats`
 and optionally consulting a :class:`~repro.storage.buffer.BufferPool`.
+Each page remembers the heap clock of its last change
+(:attr:`HeapFile.page_clocks`), so an observer of the heap at one clock
+value can re-read just the pages that changed since
+(:meth:`HeapFile.scan_page`).
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ class HeapFile:
         #: While this stays put, physical scan order only ever grows at
         #: the tail — the contract behind :meth:`scan_suffix`.
         self.structural_clock = 0
+        #: per page, the ``mutation_clock`` of its last change: a page
+        #: whose clock is at most an observer's clock still holds what
+        #: that observer saw
+        self.page_clocks: list[int] = []
 
     # ------------------------------------------------------------------
     # properties
@@ -93,11 +101,13 @@ class HeapFile:
                 self._free_hints.pop()
         if page_number < 0:
             self._pages.append(Page(self.page_size))
+            self.page_clocks.append(0)
             page_number = len(self._pages) - 1
         page = self._pages[page_number]
         slot = page.insert(record)
         self._record_count += 1
         self.mutation_clock += 1
+        self.page_clocks[page_number] = self.mutation_clock
         if page_number != len(self._pages) - 1 or not page.is_tail_slot(slot):
             # landed in a reclaimed page or a reused tombstone slot:
             # scan order grew in the middle, not at the tail
@@ -118,7 +128,7 @@ class HeapFile:
         record = self._pages[rid.page].delete(rid.slot)
         self._record_count -= 1
         self.mutation_clock += 1
-        self.structural_clock = self.mutation_clock
+        self.structural_clock = self.page_clocks[rid.page] = self.mutation_clock
         self.io.records_deleted += 1
         if len(self._free_hints) < 64:
             self._free_hints.append(rid.page)
@@ -126,17 +136,13 @@ class HeapFile:
 
     def replace(self, rid: RecordId, record: bytes) -> RecordId:
         """Update a record in place when it fits, else relocate it."""
-        page = self._pages[rid.page]
         try:
-            page.replace(rid.slot, record)
+            self._pages[rid.page].replace(rid.slot, record)
         except PageFullError:
-            page.delete(rid.slot)
-            self._record_count -= 1
-            self.mutation_clock += 1
-            self.structural_clock = self.mutation_clock
+            self.delete(rid)
             return self.insert(record)
         self.mutation_clock += 1
-        self.structural_clock = self.mutation_clock
+        self.structural_clock = self.page_clocks[rid.page] = self.mutation_clock
         self.io.records_written += 1
         self.io.bytes_written += len(record)
         self.io.pages_written += 1
@@ -155,6 +161,18 @@ class HeapFile:
                     charged_page = True
                 self.io.records_read += 1
                 yield RecordId(page_number, slot), record
+
+    def scan_page(self, page_number: int) -> list[tuple[RecordId, bytes]]:
+        """The ``(rid, record)`` pairs of one page, charged like :meth:`scan`."""
+        page = self._pages[page_number]
+        pairs = [
+            (RecordId(page_number, slot), record)
+            for slot, record in page.records()
+        ]
+        if pairs:
+            self._charge_page_read(page_number, page.used_bytes)
+            self.io.records_read += len(pairs)
+        return pairs
 
     def scan_suffix(self, after: Optional[RecordId]) -> Iterator[tuple[RecordId, bytes]]:
         """Scan records strictly after *after* in physical order.
@@ -194,6 +212,7 @@ class HeapFile:
     def free(self) -> None:
         """Release all pages (partition dropped) and invalidate the cache."""
         self._pages.clear()
+        self.page_clocks.clear()
         self._record_count = 0
         self._free_hints.clear()
         self.mutation_clock += 1

@@ -24,10 +24,11 @@ the single-writer read barrier:
    reorganization keeps publication monotonic, and a pinned snapshot
    outlives a merge/split cascade without a bit changing.
 6. **Successor states** — a partition state rebuilt after a delete, an
-   update or a split/merge move borrows its predecessors' decoded
-   records and rendered rows: it serves byte-identically to a fresh
-   publish, re-serving costs only the records that changed, and
-   borrowing never keeps a replaced state alive.
+   update or a split/merge move keeps its predecessor's unchanged heap
+   pages and borrows its predecessors' decoded records and rendered
+   rows: it serves byte-identically to a fresh publish, a rebuild reads
+   only the pages that changed, re-serving costs only the records that
+   changed, and borrowing never keeps a replaced state alive.
 """
 
 import gc
@@ -45,6 +46,7 @@ from repro.query.snapshot import ShardScope, SnapshotManager, query_sig
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient
 from repro.sql import execute as execute_sql
+from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.table.partitioned import CinderellaTable
 
 from tests.conftest import WORKLOAD_SEED, row_multiset, served_rows
@@ -58,13 +60,16 @@ PROBES = (
 )
 
 
-def build_table(max_partition_size: float = 8.0) -> CinderellaTable:
+def build_table(
+    max_partition_size: float = 8.0, page_size: int = DEFAULT_PAGE_SIZE
+) -> CinderellaTable:
     return CinderellaTable(
         CinderellaConfig(
             max_partition_size=max_partition_size,
             weight=0.3,
             use_synopsis_index=True,
-        )
+        ),
+        page_size=page_size,
     )
 
 
@@ -641,8 +646,20 @@ class TestSuccessorStates:
         states borrowing from the ones it replaced — answers every probe
         byte for byte like a fresh manager's first publish of the same
         table, and every pinned older snapshot keeps its commit point."""
+        self.serve_like_a_fresh_publish(DEFAULT_PAGE_SIZE)
+
+    def test_multi_page_successors_serve_like_a_fresh_publish(self):
+        """The same workload on 32-byte pages (a record or two each), so
+        rebuilt states splice their predecessors' unchanged pages with
+        the pages they re-read."""
+        pages = self.serve_like_a_fresh_publish(32)
+        assert max(pages) > 2
+
+    def serve_like_a_fresh_publish(self, page_size: int) -> list[int]:
+        """Run the differential; the largest heap's page count per batch."""
         rng = random.Random(WORKLOAD_SEED)
-        table = build_table(max_partition_size=6.0)
+        table = build_table(max_partition_size=6.0, page_size=page_size)
+        pages: list[int] = []
         manager = SnapshotManager(retain=3)
         live: list[int] = []
         next_eid = 0
@@ -682,6 +699,9 @@ class TestSuccessorStates:
                 seen["merged"] += len(report.moves)
             latest = manager.publish(table)
             fresh = SnapshotManager().publish(table)
+            pages.append(
+                max(table.heap_of(p.pid).page_count for p in table.catalog)
+            )
             for query in PROBES:
                 for scope in ALL_SCOPES:
                     assert latest.scoped(scope).serve_query(query) == (
@@ -712,6 +732,7 @@ class TestSuccessorStates:
         assert table.partitioner.split_count > splits_before
         assert seen["merged"] > 0 and seen["deletes"] > 0
         assert seen["in_place"] > 0 and seen["moved"] > 0
+        return pages
 
     #: the shapes the proportionality pin serves
     SHAPES = (
@@ -792,6 +813,57 @@ class TestSuccessorStates:
         table.update(12, {"other": 12})
         assert max(self.serve_counted(manager.publish(table), decoded, renders)) <= 2
         assert sorted(decoded) == [6, 12]  # two records changed
+
+    def test_a_rebuild_reads_only_the_page_that_changed(self):
+        """One 400-record partition on 17 pages of 512 bytes: the
+        publish after an in-place update reads at most the one page the
+        update changed (the whole heap before page-granular rebuilds),
+        and serves what a fresh publish serves."""
+        table = build_table(max_partition_size=100_000.0, page_size=512)
+        for i in range(400):
+            table.insert({"common": i % 3, "attr0": i, "attr1": i}, entity_id=i)
+        (partition,) = table.catalog
+        heap = table.heap_of(partition.pid)
+        assert heap.page_count == 17
+        per_page = max(len(heap.scan_page(n)) for n in range(heap.page_count))
+        manager = SnapshotManager()
+        for query in self.SHAPES:
+            manager.publish(table).serve_query(query)
+
+        assert table.update(205, {"common": 7, "attr0": -5, "attr1": -5}).in_place
+        before = table.io.records_read
+        latest = manager.publish(table)
+        assert 0 < table.io.records_read - before <= per_page
+        fresh = SnapshotManager().publish(table)
+        for query in self.SHAPES:
+            assert latest.serve_query(query)[:2] == fresh.serve_query(query)[:2]
+
+    def test_a_shape_is_pruned_once_per_layout(self, monkeypatch):
+        """Publishes that keep every partition's pid and mask share the
+        plan cache: in-place updates re-prune nothing, a changed mask
+        prunes again."""
+        import repro.query.snapshot as snapshot_module
+
+        calls = [0]
+        prune = snapshot_module.prune
+
+        def counting_prune(*args):
+            calls[0] += 1
+            return prune(*args)
+
+        monkeypatch.setattr(snapshot_module, "prune", counting_prune)
+        table = build_table(max_partition_size=100_000.0)
+        for i in range(20):
+            table.insert({"common": i % 3, "attr0": i}, entity_id=i)
+        manager = SnapshotManager()
+        query = self.SHAPES[0]
+        for eid in range(3):
+            assert table.update(eid, {"common": 9, "attr0": eid}).in_place
+            manager.publish(table).serve_query(query)
+        assert calls[0] == 1
+        table.insert({"common": 1, "attr1": 99}, entity_id=99)  # widens the mask
+        manager.publish(table).serve_query(query)
+        assert calls[0] == 2
 
     def test_a_split_decodes_none_of_the_records_it_moved(self, monkeypatch):
         """Inserts into a served partition until one splits it: the

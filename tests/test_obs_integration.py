@@ -35,6 +35,7 @@ from repro.obs.counters import (
 from repro.obs.registry import MetricError
 from repro.query.cache import QueryResultCache
 from repro.query.query import AttributeQuery
+from repro.query.snapshot import SnapshotManager
 from repro.router.testing import ClusterHarness
 from repro.storage.wal import WriteAheadLog
 from repro.table.partitioned import CinderellaTable
@@ -418,6 +419,30 @@ class TestSubsystemCoverage:
             "repro_maintenance_partitions_merged_total"
         ) == report.merge_count
         assert state.tracer.find_trace("maintenance.merge") is not None
+
+    def test_snapshot_publish_is_traced(self):
+        """``snapshot.publish`` names what a publish did: a rebuild
+        after an in-place update reads the one page that changed, a
+        tail insert extends its state in place."""
+        table = CinderellaTable(
+            CinderellaConfig(max_partition_size=100_000.0), page_size=512
+        )
+        for eid in range(100):
+            table.insert({"a": eid}, entity_id=eid)
+        manager = SnapshotManager()
+        manager.publish(table)
+        state = obs.enable(slow_op_threshold_s=None)
+        assert table.update(5, {"a": -5}).in_place
+        manager.publish(table)
+        table.insert({"a": 100}, entity_id=100)
+        manager.publish(table)
+        obs.disable()
+        publishes = [
+            (span.attributes["rebuilt"], span.attributes["appended"],
+             span.attributes["pages_read"])
+            for span in state.tracer.finished if span.name == "snapshot.publish"
+        ]
+        assert publishes == [(1, 0, 1), (0, 1, 0)]
 
     def test_the_table_merge_transaction_is_traced_and_counted(self):
         """A committed merge and a crashed one: ``txn.merge`` wraps the

@@ -98,6 +98,50 @@ class TestHeapFile:
         assert heap.read(new_rid) == b"c" * 45
         assert len(heap) == 2
 
+    def test_relocating_replace_counts_a_delete_and_hints_its_page(self):
+        io = IOStats()
+        heap = HeapFile(page_size=64, io=io)
+        rid = heap.insert(b"a" * 20)
+        heap.insert(b"b" * 20)
+        heap.insert(b"t" * 10)  # opens page 1, the tail
+        moved = heap.replace(rid, b"c" * 30)  # outgrows page 0
+        assert moved.page == 1
+        assert io.records_deleted == 1
+        # the tail is too full now: the next small record takes the
+        # room the relocation left on page 0
+        assert heap.insert(b"s" * 10).page == 0
+
+    def test_page_clocks_track_every_mutation_kind(self):
+        heap = HeapFile(page_size=64)
+        a = heap.insert(b"a" * 20)
+        b = heap.insert(b"b" * 20)
+        c = heap.insert(b"c" * 20)  # page 1
+        assert heap.page_clocks == [2, 3]
+        heap.replace(a, b"A" * 20)  # in place
+        assert heap.page_clocks == [4, 3]
+        heap.delete(c)
+        assert heap.page_clocks == [4, 5]
+        moved = heap.replace(b, b"B" * 40)  # relocates: a delete, an insert
+        assert moved.page == 1
+        assert heap.page_clocks == [6, 7] and heap.mutation_clock == 7
+        heap.free()
+        assert heap.page_clocks == []
+
+    def test_scan_page_reads_one_page_like_scan(self):
+        io = IOStats()
+        heap = HeapFile(page_size=64, io=io)
+        rids = [heap.insert(bytes([65 + i]) * 20) for i in range(5)]
+        heap.delete(rids[2])
+        pages = [heap.scan_page(n) for n in range(heap.page_count)]
+        assert [pair for page in pages for pair in page] == list(heap.scan())
+        assert [len(page) for page in pages] == [2, 1, 1]
+        assert io.pages_read == 2 * heap.page_count
+        assert io.records_read == 2 * 4
+        heap.delete(rids[3])
+        before = io.snapshot()
+        assert heap.scan_page(1) == []  # an empty page charges nothing
+        assert io.delta_since(before).pages_read == 0
+
     def test_deleted_space_is_reused(self):
         heap = HeapFile(page_size=64)
         rids = [heap.insert(b"x" * 30) for _ in range(10)]
