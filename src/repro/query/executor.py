@@ -8,13 +8,23 @@ touched, which feeds the cost model (:mod:`repro.cost.model`) that
 stands in for the paper's wall-clock measurements.
 
 Within a surviving partition, :func:`execute_union_all` applies the
-pruning rule once more, per entity: a record whose entity synopsis (in
-the partition's catalog entry) misses the query is skipped without
-being decoded, and a qualifying one is decoded to the query's
-attributes only.  Every page is still read and every record still
-counts, so the accounting is the same as a full decode's.  The oracle
-(:func:`execute_uncached_full_scan`), SQL and the schema views decode
-every record they scan in full, trusting no entity synopsis.
+pruning rule once more, per entity: an entity whose synopsis (in the
+partition's catalog entry) misses the query is skipped before any of
+its attributes is looked at.  Every page is still read and every record
+still counts, so the accounting is the same as a full decode's.  A
+branch reads one of two sources.  Over heap files (:func:`scan_heap`,
+the adaptation calibrator's probes) a skipped record is never decoded
+and a qualifying one is decoded to the query's attributes only.  Over
+a table snapshot current with the heaps (:func:`scan_view`, the read
+path of :meth:`~repro.table.partitioned.CinderellaTable.execute`) a
+skipped record is not decoded either, a qualifying one is decoded in
+full the first time any query it qualifies for reads it — once per
+change, not once per query — and the scan is charged to the
+partition's heap exactly what the heap scan would have charged, so the
+cost model sees the same query either way.
+The oracle (:func:`execute_uncached_full_scan`), SQL and the schema
+views decode every record they scan in full, trusting no entity
+synopsis.
 
 On top of that baseline sits the read-side fast path: when a
 :class:`~repro.query.cache.QueryResultCache` is passed in, each UNION
@@ -49,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.partition import Partition
     from repro.obs.counters import QueryPathCounters
     from repro.query.cache import QueryResultCache
+    from repro.query.snapshot import PartitionView, TableSnapshot
     from repro.storage.heap import HeapFile
 
 
@@ -140,6 +151,32 @@ def scan_heap(
     stats.bytes_read += delta.bytes_read
 
 
+def scan_view(
+    view: "PartitionView",
+    heap: "HeapFile",
+    stats: ExecutionStats,
+    out_rows: list,
+    matches: Callable[[dict[str, Any]], bool],
+    project: Callable[[dict[str, Any]], Any],
+    entry: Optional["Partition"] = None,
+    clauses: Sequence[int] = (),
+) -> None:
+    """:func:`scan_heap` of *heap*, answered from *view*, a snapshot's
+    view of the same partition at the heap's current state.
+
+    The rows are the heap scan's, in its order; *heap* is charged the
+    pages, bytes and records that scan would have charged
+    (:meth:`~repro.storage.heap.HeapFile.charge_scan`), and *stats*
+    mirrors them — but no record is read or decoded here.
+    """
+    before = heap.io.snapshot()
+    heap.charge_scan()
+    view.scan(stats, out_rows, matches, project, entry=entry, clauses=clauses)
+    delta = heap.io.delta_since(before)
+    stats.pages_read += delta.pages_read
+    stats.bytes_read += delta.bytes_read
+
+
 def execute_union_all(
     plan: UnionAllPlan,
     heaps: dict[int, "HeapFile"],
@@ -147,6 +184,7 @@ def execute_union_all(
     catalog: Optional["PartitionCatalog"] = None,
     cache: Optional["QueryResultCache"] = None,
     counters: Optional["QueryPathCounters"] = None,
+    snapshot: Optional[Callable[[], "TableSnapshot"]] = None,
 ) -> ExecutionResult:
     """Execute a UNION ALL plan over partition heap files.
 
@@ -159,6 +197,13 @@ def execute_union_all(
     query.  Row order is identical with and without a cache: branches
     run in plan order and a cached branch contributes exactly the rows
     its scan produced.
+
+    With *snapshot*, a callable returning a
+    :class:`~repro.query.snapshot.TableSnapshot` current with *heaps*
+    and *catalog*, the branches that scan read the snapshot's views
+    instead (:func:`scan_view`), charged like the heap scans they
+    replace.  It is called once, at the first branch that scans, so a
+    query the cache answers whole never brings a snapshot current.
     """
     if cache is not None and catalog is None:
         raise ValueError("a result cache requires the catalog for versions")
@@ -169,6 +214,7 @@ def execute_union_all(
         partitions_pruned=len(plan.pruned_pids),
     )
     rows: list[dict[str, Any]] = []
+    current = None  # the snapshot, once a branch scans
     started = time.perf_counter()
     with obs.span(
         "query.execute", branches=len(plan.branch_pids), cached=cache is not None
@@ -189,13 +235,22 @@ def execute_union_all(
                 stats.cache_misses += 1
                 branch_rows = []
             stats.partitions_scanned += 1
+            entry = catalog.get(pid) if catalog is not None else None
+            if snapshot is not None and current is None:
+                current = snapshot()
             with obs.span("query.scan", pid=pid):
-                scan_heap(
-                    heaps[pid], dictionary, stats, branch_rows,
-                    query.matches, query.project,
-                    entry=catalog.get(pid) if catalog is not None else None,
-                    clauses=clauses,
-                )
+                if current is None:
+                    scan_heap(
+                        heaps[pid], dictionary, stats, branch_rows,
+                        query.matches, query.project,
+                        entry=entry, clauses=clauses,
+                    )
+                else:
+                    scan_view(
+                        current.view_of(pid), heaps[pid], stats, branch_rows,
+                        query.matches, query.project,
+                        entry=entry, clauses=clauses,
+                    )
             if cache is not None:
                 cache.store(query, pid, version, branch_rows)
                 rows.extend(branch_rows)

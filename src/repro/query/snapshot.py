@@ -13,6 +13,16 @@ or, through :meth:`TableSnapshot.scoped`, for the shards of a
 :class:`ShardScope` (the routing tier's reads): the same path, with the
 scope as one more component of the cache keys.
 
+It is the embedded table's read path too.  A
+:class:`~repro.table.partitioned.CinderellaTable` owns one
+``SnapshotManager(retain=1)`` and publishes lazily: the first read
+after writes (:meth:`~repro.table.partitioned.CinderellaTable.snapshot`)
+brings it current, and :meth:`~repro.table.partitioned.CinderellaTable.execute`
+reads its branches from that snapshot's views
+(:func:`~repro.query.executor.scan_view`).  So a record is decoded once
+per change, not once per query.  Publishing reads heap pages but is not
+a query: it charges no I/O.
+
 Shared partition states keep publication cheap enough to run once per
 group commit, and two caches keep repeated queries cheap:
 
@@ -61,18 +71,23 @@ import threading
 import time
 from bisect import bisect_left
 from collections import OrderedDict
+from functools import partial
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 from typing import (
-    Any, Callable, Iterable, Iterator, NamedTuple, Optional, TYPE_CHECKING,
+    Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
+    TYPE_CHECKING,
 )
 
 from repro.obs import runtime as obs
 from repro.query.executor import ExecutionResult, ExecutionStats
 from repro.query.pruning import clause_masks, prune
 from repro.query.query import AttributeQuery
-from repro.storage.record import deserialize_record
+from repro.storage.record import deserialize_record, record_entity_id
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.dictionary import AttributeDictionary
+    from repro.catalog.partition import Partition
     from repro.storage.heap import HeapFile
     from repro.table.partitioned import CinderellaTable
 
@@ -240,6 +255,34 @@ class _PartitionState:
         if n > self.ready:
             self.ready = n
 
+    def qualifying(
+        self, n: int, entry: "Partition", clauses: Sequence[int]
+    ) -> list[dict[str, Any]]:
+        """The attributes of those of the first *n* records whose entity
+        synopsis in *entry* meets every clause, in order.
+
+        An entity is pruned by its id — from its decoded entry, or read
+        off the record undecoded — so only a qualifying record is
+        decoded, in full and once: a later scan of any shape reuses it.
+        """
+        decoded = self.decoded
+        raw = self.raw
+        eids = [
+            pair[0] if pair is not None else record_entity_id(raw[i][1])
+            for i, pair in enumerate(decoded[:n])
+        ]
+        positions, _pruned = prune(
+            zip(range(n), entry.masks_of(eids)), clauses
+        )
+        dictionary = self.dictionary
+        attributes = []
+        for i in positions:
+            pair = decoded[i]
+            if pair is None:
+                pair = decoded[i] = deserialize_record(raw[i][1], dictionary)
+            attributes.append(pair[1])
+        return attributes
+
     def _render(
         self, query: AttributeQuery, sig: QuerySig,
         scope: Optional[ShardScope], start: int, n: int,
@@ -348,12 +391,14 @@ class _Donors:
             decoded, rows = state.run(lo, hi)
             if decoded.count(None) == len(decoded):
                 continue  # never read: nothing to lend
-            raw = state.raw
             base = len(self.decoded)
-            self.index.update(
-                (id(raw[lo + i][1]), base + i)
-                for i, entry in enumerate(decoded) if entry is not None
-            )
+            self.index.update(compress(
+                zip(
+                    map(id, map(_record_of, state.raw[lo:hi])),
+                    range(base, base + len(decoded)),
+                ),
+                map(_is_not_none, decoded),
+            ))
             _append_run(self.decoded, self.rows, decoded, rows)
 
     def take(self, raw: list) -> tuple[
@@ -365,7 +410,9 @@ class _Donors:
         index = self.index
         if not index:
             return [None] * len(raw), {}
-        positions = [index.get(id(record), -1) for _rid, record in raw]
+        positions = list(
+            map(index.get, map(id, map(_record_of, raw)), repeat(-1))
+        )
         if positions.count(-1) == len(positions):
             return [None] * len(raw), {}
         decoded = self.decoded
@@ -397,6 +444,11 @@ def _append_run(
 
 def _page_of(pair: tuple[Any, bytes]) -> int:
     return pair[0].page
+
+
+#: the record of a ``(rid, record)`` pair
+_record_of = itemgetter(1)
+_is_not_none = partial(is_not, None)
 
 
 def _page_runs(heap: "HeapFile", old: _PartitionState) -> tuple[
@@ -460,15 +512,32 @@ class PartitionView:
         out_rows: list,
         matches: Callable[[dict[str, Any]], bool],
         project: Callable[[dict[str, Any]], Any],
+        entry: Optional["Partition"] = None,
+        clauses: Sequence[int] = (),
     ) -> None:
         """:func:`~repro.query.executor.scan_heap` over the decoded
         entities in scope, so no pages or bytes are read: the one scan of
-        :meth:`TableSnapshot.execute` and of SQL on a snapshot."""
-        for _eid, attributes in self.entities():
-            stats.entities_read += 1
-            if matches(attributes):
-                out_rows.append(project(attributes))
-                stats.rows_returned += 1
+        :meth:`TableSnapshot.execute`, of SQL on a snapshot and of the
+        embedded table's reads (:func:`~repro.query.executor.scan_view`).
+
+        With *entry* (the partition's catalog entry, current with this
+        view, which must be unscoped) and *clauses*
+        (:func:`~repro.query.pruning.clause_masks`), an entity whose
+        synopsis misses a clause is counted as read and skipped before
+        it is decoded or *matches* probes it — the pruning rule, per
+        entity, as :func:`~repro.query.executor.scan_heap` applies it
+        (see :meth:`_PartitionState.qualifying`).
+        """
+        if entry is None:
+            pairs = self._pairs()
+            stats.entities_read += len(pairs)
+            attributes = [attributes for _eid, attributes in pairs]
+        else:
+            stats.entities_read += self.count
+            attributes = self._state.qualifying(self.count, entry, clauses)
+        before = len(out_rows)
+        out_rows.extend(map(project, filter(matches, attributes)))
+        stats.rows_returned += len(out_rows) - before
 
     def entities(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """The ``(eid, attributes)`` pairs in scope, in heap-scan order.
@@ -476,12 +545,15 @@ class PartitionView:
         The attribute dicts are the shared decoded objects — callers
         must not mutate them.
         """
+        return iter(self._pairs())
+
+    def _pairs(self) -> list[tuple[int, dict[str, Any]]]:
         state = self._state
         state.ensure_decoded(self.count)
         pairs = state.decoded[: self.count]
         if self.scope is None:
-            return iter(pairs)
-        return iter(self.scope.select((eid for eid, _ in pairs), pairs))
+            return pairs
+        return self.scope.select((eid for eid, _ in pairs), pairs)
 
 
 class TableSnapshot:
@@ -510,6 +582,8 @@ class TableSnapshot:
         self._response_cache: dict[QuerySig, tuple[bytes, int]] = {}
         #: scope -> this version read through it (see :meth:`scoped`)
         self._scoped: dict[ShardScope, "TableSnapshot"] = {}
+        #: pid -> view, built on the first :meth:`view_of`
+        self._by_pid: Optional[dict[int, PartitionView]] = None
 
     def scoped(self, scope: Optional[ShardScope]) -> "TableSnapshot":
         """This version restricted to the entities in *scope*.
@@ -550,6 +624,13 @@ class TableSnapshot:
     @property
     def entity_count(self) -> int:
         return sum(view.count for view in self.views)
+
+    def view_of(self, pid: int) -> PartitionView:
+        """The view of partition *pid* (``KeyError``: not in this version)."""
+        by_pid = self._by_pid
+        if by_pid is None:
+            by_pid = self._by_pid = {view.pid: view for view in self.views}
+        return by_pid[pid]
 
     def entities(self) -> Iterator[tuple[int, dict[str, Any]]]:
         """Every ``(eid, attributes)`` pair (ascending pid, heap order)."""
@@ -642,8 +723,12 @@ class TableSnapshot:
         state (views ascend by pid, records in heap-scan order), which
         is what the differential oracle compares against — this is the
         reference :meth:`serve_query` is tested against, not a serving
-        path: it reads decoded records directly and touches neither
-        cache.  Rows are fresh dicts — callers may mutate them.
+        path: it reads decoded records directly, touches neither cache
+        and charges no I/O.  The embedded table serves from the same
+        views through the executor's union-all loop instead, with its
+        result cache and heap-equivalent accounting
+        (:meth:`~repro.table.partitioned.CinderellaTable.execute`).
+        Rows are fresh dicts — callers may mutate them.
         """
         sig = (query.attributes, query.mode)
         branches, pruned = self._branches(query, sig)

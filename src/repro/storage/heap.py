@@ -9,14 +9,18 @@ and optionally consulting a :class:`~repro.storage.buffer.BufferPool`.
 Each page remembers the heap clock of its last change
 (:attr:`HeapFile.page_clocks`), so an observer of the heap at one clock
 value can re-read just the pages that changed since
-(:meth:`HeapFile.scan_page`).
+(:meth:`HeapFile.scan_page`, :meth:`HeapFile.scan_suffix`).  Those two
+reads are a snapshot publish's, which is not a query: they charge
+nothing.  A query served from a snapshot current with the heap charges,
+through :meth:`HeapFile.charge_scan`, exactly what :meth:`HeapFile.scan`
+would have.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import partial
+from typing import Iterator, NamedTuple, Optional
 
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
@@ -27,12 +31,17 @@ from repro.storage.page import (
 _file_ids = itertools.count()
 
 
-@dataclass(frozen=True)
-class RecordId:
+class RecordId(NamedTuple):
     """Stable physical address of a record: (page number, slot)."""
 
     page: int
     slot: int
+
+
+#: builds a :class:`RecordId` from a ``(page, slot)`` pair through
+#: ``tuple.__new__``, skipping the Python-level constructor
+#: ``NamedTuple`` generates — the page scans make one per record
+_rid = partial(tuple.__new__, RecordId)
 
 
 class HeapFile:
@@ -160,19 +169,26 @@ class HeapFile:
                     self._charge_page_read(page_number, page.used_bytes)
                     charged_page = True
                 self.io.records_read += 1
-                yield RecordId(page_number, slot), record
+                yield _rid((page_number, slot)), record
+
+    def charge_scan(self) -> None:
+        """Charge exactly what a full :meth:`scan` charges — every page
+        holding a live record, its bytes and records, in scan order
+        through the buffer pool — without reading anything."""
+        io = self.io
+        for page_number, page in enumerate(self._pages):
+            live = len(page)
+            if live:
+                self._charge_page_read(page_number, page.used_bytes)
+                io.records_read += live
 
     def scan_page(self, page_number: int) -> list[tuple[RecordId, bytes]]:
-        """The ``(rid, record)`` pairs of one page, charged like :meth:`scan`."""
-        page = self._pages[page_number]
-        pairs = [
-            (RecordId(page_number, slot), record)
-            for slot, record in page.records()
+        """The ``(rid, record)`` pairs of one page, in :meth:`scan` order;
+        charges nothing."""
+        return [
+            (_rid((page_number, slot)), record)
+            for slot, record in self._pages[page_number].records()
         ]
-        if pairs:
-            self._charge_page_read(page_number, page.used_bytes)
-            self.io.records_read += len(pairs)
-        return pairs
 
     def scan_suffix(self, after: Optional[RecordId]) -> Iterator[tuple[RecordId, bytes]]:
         """Scan records strictly after *after* in physical order.
@@ -181,24 +197,14 @@ class HeapFile:
         the observation that produced *after*: under that contract every
         newer record sits at a strictly greater (page, slot) address, so
         the suffix is exactly the records this yields.  ``None`` scans
-        everything (the empty-heap observation).
+        everything (the empty-heap observation).  Charges nothing.
         """
-        start_page = after.page if after is not None else 0
-        for page_number in range(start_page, len(self._pages)):
-            page = self._pages[page_number]
-            charged_page = False
-            for slot, record in page.records():
-                if (
-                    after is not None
-                    and page_number == after.page
-                    and slot <= after.slot
-                ):
-                    continue
-                if not charged_page:
-                    self._charge_page_read(page_number, page.used_bytes)
-                    charged_page = True
-                self.io.records_read += 1
-                yield RecordId(page_number, slot), record
+        page_number, start = (0, 0) if after is None else (after.page, after.slot + 1)
+        for page in self._pages[page_number:]:
+            for slot, record in page.records(start):
+                yield _rid((page_number, slot)), record
+            page_number += 1
+            start = 0
 
     def _charge_page_read(self, page_number: int, payload_bytes: int) -> None:
         if self.buffer_pool is not None:

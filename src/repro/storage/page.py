@@ -45,7 +45,7 @@ class Page:
 
     def __len__(self) -> int:
         """Number of live records."""
-        return sum(1 for record in self._slots if record is not None)
+        return len(self._slots) - self._slots.count(None)
 
     @property
     def used_bytes(self) -> int:
@@ -109,9 +109,12 @@ class Page:
         """
         return slot == len(self._slots) - 1
 
-    def records(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(slot, record)`` for every live record."""
-        for slot, record in enumerate(self._slots):
+    def records(self, start: int = 0) -> Iterator[tuple[int, bytes]]:
+        """Yield ``(slot, record)`` for every live record in slot
+        *start* or later."""
+        slots = self._slots
+        for slot in range(start, len(slots)):
+            record = slots[slot]
             if record is not None:
                 yield slot, record
 

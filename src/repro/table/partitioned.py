@@ -4,7 +4,10 @@ This is the reproduction of the paper's prototype: users insert, update,
 and delete against a universal table interface; every modification
 triggers the Cinderella routine (the prototype used PostgreSQL triggers,
 we call the partitioner directly); queries are rewritten to a pruned
-UNION ALL over per-partition heap files.
+UNION ALL over per-partition heap files, answered from the table's own
+snapshot of them (:mod:`repro.query.snapshot`), brought current by the
+first read after writes, so a record is decoded once per change rather
+than once per query.
 
 The partitioner is purely logical — it returns a
 :class:`~repro.core.outcomes.ModificationOutcome` describing partition
@@ -37,6 +40,7 @@ from repro.query.executor import (
 )
 from repro.query.query import AttributeQuery
 from repro.query.rewrite import UnionAllPlan, rewrite
+from repro.query.snapshot import SnapshotManager, TableSnapshot
 from repro.storage.buffer import BufferPool
 from repro.storage.entity import Entity
 from repro.storage.heap import HeapFile, RecordId
@@ -83,6 +87,8 @@ class CinderellaTable:
         #: itself here via ``bind_table``); when set, every executed query
         #: and applied modification feeds its workload trace
         self.adapt = None
+        #: the read path's snapshots (see :meth:`snapshot`)
+        self._snapshots = SnapshotManager(retain=1)
         self._heaps: dict[int, HeapFile] = {}
         self._rids: dict[int, RecordId] = {}
         self._next_eid = 0
@@ -348,12 +354,27 @@ class CinderellaTable:
         """Rewrite a query into its pruned UNION ALL plan."""
         return rewrite(query, self.catalog, self.dictionary, use_index=use_index)
 
+    def snapshot(self) -> TableSnapshot:
+        """The table's latest snapshot, published first when a write has
+        moved the catalog's version clock since (a clock that never
+        repeats, through rollbacks and reorganizations alike).
+
+        The publish re-reads only the heap pages that changed and
+        charges no I/O; the snapshot is current until the next write.
+        """
+        latest = self._snapshots.latest
+        if latest is None or latest.version_clock != self.catalog.version_clock:
+            latest = self._snapshots.publish(self)
+        return latest
+
     def execute(self, query: AttributeQuery) -> ExecutionResult:
         """Rewrite and execute a query over the surviving partitions.
 
         The fast path end to end: survivors resolved through the
         inverted synopsis index when the catalog carries one, branch
-        results served from the result cache when one is attached.
+        results served from the result cache when one is attached, and
+        every other branch read from :meth:`snapshot` — decoded records,
+        charged the I/O the heap scan it replaces would have charged.
         """
         if self.catalog.index is not None:
             self.query_counters.index_resolutions += 1
@@ -366,6 +387,7 @@ class CinderellaTable:
             catalog=self.catalog,
             cache=self.result_cache,
             counters=self.query_counters,
+            snapshot=self.snapshot,
         )
         if self.adapt is not None:
             self.adapt.observe_execution(query, result, self)

@@ -1,10 +1,12 @@
-"""The pruned heap scan: entity synopses skip records undecoded.
+"""The pruned scan: entity synopses skip records undecoded.
 
 Inside a partition that survives pruning, :func:`execute_union_all`
 tests each record's entity synopsis (from the catalog) against the
-query's clauses before decoding it, and decodes a qualifying record to
-the query's attributes only.  These tests hold that scan to three
-things at every step of a seeded modification trace:
+query's clauses before decoding it, and over heap files decodes a
+qualifying record to the query's attributes only; ``execute`` reads the
+table's snapshot instead, whose records are decoded once per change.
+These tests hold that scan to three things at every step of a seeded
+modification trace:
 
 * **rows** — ``execute``, with and without a
   :class:`~repro.query.cache.QueryResultCache`, returns exactly the rows
@@ -12,15 +14,16 @@ things at every step of a seeded modification trace:
 * **accounting** — its page, byte, entity, row and branch counts equal
   a full-decode scan of the same plan, so the cost model sees nothing
   change;
-* **proportionality** — a scan decodes exactly the qualifying records,
-  while the oracle, cache coherence, SQL and the views decode every
-  record they scan.
+* **proportionality** — a heap scan decodes exactly the qualifying
+  records, ``execute`` decodes each qualifying record once per change
+  and nothing on a repeat, while the oracle, cache coherence, SQL and
+  the views decode every record they scan.
 """
 
 import pytest
 
 from repro.core.config import CinderellaConfig
-from repro.query import executor
+from repro.query import executor, snapshot
 from repro.query.cache import QueryResultCache, verify_cache_coherence
 from repro.query.executor import execute_union_all
 from repro.query.query import AttributeQuery
@@ -63,6 +66,15 @@ def accounting(stats):
     return (
         stats.pages_read, stats.bytes_read, stats.entities_read,
         stats.rows_returned, stats.union_branches,
+    )
+
+
+def pruned_heap_scan(table, query):
+    """The plan over the heap files, tested by the catalog's entity
+    synopses (the adaptation calibrator's probe path)."""
+    heaps = {pid: table.heap_of(pid) for pid in table.catalog.partition_ids()}
+    return execute_union_all(
+        table.plan(query), heaps, table.dictionary, catalog=table.catalog
     )
 
 
@@ -158,7 +170,8 @@ MATCH_EVERY = 4
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """``(record, only)`` of each call to the executor's decoder."""
+    """``(record, only)`` of each call to the executor's or the
+    snapshot's decoder."""
     calls = []
     decode = executor.deserialize_record
 
@@ -167,6 +180,7 @@ def decodes(monkeypatch):
         return decode(record, dictionary, only)
 
     monkeypatch.setattr(executor, "deserialize_record", counting)
+    monkeypatch.setattr(snapshot, "deserialize_record", counting)
     return calls
 
 
@@ -186,15 +200,18 @@ def one_partition():
     return table
 
 
-@pytest.mark.parametrize("query", [
+SHAPES = [
     AttributeQuery(("x",)),
     AttributeQuery(("x", "no_such_attribute")),
     AttributeQuery(("x", "name"), mode="all"),
-], ids=["any", "any_with_unknown", "all"])
+]
+
+
+@pytest.mark.parametrize("query", SHAPES, ids=["any", "any_with_unknown", "all"])
 def test_a_scan_decodes_only_the_qualifying_records(one_partition, decodes, query):
     table = one_partition
     matching = N_RECORDS // MATCH_EVERY
-    result = table.execute(query)
+    result = pruned_heap_scan(table, query)
     assert result.plan.branch_pids == tuple(table.catalog.partition_ids())
     assert len(result.rows) == matching
     assert len(decodes) == matching
@@ -209,6 +226,44 @@ def test_a_scan_decodes_only_the_qualifying_records(one_partition, decodes, quer
     reference = full_decode(table, result.plan)
     assert len(decodes) == N_RECORDS
     assert accounting(reference.stats) == accounting(result.stats)
+
+
+@pytest.mark.parametrize("query", SHAPES, ids=["any", "any_with_unknown", "all"])
+def test_execute_decodes_each_record_once_per_change(one_partition, decodes, query):
+    """The first read publishes once and decodes each qualifying record
+    of the surviving partitions once, in full; repeating every shape with
+    no write between (cache misses included) decodes and publishes
+    nothing, and a shape every entity meets decodes only the rest."""
+    table = one_partition
+    matching = N_RECORDS // MATCH_EVERY
+    published = table._snapshots.published
+    result = table.execute(query)
+    assert result.plan.branch_pids == tuple(table.catalog.partition_ids())
+    assert len(result.rows) == matching
+    assert len({id(record) for record, _only in decodes}) == matching
+    assert len(decodes) == matching
+    assert {only for _record, only in decodes} == {None}
+    assert result.stats.entities_read == N_RECORDS
+    assert table._snapshots.published == published + 1
+
+    decodes.clear()
+    repeats = [table.execute(shape) for shape in SHAPES]
+    assert decodes == []
+    assert table._snapshots.published == published + 1
+    for shape, repeat in zip(SHAPES, repeats):
+        assert repeat.rows == table.execute_naive(shape).rows
+    assert accounting(result.stats) == accounting(
+        full_decode(table, result.plan).stats
+    )
+
+    decodes.clear()
+    everyone = AttributeQuery(("name",))
+    assert len(table.execute(everyone).rows) == N_RECORDS
+    assert len(decodes) == N_RECORDS - matching
+    decodes.clear()
+    table.execute(AttributeQuery(("common", "name"), mode="all"))
+    assert decodes == []
+    assert table._snapshots.published == published + 1
 
 
 def test_the_oracles_decode_every_record(one_partition, decodes):

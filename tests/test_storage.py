@@ -132,15 +132,37 @@ class TestHeapFile:
         heap = HeapFile(page_size=64, io=io)
         rids = [heap.insert(bytes([65 + i]) * 20) for i in range(5)]
         heap.delete(rids[2])
+        before = io.snapshot()
         pages = [heap.scan_page(n) for n in range(heap.page_count)]
+        # a publish's read, not a query's: scan_page charges nothing
+        assert io.delta_since(before) == IOStats()
         assert [pair for page in pages for pair in page] == list(heap.scan())
         assert [len(page) for page in pages] == [2, 1, 1]
-        assert io.pages_read == 2 * heap.page_count
-        assert io.records_read == 2 * 4
         heap.delete(rids[3])
         before = io.snapshot()
-        assert heap.scan_page(1) == []  # an empty page charges nothing
-        assert io.delta_since(before).pages_read == 0
+        assert heap.scan_page(1) == []
+        assert io.delta_since(before) == IOStats()
+
+    def test_charge_scan_charges_what_a_scan_charges(self):
+        """Pages with live records, their bytes and records, through the
+        buffer pool in scan order — and an emptied page not at all."""
+        heaps = []
+        for _ in range(2):
+            pool = BufferPool(3)
+            heap = HeapFile(page_size=64, io=IOStats(), buffer_pool=pool)
+            rids = [heap.insert(bytes([65 + i]) * 20) for i in range(7)]
+            heap.delete(rids[2])
+            heap.delete(rids[3])  # page 1 is empty now
+            heaps.append((heap, pool))
+        (scanned, scanned_pool), (charged, charged_pool) = heaps
+        for _ in range(2):
+            list(scanned.scan())
+            charged.charge_scan()
+        assert charged.io == scanned.io
+        assert charged.io.records_read == 2 * 5 and charged.io.buffer_hits > 0
+        assert (charged_pool.hits, charged_pool.misses) == (
+            scanned_pool.hits, scanned_pool.misses
+        )
 
     def test_deleted_space_is_reused(self):
         heap = HeapFile(page_size=64)
