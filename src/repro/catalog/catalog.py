@@ -41,6 +41,9 @@ class PartitionCatalog:
         # partition content versions (see the `versions` section below)
         self._versions: dict[int, int] = {}
         self._version_clock = 0
+        #: pids bumped, created or dropped since changes were last taken
+        self._changed: set[int] = set()
+        self._changes_taken = 0
 
     # ------------------------------------------------------------------
     # versions
@@ -56,10 +59,15 @@ class PartitionCatalog:
     # through pid reuse after a rolled-back create (the re-created pid is
     # stamped from the still-advanced clock).  Split-starter maintenance
     # does not bump: starters never influence query results.
+    #
+    # Every bump and every drop also records the pid as changed, until a
+    # reader takes the changes (:meth:`take_changes`): a snapshot publish
+    # rebuilds just those partitions.
 
     def _bump_version(self, pid: int) -> None:
         self._version_clock += 1
         self._versions[pid] = self._version_clock
+        self._changed.add(pid)
 
     def version_of(self, pid: int) -> int:
         """Current content version of one partition."""
@@ -72,6 +80,21 @@ class PartitionCatalog:
     def version_clock(self) -> int:
         """The catalog-global mutation clock (monotonic, never reused)."""
         return self._version_clock
+
+    def take_changes(self, taken: int) -> tuple[Optional[set[int]], int]:
+        """The pids bumped, created or dropped since changes were taken
+        for the *taken*-th time, and the count to pass next time.
+
+        The set is ``None`` when some other reader took changes in
+        between: the caller must then compare every partition's version.
+        A catalog with one reader (a table's snapshot manager) always
+        hands it the set, which holds only what changed since it last
+        asked.
+        """
+        changed = self._changed if taken == self._changes_taken else None
+        self._changed = set()
+        self._changes_taken += 1
+        return changed, self._changes_taken
 
     def adopt_version_clock(self, other_clock: int) -> None:
         """Make this catalog's versions succeed another catalog's.
@@ -174,6 +197,7 @@ class PartitionCatalog:
             self._txn.note_drop(pid)
         del self._partitions[pid]
         del self._versions[pid]
+        self._changed.add(pid)
         if self.index is not None:
             self.index.unregister(pid, partition.mask)
 

@@ -49,14 +49,14 @@ in one paragraph:
   there is nothing else to quiesce), then close its WAL.
 
 A node's read path is therefore one path: latest snapshot →
-per-snapshot response cache → per-partition-state chunk cache → decoded
-records (:mod:`repro.query.snapshot`) — also for the routing tier's
-reads, whose ``shard_filter`` scopes the snapshot and is otherwise one
-more component of the cache keys.  It stays coherent because a
-snapshot is published only after its batch's transaction commits and is
-never mutated afterwards: a response cache dies with its snapshot, and
-a chunk cache entry is keyed by a record-count prefix of a partition
-state that only ever grows by appending.  ``tests/test_server_soak.py``
+per-snapshot response cache → per-partition and per-page chunk caches
+→ decoded records (:mod:`repro.query.snapshot`) — also for the routing
+tier's reads, whose ``shard_filter`` scopes the snapshot and is
+otherwise one more component of the cache keys.  It stays coherent
+because a snapshot is published only after its batch's transaction
+commits and is never mutated afterwards: a response cache dies with its
+snapshot, and a chunk cache lives on a partition state or a page view,
+both immutable.  ``tests/test_server_soak.py``
 and ``tests/test_isolation.py`` check served rows against naive
 re-execution after a concurrent mixed workload.
 

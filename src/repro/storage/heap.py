@@ -6,11 +6,13 @@ single big heap file for the unpartitioned universal table baseline).
 Records are addressed by :class:`RecordId` (page number, slot); scans go
 page-by-page, charging the shared :class:`~repro.storage.iostats.IOStats`
 and optionally consulting a :class:`~repro.storage.buffer.BufferPool`.
-Each page remembers the heap clock of its last change
-(:attr:`HeapFile.page_clocks`), so an observer of the heap at one clock
-value can re-read just the pages that changed since
-(:meth:`HeapFile.scan_page`, :meth:`HeapFile.scan_suffix`).  Those two
-reads are a snapshot publish's, which is not a query: they charge
+
+Records go in and come out as bytes.  Beside that, :meth:`HeapFile.take`
+and :meth:`HeapFile.place` move a stored record to another heap as the
+object it is stored as (see :class:`~repro.storage.record.StoredRecord`),
+charged like a read, a delete and an insert, and
+:meth:`HeapFile.page_views` is every page's immutable view of its live
+records: a snapshot publish's read, which is not a query, so it charges
 nothing.  A query served from a snapshot current with the heap charges,
 through :meth:`HeapFile.charge_scan`, exactly what :meth:`HeapFile.scan`
 would have.
@@ -25,8 +27,9 @@ from typing import Iterator, NamedTuple, Optional
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
 from repro.storage.page import (
-    DEFAULT_PAGE_SIZE, Page, PageFullError, check_record_size,
+    DEFAULT_PAGE_SIZE, Page, PageFullError, PageView, check_record_size,
 )
+from repro.storage.record import StoredRecord
 
 _file_ids = itertools.count()
 
@@ -61,17 +64,6 @@ class HeapFile:
         self._record_count = 0
         # page numbers that regained free space through deletions
         self._free_hints: list[int] = []
-        #: bumped on every mutation; lets observers detect change in O(1)
-        self.mutation_clock = 0
-        #: last clock value at which a *non-tail-append* mutation happened
-        #: (delete, replace, free, or an insert into a reclaimed page).
-        #: While this stays put, physical scan order only ever grows at
-        #: the tail — the contract behind :meth:`scan_suffix`.
-        self.structural_clock = 0
-        #: per page, the ``mutation_clock`` of its last change: a page
-        #: whose clock is at most an observer's clock still holds what
-        #: that observer saw
-        self.page_clocks: list[int] = []
 
     # ------------------------------------------------------------------
     # properties
@@ -97,6 +89,12 @@ class HeapFile:
         hint list fed by deletions — constant work per insert instead of a
         full page-directory scan.
         """
+        return self.place(StoredRecord(record))
+
+    def place(self, stored: StoredRecord) -> RecordId:
+        """:meth:`insert` the record *stored* is, as that object (a move
+        from another heap, see :meth:`take`)."""
+        record = stored.data
         check_record_size(record, self.page_size)
         page_number = -1
         if self._pages and self._pages[-1].fits(record):
@@ -110,17 +108,9 @@ class HeapFile:
                 self._free_hints.pop()
         if page_number < 0:
             self._pages.append(Page(self.page_size))
-            self.page_clocks.append(0)
             page_number = len(self._pages) - 1
-        page = self._pages[page_number]
-        slot = page.insert(record)
+        slot = self._pages[page_number].place(stored)
         self._record_count += 1
-        self.mutation_clock += 1
-        self.page_clocks[page_number] = self.mutation_clock
-        if page_number != len(self._pages) - 1 or not page.is_tail_slot(slot):
-            # landed in a reclaimed page or a reused tombstone slot:
-            # scan order grew in the middle, not at the tail
-            self.structural_clock = self.mutation_clock
         self.io.records_written += 1
         self.io.bytes_written += len(record)
         self.io.pages_written += 1
@@ -133,11 +123,17 @@ class HeapFile:
         self.io.records_read += 1
         return record
 
+    def take(self, rid: RecordId) -> StoredRecord:
+        """:meth:`read` then :meth:`delete` one record, returned as the
+        object it is stored as, for :meth:`place` on another heap."""
+        stored = self._pages[rid.page].stored(rid.slot)
+        self.read(rid)
+        self.delete(rid)
+        return stored
+
     def delete(self, rid: RecordId) -> bytes:
         record = self._pages[rid.page].delete(rid.slot)
         self._record_count -= 1
-        self.mutation_clock += 1
-        self.structural_clock = self.page_clocks[rid.page] = self.mutation_clock
         self.io.records_deleted += 1
         if len(self._free_hints) < 64:
             self._free_hints.append(rid.page)
@@ -150,8 +146,6 @@ class HeapFile:
         except PageFullError:
             self.delete(rid)
             return self.insert(record)
-        self.mutation_clock += 1
-        self.structural_clock = self.page_clocks[rid.page] = self.mutation_clock
         self.io.records_written += 1
         self.io.bytes_written += len(record)
         self.io.pages_written += 1
@@ -182,29 +176,11 @@ class HeapFile:
                 self._charge_page_read(page_number, page.used_bytes)
                 io.records_read += live
 
-    def scan_page(self, page_number: int) -> list[tuple[RecordId, bytes]]:
-        """The ``(rid, record)`` pairs of one page, in :meth:`scan` order;
-        charges nothing."""
-        return [
-            (_rid((page_number, slot)), record)
-            for slot, record in self._pages[page_number].records()
-        ]
-
-    def scan_suffix(self, after: Optional[RecordId]) -> Iterator[tuple[RecordId, bytes]]:
-        """Scan records strictly after *after* in physical order.
-
-        Only meaningful while ``structural_clock`` has not advanced past
-        the observation that produced *after*: under that contract every
-        newer record sits at a strictly greater (page, slot) address, so
-        the suffix is exactly the records this yields.  ``None`` scans
-        everything (the empty-heap observation).  Charges nothing.
-        """
-        page_number, start = (0, 0) if after is None else (after.page, after.slot + 1)
-        for page in self._pages[page_number:]:
-            for slot, record in page.records(start):
-                yield _rid((page_number, slot)), record
-            page_number += 1
-            start = 0
+    def page_views(self) -> tuple[PageView, ...]:
+        """The views of the pages holding live records, in :meth:`scan`
+        order — a page unchanged since the last call gives the same
+        object.  Charges nothing."""
+        return tuple(view for view in map(Page.view, self._pages) if view.records)
 
     def _charge_page_read(self, page_number: int, payload_bytes: int) -> None:
         if self.buffer_pool is not None:
@@ -218,10 +194,7 @@ class HeapFile:
     def free(self) -> None:
         """Release all pages (partition dropped) and invalidate the cache."""
         self._pages.clear()
-        self.page_clocks.clear()
         self._record_count = 0
         self._free_hints.clear()
-        self.mutation_clock += 1
-        self.structural_clock = self.mutation_clock
         if self.buffer_pool is not None:
             self.buffer_pool.invalidate_file(self.file_id)

@@ -7,11 +7,19 @@ the granularity in which the I/O statistics count reads, mirroring the
 paper's remark that in disk-based systems "pages may represent a partition
 granularity" — here pages are below partitions: each partition is a heap
 file of pages.
+
+A slot holds a :class:`~repro.storage.record.StoredRecord` — the bytes
+plus what readers decoded from them — behind a bytes-in, bytes-out API.
+:meth:`Page.view` is the page's live records at one moment as an
+immutable :class:`PageView`, cached until the page next changes, so
+every reader that sees the page unchanged shares one view.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
+
+from repro.storage.record import StoredRecord
 
 DEFAULT_PAGE_SIZE = 8192
 #: per-record slot bookkeeping we charge against the page budget
@@ -30,22 +38,41 @@ def check_record_size(record: bytes, page_size: int) -> None:
         )
 
 
+class PageView:
+    """A page's live records at one moment, in slot order.
+
+    Immutable: a change to the page makes the next :meth:`Page.view` a
+    new object, and this one keeps what it saw.  ``chunks`` is a memo
+    for readers — the snapshot keeps the page's rendered rows there per
+    query shape and scope.
+    """
+
+    __slots__ = ("records", "chunks")
+
+    def __init__(self, records: tuple[StoredRecord, ...]) -> None:
+        self.records = records
+        self.chunks: dict[Any, tuple[str, int]] = {}
+
+
 class Page:
     """One fixed-size slotted page of serialized records."""
 
-    __slots__ = ("page_size", "_slots", "_used")
+    __slots__ = ("page_size", "_slots", "_live", "_used", "_view")
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE) -> None:
         if page_size <= _SLOT_OVERHEAD:
             raise ValueError(f"page_size too small: {page_size}")
         self.page_size = page_size
-        # slot -> record bytes, None = tombstone
-        self._slots: list[Optional[bytes]] = []
+        # slot -> stored record, None = tombstone
+        self._slots: list[Optional[StoredRecord]] = []
+        self._live = 0
         self._used = 0
+        #: the live records as last viewed; dropped by every change
+        self._view: Optional[PageView] = None
 
     def __len__(self) -> int:
         """Number of live records."""
-        return len(self._slots) - self._slots.count(None)
+        return self._live
 
     @property
     def used_bytes(self) -> int:
@@ -61,31 +88,46 @@ class Page:
 
     def insert(self, record: bytes) -> int:
         """Store a record, reusing a tombstone slot if any; return the slot."""
-        need = len(record) + _SLOT_OVERHEAD
+        return self.place(StoredRecord(record))
+
+    def place(self, stored: StoredRecord) -> int:
+        """:meth:`insert` for a record already stored elsewhere: the
+        object itself, with what readers decoded from it."""
+        need = len(stored.data) + _SLOT_OVERHEAD
         if need > self.free_bytes:
             raise PageFullError(
-                f"record of {len(record)} bytes does not fit "
+                f"record of {len(stored.data)} bytes does not fit "
                 f"({self.free_bytes} bytes free)"
             )
         self._used += need
-        for slot, existing in enumerate(self._slots):
-            if existing is None:
-                self._slots[slot] = record
-                return slot
-        self._slots.append(record)
-        return len(self._slots) - 1
+        self._view = None
+        slots = self._slots
+        if self._live < len(slots):  # a tombstone to reuse
+            slot = slots.index(None)
+            slots[slot] = stored
+        else:
+            slot = len(slots)
+            slots.append(stored)
+        self._live += 1
+        return slot
+
+    def stored(self, slot: int) -> StoredRecord:
+        """The stored record in *slot*."""
+        stored = self._slots[slot] if 0 <= slot < len(self._slots) else None
+        if stored is None:
+            raise KeyError(f"no live record in slot {slot}")
+        return stored
 
     def read(self, slot: int) -> bytes:
-        record = self._slots[slot] if 0 <= slot < len(self._slots) else None
-        if record is None:
-            raise KeyError(f"no live record in slot {slot}")
-        return record
+        return self.stored(slot).data
 
     def delete(self, slot: int) -> bytes:
         """Tombstone a slot; return the record that was there."""
         record = self.read(slot)
         self._slots[slot] = None
+        self._live -= 1
         self._used -= len(record) + _SLOT_OVERHEAD
+        self._view = None
         return record
 
     def replace(self, slot: int, record: bytes) -> None:
@@ -96,27 +138,22 @@ class Page:
             raise PageFullError(
                 f"replacement record of {len(record)} bytes does not fit"
             )
-        self._slots[slot] = record
+        self._slots[slot] = StoredRecord(record)
         self._used = new_used
+        self._view = None
 
-    def is_tail_slot(self, slot: int) -> bool:
-        """Whether *slot* is the page's highest-numbered slot.
+    def records(self) -> Iterator[tuple[int, bytes]]:
+        """Yield ``(slot, record)`` for every live record."""
+        for slot, stored in enumerate(self._slots):
+            if stored is not None:
+                yield slot, stored.data
 
-        A freshly inserted record in the tail slot of the tail page is
-        the only placement that keeps physical scan order append-only —
-        the heap's structural clock relies on this distinction, since
-        :meth:`insert` may also fill an earlier tombstone.
-        """
-        return slot == len(self._slots) - 1
-
-    def records(self, start: int = 0) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(slot, record)`` for every live record in slot
-        *start* or later."""
-        slots = self._slots
-        for slot in range(start, len(slots)):
-            record = slots[slot]
-            if record is not None:
-                yield slot, record
+    def view(self) -> PageView:
+        """The live records as they are now, shared until the next change."""
+        view = self._view
+        if view is None:
+            view = self._view = PageView(tuple(filter(None, self._slots)))
+        return view
 
     def is_empty(self) -> bool:
-        return all(record is None for record in self._slots)
+        return not self._live

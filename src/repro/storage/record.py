@@ -188,6 +188,27 @@ def record_entity_id(data: bytes) -> int:
     return _read_varint(data, 0)[0]
 
 
+class StoredRecord:
+    """One record as a heap page holds it: its bytes, its entity id (read
+    off the first varint when the object is made) and what readers made
+    of it — ``decoded``, the ``(eid, attributes)`` pair once a reader
+    decoded it, and ``rows``, per query shape the record's rendered row
+    (``""``: it does not match) once a reader rendered it.
+
+    The bytes never change: an update stores a new object.  A split,
+    merge or reorganization moves the object itself from heap to heap,
+    so what was decoded and rendered for it moves along.
+    """
+
+    __slots__ = ("data", "eid", "decoded", "rows")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.eid = _read_varint(data, 0)[0]
+        self.decoded: Optional[tuple[int, dict[str, Any]]] = None
+        self.rows: Optional[dict[Any, str]] = None
+
+
 def deserialize_record(
     data: bytes,
     dictionary: "AttributeDictionary",

@@ -46,11 +46,7 @@ from repro.storage.entity import Entity
 from repro.storage.heap import HeapFile, RecordId
 from repro.storage.iostats import IOStats
 from repro.storage.page import DEFAULT_PAGE_SIZE, check_record_size
-from repro.storage.record import (
-    deserialize_record,
-    record_entity_id,
-    serialize_record,
-)
+from repro.storage.record import deserialize_record, serialize_record
 
 
 def _count_txn(outcome: str) -> None:
@@ -203,17 +199,18 @@ class CinderellaTable:
         moves: Iterable[Move],
         fresh_records: Optional[dict[int, bytes]] = None,
     ) -> None:
-        """Carry each moved entity's stored record (the same ``bytes``
-        object, so snapshot successors borrow its decode) to its target;
-        a fresh record is used by the entity's first move only."""
+        """Carry each moved entity's stored record to its target — the
+        object itself, so what a snapshot decoded and rendered for it
+        moves along; a fresh record is used by the entity's first move
+        only."""
         for move in moves:
             record = fresh_records.pop(move.eid, None) if fresh_records else None
+            target = self._heaps[move.to_pid]
             if record is None:
-                source_heap = self._heaps[move.from_pid]
-                rid = self._rids.pop(move.eid)
-                record = source_heap.read(rid)
-                source_heap.delete(rid)
-            self._rids[move.eid] = self._heaps[move.to_pid].insert(record)
+                stored = self._heaps[move.from_pid].take(self._rids.pop(move.eid))
+                self._rids[move.eid] = target.place(stored)
+            else:
+                self._rids[move.eid] = target.insert(record)
 
     def _drop_heaps(self, dropped_partitions: Iterable[int]) -> None:
         for pid in dropped_partitions:
@@ -299,11 +296,13 @@ class CinderellaTable:
 
         The rebuild runs on a scratch partitioner and the new heaps are
         filled with the stored records themselves (no decode, and the
-        same ``bytes`` objects, so snapshot successors borrow every
-        decoded record); neither touches the live table, so a failure
-        before the swap leaves it as it was.  The swap re-stamps every
-        rebuilt partition version past the replaced catalog's clock, so
-        no pre-reorganization cache entry can ever be served again.
+        same :class:`~repro.storage.record.StoredRecord` objects, so what
+        a snapshot decoded and rendered for them carries over; the old
+        heaps are charged a full scan); neither touches the live table,
+        so a failure before the swap leaves it as it was.  The swap
+        re-stamps every rebuilt partition version past the replaced
+        catalog's clock, so no pre-reorganization cache entry can ever
+        be served again.
         The returned report's ``partitioner`` is the table's own.
         """
         partitioner = self.partitioner
@@ -311,14 +310,16 @@ class CinderellaTable:
         rebuilt = report.partitioner
         records = {}
         for heap in self._heaps.values():
-            for _rid, record in heap.scan():
-                records[record_entity_id(record)] = record
+            heap.charge_scan()
+            for view in heap.page_views():
+                for stored in view.records:
+                    records[stored.eid] = stored
         heaps: dict[int, HeapFile] = {}
         rids: dict[int, RecordId] = {}
         for partition in rebuilt.catalog:
             heap = heaps[partition.pid] = self._new_heap()
             for eid in partition.entity_ids():
-                rids[eid] = heap.insert(records[eid])
+                rids[eid] = heap.place(records[eid])
         partitioner._step("reorganize:swap")
         # the rebuilt catalog restarts pids from zero; re-stamp all its
         # partition versions past the replaced catalog's clock so no
@@ -359,8 +360,9 @@ class CinderellaTable:
         moved the catalog's version clock since (a clock that never
         repeats, through rollbacks and reorganizations alike).
 
-        The publish re-reads only the heap pages that changed and
-        charges no I/O; the snapshot is current until the next write.
+        The publish rebuilds only the partitions that changed, from
+        their heaps' page views, and charges no I/O; the snapshot is
+        current until the next write.
         """
         latest = self._snapshots.latest
         if latest is None or latest.version_clock != self.catalog.version_clock:

@@ -24,15 +24,21 @@ the single-writer read barrier:
    reorganization keeps publication monotonic, and a pinned snapshot
    outlives a merge/split cascade without a bit changing.
 6. **Successor states** — a partition state rebuilt after a delete, an
-   update or a split/merge move keeps its predecessor's unchanged heap
-   pages and borrows its predecessors' decoded records and rendered
-   rows: it serves byte-identically to a fresh publish, a rebuild reads
-   only the pages that changed, re-serving costs only the records that
-   changed, and borrowing never keeps a replaced state alive.
+   update or a split/merge move shares its predecessor's unchanged page
+   views, and its stored records keep their decodes and rendered rows:
+   it serves byte-identically to a fresh publish, a rebuild builds only
+   the page views that changed, re-serving costs only the records that
+   changed, and nothing keeps a replaced state alive.
+7. **Publish by changed pid** — a publish rebuilds only the partitions
+   the catalog recorded as changed (after one insert, a savepoint
+   rollback, a pid reused after a rolled-back create, a merge), all of
+   them after a reorganization, for every manager that publishes the
+   table, with bookkeeping bounded by the partitions touched.
 """
 
 import gc
 import json
+import operator
 import random
 import threading
 import weakref
@@ -46,7 +52,6 @@ from repro.query.snapshot import ShardScope, SnapshotManager, query_sig
 from repro.server import CinderellaServer, ServerConfig, ServerThread
 from repro.server.client import ServerClient
 from repro.sql import execute as execute_sql
-from repro.storage.heap import HeapFile
 from repro.storage.page import DEFAULT_PAGE_SIZE
 from repro.table.partitioned import CinderellaTable
 
@@ -168,9 +173,9 @@ class TestDifferentialOracle:
                 assert in_a + in_b == in_ab
 
     def test_older_snapshot_served_after_the_newest_leaves_its_chunk_alone(self):
-        """Newest first, then an older pinned snapshot sharing the state
-        (a shorter prefix: served without storing), then the newest again
-        — whole and scoped, each with its own chunk."""
+        """Newest first, then an older pinned snapshot sharing its records
+        (an older view of the page: served from its own chunk), then the
+        newest again — whole and scoped, each with its own chunk."""
         table = build_table(max_partition_size=1000.0)
         manager = SnapshotManager(retain=4)
         query = AttributeQuery(("attr0", "common"), mode="any")
@@ -183,34 +188,38 @@ class TestDifferentialOracle:
             table.insert({"common": i % 3, "attr0": i}, entity_id=i)
         newest = manager.publish(table)
         assert naive_rows(newest, query, None) == freeze(table.execute_naive(query))
-        # append-only growth: one state object, two prefix lengths
+        # the page grew: two views of it, sharing the ten older records
         (older_view,), (newest_view,) = older.views, newest.views
-        state = newest_view._state
-        assert older_view._state is state
+        (older_page,) = older_view._state.pages
+        (page,) = newest_view._state.pages
+        assert older_page is not page
+        assert all(map(operator.is_, older_page.records, page.records[:10]))
         assert older_view.count == 10 and newest_view.count == 25
 
         for scope in (None, SCOPE_A):
             older_oracle = naive_rows(older, query, scope)
             newest_oracle = naive_rows(newest, query, scope)
             (scoped_view,) = newest.scoped(scope).views
-            assert scoped_view._state is state  # shared, not re-decoded
+            # shared, not re-decoded
+            assert scoped_view._state is newest_view._state
 
             fragment, row_count, from_cache = newest.scoped(scope).serve_query(query)
             assert not from_cache and row_count == len(newest_oracle)
             assert served_rows(fragment) == newest_oracle
-            entry = state.chunk_cache[sig, scope]
-            assert entry[:2] == (25, len(newest_oracle))
+            entry = page.chunks[sig, scope]
+            assert entry[1] == len(newest_oracle)
 
             fragment, row_count, from_cache = older.scoped(scope).serve_query(query)
             assert not from_cache and row_count == len(older_oracle)
             assert served_rows(fragment) == older_oracle
-            assert state.chunk_cache[sig, scope] is entry  # not clobbered
+            assert page.chunks[sig, scope] is entry  # not clobbered
+            assert older_page.chunks[sig, scope][1] == len(older_oracle)
 
-            assert scoped_view.chunk(query, sig) == (entry[2], len(newest_oracle))
+            assert scoped_view.chunk(query, sig) == (entry[0], len(newest_oracle))
             assert served_rows(
                 newest.scoped(scope).serve_query(query)[0]
             ) == newest_oracle
-        assert len(state.chunk_cache) == 2  # one chunk per (shape, scope)
+        assert len(page.chunks) == 2  # one chunk per (shape, scope)
 
     def test_two_interleaved_snapshots_disagree_exactly_by_the_batch(self):
         """The rows a later snapshot adds are exactly the committed delta."""
@@ -636,6 +645,38 @@ def serve_everything(snapshot) -> None:
             snapshot.scoped(scope).serve_query(query)
 
 
+def count_page_views(monkeypatch) -> list[int]:
+    """Count the page views built from here on (one counter cell)."""
+    import repro.storage.page as page_module
+
+    built = [0]
+
+    class CountingPageView(page_module.PageView):
+        __slots__ = ()
+
+        def __init__(self, records) -> None:
+            built[0] += 1
+            super().__init__(records)
+
+    monkeypatch.setattr(page_module, "PageView", CountingPageView)
+    return built
+
+
+def count_states(monkeypatch) -> list[int]:
+    """Count the partition states built from here on (one counter cell)."""
+    import repro.query.snapshot as snapshot_module
+
+    built = [0]
+    init = snapshot_module._PartitionState.__init__
+
+    def counting_init(self, *args) -> None:
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(snapshot_module._PartitionState, "__init__", counting_init)
+    return built
+
+
 def sql_rows(sql: str, snapshot) -> list[dict]:
     return [dict(row) for row in execute_sql(sql, snapshot).rows]
 
@@ -817,41 +858,34 @@ class TestSuccessorStates:
 
     def test_a_rebuild_reads_only_the_page_that_changed(self, monkeypatch):
         """One 400-record partition on 17 pages of 512 bytes: the
-        publish after an in-place update reads at most the one page the
-        update changed (the whole heap before page-granular rebuilds),
-        and serves what a fresh publish serves.  A publish charges no
-        I/O, so the records it reads are counted at the heap's two
-        page-granular reads."""
+        publish after an in-place update builds one new page view, for
+        the page the update changed, and shares the other 16 by identity
+        (the whole heap was read before page-granular rebuilds); it
+        charges no I/O and serves what a fresh publish serves."""
         table = build_table(max_partition_size=100_000.0, page_size=512)
         for i in range(400):
             table.insert({"common": i % 3, "attr0": i, "attr1": i}, entity_id=i)
         (partition,) = table.catalog
         heap = table.heap_of(partition.pid)
         assert heap.page_count == 17
-        per_page = max(len(heap.scan_page(n)) for n in range(heap.page_count))
         manager = SnapshotManager()
         for query in self.SHAPES:
             manager.publish(table).serve_query(query)
+        (view,) = manager.latest.views
+        pages_before = view._state.pages
 
         assert table.update(205, {"common": 7, "attr0": -5, "attr1": -5}).in_place
-        read = []
-        scan_page, scan_suffix = HeapFile.scan_page, HeapFile.scan_suffix
-
-        def counting_page(heap, number):
-            pairs = scan_page(heap, number)
-            read.extend(pairs)
-            return pairs
-
-        def counting_suffix(heap, after):
-            for pair in scan_suffix(heap, after):
-                read.append(pair)
-                yield pair
-
-        monkeypatch.setattr(HeapFile, "scan_page", counting_page)
-        monkeypatch.setattr(HeapFile, "scan_suffix", counting_suffix)
+        built = count_page_views(monkeypatch)
         before = table.io.snapshot()
         latest = manager.publish(table)
-        assert 0 < len(read) <= per_page
+        (view,) = latest.views
+        pages = view._state.pages
+        assert built == [1]
+        assert len(pages) == len(pages_before) == 17
+        new = [page for page, old in zip(pages, pages_before) if page is not old]
+        assert len(new) == 1 and any(
+            stored.eid == 205 for stored in new[0].records
+        )
         assert table.io == before
         fresh = SnapshotManager().publish(table)
         for query in self.SHAPES:
@@ -961,3 +995,223 @@ class TestSuccessorStates:
             serve_everything(manager.publish(table))
         gc.collect()
         assert first() is None
+
+
+def versions_moved(table, snapshot) -> set[int]:
+    """The live pids whose version differs from *snapshot*'s view of
+    them (a pid the snapshot lacks counts as moved)."""
+    catalog = table.catalog
+    seen = {view.pid: view.version for view in snapshot.views}
+    return {
+        pid for pid in catalog.partition_ids()
+        if seen.get(pid) != catalog.version_of(pid)
+    }
+
+
+def assert_serves_the_oracle(table, snapshot) -> None:
+    for query in PROBES:
+        expected = freeze(table.execute_naive(query))
+        assert snapshot_rows(snapshot, query) == expected
+        assert served_rows(snapshot.serve_query(query)[0]) == expected
+
+
+class TestPublishVisitsOnlyWhatChanged:
+    """A publish rebuilds the partitions the catalog recorded as changed
+    since the manager last took its changes, reuses every other view,
+    and serves exactly what the naive oracle reads from the heaps."""
+
+    @staticmethod
+    def wide_table(partitions: int = 210) -> CinderellaTable:
+        """One partition per entity: each has an attribute of its own."""
+        table = build_table()
+        for eid in range(partitions):
+            table.insert({f"own{eid}": eid, "common": eid % 3}, entity_id=eid)
+        assert len(table.catalog) == partitions
+        return table
+
+    def test_one_insert_builds_one_state_and_at_most_one_page(self, monkeypatch):
+        table = self.wide_table()
+        manager = SnapshotManager()
+        before = manager.publish(table)
+        states, pages = count_states(monkeypatch), count_page_views(monkeypatch)
+        outcome = table.insert({"own7": -7, "common": 1}, entity_id=1000)
+        assert not outcome.splits and len(table.catalog) == 210
+        latest = manager.publish(table)
+        assert states == [1] and pages[0] <= 1
+        kept = [
+            new for new, old in zip(latest.views, before.views) if new is old
+        ]
+        assert len(kept) == 209  # every other pid: the previous view itself
+        assert_serves_the_oracle(table, latest)
+
+    def test_a_reorganization_rebuilds_every_partition(self, monkeypatch):
+        table = self.wide_table(40)
+        manager = SnapshotManager()
+        manager.publish(table)
+        table.reorganize(order="size")
+        states = count_states(monkeypatch)
+        latest = manager.publish(table)
+        assert states == [len(table.catalog)]
+        assert_serves_the_oracle(table, latest)
+
+    def test_a_savepoint_rollback_in_a_batch_rebuilds_only_what_it_touched(
+        self, monkeypatch
+    ):
+        """A group commit's shape: one transaction, a savepoint per
+        write, and a write that crashes mid-way rolled back to its
+        savepoint while the writes around it stand."""
+        from repro.txn.crash import CrashInjector, MidOperationCrash
+
+        table = self.wide_table()
+        manager = SnapshotManager()
+        before = manager.publish(table)
+        txn = table.catalog.begin_transaction()
+        table.insert({"own3": -3, "common": 0}, entity_id=1000)
+        savepoint = txn.savepoint()
+        table.partitioner.crash_hook = CrashInjector(crash_at=0).reached
+        try:
+            table.insert({"own5": -5, "common": 0}, entity_id=1001)
+        except MidOperationCrash:
+            txn.rollback_to(savepoint)
+        else:
+            raise AssertionError("the injected crash did not fire")
+        table.partitioner.crash_hook = None
+        table.update(9, {"own9": -9, "common": 2})
+        txn.commit()
+        # the partitions of entity 3 (its twin was added), of entity 5
+        # (its twin's add was rolled back) and of the updated entity 9
+        moved = versions_moved(table, before)
+        assert moved == {table.catalog.partition_of(eid) for eid in (3, 5, 9)}
+        states = count_states(monkeypatch)
+        latest = manager.publish(table)
+        assert states == [len(moved)] and len(moved) == 3
+        assert table.check_consistency() == []
+        assert_serves_the_oracle(table, latest)
+
+    def test_a_pid_reused_after_a_rolled_back_create_is_rebuilt(
+        self, monkeypatch
+    ):
+        from repro.txn.crash import CrashInjector, MidOperationCrash
+
+        table = self.wide_table()
+        manager = SnapshotManager()
+        manager.publish(table)
+        for publish_between in (True, False):
+            reused = table.catalog.next_partition_id
+            txn = table.catalog.begin_transaction()
+            table.partitioner.crash_hook = CrashInjector(crash_at=0).reached
+            try:
+                table.insert({"fresh": 1}, entity_id=2000)
+            except MidOperationCrash:
+                txn.rollback()
+            else:
+                raise AssertionError("the injected crash did not fire")
+            table.partitioner.crash_hook = None
+            assert table.catalog.next_partition_id == reused
+            if publish_between:
+                assert_serves_the_oracle(table, manager.publish(table))
+            states = count_states(monkeypatch)
+            table.insert({"fresh": 1}, entity_id=2000)
+            assert table.catalog.partition_of(2000) == reused
+            latest = manager.publish(table)
+            assert states == [1]
+            assert [e for e, _ in latest.view_of(reused).entities()] == [2000]
+            assert_serves_the_oracle(table, latest)
+            table.delete(2000)  # drops the pid again for the next round
+            assert reused not in table.catalog
+            latest = manager.publish(table)
+            assert all(view.pid != reused for view in latest.views)
+            assert_serves_the_oracle(table, latest)
+
+    def test_a_merge_rebuilds_only_the_partitions_it_touched(self, monkeypatch):
+        """Delete-heavy fragments merge (their sources dropped) beside a
+        group of partitions the merge leaves alone."""
+        table = CinderellaTable(CinderellaConfig(max_partition_size=10, weight=0.4))
+        for eid in range(60):
+            table.insert(
+                {"common": 1, f"attr{eid % 2}": eid, f"g{eid % 6}": 1},
+                entity_id=eid,
+            )
+        for eid in range(100, 130):
+            table.insert({f"own{eid % 10}": eid}, entity_id=eid)
+        for eid in range(60):
+            if eid % 5:
+                table.delete(eid)
+        manager = SnapshotManager()
+        before = manager.publish(table)
+        report = table.merge_small_partitions(min_fill=0.5)
+        assert report.dropped_partitions
+        moved = versions_moved(table, before)
+        states = count_states(monkeypatch)
+        latest = manager.publish(table)
+        assert states == [len(moved)] and 0 < len(moved) < len(table.catalog)
+        assert {view.pid for view in latest.views} == set(
+            table.catalog.partition_ids()
+        )
+        for view in latest.views:
+            if view.pid not in moved:
+                assert view is before.view_of(view.pid)
+        assert_serves_the_oracle(table, latest)
+
+    def test_every_manager_publishing_a_table_sees_every_change(self):
+        """The table's own manager, a node-style manager and a third one
+        publish the same table in turn, with writes between: each sees
+        every change, including the ones another manager took."""
+        rng = random.Random(WORKLOAD_SEED)
+        table = build_table()
+        first, second = SnapshotManager(), SnapshotManager(retain=2)
+        live: list[int] = []
+        for step in range(60):
+            for _ in range(3):
+                if not live or rng.random() < 0.6:
+                    eid = 100 + step * 3 + len(live)
+                    while eid in table:
+                        eid += 1
+                    table.insert(
+                        {"common": eid % 3, f"attr{rng.randrange(4)}": eid},
+                        entity_id=eid,
+                    )
+                    live.append(eid)
+                elif rng.random() < 0.5:
+                    table.update(
+                        live[rng.randrange(len(live))],
+                        {"renamed": step, f"attr{rng.randrange(4)}": step},
+                    )
+                else:
+                    table.delete(live.pop(rng.randrange(len(live))))
+            turn = step % 3
+            if turn == 0:
+                assert_serves_the_oracle(table, first.publish(table))
+            elif turn == 1:
+                assert_serves_the_oracle(table, second.publish(table))
+            else:
+                for query in PROBES:
+                    assert table.execute(query).rows == (
+                        table.execute_naive(query).rows
+                    )
+        assert table.partitioner.split_count > 0
+
+    def test_the_changed_pids_stay_bounded_without_a_read(self):
+        """10,000 writes with no publish between them: the catalog keeps
+        one entry per partition they touched, not one per write."""
+        table = build_table(max_partition_size=1000.0)
+        for eid in range(30):
+            table.insert({f"own{eid}": eid}, entity_id=eid)
+        assert len(table.catalog) == 30
+        manager = SnapshotManager()
+        manager.publish(table)
+        rng = random.Random(WORKLOAD_SEED)
+        touched = set()
+        for i in range(10_000):
+            eid = rng.randrange(30)
+            if i % 2:
+                table.update(eid, {f"own{eid}": i})
+            else:
+                table.insert({f"own{eid}": i}, entity_id=10_000 + i)
+                table.delete(10_000 + i)
+            touched.add(table.catalog.partition_of(eid))
+        assert len(table.catalog) == 30
+        assert table.catalog._changed == touched
+        assert len(touched) <= 30
+        assert_serves_the_oracle(table, manager.publish(table))
+        assert table.catalog._changed == set()

@@ -421,9 +421,10 @@ class TestSubsystemCoverage:
         assert state.tracer.find_trace("maintenance.merge") is not None
 
     def test_snapshot_publish_is_traced(self):
-        """``snapshot.publish`` names what a publish did: a rebuild
-        after an in-place update reads the one page that changed, a
-        tail insert extends its state in place."""
+        """``snapshot.publish`` names what a publish did: after an
+        in-place update, and after a tail insert, it touched and rebuilt
+        the one partition and built the one page view that changed; with
+        nothing written since, it touched nothing."""
         table = CinderellaTable(
             CinderellaConfig(max_partition_size=100_000.0), page_size=512
         )
@@ -436,13 +437,14 @@ class TestSubsystemCoverage:
         manager.publish(table)
         table.insert({"a": 100}, entity_id=100)
         manager.publish(table)
+        manager.publish(table)
         obs.disable()
         publishes = [
-            (span.attributes["rebuilt"], span.attributes["appended"],
-             span.attributes["pages_read"])
+            (span.attributes["touched"], span.attributes["rebuilt"],
+             span.attributes["pages_built"])
             for span in state.tracer.finished if span.name == "snapshot.publish"
         ]
-        assert publishes == [(1, 0, 1), (0, 1, 0)]
+        assert publishes == [(1, 1, 1), (1, 1, 1), (0, 0, 0)]
 
     def test_the_table_merge_transaction_is_traced_and_counted(self):
         """A committed merge and a crashed one: ``txn.merge`` wraps the

@@ -1,5 +1,7 @@
 """Tests for pages, heap files, the buffer pool, and I/O accounting."""
 
+import operator
+
 import pytest
 
 from repro.storage.buffer import BufferPool
@@ -111,37 +113,74 @@ class TestHeapFile:
         # room the relocation left on page 0
         assert heap.insert(b"s" * 10).page == 0
 
-    def test_page_clocks_track_every_mutation_kind(self):
+    def test_page_views_change_with_every_mutation_kind(self):
+        """A page's view is one object until the page changes — by an
+        insert, an in-place or relocating replace, or a delete — and the
+        other pages keep theirs."""
         heap = HeapFile(page_size=64)
+
+        def contents(views):
+            return [[stored.data for stored in view.records] for view in views]
+
         a = heap.insert(b"a" * 20)
         b = heap.insert(b"b" * 20)
         c = heap.insert(b"c" * 20)  # page 1
-        assert heap.page_clocks == [2, 3]
+        first = heap.page_views()
+        assert contents(first) == [[b"a" * 20, b"b" * 20], [b"c" * 20]]
+        assert all(map(operator.is_, heap.page_views(), first))
         heap.replace(a, b"A" * 20)  # in place
-        assert heap.page_clocks == [4, 3]
-        heap.delete(c)
-        assert heap.page_clocks == [4, 5]
+        views = heap.page_views()
+        assert views[0] is not first[0] and views[1] is first[1]
+        assert contents(views) == [[b"A" * 20, b"b" * 20], [b"c" * 20]]
+        heap.delete(c)  # page 1 holds nothing: it has no view
+        (only,) = heap.page_views()
+        assert only is views[0]
         moved = heap.replace(b, b"B" * 40)  # relocates: a delete, an insert
         assert moved.page == 1
-        assert heap.page_clocks == [6, 7] and heap.mutation_clock == 7
+        views = heap.page_views()
+        assert views[0] is not only
+        assert contents(views) == [[b"A" * 20], [b"B" * 40]]
         heap.free()
-        assert heap.page_clocks == []
+        assert heap.page_views() == ()
 
-    def test_scan_page_reads_one_page_like_scan(self):
+    def test_page_views_read_pages_like_scan(self):
         io = IOStats()
         heap = HeapFile(page_size=64, io=io)
         rids = [heap.insert(bytes([65 + i]) * 20) for i in range(5)]
         heap.delete(rids[2])
         before = io.snapshot()
-        pages = [heap.scan_page(n) for n in range(heap.page_count)]
-        # a publish's read, not a query's: scan_page charges nothing
+        views = heap.page_views()
+        # a publish's read, not a query's: page_views charges nothing
         assert io.delta_since(before) == IOStats()
-        assert [pair for page in pages for pair in page] == list(heap.scan())
-        assert [len(page) for page in pages] == [2, 1, 1]
+        assert [stored.data for view in views for stored in view.records] == [
+            record for _rid, record in heap.scan()
+        ]
+        assert [len(view.records) for view in views] == [2, 1, 1]
         heap.delete(rids[3])
         before = io.snapshot()
-        assert heap.scan_page(1) == []
+        assert [len(view.records) for view in heap.page_views()] == [2, 1]
         assert io.delta_since(before) == IOStats()
+
+    def test_take_and_place_move_the_stored_record_itself(self):
+        """A move hands the stored object on, charged like a read and a
+        delete on the source and an insert on the target."""
+        moved_io, copied_io = IOStats(), IOStats()
+        for io in (moved_io, copied_io):
+            source = HeapFile(page_size=64, io=io)
+            target = HeapFile(page_size=64, io=io)
+            rid = source.insert(b"r" * 20)
+            stored = source._pages[0].stored(rid.slot)
+            if io is moved_io:
+                taken = source.take(rid)
+                assert taken is stored
+                new_rid = target.place(taken)
+                assert target._pages[0].stored(new_rid.slot) is stored
+            else:
+                record = source.read(rid)
+                source.delete(rid)
+                new_rid = target.insert(record)
+            assert len(source) == 0 and target.read(new_rid) == b"r" * 20
+        assert moved_io == copied_io
 
     def test_charge_scan_charges_what_a_scan_charges(self):
         """Pages with live records, their bytes and records, through the
