@@ -2,7 +2,10 @@
 (paper: weight 0.5; B = 500 / 5 000 / 50 000).
 
 Prints the per-insert time histogram (simulated cost-model milliseconds,
-log-scale buckets) per size limit, plus the split counts.
+log-scale buckets) per size limit, plus the split counts, and the same
+inserts in measured wall-clock microseconds — ordinary and splitting
+inserts apart.  Nothing is asserted on the wall-clock values: they depend
+on the machine, the simulated ones do not.
 
 Paper findings this bench reproduces and asserts:
 
@@ -13,6 +16,8 @@ Paper findings this bench reproduces and asserts:
 * the number of splits *decreases* as B grows (paper: 448 / 100 / 0),
   while each split gets more expensive (more entities to move).
 """
+
+from itertools import compress
 
 from repro.core.efficiency import percentile
 from repro.reporting.histogram import LogHistogram, render_histogram
@@ -54,6 +59,46 @@ def test_fig8_insert_time_distribution(benchmark, cinderella_loads, dbpedia):
             ],
             rows,
             title="Figure 8: insert execution time (w = 0.5, simulated ms)",
+        )
+    )
+    print()
+    wall_rows = []
+    for b, loaded in loads.items():
+        for kind, splitting in (("ordinary", False), ("splitting", True)):
+            picked = [split is splitting for split in loaded.insert_split]
+            sim = sorted(compress(loaded.insert_sim_ms, picked))
+            wall = sorted(ms * 1000 for ms in compress(loaded.insert_wall_ms, picked))
+            if not wall:
+                wall_rows.append([f"B={b}", kind, 0] + ["-"] * 6)
+                continue
+            wall_rows.append(
+                [
+                    f"B={b}",
+                    kind,
+                    len(wall),
+                    percentile(sim, 50),
+                    percentile(sim, 99),
+                    sim[-1],
+                    percentile(wall, 50),
+                    percentile(wall, 99),
+                    wall[-1],
+                ]
+            )
+    print(
+        format_table(
+            [
+                "limit",
+                "inserts",
+                "count",
+                "median ms (sim)",
+                "p99 ms (sim)",
+                "max ms (sim)",
+                "median us (wall)",
+                "p99 us (wall)",
+                "max us (wall)",
+            ],
+            wall_rows,
+            title="Figure 8: simulated ms beside measured wall-clock us per insert",
         )
     )
     for b, loaded in loads.items():

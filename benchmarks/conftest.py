@@ -84,11 +84,16 @@ class LoadedCinderella:
     table: CinderellaTable
     #: simulated per-insert times (cost model, ms) — Figure 8's histogram
     insert_sim_ms: list[float] = field(default_factory=list)
-    #: wall-clock per-insert times (ms), secondary evidence
+    #: wall-clock per-insert times (ms), Figure 8 in measured time
     insert_wall_ms: list[float] = field(default_factory=list)
-    #: inserts that triggered at least one split
-    split_inserts: int = 0
+    #: per insert: whether it triggered at least one split
+    insert_split: list[bool] = field(default_factory=list)
     load_wall_s: float = 0.0
+
+    @property
+    def split_inserts(self) -> int:
+        """Inserts that triggered at least one split."""
+        return sum(self.insert_split)
 
 
 @pytest.fixture(scope="session")
@@ -155,8 +160,7 @@ def cinderella_loads(dbpedia):
                     partitions_created=len(outcome.created_partitions),
                 )
             )
-            if outcome.splits:
-                loaded.split_inserts += 1
+            loaded.insert_split.append(outcome.splits > 0)
         loaded.load_wall_s = time.perf_counter() - started_load
         cache[key] = loaded
         return loaded

@@ -257,6 +257,29 @@ class PartitionCatalog:
             self.index.on_bits_removed(pid, removed_bits, partition.mask)
         return pid, mask, size
 
+    def drain(self, pid: int) -> list[tuple[int, int, float]]:
+        """Empty a partition in one pass (a split's source); return its
+        members as ``(eid, mask, size)`` in their current order.
+
+        One version bump and one index update; the partition stays, empty,
+        for the caller to drop.  An active transaction still records one
+        removal per member, so rollback restores them one by one.
+        """
+        partition = self.get(pid)
+        txn = self._txn
+        if txn is not None:
+            for eid, mask, size in partition.members():
+                txn.note_remove(pid, eid, mask, size)
+        removed_bits = partition.mask
+        members = partition.detach()
+        locations = self._entity_to_pid
+        for eid, _mask, _size in members:
+            del locations[eid]
+        self._bump_version(pid)
+        if self.index is not None and removed_bits:
+            self.index.on_bits_removed(pid, removed_bits, 0)
+        return members
+
     def observe_starters(self, pid: int, eid: int, mask: int) -> None:
         """Run starter maintenance for *eid* against partition *pid*.
 
@@ -288,19 +311,20 @@ class PartitionCatalog:
     # ------------------------------------------------------------------
     # scans
     # ------------------------------------------------------------------
-    def candidates(self, entity_mask: int, weight: float) -> Iterator[Partition]:
+    def candidates(self, entity_mask: int, weight: float) -> list[Partition]:
         """Partitions to rate for an insert (Algorithm 1, lines 4–7).
 
-        Without an index this is every partition.  With the index, the scan
-        is restricted to partitions that can possibly rate non-negatively
-        (see :mod:`repro.catalog.synopsis_index` for the argument); at
+        Without an index this is every partition, in catalog order.  With
+        the index, the scan is restricted to partitions that can possibly
+        rate non-negatively (see :mod:`repro.catalog.synopsis_index` for
+        the argument), in the iteration order of the index's pid set; at
         ``weight == 1.0`` the restriction would be unsound, so the full
         catalog is returned.
         """
         if self.index is None or weight >= 1.0:
-            return iter(self._partitions.values())
+            return list(self._partitions.values())
         pids = self.index.candidate_pids(entity_mask)
-        return (self._partitions[pid] for pid in pids)
+        return list(map(self._partitions.__getitem__, pids))
 
     # ------------------------------------------------------------------
     # diagnostics

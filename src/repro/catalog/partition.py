@@ -7,9 +7,10 @@ the accumulated ``SIZE(p)``, and the split-starter pair (Section III).
 
 The paper leaves open how the partition synopsis evolves when entities are
 removed; a stale superset synopsis stays *sound* for pruning but loses
-precision.  We keep the synopsis exact by maintaining per-attribute
-reference counts, so the synopsis bit of an attribute is cleared the moment
-its last instance leaves the partition (see DESIGN.md §6).
+precision.  We keep the synopsis exact without per-attribute counts: an
+arriving member ORs its mask in; a departing or updated member's bits are
+cleared when a scan of the members, stopped once every departed bit has
+been seen again, finds no one else holding them (see DESIGN.md §6).
 
 Physical storage of the entity payloads is handled separately by the table
 layer (:mod:`repro.table.partitioned`); the catalog works purely on synopsis
@@ -41,7 +42,6 @@ class Partition:
         "total_size",
         "starters",
         "_members",
-        "_attr_counts",
     )
 
     def __init__(self, pid: int) -> None:
@@ -55,8 +55,6 @@ class Partition:
         self.starters = SplitStarters()
         # entity id -> (mask, size)
         self._members: dict[int, tuple[int, float]] = {}
-        # attribute id -> number of member entities instantiating it
-        self._attr_counts: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -107,8 +105,6 @@ class Partition:
         self._members[eid] = (mask, size)
         self.total_size += size
         added_bits = mask & ~self.mask
-        for attr_id in iter_attribute_ids(mask):
-            self._attr_counts[attr_id] = self._attr_counts.get(attr_id, 0) + 1
         if added_bits:
             self.mask |= added_bits
             self.attr_count = self.mask.bit_count()
@@ -121,19 +117,13 @@ class Partition:
 
         ``removed_synopsis_bits`` are attributes whose last instance left
         the partition (postings to shrink).  ``repair_starters=False`` skips
-        the starter replay — used when draining a partition that is about
-        to be dropped, keeping splits linear.
+        the starter replay — used when the partition is about to be
+        dropped (a split's starters, a merge's members) or a rollback
+        restores its starters itself.
         """
         mask, size = self._members.pop(eid)
         self.total_size -= size
-        removed_bits = 0
-        for attr_id in iter_attribute_ids(mask):
-            count = self._attr_counts[attr_id] - 1
-            if count:
-                self._attr_counts[attr_id] = count
-            else:
-                del self._attr_counts[attr_id]
-                removed_bits |= 1 << attr_id
+        removed_bits = self._unheld(mask)
         if removed_bits:
             self.mask &= ~removed_bits
             self.attr_count = self.mask.bit_count()
@@ -152,20 +142,8 @@ class Partition:
         old_mask, old_size = self._members[eid]
         self._members[eid] = (mask, size)
         self.total_size += size - old_size
-        added_bits = 0
-        removed_bits = 0
-        for attr_id in iter_attribute_ids(old_mask & ~mask):
-            count = self._attr_counts[attr_id] - 1
-            if count:
-                self._attr_counts[attr_id] = count
-            else:
-                del self._attr_counts[attr_id]
-                removed_bits |= 1 << attr_id
-        for attr_id in iter_attribute_ids(mask & ~old_mask):
-            previous = self._attr_counts.get(attr_id, 0)
-            self._attr_counts[attr_id] = previous + 1
-            if previous == 0:
-                added_bits |= 1 << attr_id
+        added_bits = mask & ~self.mask
+        removed_bits = self._unheld(old_mask & ~mask)
         if added_bits or removed_bits:
             self.mask = (self.mask | added_bits) & ~removed_bits
             self.attr_count = self.mask.bit_count()
@@ -173,13 +151,29 @@ class Partition:
         self.starters.observe(eid, mask)
         return added_bits, removed_bits
 
+    def detach(self) -> list[tuple[int, int, float]]:
+        """Empty the partition in one pass, starters included; return its
+        former members as ``(entity_id, mask, size)`` in order."""
+        detached = [(eid, mask, size) for eid, (mask, size) in self._members.items()]
+        self._members = {}
+        self.mask = 0
+        self.attr_count = 0
+        self.total_size = 0.0
+        self.starters.clear()
+        return detached
+
+    def _unheld(self, bits: int) -> int:
+        """The subset of *bits* no member holds; the scan stops as soon
+        as every bit has been seen."""
+        for member_mask, _size in self._members.values():
+            bits &= ~member_mask
+            if not bits:
+                break
+        return bits
+
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    def attribute_ids(self) -> tuple[int, ...]:
-        """Attribute ids currently present in the partition synopsis."""
-        return tuple(iter_attribute_ids(self.mask))
-
     def sparseness(self) -> float:
         """Fraction of unset cells in the partition's entity × attribute grid.
 

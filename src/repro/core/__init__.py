@@ -13,7 +13,7 @@ from repro.core.efficiency import (
 )
 from repro.core.outcomes import ModificationOutcome, Move
 from repro.core.partitioner import CinderellaPartitioner, Partitioner
-from repro.core.rating import RatingBreakdown, rate, rate_fast
+from repro.core.rating import RatingBreakdown, best_rated, rate
 from repro.core.sizes import (
     AttributeCountSizeModel,
     ByteSizeModel,
@@ -39,12 +39,12 @@ __all__ = [
     "UniformSizeModel",
     "WorkloadBasedPartitioner",
     "WorkloadSynopsisEncoder",
+    "best_rated",
     "catalog_cells",
     "catalog_efficiency",
     "cell_efficiency",
     "partitioning_efficiency",
     "rate",
-    "rate_fast",
     "summarize_catalog",
     "universal_table_efficiency",
 ]

@@ -34,7 +34,6 @@ Two notes on fidelity to the published pseudocode:
 
 from __future__ import annotations
 
-import math
 from time import perf_counter
 from typing import Callable, Iterable, Optional, Protocol, Sequence
 
@@ -43,7 +42,7 @@ from repro.catalog.partition import Partition
 from repro.catalog.synopsis_index import SynopsisIndex
 from repro.core.config import CinderellaConfig
 from repro.core.outcomes import ModificationOutcome, Move
-from repro.core.rating import rate_fast
+from repro.core.rating import best_rated
 from repro.obs import runtime as obs
 
 #: the insert span itself feeds the latency histogram — one clock, one
@@ -275,39 +274,22 @@ class CinderellaPartitioner:
         run at span-per-operation granularity, not span-per-stage — see
         ``benchmarks/bench_observability.py`` and docs/OBSERVABILITY.md.
         """
-        weight = self.config.weight
-        normalize = self.config.normalize_rating
-        entity_attr_count = mask.bit_count()
-        best: Optional[Partition] = None
-        best_rating = -math.inf
-        if restricted is None:
-            candidates: Iterable[Partition] = self.catalog.candidates(mask, weight)
-        else:
-            candidates = restricted
-        first_fit = self.config.selection == "first"
+        config = self.config
+        candidates = (
+            self.catalog.candidates(mask, config.weight)
+            if restricted is None else restricted
+        )
         with (
             obs.span("partitioner.rate") if trace_stages else obs.NOOP_SPAN
         ) as span:
-            ratings_before = self.ratings_computed
-            for partition in candidates:
-                rating = rate_fast(
-                    mask,
-                    entity_attr_count,
-                    size,
-                    partition.mask,
-                    partition.attr_count,
-                    partition.total_size,
-                    weight,
-                    normalize=normalize,
-                )
-                self.ratings_computed += 1
-                if rating > best_rating:
-                    best_rating = rating
-                    best = partition
-                    if first_fit and rating >= 0.0:
-                        break
+            best, best_rating, rated = best_rated(
+                mask, size, candidates, config.weight,
+                normalize=config.normalize_rating,
+                first_fit=config.selection == "first",
+            )
+            self.ratings_computed += rated
             if span.is_recording:
-                span.set("ratings", self.ratings_computed - ratings_before)
+                span.set("ratings", rated)
                 span.set("restricted", restricted is not None)
         return best, best_rating
 
@@ -453,12 +435,12 @@ class CinderellaPartitioner:
         # negative-rating re-inserts extend/replace entries in here.
         targets: list[Partition] = [partition_a, partition_b]
 
-        # lines 31-33: re-insert the remaining entities of the source.
+        # lines 31-33: re-insert the remaining entities of the source,
+        # detached from it in one pass.
         # trace_stages=False: one span per drained member would swamp the
         # split trace and the tracing budget; the split span's ``members``
         # attribute already says how many re-inserts happened.
-        for drain_eid, drain_mask, drain_size in list(source.members()):
-            self.catalog.remove_entity(drain_eid, repair_starters=False)
+        for drain_eid, drain_mask, drain_size in self.catalog.drain(source.pid):
             self._insert(
                 drain_eid, drain_mask, drain_size, targets, source.pid,
                 outcome, trace_stages=False,

@@ -19,15 +19,19 @@ normalised into the *global* rating comparable across partitions::
 
       r = r' / ((SIZE(p) + SIZE(e)) · |e ∨ p|)
 
-The hot path of the partitioner calls :func:`rate_fast`, which computes the
-global rating from a single population count plus cached cardinalities;
-the individual score functions exist as the documented, directly-testable
-reference implementation of the formulas.
+Every partition choice (an insert's catalog scan, a split's restricted
+re-insert, a merge's host) runs :func:`best_rated`, the one fast loop: one
+population count per candidate plus cached cardinalities.  :func:`rate` and
+the score functions are the documented, directly-testable reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable, Optional
+
+from repro.catalog.partition import Partition
 
 
 def homogeneity_score(size_p: float, size_e: float, shared_attrs: int) -> float:
@@ -81,7 +85,7 @@ class RatingBreakdown:
 
     Returned by :func:`rate` for inspection, debugging, and the worked
     examples in the documentation; the partitioner itself uses
-    :func:`rate_fast`.
+    :func:`best_rated`.
     """
 
     homogeneity: float
@@ -117,38 +121,49 @@ def rate(
     )
 
 
-def rate_fast(
+def best_rated(
     entity_mask: int,
-    entity_attr_count: int,
     size_e: float,
-    partition_mask: int,
-    partition_attr_count: int,
-    size_p: float,
+    partitions: Iterable[Partition],
     weight: float,
     normalize: bool = True,
-) -> float:
-    """Global rating with one population count (the insert-scan hot path).
-
-    Equivalent to ``rate(...).global_``; derives all cardinalities from the
-    overlap and the two cached attribute counts:
+    first_fit: bool = False,
+) -> tuple[Optional[Partition], float, int]:
+    """Rate an entity against *partitions*; return ``(best, rating, rated)``:
+    the first partition with the highest rating (``None``, ``-inf`` when
+    there is none) and the number rated.  Each rating equals
+    ``rate(...).global_``, derived from the overlap and the two counts:
 
     * ``|¬e ∧ p| = |p| − |e ∧ p|``
     * ``|e ∧ ¬p| = |e| − |e ∧ p|``
     * ``|e ∨ p| = |e| + |p| − |e ∧ p|``
 
-    With ``normalize=False`` the raw local rating ``r'`` is returned — the
-    ablation of Section IV's normalisation argument.
+    Ablations: ``normalize=False`` compares the raw local ratings ``r'``
+    (Section IV's normalisation argument); ``first_fit`` stops at the
+    first partition that beats every earlier one and rates non-negatively.
     """
-    shared = (entity_mask & partition_mask).bit_count()
-    local = weight * (size_p + size_e) * shared - (1.0 - weight) * (
-        size_e * (partition_attr_count - shared)
-        + size_p * (entity_attr_count - shared)
-    )
-    if not normalize:
-        return local
-    denominator = (size_p + size_e) * (
-        entity_attr_count + partition_attr_count - shared
-    )
-    if denominator == 0:
-        return 0.0
-    return local / denominator
+    entity_attr_count = entity_mask.bit_count()
+    negative_weight = 1.0 - weight
+    best = None
+    best_rating = -math.inf
+    rated = 0
+    for rated, partition in enumerate(partitions, 1):
+        size_p = partition.total_size
+        partition_attr_count = partition.attr_count
+        shared = (entity_mask & partition.mask).bit_count()
+        combined_size = size_p + size_e
+        rating = weight * combined_size * shared - negative_weight * (
+            size_e * (partition_attr_count - shared)
+            + size_p * (entity_attr_count - shared)
+        )
+        if normalize:
+            denominator = combined_size * (
+                entity_attr_count + partition_attr_count - shared
+            )
+            rating = rating / denominator if denominator else 0.0
+        if rating > best_rating:
+            best_rating = rating
+            best = partition
+            if first_fit and rating >= 0.0:
+                break
+    return best, best_rating, rated

@@ -18,12 +18,11 @@ have refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.outcomes import Move
-from repro.core.rating import rate_fast
+from repro.core.rating import best_rated
 from repro.obs import runtime as obs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,36 +127,22 @@ def _merge_small_partitions(
         (p.pid for p in catalog if p.total_size < threshold),
         key=lambda pid: catalog.get(pid).total_size,
     )
-    merged_away: set[int] = set()
+    # a merged source is dropped at once, so neither loop meets it again
     for source_pid in candidates:
-        if source_pid in merged_away:
-            continue
         source = catalog.get(source_pid)
         report.examined += 1
-        best_pid = None
-        best_rating = -math.inf
-        for target in catalog:
-            if target.pid == source_pid or target.pid in merged_away:
-                continue
-            if target.total_size + source.total_size > config.max_partition_size:
-                continue
-            if query_masks is not None and _workload_distinguishes(
+        targets = [
+            target for target in catalog
+            if target.pid != source_pid
+            and target.total_size + source.total_size <= config.max_partition_size
+            and not (query_masks is not None and _workload_distinguishes(
                 source.mask, target.mask, query_masks
-            ):
-                continue
-            rating = rate_fast(
-                source.mask,
-                source.attr_count,
-                source.total_size,
-                target.mask,
-                target.attr_count,
-                target.total_size,
-                config.weight,
-            )
-            if rating > best_rating:
-                best_rating = rating
-                best_pid = target.pid
-        if best_pid is None or best_rating < 0.0:
+            ))
+        ]
+        best, best_rating, _rated = best_rated(
+            source.mask, source.total_size, targets, config.weight
+        )
+        if best is None or best_rating < 0.0:
             if query_masks is not None:
                 report.skipped_for_workload += 1
             continue
@@ -165,6 +150,7 @@ def _merge_small_partitions(
         # sizes, location map, the synopsis index, and the partition
         # content versions exact — the target's version bumps with every
         # arriving member, so cached query results for it invalidate)
+        best_pid = best.pid
         for eid, mask, size in list(source.members()):
             catalog.remove_entity(eid, repair_starters=False)
             catalog.add_entity(best_pid, eid, mask, size)
@@ -172,7 +158,6 @@ def _merge_small_partitions(
             partitioner._step("merge:member-moved")
         catalog.drop_partition(source_pid)
         partitioner._step("merge:source-dropped")
-        merged_away.add(source_pid)
         report.merged.append((source_pid, best_pid))
         report.dropped_partitions.append(source_pid)
     return report

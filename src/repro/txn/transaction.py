@@ -3,12 +3,11 @@
 A :class:`CatalogTransaction` records, for every catalog mutation made
 while it is active, the information needed to reverse it.  ``rollback``
 replays the log backwards through the same catalog API the forward
-path used, so the synopsis bitmaps, per-attribute reference counts,
-entity location map, and the optional synopsis index all return to
-their exact pre-transaction state; the split-starter pairs — which the
-partitioner also mutates outside member operations — are restored from
-before-images captured the first time a transaction touches each
-partition.
+path used, so the synopsis bitmaps, sizes, entity location map, and the
+optional synopsis index all return to their exact pre-transaction state;
+the split-starter pairs — which the partitioner also mutates outside
+member operations — are restored from before-images captured the first
+time a transaction touches each partition.
 
 The transaction is installed via
 :meth:`~repro.catalog.catalog.PartitionCatalog.begin_transaction`; the

@@ -1,12 +1,14 @@
 """Tests for partition catalog entries (exact synopses, sizes, starters)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.catalog.partition import Partition, iter_attribute_ids
 
 masks = st.integers(min_value=0, max_value=2**50 - 1)
+#: first entity id of the bulk members (their bits lie above the masks')
+CROWD_EID = 10_000
 
 
 class TestIterAttributeIds:
@@ -89,22 +91,57 @@ class TestExactSynopsisShrinking:
         p.remove(1, repair_starters=False)
         assert p.starters.is_starter(1)  # caller promised to discard p
 
-    @given(st.lists(st.tuples(st.integers(0, 50), masks), min_size=1, max_size=30))
-    def test_synopsis_always_union_of_members(self, entries):
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("toggle", "update")),
+                st.integers(0, 50) | st.integers(CROWD_EID, CROWD_EID + 1_999),
+                masks,
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from((0, 2_000)),
+    )
+    @example(  # an attribute only one member holds departs with it...
+        [("toggle", 1, 0b011), ("toggle", 2, 0b010), ("toggle", 1, 0)], 0
+    )
+    @example(  # ...and through an in-place update that drops it
+        [("toggle", 1, 0b011), ("toggle", 2, 0b010), ("update", 1, 0b110)], 0
+    )
+    def test_synopsis_always_union_of_members(self, entries, crowd):
+        """Adds, removes and in-place updates keep the synopsis the exact
+        union of the members' masks, and report exactly the bits that
+        appeared or vanished — also for an attribute held by one member
+        only, and in a partition of *crowd* extra members (each with one
+        attribute of its own beside two shared ones)."""
         p = Partition(0)
-        live: dict[int, int] = {}
-        for eid, mask in entries:
-            if eid in live:
-                p.remove(eid)
+        live: dict[int, tuple[int, float]] = {}
+        for i in range(crowd):
+            mask = 1 << 50 | 1 << (51 + i % 3) | 1 << (60 + i)
+            p.add(CROWD_EID + i, mask, 1.0)
+            live[CROWD_EID + i] = (mask, 1.0)
+        for kind, eid, mask in entries:
+            before = p.mask
+            added = removed = 0
+            if eid not in live:
+                added = p.add(eid, mask, 1.0)
+                live[eid] = (mask, 1.0)
+            elif kind == "toggle":
+                _mask, _size, removed = p.remove(eid)
                 del live[eid]
             else:
-                p.add(eid, mask, 1.0)
-                live[eid] = mask
+                added, removed = p.update_member(eid, mask, 2.0)
+                live[eid] = (mask, 2.0)
             union = 0
-            for member_mask in live.values():
+            for member_mask, _size in live.values():
                 union |= member_mask
             assert p.mask == union
-            assert p.total_size == pytest.approx(len(live))
+            assert p.attr_count == union.bit_count()
+            assert (added, removed) == (union & ~before, before & ~union)
+            assert p.total_size == pytest.approx(
+                sum(size for _mask, size in live.values())
+            )
 
 
 class TestUpdateMember:

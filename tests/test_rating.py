@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.catalog.partition import Partition
 from repro.core.rating import (
+    best_rated,
     entity_heterogeneity_score,
     global_rating,
     homogeneity_score,
     local_rating,
     partition_heterogeneity_score,
     rate,
-    rate_fast,
 )
 
 masks = st.integers(min_value=0, max_value=2**60 - 1)
@@ -69,20 +70,81 @@ class TestWorkedExample:
         assert breakdown.global_ == pytest.approx(5.0 / (11 * 5))
 
 
-class TestRateFastEquivalence:
+def partition_of(pid: int, mask: int, size: float) -> Partition:
+    """A catalog entry with one member of the given synopsis and size."""
+    partition = Partition(pid)
+    partition.add(pid, mask, size)
+    return partition
+
+
+class TestBestRatedEquivalence:
+    """The one fast rating loop against the reference formula."""
+
     @given(masks, masks, sizes, sizes, weights)
     def test_matches_reference(self, e_mask, p_mask, size_e, size_p, weight):
         reference = rate(e_mask, p_mask, size_e, size_p, weight).global_
-        fast = rate_fast(
-            e_mask,
-            e_mask.bit_count(),
-            size_e,
-            p_mask,
-            p_mask.bit_count(),
-            size_p,
-            weight,
+        best, rating, rated = best_rated(
+            e_mask, size_e, [partition_of(0, p_mask, size_p)], weight
         )
-        assert fast == pytest.approx(reference, rel=1e-9, abs=1e-9)
+        assert (best.pid, rated) == (0, 1)
+        assert rating == pytest.approx(reference, rel=1e-9, abs=1e-9)
+
+    @given(masks, masks, sizes, sizes, weights)
+    def test_unnormalized_matches_reference_local(
+        self, e_mask, p_mask, size_e, size_p, weight
+    ):
+        reference = rate(e_mask, p_mask, size_e, size_p, weight).local
+        _best, rating, _rated = best_rated(
+            e_mask, size_e, [partition_of(0, p_mask, size_p)], weight,
+            normalize=False,
+        )
+        assert rating == pytest.approx(reference, rel=1e-9, abs=1e-6)
+
+    @given(masks, st.lists(st.tuples(masks, sizes), min_size=1, max_size=8),
+           sizes, weights)
+    def test_picks_the_first_reference_maximum(
+        self, e_mask, specs, size_e, weight
+    ):
+        partitions = [
+            partition_of(pid, mask, size) for pid, (mask, size) in enumerate(specs)
+        ]
+        best, rating, rated = best_rated(e_mask, size_e, partitions, weight)
+        assert rated == len(partitions)
+        reference = [
+            rate(e_mask, p.mask, size_e, p.total_size, weight).global_
+            for p in partitions
+        ]
+        assert rating == pytest.approx(max(reference), rel=1e-9, abs=1e-9)
+        assert rating == pytest.approx(reference[best.pid], rel=1e-9, abs=1e-9)
+
+    def test_an_exact_tie_goes_to_the_first_partition_in_order(self):
+        twins = [partition_of(pid, 0b0110, 5.0) for pid in (7, 3, 9)]
+        best, rating, rated = best_rated(0b0111, 1.0, twins, 0.5)
+        assert best is twins[0] and rated == 3
+        assert rating == rate(0b0111, 0b0110, 1.0, 5.0, 0.5).global_
+
+    def test_first_fit_stops_at_the_first_accepted_partition(self):
+        partitions = [
+            partition_of(0, 0b1100_0000, 1.0),  # disjoint: rates negative
+            partition_of(1, 0b0000_0011, 1.0),  # a fit, though not the best
+            partition_of(2, 0b0000_0111, 1.0),  # the best fit
+        ]
+        best, rating, rated = best_rated(
+            0b0000_0111, 1.0, partitions, 0.5, first_fit=True
+        )
+        assert (best.pid, rated) == (1, 2)
+        assert rating >= 0.0
+        best, _rating, rated = best_rated(0b0000_0111, 1.0, partitions, 0.5)
+        assert (best.pid, rated) == (2, 3)
+
+    def test_first_fit_keeps_scanning_past_negative_ratings(self):
+        partitions = [partition_of(pid, 1 << (pid + 8), 1.0) for pid in range(3)]
+        best, rating, rated = best_rated(0b1, 1.0, partitions, 0.5, first_fit=True)
+        assert rated == 3 and rating < 0.0
+        assert best is partitions[0]
+
+    def test_nothing_to_rate(self):
+        assert best_rated(0b1, 1.0, [], 0.5) == (None, -float("inf"), 0)
 
 
 class TestRatingProperties:

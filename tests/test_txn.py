@@ -83,6 +83,49 @@ class TestCatalogTransaction:
         txn.rollback()
         assert catalog_signature(p) == before
 
+    def test_rollback_restores_a_drained_partition(self):
+        p = CinderellaPartitioner(
+            CinderellaConfig(
+                max_partition_size=50, weight=0.4, use_synopsis_index=True
+            )
+        )
+        for eid in range(10):
+            p.insert(eid, 0b0111 if eid % 3 else 0b0011)
+        p.insert(10, 0b1_0011)  # the only member holding bit 4
+        p.insert(20, 0b1100_0000)  # a second, disjoint partition
+        catalog, index = p.catalog, p.catalog.index
+        source = catalog.get(catalog.partition_of(10))
+        assert len(source) == 11 and source.starters.complete
+        before = catalog_signature(p)
+        sizes = {q.pid: q.total_size for q in catalog}
+        postings = {attr: set(pids) for attr, pids in index._postings.items()}
+        empty = set(index._empty_synopsis_pids)
+        versions = {q.pid: catalog.version_of(q.pid) for q in catalog}
+        clock = catalog.version_clock
+
+        txn = catalog.begin_transaction()
+        drained = catalog.drain(source.pid)
+        assert [eid for eid, _mask, _size in drained] == list(range(11))
+        assert (source.mask, source.total_size, len(source)) == (0, 0.0, 0)
+        assert not source.starters.complete
+        assert all(not catalog.has_entity(eid) for eid, _m, _s in drained)
+        assert index.candidate_pids(0b0011) == set()
+        assert source.pid in index._empty_synopsis_pids
+        assert catalog.version_clock == clock + 1  # one bump for the drain
+        assert txn.mutation_count == 11  # one undo note per member
+        txn.rollback()
+
+        assert catalog_signature(p) == before
+        assert {q.pid: q.total_size for q in catalog} == sizes
+        assert index._postings == postings
+        assert index._empty_synopsis_pids == empty
+        assert all(catalog.partition_of(eid) == source.pid for eid in range(11))
+        assert catalog.version_clock > clock + 1
+        for pid, version in versions.items():
+            assert catalog.version_of(pid) >= version
+        assert catalog.version_of(source.pid) > versions[source.pid]
+        assert p.check_invariants() == []
+
     def test_transactions_do_not_nest(self):
         p = small_partitioner()
         txn = p.catalog.begin_transaction()
