@@ -300,6 +300,7 @@ class RouterCounters(CounterSet):
         "connections_force_closed": ("repro_router_connections_force_closed_total", COUNTER, "Router connections aborted at the drain deadline"),
         "writes_routed": ("repro_router_writes_routed_total", COUNTER, "Writes routed to their owning shard"),
         "queries_scattered": ("repro_router_queries_scattered_total", COUNTER, "Queries fanned out across shards"),
+        "rows_reencoded": ("repro_router_rows_reencoded_total", COUNTER, "Gathered rows the scatter merge re-encoded: their reply did not carry them as spliceable bytes"),
         "replies_complete": ("repro_router_replies_complete_total", COUNTER, "Router replies with every shard answering"),
         "replies_degraded": ("repro_router_replies_degraded_total", COUNTER, "Router replies missing at least one shard"),
         "replies_unavailable": ("repro_router_replies_unavailable_total", COUNTER, "Router replies refused: no reachable replica"),

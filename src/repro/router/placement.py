@@ -73,6 +73,16 @@ class PlacementMap:
         #: effective factor — capped at the node count (replicating a
         #: shard twice onto the same node buys nothing)
         self.replication_factor = min(replication_factor, len(self.nodes))
+        count = len(self.nodes)
+        #: every shard's replica set, primary first, by shard: the map is
+        #: immutable, so the sets are built once, here
+        self.replica_sets: tuple[tuple[NodeAddress, ...], ...] = tuple(
+            tuple(
+                self.nodes[(shard + j) % count]
+                for j in range(self.replication_factor)
+            )
+            for shard in range(n_shards)
+        )
 
     # ------------------------------------------------------------------
     # the mapping
@@ -85,15 +95,11 @@ class PlacementMap:
         """The replica set of *shard*, primary first."""
         if not 0 <= shard < self.n_shards:
             raise ValueError(f"shard {shard} out of range [0, {self.n_shards})")
-        count = len(self.nodes)
-        return tuple(
-            self.nodes[(shard + j) % count]
-            for j in range(self.replication_factor)
-        )
+        return self.replica_sets[shard]
 
     def replicas_of_eid(self, eid: int) -> tuple[NodeAddress, ...]:
         """The replica set serving entity *eid*, primary first."""
-        return self.replicas(self.shard_of(eid))
+        return self.replica_sets[eid % self.n_shards]
 
     @property
     def shards(self) -> range:
@@ -109,8 +115,8 @@ class PlacementMap:
     def shards_on(self, name: str) -> list[int]:
         """Every shard that has a replica on node *name*."""
         return [
-            shard for shard in self.shards
-            if any(node.name == name for node in self.replicas(shard))
+            shard for shard, replicas in enumerate(self.replica_sets)
+            if any(node.name == name for node in replicas)
         ]
 
     def as_dict(self) -> dict[str, Any]:
@@ -120,7 +126,7 @@ class PlacementMap:
             "replication_factor": self.replication_factor,
             "nodes": [node.as_dict() for node in self.nodes],
             "shards": {
-                str(shard): [node.name for node in self.replicas(shard)]
-                for shard in self.shards
+                str(shard): [node.name for node in replicas]
+                for shard, replicas in enumerate(self.replica_sets)
             },
         }

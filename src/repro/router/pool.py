@@ -6,16 +6,21 @@ requests may be in flight at once, exactly like a pipelining client
 (:meth:`repro.server.client.ServerClient.pipeline`).  A node answers a
 connection in request order, so a channel is a FIFO:
 
-* :meth:`Channel.send` writes the frame *now* (or, while the channel is
-  still dialing, appends it to the frames written the moment the
-  connection opens), so frames leave in the order they were sent, and
-  returns a future of the reply;
+* :meth:`Channel.send` queues the frame and returns a future of the
+  reply; every frame sent on a channel during one turn of the event loop
+  leaves in one write at the end of that turn (or the moment the
+  connection opens, while it is still dialing), in the order sent — a
+  scatter or a burst of routed writes costs each node one ``send``
+  syscall, not one per frame;
 * one reader task per channel resolves the futures first-in first-out,
-  checking each reply's id against its request's;
+  checking each reply's id against its request's; a reply's ``rows``
+  stay the bytes the node rendered (:func:`~repro.server.protocol.decode_response`),
+  which the router's merge splices without decoding them;
 * *any* failure — connect refused, EOF mid-exchange, an oversized or
   malformed reply, a reply id out of order, or an exchange unanswered
-  ``timeout_s`` after it reached the head of the queue — fails every
-  in-flight exchange with :class:`UpstreamError`, the single exception
+  ``timeout_s`` after it reached the head of the queue — drops the
+  frames not yet written and fails every in-flight exchange with
+  :class:`UpstreamError`, the single exception
   type the router's failover logic catches, and poisons the channel: a
   node that answers garbage is handled exactly like a node that does
   not answer at all.
@@ -59,8 +64,11 @@ class Channel:
         self._pool = pool
         self._loop = asyncio.get_running_loop()
         self._writer: Optional[asyncio.StreamWriter] = None
-        #: frames sent before the connection opened, in send order
+        #: frames sent but not yet written, in send order: those of the
+        #: current loop turn, or all of them while the channel dials
         self._backlog: list[bytes] = []
+        #: the end-of-turn write of the backlog, while one is scheduled
+        self._flush_handle: Optional[asyncio.Handle] = None
         #: in-flight exchanges, oldest first: (request id, reply future)
         self._pending: deque[tuple[int, asyncio.Future]] = deque()
         #: when the oldest in-flight exchange reached the head
@@ -71,8 +79,8 @@ class Channel:
         self.broken: Optional[UpstreamError] = None
 
     def send(self, op: str, fields: dict[str, Any]) -> asyncio.Future:
-        """Send one request now; the future resolves to its reply or
-        fails with :class:`UpstreamError`."""
+        """Send one request (written at the end of this loop turn); the
+        future resolves to its reply or fails with :class:`UpstreamError`."""
         future = self._loop.create_future()
         if self._writer is not None and self._writer.transport.is_closing():
             # the peer is gone and the reader task has not woken yet
@@ -86,12 +94,12 @@ class Channel:
         if not self._pending:
             self._head_since = self._loop.time()
         self._pending.append((pool._next_id, future))
-        if self._writer is not None:
-            self._writer.write(frame)
-        else:
-            self._backlog.append(frame)
+        self._backlog.append(frame)
+        if self._writer is None:
             if self._task is None:
                 self._task = self._loop.create_task(self._run())
+        elif self._flush_handle is None:
+            self._flush_handle = self._loop.call_soon(self._flush)
         if self._timer is None:
             self._arm()
         return future
@@ -114,8 +122,7 @@ class Channel:
             self._fail(f"connect failed: {err or type(err).__name__}")
             return
         pool.dials += 1
-        self._writer.write(b"".join(self._backlog))
-        self._backlog.clear()
+        self._flush()
         try:
             while True:
                 try:
@@ -148,6 +155,17 @@ class Channel:
         except OSError as err:
             self._fail(f"exchange failed: {err or type(err).__name__}")
 
+    def _flush(self) -> None:
+        """Write every frame sent so far, in one write."""
+        self._flush_handle = None
+        if not self._backlog or self.broken is not None:
+            return
+        if self._writer.transport.is_closing():
+            self._fail("connection closed")
+            return
+        self._writer.write(b"".join(self._backlog))
+        self._backlog.clear()
+
     # ------------------------------------------------------------------
     # the exchange deadline: one timer, re-armed for the current head
     # ------------------------------------------------------------------
@@ -176,6 +194,9 @@ class Channel:
                 else UpstreamError(self._pool.address.name, reason)
             )
         self._backlog.clear()
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
         while self._pending:
             _request_id, future = self._pending.popleft()
             if not future.done():

@@ -123,14 +123,41 @@ class Request:
         return self.fields.get(name, default)
 
 
-@dataclass(frozen=True)
 class Response:
-    """One decoded server response."""
+    """One decoded server response.
 
-    id: int
-    status: str
-    fields: dict[str, Any] = field(default_factory=dict)
-    error: Optional[dict[str, Any]] = None
+    A reply whose ``rows`` array is its last member (every reply a node
+    or the router builds; see :func:`decode_response`) keeps the array as
+    the wire bytes it arrived as, in :attr:`rows_raw`, and decodes it on
+    the first read of :attr:`fields` or ``get("rows")``.  A router
+    forwards those bytes without decoding them.
+    """
+
+    __slots__ = ("id", "status", "error", "rows_raw", "_fields")
+
+    def __init__(
+        self,
+        id: int,
+        status: str,
+        fields: Optional[dict[str, Any]] = None,
+        error: Optional[dict[str, Any]] = None,
+        rows_raw: Optional[bytes] = None,
+    ) -> None:
+        self.id = id
+        self.status = status
+        self.error = error
+        #: the undecoded ``rows`` array (``b"[...]"``), or None when the
+        #: reply carried no rows or they arrived decoded
+        self.rows_raw = rows_raw
+        self._fields = {} if fields is None else fields
+
+    @property
+    def fields(self) -> dict[str, Any]:
+        """The payload fields, ``rows`` decoded on first access."""
+        fields = self._fields
+        if self.rows_raw is not None and "rows" not in fields:
+            fields["rows"] = json.loads(self.rows_raw)
+        return fields
 
     @property
     def ok(self) -> bool:
@@ -146,7 +173,14 @@ class Response:
         return self.status in PARTIAL_STATUSES
 
     def get(self, name: str, default: Any = None) -> Any:
-        return self.fields.get(name, default)
+        fields = self.fields if name == "rows" else self._fields
+        return fields.get(name, default)
+
+    def __repr__(self) -> str:
+        return (
+            f"Response(id={self.id!r}, status={self.status!r}, "
+            f"fields={self.fields!r}, error={self.error!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +218,15 @@ def error_body(code: str, message: str) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
-def _decode_object(line: bytes) -> dict[str, Any]:
+def _check_length(line: bytes) -> None:
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(
             f"frame of {len(line)} bytes exceeds the {MAX_LINE_BYTES}-byte bound"
         )
+
+
+def _decode_object(line: bytes) -> dict[str, Any]:
+    _check_length(line)
     try:
         document = json.loads(line)
     except ValueError as err:
@@ -214,9 +252,38 @@ def decode_request(line: bytes) -> Request:
     return Request(op=op, id=request_id, fields=document)
 
 
+#: where a reply's trailing ``rows`` member starts (see decode_response)
+_ROWS_MEMBER = b',"rows":['
+
+
 def decode_response(line: bytes) -> Response:
-    """Parse one response line; raises :class:`ProtocolError` when malformed."""
-    document = _decode_object(line)
+    """Parse one response line; raises :class:`ProtocolError` when malformed.
+
+    When ``rows`` is the reply's last member, only the header before it
+    is decoded; the array is kept as bytes (:attr:`Response.rows_raw`)
+    and decoded if someone reads it.  The split needs no look at the
+    rows: ``,"rows":[`` cannot occur inside a JSON string (its quotes
+    would be escaped), the header before the first occurrence decodes
+    as an object only when that occurrence is a top-level member, and a
+    header that holds ``row_count`` is the layout that puts rows last.
+    Any other reply is decoded whole.
+    """
+    _check_length(line)
+    body = line.rstrip()
+    at = body.find(_ROWS_MEMBER)
+    document: Any = None
+    rows_raw = None
+    if at > 0 and body.endswith(b"]}"):
+        try:
+            document = json.loads(body[:at] + b"}")
+        except ValueError:
+            pass
+        if isinstance(document, dict) and "row_count" in document:
+            rows_raw = body[at + len(_ROWS_MEMBER) - 1:-1]
+        else:
+            document = None
+    if document is None:
+        document = _decode_object(line)
     status = document.pop("status", None)
     if not isinstance(status, str):
         raise ProtocolError("response has no 'status' string")
@@ -227,4 +294,7 @@ def decode_response(line: bytes) -> Response:
     error = document.pop("error", None)
     if error is not None and not isinstance(error, dict):
         raise ProtocolError(f"response error must be an object, got {error!r}")
-    return Response(id=request_id, status=status, fields=document, error=error)
+    return Response(
+        id=request_id, status=status, fields=document, error=error,
+        rows_raw=rows_raw,
+    )

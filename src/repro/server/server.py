@@ -801,10 +801,10 @@ class CinderellaServer(FrontDoor):
             ) from None
         self.counters.sql_served += 1
         self.counters.snapshot_reads += 1
-        return protocol.OK, {
-            "rows": result.rows,
+        return protocol.OK, {  # rows last, as in a query's answer
             "row_count": len(result.rows),
             "pruned_partitions": len(result.pruned_pids),
+            "rows": result.rows,
         }, None
 
     def _read_snapshot(self, request: Request) -> TableSnapshot:
@@ -968,36 +968,36 @@ class CinderellaServer(FrontDoor):
         snapshot: TableSnapshot, after_eid: int, limit: int, count_only: bool
     ) -> dict[str, Any]:
         """One page (or the count and digest) of *snapshot*, which the
-        caller scoped to the shards asked for."""
-        attributes_of = dict(snapshot.entities())
-        eids = sorted(attributes_of)
+        caller scoped to the shards asked for: served from the partition
+        states' eid-ordered memos, so a page costs O(page), not a sort of
+        the scope."""
         if count_only:
             # order-independent identity of the shard contents: the
             # router compares count+digest across replicas to decide a
             # resynced node agrees with its healthy peer
+            eids = snapshot.entity_ids()
             digest = zlib.crc32(",".join(map(str, eids)).encode())
             return {
                 "count": len(eids),
                 "digest": f"{digest:08x}",
                 "version_clock": snapshot.version_clock,
             }
-        page = [eid for eid in eids if eid > after_eid][:limit]
+        page, done, count = snapshot.entity_page(after_eid, limit)
         entities = [
             {
                 "eid": eid,
                 "attributes": {
                     name: _encode_value(value)
-                    for name, value in attributes_of[eid].items()
+                    for name, value in attributes.items()
                 },
             }
-            for eid in page
+            for eid, attributes in page
         ]
-        done = not page or page[-1] == eids[-1]
         return {
             "entities": entities,
-            "next_after": page[-1] if page else after_eid,
+            "next_after": page[-1][0] if page else after_eid,
             "done": done,
-            "count": len(eids),
+            "count": count,
         }
 
     async def _handle_sync_delta(self, request: Request) -> Answer:

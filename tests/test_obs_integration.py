@@ -222,7 +222,7 @@ NODE_STATS_COUNTERS = [
 ROUTER_STATS_COUNTERS = [
     "connections_opened", "connections_closed", "requests_total",
     "requests_failed", "bad_requests", "connections_force_closed",
-    "writes_routed", "queries_scattered",
+    "writes_routed", "queries_scattered", "rows_reencoded",
     "replies_complete", "replies_degraded", "replies_unavailable",
     "upstream_retries", "failovers", "node_ejections", "node_restores",
     "probes_sent", "catchup_replayed", "catchup_dropped", "nodes_diverged",
