@@ -42,6 +42,7 @@ import time
 from pathlib import Path
 
 from repro.adapt import AdaptationConfig, AdaptationController
+from repro.adapt.controller import SHIFT_THRESHOLD
 from repro.core.config import CinderellaConfig
 from repro.cost.model import CostModel
 from repro.query.query import AttributeQuery
@@ -213,7 +214,7 @@ def test_adaptation_gate():
         f"got {adapted['actions']}"
     )
     acted = [d for d in adapted["decisions"] if d["acted"]]
-    assert acted[0]["shift"] >= AdaptationConfig().shift_threshold, (
+    assert acted[0]["shift"] >= SHIFT_THRESHOLD, (
         "the action was not justified by a detected workload shift"
     )
     assert adapted["row_digests"] == frozen["row_digests"], (

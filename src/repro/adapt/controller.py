@@ -18,10 +18,10 @@ observable "declined":
    blesses the current profile as the reference; the controller *never*
    acts before a measured shift, which is what makes a stationary
    workload provably reorganization-free.
-5. ``no_shift`` — the live profile is within ``shift_threshold``
+5. ``no_shift`` — the live profile is within :data:`SHIFT_THRESHOLD`
    (total-variation distance) of the blessed reference.
 6. ``below_threshold`` — the advisor's best plan does not clear
-   ``min_win_fraction`` of the current predicted cost (hysteresis).
+   :data:`MIN_WIN_FRACTION` of the current predicted cost (hysteresis).
 
 Only then does it act: ``reorganize`` through
 :meth:`~repro.table.partitioned.CinderellaTable.reorganize` under the
@@ -70,6 +70,14 @@ DECLINED_REASONS = (
     "no_shift",
     "below_threshold",
 )
+#: gate 5: total-variation distance that counts as a workload shift
+SHIFT_THRESHOLD = 0.2
+#: gate 6: hysteresis — the best plan's amortized win must be at least
+#: this fraction of the current predicted per-query cost
+MIN_WIN_FRACTION = 0.1
+#: probe budget per calibration pass (each probe runs one pruned and
+#: one full scan of the table)
+MAX_PROBES = 6
 
 
 @dataclass
@@ -78,11 +86,6 @@ class AdaptationConfig:
 
     #: gate 1: queries observed before any decision is attempted
     min_observations: int = 64
-    #: gate 5: total-variation distance that counts as a workload shift
-    shift_threshold: float = 0.2
-    #: gate 6: hysteresis — the best plan's amortized win must be at
-    #: least this fraction of the current predicted per-query cost
-    min_win_fraction: float = 0.1
     #: physical action cost is amortized over this many future queries
     horizon_queries: float = 2_000.0
     #: gate 3: seconds between actions
@@ -98,9 +101,6 @@ class AdaptationConfig:
     sample_limit: int = 10_000
     #: run calibration probes before advising (startup and on drift)
     calibrate: bool = True
-    #: probe budget per calibration pass (each probe runs one pruned
-    #: and one full scan of the table)
-    max_probes: int = 6
 
 
 @dataclass(frozen=True)
@@ -245,14 +245,14 @@ class AdaptationController:
             "repro_adapt_shift_score", shift,
             "Workload shift vs the blessed reference profile (TV distance)",
         )
-        if shift < config.shift_threshold:
+        if shift < SHIFT_THRESHOLD:
             return AdaptationDecision("declined", "no_shift", shift, observed)
         if config.calibrate:
             self._calibrate_locked(table)
         report = self._advise_locked(table, profile)
         self.last_report = report
         best = report.best
-        if best.kind == "keep" or best.win_fraction < config.min_win_fraction:
+        if best.kind == "keep" or best.win_fraction < MIN_WIN_FRACTION:
             return AdaptationDecision(
                 "declined", "below_threshold", shift, observed,
                 plan=best if best.kind != "keep" else None,
@@ -301,7 +301,7 @@ class AdaptationController:
         calibrator = self.calibrator
         if calibrator.report is not None and not calibrator.needs_refit():
             return
-        shapes = list(self.trace.exemplars().values())[: self.config.max_probes]
+        shapes = list(self.trace.exemplars().values())[:MAX_PROBES]
         if shapes and len(table):
             heaps = {p.pid: table.heap_of(p.pid) for p in table.catalog}
             with obs.span("adapt.calibrate", probes=len(shapes)):

@@ -235,7 +235,6 @@ class ServerCounters(CounterSet):
         "sync_deltas_applied": ("repro_server_sync_deltas_applied_total", COUNTER, "sync_delta chunks applied from the router"),
         "sync_entities_received": ("repro_server_sync_entities_received_total", COUNTER, "Entities received through sync_delta chunks"),
         "snapshots_published": ("repro_server_snapshots_published_total", COUNTER, "MVCC snapshots published by writers"),
-        "snapshots_retired": ("repro_server_snapshots_retired_total", COUNTER, "MVCC snapshots garbage-collected past retention"),
         "snapshot_reads": ("repro_server_snapshot_reads_total", COUNTER, "Reads served lock-free from MVCC snapshots"),
         "snapshot_response_cache_hits": ("repro_server_snapshot_response_cache_hits_total", COUNTER, "Queries answered from a snapshot's pre-serialized response cache"),
         "admission_window": ("repro_server_admission_window", GAUGE, "Adaptive write-admission window (queued writes admitted)"),

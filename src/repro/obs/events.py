@@ -12,8 +12,12 @@ were lost — a reader can always tell whether it saw everything.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
+
+#: events an :class:`EventLog` keeps before it overwrites the oldest
+CAPACITY = 1024
 
 
 @dataclass(frozen=True)
@@ -33,20 +37,17 @@ class Event:
 
 
 class EventLog:
-    """Fixed-capacity ring of :class:`Event` records.
+    """Ring of the last :data:`CAPACITY` :class:`Event` records.
 
-    >>> log = EventLog(capacity=2)
+    >>> log = EventLog()
     >>> for i in range(3):
     ...     _ = log.emit("tick", i=i)
     >>> [event.fields["i"] for event in log.events()], log.dropped
-    ([1, 2], 1)
+    ([0, 1, 2], 0)
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._ring: list[Optional[Event]] = [None] * capacity
+    def __init__(self) -> None:
+        self._ring: deque[Event] = deque(maxlen=CAPACITY)
         self._emitted = 0
 
     def emit(self, kind: str, /, **fields: Any) -> Event:
@@ -56,7 +57,7 @@ class EventLog:
         ``kind=...`` payload field (e.g. the txn operation kind).
         """
         event = Event(self._emitted, time.perf_counter(), kind, fields)
-        self._ring[self._emitted % self.capacity] = event
+        self._ring.append(event)
         self._emitted += 1
         return event
 
@@ -68,18 +69,14 @@ class EventLog:
     @property
     def dropped(self) -> int:
         """Events overwritten before anyone could read them."""
-        return max(0, self._emitted - self.capacity)
+        return self._emitted - len(self._ring)
 
     def __len__(self) -> int:
-        return min(self._emitted, self.capacity)
+        return len(self._ring)
 
     def events(self) -> list[Event]:
         """Surviving events, oldest first."""
-        if self._emitted <= self.capacity:
-            return [e for e in self._ring[: self._emitted] if e is not None]
-        head = self._emitted % self.capacity
-        ring = self._ring[head:] + self._ring[:head]
-        return [e for e in ring if e is not None]
+        return list(self._ring)
 
     def of_kind(self, kind: str) -> list[Event]:
         """Surviving events of one kind (or a ``prefix.`` family)."""

@@ -12,8 +12,8 @@ The design follows the Prometheus client-library data model:
   ``repro_txn_ops_total`` with ``kind``/``outcome``);
 * each distinct label-value combination materializes one **child**
   holding the actual value; the family bounds child cardinality
-  (``max_label_sets``) so a label mistake cannot grow memory without
-  bound;
+  (:data:`MAX_LABEL_SETS`) so a label mistake cannot grow memory
+  without bound;
 * **histograms** hold cumulative bucket counts over configurable upper
   bounds (``le`` is inclusive, Prometheus semantics) plus sum and count.
 
@@ -56,6 +56,9 @@ SERVER_LATENCY_BUCKETS: tuple[float, ...] = (
     0.0128, 0.0256, 0.0512, 0.1024, 0.2048, 0.4096, 0.8192, 1.6384,
     3.2768, 6.5536,
 )
+
+#: label-value combinations one family may materialize
+MAX_LABEL_SETS = 256
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -168,7 +171,6 @@ class MetricFamily:
         labelnames: tuple[str, ...],
         buckets: tuple[float, ...],
         lock: threading.Lock,
-        max_label_sets: int,
     ) -> None:
         _validate_name(name)
         for label in labelnames:
@@ -184,7 +186,6 @@ class MetricFamily:
         self.help = help_text
         self.labelnames = labelnames
         self.buckets = buckets
-        self.max_label_sets = max_label_sets
         self._lock = lock
         self._children: dict[tuple[str, ...], Any] = {}
         #: fast path for the common no-label family
@@ -216,11 +217,10 @@ class MetricFamily:
             with self._lock:
                 child = self._children.get(values)
                 if child is None:
-                    if len(self._children) >= self.max_label_sets:
+                    if len(self._children) >= MAX_LABEL_SETS:
                         raise MetricError(
-                            f"{self.name} exceeded max_label_sets="
-                            f"{self.max_label_sets}; label values look "
-                            f"unbounded"
+                            f"{self.name} exceeded {MAX_LABEL_SETS} label"
+                            f" sets; label values look unbounded"
                         )
                     child = self._make_child(values)
                     self._children[values] = child
@@ -263,10 +263,9 @@ class MetricsRegistry:
     3.0
     """
 
-    def __init__(self, max_label_sets: int = 256) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: dict[str, MetricFamily] = {}
-        self.max_label_sets = max_label_sets
         # hot-path caches: metric name -> unlabeled child, one dict per
         # kind so a kind mismatch still surfaces as a MetricError via
         # the family lookup instead of an AttributeError on the child.
@@ -325,7 +324,6 @@ class MetricsRegistry:
                     tuple(labelnames),
                     tuple(buckets) if buckets is not None else DEFAULT_BUCKETS,
                     self._lock,
-                    self.max_label_sets,
                 )
                 self._families[name] = family
         return family

@@ -18,7 +18,6 @@ per process, like a logging root handler.
 
 from __future__ import annotations
 
-import random as _random
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,9 +49,6 @@ class ObservabilityState:
     #: field on every outgoing wire request and servers adopt incoming
     #: ones (see wire_trace / adopt_wire_trace)
     propagate: bool = False
-    #: fraction of client-originated traces marked sampled (the flag
-    #: still crosses the wire when 0; receivers just don't record)
-    sample_rate: float = 1.0
 
     def close(self) -> None:
         if self.exporter is not None:
@@ -107,11 +103,8 @@ def enable(
     trace: bool = True,
     slow_op_threshold_s: Optional[float] = 0.05,
     trace_jsonl_path: Optional[Union[str, Path]] = None,
-    event_capacity: int = 1024,
-    max_finished_traces: int = 32,
     registry: Optional[MetricsRegistry] = None,
     propagate: bool = False,
-    sample_rate: float = 1.0,
 ) -> ObservabilityState:
     """Turn observability on; returns the installed state.
 
@@ -121,20 +114,15 @@ def enable(
             tracer's slow-op log (None disables the log).
         trace_jsonl_path: when set, finished traces are appended there
             as JSON lines.
-        event_capacity: ring-buffer size of the event log.
-        max_finished_traces: ring size of kept root-span trees.  The
-            ring is also a GC dial: every retained tree is an object
-            graph the young-generation collector must traverse while it
-            lives, so a busy server pays for capacity it never reads.
-            32 keeps several full request fan-outs inspectable; raise
-            it for interactive debugging, not in steady state.
         registry: reuse an existing registry (tests; default: fresh).
         propagate: stamp/adopt wire trace contexts (distributed traces;
             requires ``trace``).  Off by default — a client of an
             uninstrumented server gains nothing from the extra field.
-        sample_rate: fraction of client-originated traces marked
-            sampled; unsampled contexts still cross the wire but no
-            hop records spans for them.
+
+    The event log and the tracer's rings have fixed sizes
+    (:data:`repro.obs.events.CAPACITY`,
+    :data:`repro.obs.tracing.FINISHED_TRACES` and
+    :data:`~repro.obs.tracing.SLOW_OPS`).
     """
     global _STATE, _TRACER, _REGISTRY, _PROPAGATE
     if _STATE is not None:
@@ -145,21 +133,16 @@ def enable(
         else None
     )
     tracer = (
-        Tracer(
-            max_finished=max_finished_traces,
-            slow_threshold_s=slow_op_threshold_s,
-            exporter=exporter,
-        )
+        Tracer(slow_threshold_s=slow_op_threshold_s, exporter=exporter)
         if trace
         else None
     )
     _STATE = ObservabilityState(
         registry=registry if registry is not None else MetricsRegistry(),
         tracer=tracer,
-        events=EventLog(capacity=event_capacity),
+        events=EventLog(),
         exporter=exporter,
         propagate=propagate and tracer is not None,
-        sample_rate=max(0.0, min(1.0, sample_rate)),
     )
     if tracer is not None:
         for span_name, (metric, help_text, bounds) in _SPAN_HISTOGRAMS.items():
@@ -308,10 +291,10 @@ def wire_trace() -> Optional[str]:
 
     Inside an open span (or an adopted remote context) the current
     position in the trace is stamped, so the receiver's spans become
-    children of the caller's.  Outside any span a fresh root context is
-    minted — the originating client starts the trace — honoring the
-    session's ``sample_rate``.  Either way the value is the flat
-    traceparent string of :meth:`TraceContext.to_wire`.
+    children of the caller's.  Outside any span a fresh, sampled root
+    context is minted — the originating client starts the trace.  Either
+    way the value is the flat traceparent string of
+    :meth:`TraceContext.to_wire`.
     """
     tracer = _TRACER
     if tracer is None or not _PROPAGATE:
@@ -319,16 +302,9 @@ def wire_trace() -> Optional[str]:
     context = tracer.current_context()
     if context is not None:
         return context.to_wire()
-    state = _STATE
-    sampled = True
-    if state is not None and state.sample_rate < 1.0:
-        sampled = _random.random() < state.sample_rate
     # fresh root minted straight into wire form: this runs per client
     # request, and the intermediate TraceContext would be garbage
-    return (
-        "00-" + new_trace_id() + "-" + new_span_id()
-        + ("-01" if sampled else "-00")
-    )
+    return "00-" + new_trace_id() + "-" + new_span_id() + "-01"
 
 
 def adopt_wire_trace(wire: Any) -> Optional[TraceContext]:

@@ -340,19 +340,23 @@ class _ContextScope:
         return False
 
 
+#: root span trees a :class:`Tracer` keeps.  The ring is also a GC dial:
+#: every retained tree is an object graph the young-generation collector
+#: must traverse while it lives, so a busy server pays for capacity it
+#: never reads; 32 keeps several full request fan-outs inspectable
+FINISHED_TRACES = 32
+#: slow-threshold crossers a :class:`Tracer` keeps
+SLOW_OPS = 128
+
+
 class Tracer:
     """Creates spans, tracks nesting, and keeps the bounded digests."""
 
     def __init__(
         self,
-        max_finished: int = 32,
         slow_threshold_s: Optional[float] = None,
-        max_slow_ops: int = 128,
         exporter: Optional[Callable[[Span], None]] = None,
     ) -> None:
-        if max_finished < 1:
-            raise ValueError("max_finished must be >= 1")
-        self.max_finished = max_finished
         self.slow_threshold_s = slow_threshold_s
         #: hot-path form of the threshold: one compare, no None check
         self._slow_cutoff = (
@@ -365,13 +369,13 @@ class Tracer:
         self.span_histograms: dict[str, Any] = {}
         self._local = threading.local()
         #: most recent finished root spans (oldest evicted first)
-        self.finished: deque[Span] = deque(maxlen=max_finished)
+        self.finished: deque[Span] = deque(maxlen=FINISHED_TRACES)
         #: root spans finished over the tracer's lifetime
         self.roots_finished = 0
         #: span name -> [count, cumulative seconds]
         self.aggregates: dict[str, list[float]] = {}
         #: recent spans that crossed the slow threshold
-        self.slow_ops: deque[dict[str, Any]] = deque(maxlen=max_slow_ops)
+        self.slow_ops: deque[dict[str, Any]] = deque(maxlen=SLOW_OPS)
         #: spans that crossed the threshold over the tracer's lifetime
         self.slow_ops_seen = 0
 
@@ -480,7 +484,7 @@ class Tracer:
     @property
     def traces_dropped(self) -> int:
         """Finished root spans evicted from the ring buffer."""
-        return max(0, self.roots_finished - self.max_finished)
+        return self.roots_finished - len(self.finished)
 
     def top_spans(self, n: int = 10) -> list[tuple[str, int, float]]:
         """``(name, count, cumulative seconds)`` — heaviest first."""

@@ -134,6 +134,16 @@ _SYNC_PAGE_ENTITIES = 200
 #: traffic can race the comparison; each retry re-drains the buffered
 #: delta first)
 _RESYNC_VERIFY_ATTEMPTS = 8
+#: attempts per node before failing over to the next replica
+_UPSTREAM_ATTEMPTS = 2
+#: jittered exponential backoff between same-node attempts: base · 2^k,
+#: capped
+_RETRY_BASE_S = 0.01
+_RETRY_MAX_S = 0.1
+#: buffered writes kept per unreachable node for catch-up replay;
+#: overflowing this budget marks the replica ``diverged`` (resync
+#: rebuilds it) instead of silently dropping buffered writes
+_CATCHUP_LIMIT = 512
 
 
 @dataclass
@@ -147,22 +157,11 @@ class RouterConfig:
     #: per-exchange upstream timeout: for the connect, and for each reply
     #: once its exchange is the oldest in flight on its channel
     upstream_timeout_s: float = 2.0
-    #: attempts per node before failing over to the next replica
-    upstream_attempts: int = 2
-    #: jittered exponential backoff between same-node attempts
-    retry_base_s: float = 0.01
-    retry_max_s: float = 0.1
     #: consecutive failures that trip a node's circuit breaker
     failure_threshold: int = 3
     #: ejection window growth: base · 2^(ejections−1), capped
     eject_base_s: float = 0.2
     eject_max_s: float = 5.0
-    #: buffered writes kept per unreachable node for catch-up replay;
-    #: overflowing this budget marks the replica ``diverged`` (resync
-    #: rebuilds it) instead of silently dropping buffered writes
-    catchup_limit: int = 512
-    #: graceful-drain bound (same contract as the serving nodes)
-    drain_deadline_s: float = 5.0
     #: how often the resync monitor looks for diverged replicas to
     #: repair (seconds; 0 disables the monitor — resyncs then only run
     #: when driven explicitly, which is what the tests want)
@@ -488,7 +487,7 @@ class CinderellaRouter(FrontDoor):
             self.counters.probes_sent += 1
         saw_transport_failure = False
         last_error: Optional[UpstreamError] = None
-        for attempt in range(1, self.config.upstream_attempts + 1):
+        for attempt in range(1, _UPSTREAM_ATTEMPTS + 1):
             try:
                 if first is not None:
                     response = await first
@@ -511,11 +510,10 @@ class CinderellaRouter(FrontDoor):
                 # one ahead of them
                 await _completed(previous)
                 previous = None
-                if attempt < self.config.upstream_attempts:
+                if attempt < _UPSTREAM_ATTEMPTS:
                     self.counters.upstream_retries += 1
                     delay = min(
-                        self.config.retry_max_s,
-                        self.config.retry_base_s * (2 ** (attempt - 1)),
+                        _RETRY_MAX_S, _RETRY_BASE_S * (2 ** (attempt - 1))
                     )
                     await asyncio.sleep(delay * (0.5 + self._rng.random() * 0.5))
                 continue
@@ -604,7 +602,7 @@ class CinderellaRouter(FrontDoor):
         if tracker.state == REPLICA_DIVERGED:
             return  # a full resync rebuilds it; buffering is pointless
         buffer = self._catchup[node_name]
-        if len(buffer) >= self.config.catchup_limit:
+        if len(buffer) >= _CATCHUP_LIMIT:
             abandoned = len(buffer) + 1
             buffer.clear()
             self._catchup_dropped[node_name] += abandoned

@@ -54,6 +54,11 @@ class Tier(NamedTuple):
     requests_total: tuple[str, str]
 
 
+#: graceful-drain bound of both tiers: seconds after which
+#: :meth:`FrontDoor.stop` gives up waiting on queued work and stalled
+#: connections and force-closes whatever survives
+DRAIN_DEADLINE_S = 5.0
+
 #: one unanswered request: the request, the clock reading its latency
 #: counts from and the future of its outcome — or, for a frame that is
 #: no request, ``(None, 0.0, future of its wire line)``
@@ -163,10 +168,10 @@ def request_trace_context(request: Request) -> Optional[TraceContext]:
 class FrontDoor:
     """The TCP shell of one serving tier (see the module docstring).
 
-    *config* carries ``host``, ``port``, ``name`` and
-    ``drain_deadline_s``; *counters* carries ``connections_opened``,
-    ``connections_closed``, ``connections_force_closed``,
-    ``requests_total``, ``requests_failed`` and ``bad_requests``;
+    *config* carries ``host``, ``port`` and ``name``; *counters*
+    carries ``connections_opened``, ``connections_closed``,
+    ``connections_force_closed``, ``requests_total``,
+    ``requests_failed`` and ``bad_requests``;
     *inflight* bounds the requests one session may owe answers to.
 
     A tier supplies the rest as hooks: :meth:`_prepare` (before the
@@ -257,7 +262,7 @@ class FrontDoor:
     async def stop(self) -> None:
         """Graceful drain, bounded: stop accepting, let the tier finish
         its work and every session answer the requests it has read,
-        close every connection — but only until ``drain_deadline_s``;
+        close every connection — but only until :data:`DRAIN_DEADLINE_S`;
         past it, surviving connections are force-closed, so one stalled
         client can never hang shutdown."""
         if self._listener is None:  # never started: nothing to drain
@@ -267,7 +272,7 @@ class FrontDoor:
             await self._stopped.wait()
             return
         self._draining = True
-        deadline = time.monotonic() + self.config.drain_deadline_s
+        deadline = time.monotonic() + DRAIN_DEADLINE_S
         self._listener.close()  # stop accepting
         await self._listener.wait_closed()
         forced = await self._quiesce(deadline)

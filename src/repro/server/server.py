@@ -182,10 +182,6 @@ class ServerConfig:
     merge_min_fill: float = 0.25
     #: every Nth maintenance pass also reorganizes (0 = never)
     reorganize_every: int = 0
-    #: graceful-drain bound: seconds after which :meth:`stop` gives up
-    #: waiting on queued writes and stalled connections and force-closes
-    #: whatever survives with a typed ``shutting_down`` status
-    drain_deadline_s: float = 5.0
     #: durability journal: when set, every acknowledged write is in this
     #: WAL (group-committed per batch) before its ack leaves the server,
     #: and :meth:`start` replays the log so a restarted node rejoins
@@ -717,24 +713,17 @@ class CinderellaServer(FrontDoor):
         """
         snapshot = self._snapshots.publish(self.table)
         self.counters.snapshots_published = self._snapshots.published
-        self.counters.snapshots_retired = self._snapshots.retired
         obs.gauge_set(
             "repro_server_snapshot_age_seconds", 0.0,
             "Seconds since the latest snapshot was published",
-        )
-        obs.gauge_set(
-            "repro_server_snapshots_retained",
-            self._snapshots.retained_count(),
-            "MVCC snapshots currently retained",
         )
         return snapshot
 
     def _latest_snapshot(self) -> TableSnapshot:
         """The snapshot reads serve from; never ``None`` once started.
 
-        No pin is needed on the event-loop read path: there is no await
-        between grabbing the snapshot and serving from it, and the
-        manager never collects the latest snapshot.
+        A read holds the snapshot it grabbed for as long as it serves
+        from it; a publish meanwhile cannot take it away.
         """
         snapshot = self._snapshots.latest
         if snapshot is None:  # handler exercised without start() (tests)
@@ -1188,10 +1177,7 @@ class CinderellaServer(FrontDoor):
                 "latest_id": snapshot.snapshot_id,
                 "version_clock": snapshot.version_clock,
                 "age_s": age_s,
-                "retained": self._snapshots.retained_count(),
-                "pins": snapshot.pins,
                 "published": self._snapshots.published,
-                "retired": self._snapshots.retired,
             },
             "admission": {
                 "window": self._admission.window,

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.adapt.controller import (
     DECLINED_REASONS,
+    SHIFT_THRESHOLD,
     AdaptationConfig,
     AdaptationController,
 )
@@ -161,7 +162,7 @@ class TestClosedLoop:
                 break
         assert acted is not None, "the shift was never answered"
         assert acted.action == "reorganize"
-        assert acted.shift >= controller.config.shift_threshold
+        assert acted.shift >= SHIFT_THRESHOLD
         assert acted.plan is not None
         assert acted.plan.win_fraction > 0.0
         assert table.partition_count() < before

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+import repro.server.frontdoor as frontdoor_module
 from repro.router import ClusterHarness, RouterConfig
 from repro.server import ServerConfig, ServerThread
 from repro.server.client import ServerClient
@@ -342,17 +343,19 @@ def _stall_connection(address, rows: int):
 
 class TestBoundedDrain:
     @pytest.mark.parametrize("tier", ["server", "router"])
-    def test_stalled_client_cannot_hang_shutdown(self, tmp_path, tier):
+    def test_stalled_client_cannot_hang_shutdown(
+        self, tmp_path, tier, monkeypatch
+    ):
         """Both tiers drain through the same front door: a client that
         never reads is force-closed at the deadline, and counted."""
+        monkeypatch.setattr(frontdoor_module, "DRAIN_DEADLINE_S", 0.5)
         if tier == "server":
             harness = door = ServerThread(config=ServerConfig(
-                maintenance_interval_s=0, drain_deadline_s=0.5,
+                maintenance_interval_s=0,
             )).start()
         else:
             harness = ClusterHarness(
                 tmp_path, n_nodes=1, replication_factor=1,
-                router_config=RouterConfig(drain_deadline_s=0.5),
             ).start()
             door = harness.router_thread
         try:

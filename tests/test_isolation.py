@@ -3,7 +3,7 @@
 Five parts, each pinning one leg of the concurrency model that replaced
 the single-writer read barrier:
 
-1. **Differential oracle** — snapshots pinned at commit points keep
+1. **Differential oracle** — snapshots held at commit points keep
    serving rows bit-identical to the naive full-scan oracle captured at
    the same instant, no matter how much the live table mutates, merges,
    or reorganizes afterwards — whole, and through shard scopes that
@@ -11,8 +11,8 @@ the single-writer read barrier:
 2. **Properties** (Hypothesis, derandomized by ``conftest``) — no
    snapshot ever exposes a torn batch, and publication is monotonic in
    both snapshot id and version clock.
-3. **Retention GC** — the manager never collects a pinned snapshot nor
-   the latest one, and reclaims promptly once pins drop.
+3. **Retention** — the manager's ring always holds the latest snapshot;
+   an older one lives exactly as long as a reader holds it.
 4. **Concurrent wire soak** — sixteen real connections drive a mixed
    workload through the server; adaptive admission must keep the shed
    rate under two percent (the seed fixed-window server shed ~43% at
@@ -21,7 +21,7 @@ the single-writer read barrier:
    burst on one connection is answered, response for response, like the
    same sequence sent one request at a time.
 5. **Version-clock edges** — ``adopt_version_clock`` across an offline
-   reorganization keeps publication monotonic, and a pinned snapshot
+   reorganization keeps publication monotonic, and a held snapshot
    outlives a merge/split cascade without a bit changing.
 6. **Successor states** — a partition state rebuilt after a delete, an
    update or a split/merge move shares its predecessor's unchanged page
@@ -109,7 +109,7 @@ def naive_rows(snapshot, query: AttributeQuery, scope) -> list[dict]:
 # ----------------------------------------------------------------------
 class TestDifferentialOracle:
     def test_pinned_snapshots_match_the_oracle_at_their_commit_points(self):
-        """Each pinned snapshot == the naive oracle frozen at its publish."""
+        """Each held snapshot == the naive oracle frozen at its publish."""
         rng = random.Random(WORKLOAD_SEED)
         table = build_table()
         manager = SnapshotManager(retain=4)
@@ -137,7 +137,7 @@ class TestDifferentialOracle:
                     )
                 else:
                     table.delete(live.pop(rng.randrange(len(live))))
-            snapshot = manager.pin(manager.publish(table))
+            snapshot = manager.publish(table)
             oracle = [freeze(table.execute_naive(q)) for q in PROBES]
             assert snapshot.version_clock == table.catalog.version_clock
             history.append((snapshot, oracle))
@@ -173,7 +173,7 @@ class TestDifferentialOracle:
                 assert in_a + in_b == in_ab
 
     def test_older_snapshot_served_after_the_newest_leaves_its_chunk_alone(self):
-        """Newest first, then an older pinned snapshot sharing its records
+        """Newest first, then an older held snapshot sharing its records
         (an older view of the page: served from its own chunk), then the
         newest again — whole and scoped, each with its own chunk."""
         table = build_table(max_partition_size=1000.0)
@@ -182,7 +182,7 @@ class TestDifferentialOracle:
         sig = query_sig(query)
         for i in range(10):
             table.insert({"common": i % 3, "attr0": i}, entity_id=i)
-        older = manager.pin(manager.publish(table))
+        older = manager.publish(table)
         assert naive_rows(older, query, None) == freeze(table.execute_naive(query))
         for i in range(10, 25):
             table.insert({"common": i % 3, "attr0": i}, entity_id=i)
@@ -227,10 +227,10 @@ class TestDifferentialOracle:
         manager = SnapshotManager(retain=4)
         for i in range(10):
             table.insert({"attr0": i}, entity_id=i)
-        before = manager.pin(manager.publish(table))
+        before = manager.publish(table)
         for i in range(10, 20):
             table.insert({"attr0": i}, entity_id=i)
-        after = manager.pin(manager.publish(table))
+        after = manager.publish(table)
 
         query = PROBES[0]
         seen_before = {eid for eid, _ in before.entities()}
@@ -283,16 +283,16 @@ class TestIsolationProperties:
         manager = SnapshotManager(retain=3)
         model: dict[int, dict] = {}
         next_eid = 0
-        published = []  # (pinned snapshot, model copy at its commit point)
+        published = []  # (held snapshot, model copy at its commit point)
 
         for index, (kind, attr, pick) in enumerate(ops):
             next_eid = _apply(table, model, next_eid, kind, attr, pick)
             if (index + 1) % batch == 0:
-                snapshot = manager.pin(manager.publish(table))
+                snapshot = manager.publish(table)
                 published.append(
                     (snapshot, {k: dict(v) for k, v in model.items()})
                 )
-        snapshot = manager.pin(manager.publish(table))
+        snapshot = manager.publish(table)
         published.append((snapshot, {k: dict(v) for k, v in model.items()}))
 
         for snapshot, expected in published:
@@ -306,10 +306,10 @@ class TestIsolationProperties:
         manager = SnapshotManager(retain=3)
         model: dict[int, dict] = {}
         next_eid = 0
-        snapshots = [manager.pin(manager.publish(table))]
+        snapshots = [manager.publish(table)]
         for kind, attr, pick in ops:
             next_eid = _apply(table, model, next_eid, kind, attr, pick)
-            snapshots.append(manager.pin(manager.publish(table)))
+            snapshots.append(manager.publish(table))
         ids = [s.snapshot_id for s in snapshots]
         clocks = [s.version_clock for s in snapshots]
         assert ids == sorted(set(ids))  # strictly increasing
@@ -317,58 +317,29 @@ class TestIsolationProperties:
 
 
 # ----------------------------------------------------------------------
-# 3. retention GC never frees pinned or latest
+# 3. retention: the ring holds the latest, readers hold the rest
 # ----------------------------------------------------------------------
 class TestRetentionGC:
-    def test_gc_never_frees_a_pinned_snapshot(self):
-        table = build_table()
-        manager = SnapshotManager(retain=2)
-        for i in range(5):
-            table.insert({"attr0": i}, entity_id=i)
-        pinned = manager.pin(manager.publish(table))
-        frozen = snapshot_rows(pinned, PROBES[0])
-
-        for i in range(5, 25):  # push far past the retention bound
-            table.insert({"attr0": i}, entity_id=i)
-            manager.publish(table)
-
-        retained = manager.retained_ids()
-        assert pinned.snapshot_id in retained
-        assert manager.latest.snapshot_id in retained
-        assert snapshot_rows(pinned, PROBES[0]) == frozen
-        assert manager.retired > 0  # unpinned middle generations did go
-
-        manager.release(pinned)
-        table.insert({"attr0": 99}, entity_id=99)
-        manager.publish(table)  # next publish reclaims the released one
-        assert pinned.snapshot_id not in manager.retained_ids()
-
     def test_latest_is_never_collected_even_at_retain_one(self):
+        """A one-deep ring holds only the latest snapshot: an older one
+        nobody holds is garbage, and one a reader holds keeps serving
+        its version."""
         table = build_table()
         manager = SnapshotManager(retain=1)
-        for i in range(6):
-            table.insert({"attr0": i}, entity_id=i)
-            manager.publish(table)
-        assert manager.retained_count() == 1
-        assert manager.retained_ids() == [manager.latest.snapshot_id]
-        assert manager.latest.entity_count == 6
-
-    def test_double_pin_needs_double_release(self):
-        table = build_table()
-        manager = SnapshotManager(retain=1)
+        table.insert({"attr0": 0}, entity_id=0)
+        held = manager.publish(table)
+        frozen = snapshot_rows(held, PROBES[0])
         table.insert({"attr0": 1}, entity_id=1)
-        snapshot = manager.pin(manager.pin(manager.publish(table)))
+        unheld = weakref.ref(manager.publish(table))
         for i in range(2, 6):
             table.insert({"attr0": i}, entity_id=i)
-            manager.publish(table)
-        manager.release(snapshot)
-        table.insert({"attr0": 6}, entity_id=6)
-        manager.publish(table)
-        assert snapshot.snapshot_id in manager.retained_ids()  # 1 pin left
-        manager.release(snapshot)
-        table.insert({"attr0": 7}, entity_id=7)
-        manager.publish(table)
-        assert snapshot.snapshot_id not in manager.retained_ids()
+            latest = weakref.ref(manager.publish(table))
+            gc.collect()
+            assert latest() is manager.latest
+            assert manager.latest.entity_count == i + 1
+        assert unheld() is None
+        assert held.entity_count == 1
+        assert snapshot_rows(held, PROBES[0]) == frozen
 
 
 # ----------------------------------------------------------------------
@@ -568,9 +539,9 @@ class TestVersionClockEdges:
                 {"common": i % 2, f"attr{i % 4}": i}, entity_id=i
             )
         manager = SnapshotManager(retain=4)
-        pinned = manager.pin(manager.publish(table))
-        frozen_entities = {eid: dict(a) for eid, a in pinned.entities()}
-        frozen_rows = [snapshot_rows(pinned, q) for q in PROBES]
+        held = manager.publish(table)
+        frozen_entities = {eid: dict(a) for eid, a in held.entities()}
+        frozen_rows = [snapshot_rows(held, q) for q in PROBES]
 
         clock_before = table.catalog.version_clock
         table.reorganize()
@@ -578,12 +549,12 @@ class TestVersionClockEdges:
         # succeeds the replaced one — publication stays monotonic
         assert table.catalog.version_clock > clock_before
         after = manager.publish(table)
-        assert after.snapshot_id > pinned.snapshot_id
-        assert after.version_clock > pinned.version_clock
+        assert after.snapshot_id > held.snapshot_id
+        assert after.version_clock > held.version_clock
 
-        # the pinned snapshot is bit-identical to its commit point
-        assert {eid: dict(a) for eid, a in pinned.entities()} == frozen_entities
-        assert [snapshot_rows(pinned, q) for q in PROBES] == frozen_rows
+        # the held snapshot is bit-identical to its commit point
+        assert {eid: dict(a) for eid, a in held.entities()} == frozen_entities
+        assert [snapshot_rows(held, q) for q in PROBES] == frozen_rows
         # and the post-reorganization snapshot agrees with the oracle
         for query in PROBES:
             assert snapshot_rows(after, query) == freeze(
@@ -600,8 +571,8 @@ class TestVersionClockEdges:
         assert splits_before > 0
 
         manager = SnapshotManager(retain=2)
-        pinned = manager.pin(manager.publish(table))
-        frozen_entities = {eid: dict(a) for eid, a in pinned.entities()}
+        held = manager.publish(table)
+        frozen_entities = {eid: dict(a) for eid, a in held.entities()}
 
         # hollow out, merge, then grow back through fresh splits
         for i in range(0, 60, 2):
@@ -610,21 +581,22 @@ class TestVersionClockEdges:
         for i in range(100, 160):
             table.insert({"common": 1, f"attr{i % 3}": i}, entity_id=i)
         assert table.partitioner.split_count > splits_before
-        for _ in range(4):  # several publishes: real GC pressure
+        for _ in range(4):  # several publishes: past the ring's depth
             manager.publish(table)
 
-        assert pinned.snapshot_id in manager.retained_ids()
-        assert {eid: dict(a) for eid, a in pinned.entities()} == frozen_entities
+        assert {eid: dict(a) for eid, a in held.entities()} == frozen_entities
         latest = manager.latest
         for query in PROBES:
             assert snapshot_rows(latest, query) == freeze(
                 table.execute_naive(query)
             )
 
-        manager.release(pinned)
-        table.insert({"common": 1, "tail": 1}, entity_id=999)
-        manager.publish(table)
-        assert pinned.snapshot_id not in manager.retained_ids()
+        # the ring let go of it publishes ago: once its reader does
+        # too, nothing keeps it
+        released = weakref.ref(held)
+        del held
+        gc.collect()
+        assert released() is None
 
 
 # ----------------------------------------------------------------------
@@ -687,7 +659,7 @@ class TestSuccessorStates:
         and merges: at every publish the latest snapshot — its rebuilt
         states borrowing from the ones it replaced — answers every probe
         byte for byte like a fresh manager's first publish of the same
-        table, and every pinned older snapshot keeps its commit point."""
+        table, and every held older snapshot keeps its commit point."""
         self.serve_like_a_fresh_publish(DEFAULT_PAGE_SIZE)
 
     def test_multi_page_successors_serve_like_a_fresh_publish(self):
@@ -706,7 +678,7 @@ class TestSuccessorStates:
         live: list[int] = []
         next_eid = 0
         seen = {"in_place": 0, "moved": 0, "deletes": 0, "merged": 0}
-        pinned = []  # (snapshot, {(probe, scope): commit-point rows})
+        held = []  # (snapshot, {(probe, scope): commit-point rows})
         splits_before = table.partitioner.split_count
 
         for batch in range(16):
@@ -764,8 +736,8 @@ class TestSuccessorStates:
                 }
                 for query in PROBES:
                     assert oracle[query, None] == freeze(table.execute_naive(query))
-                pinned.append((manager.pin(latest), oracle))
-            for snapshot, oracle in pinned:
+                held.append((latest, oracle))
+            for snapshot, oracle in held:
                 for (query, scope), expected in oracle.items():
                     assert naive_rows(snapshot, query, scope) == expected
                     fragment = snapshot.scoped(scope).serve_query(query)[0]
@@ -973,7 +945,7 @@ class TestSuccessorStates:
         assert served == [fresh.serve_query(query)[:2] for query in self.SHAPES]
 
     def test_a_replaced_state_is_not_kept_alive_by_its_successors(self):
-        """Borrowing never chains: two rebuilds later, with no pins and
+        """Borrowing never chains: two rebuilds later, with no reader and
         the retention window past, the first state is garbage."""
         table = build_table(max_partition_size=100_000.0)
         for i in range(50):
@@ -990,7 +962,7 @@ class TestSuccessorStates:
             serve_everything(snapshot)
             assert snapshot.views[0]._state is not first()
         del snapshot
-        for i in range(manager.retain):
+        for i in range(2):  # the ring's depth
             table.insert({"common": 0, "attr0": 100 + i}, entity_id=100 + i)
             serve_everything(manager.publish(table))
         gc.collect()

@@ -215,7 +215,7 @@ NODE_STATS_COUNTERS = [
     "wal_writes_logged", "wal_records_replayed", "connections_force_closed",
     "checkpoints_taken", "checkpoint_records_truncated",
     "sync_pages_served", "sync_deltas_applied", "sync_entities_received",
-    "snapshots_published", "snapshots_retired", "snapshot_reads",
+    "snapshots_published", "snapshot_reads",
     "snapshot_response_cache_hits", "admission_window", "adapt_decisions",
     "adapt_actions", "shed_rate",
 ]

@@ -5,6 +5,7 @@ cardinality bounds, inclusive histogram bucket edges, thread-safe
 increments, and both exposition formats round-tripping.
 """
 
+import importlib
 import json
 import re
 import threading
@@ -102,12 +103,15 @@ class TestValidation:
         with pytest.raises(MetricError, match="requires labels"):
             family.inc()
 
-    def test_label_cardinality_is_bounded(self):
-        registry = MetricsRegistry(max_label_sets=4)
+    def test_label_cardinality_is_bounded(self, monkeypatch):
+        # ``repro.obs.registry`` is also the name of a function there
+        module = importlib.import_module("repro.obs.registry")
+        monkeypatch.setattr(module, "MAX_LABEL_SETS", 4)
+        registry = MetricsRegistry()
         family = registry.counter("ops_total", labelnames=("key",))
         for i in range(4):
             family.labels(key=i).inc()
-        with pytest.raises(MetricError, match="max_label_sets"):
+        with pytest.raises(MetricError, match="exceeded 4 label sets"):
             family.labels(key="one too many").inc()
 
     def test_unsorted_histogram_buckets_rejected(self):

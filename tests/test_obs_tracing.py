@@ -9,6 +9,7 @@ the module-level helpers.
 import pytest
 
 from repro import obs
+from repro.obs import events, tracing
 from repro.obs.events import EventLog
 from repro.obs.tracing import NOOP_SPAN, Tracer
 
@@ -90,8 +91,9 @@ class TestExceptionSafety:
 
 
 class TestDigests:
-    def test_finished_ring_wraps_and_counts_drops(self):
-        tracer = Tracer(max_finished=2)
+    def test_finished_ring_wraps_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(tracing, "FINISHED_TRACES", 2)
+        tracer = Tracer()
         for index in range(5):
             with tracer.span(f"op{index}"):
                 pass
@@ -137,8 +139,9 @@ class TestDigests:
 
 
 class TestEventLog:
-    def test_wraparound_keeps_newest_and_counts_dropped(self):
-        log = EventLog(capacity=3)
+    def test_wraparound_keeps_newest_and_counts_dropped(self, monkeypatch):
+        monkeypatch.setattr(events, "CAPACITY", 3)
+        log = EventLog()
         for index in range(7):
             log.emit("tick", i=index)
         assert [event.fields["i"] for event in log.events()] == [4, 5, 6]
@@ -147,7 +150,7 @@ class TestEventLog:
         assert len(log) == 3
 
     def test_no_drops_below_capacity(self):
-        log = EventLog(capacity=8)
+        log = EventLog()
         log.emit("tick")
         assert log.dropped == 0
 

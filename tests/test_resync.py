@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+import repro.router.router as router_module
 from repro.router import ClusterHarness, RouterConfig
 from repro.router.health import (
     REPLICA_DIVERGED,
@@ -43,8 +44,13 @@ from tests.test_cluster_chaos import ChaosWorker, wait_until
 #: small budgets so divergence fires in seconds, not minutes
 SMALL_BUDGET = dict(
     upstream_timeout_s=1.0, eject_base_s=0.05, eject_max_s=0.5,
-    catchup_limit=8,
 )
+
+
+@pytest.fixture(autouse=True)
+def small_catchup_budget(monkeypatch):
+    """Eight buffered writes per replica before it is declared diverged."""
+    monkeypatch.setattr(router_module, "_CATCHUP_LIMIT", 8)
 
 
 def router_do(cluster, coroutine, timeout_s: float = 60.0):

@@ -34,6 +34,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
+import repro.router.router as router_module
 from repro.router import (
     CinderellaRouter,
     ClusterHarness,
@@ -333,7 +334,7 @@ class TestAdminFanout:
 
 
 class TestPoisonedChannel:
-    def test_exchanges_failing_together_count_once(self):
+    def test_exchanges_failing_together_count_once(self, monkeypatch):
         """A channel that times out fails every exchange queued on it
         with one error: the node's breaker counts one failure, so a
         burst on a stalled connection cannot eject a node by itself."""
@@ -341,9 +342,11 @@ class TestPoisonedChannel:
             mute.bind(("127.0.0.1", 0))
             mute.listen()  # the kernel accepts; nobody ever answers
             node = NodeAddress("mute", "127.0.0.1", mute.getsockname()[1])
-            router = CinderellaRouter(PlacementMap([node]), config=RouterConfig(
-                upstream_timeout_s=0.2, upstream_attempts=1,
-            ))
+            monkeypatch.setattr(router_module, "_UPSTREAM_ATTEMPTS", 1)
+            router = CinderellaRouter(
+                PlacementMap([node]),
+                config=RouterConfig(upstream_timeout_s=0.2),
+            )
 
             async def burst() -> list:
                 channel = router.pools["mute"].channel()

@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+import repro.router.router as router_module
 from repro.router import (
     CinderellaRouter,
     ClusterHarness,
@@ -128,8 +129,10 @@ class _MisbehaviorHandler(socketserver.BaseRequestHandler):
 
 
 @pytest.fixture()
-def misbehaving_router(request):
+def misbehaving_router(request, monkeypatch):
     """A router whose only upstream misbehaves per the fixture param."""
+    monkeypatch.setattr(router_module, "_RETRY_BASE_S", 0.005)
+    monkeypatch.setattr(router_module, "_RETRY_MAX_S", 0.01)
     node = _MisbehavingNode(request.param)
     thread = threading.Thread(target=node.serve_forever, daemon=True)
     thread.start()
@@ -137,10 +140,9 @@ def misbehaving_router(request):
         NodeAddress(name="evil", host="127.0.0.1",
                     port=node.server_address[1]),
     ])
-    router = CinderellaRouter(placement, config=RouterConfig(
-        upstream_timeout_s=0.25, upstream_attempts=2,
-        retry_base_s=0.005, retry_max_s=0.01,
-    ))
+    router = CinderellaRouter(
+        placement, config=RouterConfig(upstream_timeout_s=0.25)
+    )
     with ServerThread(router) as running:
         yield running
     node.shutdown()
@@ -179,7 +181,10 @@ class TestUpstreamMisbehavior:
 
 
 class TestPartialScatterOnTheWire:
-    def test_half_dead_placement_degrades_instead_of_failing(self, tmp_path):
+    def test_half_dead_placement_degrades_instead_of_failing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(router_module, "_UPSTREAM_ATTEMPTS", 1)
         # one real node plus one port nobody listens on, rf=1: half the
         # shards answer, half are explicitly unreachable
         with ClusterHarness(tmp_path, n_nodes=1, replication_factor=1) as h:
@@ -191,9 +196,9 @@ class TestPartialScatterOnTheWire:
                 [real, NodeAddress("ghost", "127.0.0.1", dead_port)],
                 n_shards=4,
             )
-            router = CinderellaRouter(placement, config=RouterConfig(
-                upstream_timeout_s=0.25, upstream_attempts=1,
-            ))
+            router = CinderellaRouter(
+                placement, config=RouterConfig(upstream_timeout_s=0.25)
+            )
             with ServerThread(router) as running:
                 documents = _exchange_lines(
                     running.address,

@@ -97,9 +97,17 @@ class TestRuntimeHelpers:
         # the lazily minted ids survive on the finished span
         assert state.tracer.finished[-1].trace_id == wire.trace_id
 
-    def test_sample_rate_zero_marks_unsampled(self):
-        obs.enable(propagate=True, sample_rate=0.0)
-        assert wire_trace().endswith("-00")
+    def test_unsampled_wire_context_is_adopted_and_records_nothing(self):
+        state = obs.enable(propagate=True)
+        sender = TraceContext.new(sampled=False)
+        adopted = adopt_wire_trace(sender.to_wire())  # flags "-00"
+        assert adopted.trace_id == sender.trace_id
+        assert adopted.parent_span_id == sender.span_id
+        assert adopted.sampled is False
+        with trace_scope(adopted):
+            with state.tracer.span("handler.work") as span:
+                pass
+        assert span.trace_id is None
 
     def test_adopt_creates_a_child_of_the_sender(self):
         obs.enable(propagate=True)
