@@ -15,8 +15,7 @@ with and without a buffer pool:
 from repro.core.config import CinderellaConfig
 from repro.reporting.tables import format_table
 from repro.storage.buffer import BufferPool
-from repro.table.partitioned import CinderellaTable
-from repro.table.universal import UniversalTable
+from repro.table.partitioned import CinderellaTable, unpartitioned_table
 
 from conftest import N_ENTITIES, PAGE_SIZE
 
@@ -29,7 +28,7 @@ def load_tables(dbpedia, pool_pages):
         page_size=PAGE_SIZE,
         buffer_pool=pool_c,
     )
-    universal = UniversalTable(page_size=PAGE_SIZE, buffer_pool=pool_u)
+    universal = unpartitioned_table(page_size=PAGE_SIZE, buffer_pool=pool_u)
     for entity in dbpedia.entities[: min(N_ENTITIES, 10_000)]:
         cinderella.insert(entity.attributes, entity_id=entity.entity_id)
         universal.insert(entity.attributes, entity_id=entity.entity_id)

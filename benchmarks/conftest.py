@@ -31,8 +31,7 @@ import pytest
 
 from repro.core.config import CinderellaConfig
 from repro.cost.model import CostModel
-from repro.table.partitioned import CinderellaTable
-from repro.table.universal import UniversalTable
+from repro.table.partitioned import CinderellaTable, unpartitioned_table
 from repro.workloads.dbpedia import generate_dbpedia_persons, validate_distribution
 from repro.workloads.querygen import (
     QuerySpec,
@@ -115,8 +114,9 @@ def query_workload(dbpedia) -> list[QuerySpec]:
 
 
 @pytest.fixture(scope="session")
-def universal_table(dbpedia) -> UniversalTable:
-    table = UniversalTable(page_size=PAGE_SIZE)
+def universal_table(dbpedia) -> CinderellaTable:
+    """The unpartitioned baseline: the one-partition layout."""
+    table = unpartitioned_table(page_size=PAGE_SIZE)
     for entity in dbpedia.entities:
         table.insert(entity.attributes, entity_id=entity.entity_id)
     return table

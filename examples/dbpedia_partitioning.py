@@ -1,9 +1,11 @@
 """DBpedia scenario — the paper's irregular-data evaluation in one script.
 
 Loads the synthetic DBpedia person extract (calibrated to the paper's
-Figure 4) into a Cinderella-partitioned universal table and into the
-unpartitioned baseline, then compares selective-query cost, partitioning
-efficiency (Definition 1), and the resulting partition layout.
+Figure 4) into one table class under three layouts — Cinderella, hash
+partitioning, and the unpartitioned baseline (the one-partition layout)
+— then compares selective-query cost, partitioning efficiency
+(Definition 1), and the resulting partition layout.  Every layout is read
+through the same executor, so they return the same rows.
 
 Run with::
 
@@ -16,10 +18,11 @@ from repro import (
     CinderellaConfig,
     CinderellaTable,
     CostModel,
-    UniversalTable,
     catalog_efficiency,
     universal_table_efficiency,
+    unpartitioned_table,
 )
+from repro.baselines import HashPartitioner
 from repro.core import summarize_catalog
 from repro.reporting import format_kv_block, format_table
 from repro.workloads import (
@@ -39,11 +42,15 @@ def main(n_entities: int = 10_000) -> None:
 
     config = CinderellaConfig(max_partition_size=n_entities // 20, weight=0.2)
     cinderella = CinderellaTable(config, page_size=1024)
-    universal = UniversalTable(page_size=1024)
-    print(f"Loading both layouts (B = {config.max_partition_size:g}, w = 0.2) ...")
+    layouts = {
+        "cinderella": cinderella,
+        "hash": CinderellaTable(partitioner=HashPartitioner(20), page_size=1024),
+        "universal": unpartitioned_table(page_size=1024),
+    }
+    print(f"Loading three layouts (B = {config.max_partition_size:g}, w = 0.2) ...")
     for entity in dataset.entities:
-        cinderella.insert(entity.attributes, entity_id=entity.entity_id)
-        universal.insert(entity.attributes, entity_id=entity.entity_id)
+        for table in layouts.values():
+            table.insert(entity.attributes, entity_id=entity.entity_id)
 
     summary = summarize_catalog(cinderella.catalog)
     print()
@@ -67,33 +74,44 @@ def main(n_entities: int = 10_000) -> None:
 
     rows = []
     for spec in workload[::3]:
-        stats_c = cinderella.execute(spec.query).stats
-        stats_u = universal.execute(spec.query).stats
+        results = {name: t.execute(spec.query) for name, t in layouts.items()}
+        answers = {
+            name: sorted(map(repr, result.rows)) for name, result in results.items()
+        }
+        assert answers["hash"] == answers["universal"] == answers["cinderella"]
+        stats_c = results["cinderella"].stats
         rows.append(
             [
                 ", ".join(spec.query.attributes)[:34],
                 spec.selectivity,
-                model.query_time_ms(stats_c),
-                model.query_time_ms(stats_u),
+                *(model.query_time_ms(r.stats) for r in results.values()),
                 f"{stats_c.partitions_pruned}/{stats_c.partitions_total}",
             ]
         )
     print()
     print(format_table(
-        ["query attributes", "selectivity", "cinderella ms", "universal ms",
-         "pruned"],
+        ["query attributes", "selectivity", "cinderella ms", "hash ms",
+         "universal ms", "pruned"],
         rows,
-        title="Simulated query cost by selectivity",
+        title="Simulated query cost by selectivity (same rows on every layout)",
     ))
 
     query_masks = [s.query.synopsis_mask(dictionary) for s in workload]
-    eff_c = catalog_efficiency(cinderella.catalog, query_masks)
-    eff_u = universal_table_efficiency([(m, 1.0) for m in masks], query_masks)
+    efficiency = {
+        name: catalog_efficiency(t.catalog, query_masks)
+        for name, t in layouts.items()
+    }
+    # the one-partition layout is Definition 1's P = {T}
+    assert efficiency["universal"] == universal_table_efficiency(
+        [(m, 1.0) for m in masks], query_masks
+    )
+    assert efficiency["cinderella"] > efficiency["universal"]
     print()
     print(format_kv_block(
-        "Partitioning efficiency (Definition 1)",
-        [("cinderella", eff_c), ("universal table", eff_u)],
+        "Partitioning efficiency (Definition 1)", list(efficiency.items())
     ))
+    for table in layouts.values():
+        assert table.check_consistency() == []
 
 
 if __name__ == "__main__":

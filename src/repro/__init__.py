@@ -13,9 +13,10 @@ The package implements the full system stack of the paper:
   partition metadata, and the inverted synopsis index extension.
 * :mod:`repro.storage` — the storage substrate: sparse interpreted
   records, slotted pages, heap files, buffer pool, I/O accounting.
-* :mod:`repro.table` — the universal table baseline and the
-  Cinderella-partitioned table with transparent DML and pruned UNION ALL
-  query execution; schema-emulating views for the TPC-H experiment.
+* :mod:`repro.table` — the universal table over any layout (Cinderella,
+  a baseline partitioner, or the unpartitioned one-partition layout)
+  with transparent DML and pruned UNION ALL query execution;
+  schema-emulating views for the TPC-H experiment.
 * :mod:`repro.query` / :mod:`repro.cost` — attribute queries, pruning,
   rewriting, execution statistics, and the simulated cost model.
 * :mod:`repro.workloads` — the DBpedia-person data generator (calibrated
@@ -55,7 +56,7 @@ from repro.core import (
 from repro.cost import CostModel
 from repro.query import AttributeQuery, ExecutionResult, UnionAllPlan
 from repro.storage import BufferPool, Entity, IOStats
-from repro.table import CinderellaTable, TableView, UniversalTable
+from repro.table import CinderellaTable, TableView, unpartitioned_table
 
 __version__ = "1.0.0"
 
@@ -79,9 +80,9 @@ __all__ = [
     "TableView",
     "UniformSizeModel",
     "UnionAllPlan",
-    "UniversalTable",
     "WorkloadBasedPartitioner",
     "catalog_efficiency",
     "partitioning_efficiency",
     "universal_table_efficiency",
+    "unpartitioned_table",
 ]

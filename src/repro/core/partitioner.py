@@ -43,6 +43,7 @@ from repro.catalog.synopsis_index import SynopsisIndex
 from repro.core.config import CinderellaConfig
 from repro.core.outcomes import ModificationOutcome, Move
 from repro.core.rating import best_rated
+from repro.core.sizes import SizeModel
 from repro.obs import runtime as obs
 
 #: the insert span itself feeds the latency histogram — one clock, one
@@ -116,6 +117,11 @@ class CinderellaPartitioner:
         #: swap) — the one injection point the fault-injection matrix
         #: uses to crash operations mid-flight.
         self.crash_hook: Optional[Callable[[str], None]] = None
+
+    @property
+    def size_model(self) -> SizeModel:
+        """The configured size model (the baselines hold theirs directly)."""
+        return self.config.size_model
 
     def _step(self, label: str) -> None:
         """Announce one step boundary to the installed hook, if any."""

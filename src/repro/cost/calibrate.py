@@ -41,7 +41,12 @@ MIN_FIT_SAMPLES = 8
 
 @dataclass(frozen=True)
 class CalibrationSample:
-    """One observed execution: the scan features plus the measured time."""
+    """One observed execution: the scan features plus the measured time.
+
+    The features carry :class:`~repro.query.executor.ExecutionStats`'s
+    field names, so :meth:`CostModel.query_time_ms` prices a sample
+    exactly as it prices the execution it came from.
+    """
 
     pages_read: int
     entities_read: int
@@ -113,21 +118,10 @@ def _solve(matrix: list[list[float]], rhs: list[float]) -> list[float]:
 
 
 def _predict_ms(model: CostModel, sample: CalibrationSample) -> float:
-    """The model's scan-side prediction for one sample's features.
-
-    Mirrors :meth:`CostModel.query_time_ms` over the calibration
-    features (the union-projection term rides on ``record_scan_ms`` in
-    the fit — the two are perfectly collinear per sample set).
-    """
-    time_ms = (
-        model.page_read_ms * sample.pages_read
-        + model.record_scan_ms * sample.entities_read
-        + model.row_output_ms * sample.rows_returned
-    )
-    if sample.union_branches:
-        time_ms += model.branch_overhead_ms * sample.union_branches
-        time_ms += model.union_project_ms * sample.entities_read
-    return time_ms
+    """The model's scan-side prediction for one sample (the
+    union-projection term rides on ``record_scan_ms`` in the fit — the
+    two are perfectly collinear per sample set)."""
+    return model.query_time_ms(sample)
 
 
 def fit_cost_model(

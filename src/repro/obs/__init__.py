@@ -69,7 +69,6 @@ from repro.obs.runtime import (
     is_enabled,
     observe,
     record_remote_span,
-    registry,
     span,
     state,
     trace_scope,
@@ -123,7 +122,6 @@ __all__ = [
     "quantile_from_buckets",
     "read_jsonl_traces",
     "record_remote_span",
-    "registry",
     "scrape_cluster",
     "span",
     "state",

@@ -181,11 +181,6 @@ def state() -> Optional[ObservabilityState]:
     return _STATE
 
 
-def registry() -> Optional[MetricsRegistry]:
-    """The active metrics registry, or None while disabled."""
-    return _STATE.registry if _STATE is not None else None
-
-
 # ---------------------------------------------------------------------------
 # hot-path helpers: one global read + early return when disabled.  While
 # enabled they stay lean too — spans are built directly (no tracer

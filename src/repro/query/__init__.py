@@ -4,7 +4,6 @@ from repro.query.cache import QueryResultCache
 from repro.query.executor import (
     ExecutionResult,
     ExecutionStats,
-    execute_full_scan,
     execute_uncached_full_scan,
     execute_union_all,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "QueryResultCache",
     "UnionAllPlan",
     "clause_masks",
-    "execute_full_scan",
     "execute_uncached_full_scan",
     "execute_union_all",
     "prune",

@@ -67,11 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class ExecutionStats:
     """Everything a query execution touched.
 
-    ``union_branches`` is 0 for the unpartitioned baseline (no UNION ALL
-    was needed); for partitioned execution it equals the number of
-    partitions scanned and drives the prototype-overhead term of the cost
-    model.  ``cache_hits``/``cache_misses`` count result-cache traffic
-    for this one query; a hit branch contributes rows but no reads.
+    ``union_branches`` drives the prototype-overhead term of the cost
+    model; :func:`union_branches` is its one rule.
+    ``cache_hits``/``cache_misses`` count result-cache traffic for this
+    one query; a hit branch contributes rows but no reads.
     """
 
     partitions_total: int = 0
@@ -85,6 +84,18 @@ class ExecutionStats:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_time_s: float = 0.0
+
+
+def union_branches(partitions_total: int, branches: int) -> int:
+    """The UNION ALL branches a plan reading *branches* of a layout's
+    *partitions_total* partitions pays for.
+
+    A layout of at most one partition is a plain relation — the paper's
+    unpartitioned universal table — read without any UNION ALL, so it
+    pays none; over more partitions every branch read (or served from
+    the cache) is one.
+    """
+    return branches if partitions_total > 1 else 0
 
 
 @dataclass
@@ -212,6 +223,9 @@ def execute_union_all(
     stats = ExecutionStats(
         partitions_total=plan.partitions_total,
         partitions_pruned=len(plan.pruned_pids),
+        union_branches=union_branches(
+            plan.partitions_total, len(plan.branch_pids)
+        ),
     )
     rows: list[dict[str, Any]] = []
     current = None  # the snapshot, once a branch scans
@@ -220,7 +234,6 @@ def execute_union_all(
         "query.execute", branches=len(plan.branch_pids), cached=cache is not None
     ) as span:
         for pid in plan.branch_pids:
-            stats.union_branches += 1
             branch_rows = rows
             if cache is not None:
                 version = catalog.version_of(pid)
@@ -286,28 +299,17 @@ def execute_uncached_full_scan(
     matching the plan order of :func:`repro.query.rewrite.rewrite`, so
     results are bit-identical to the fast path's.
     """
-    stats = ExecutionStats(partitions_total=len(heaps))
+    stats = ExecutionStats(
+        partitions_total=len(heaps),
+        union_branches=union_branches(len(heaps), len(heaps)),
+    )
     rows: list[dict[str, Any]] = []
     started = time.perf_counter()
     for pid in sorted(heaps):
         stats.partitions_scanned += 1
-        stats.union_branches += 1
         scan_heap(
             heaps[pid], dictionary, stats, rows, query.matches, query.project
         )
     stats.wall_time_s = time.perf_counter() - started
     return ExecutionResult(rows=rows, stats=stats)
 
-
-def execute_full_scan(
-    query: AttributeQuery,
-    heap: "HeapFile",
-    dictionary: "AttributeDictionary",
-) -> ExecutionResult:
-    """Execute a query against the unpartitioned universal table."""
-    stats = ExecutionStats(partitions_total=1, partitions_scanned=1)
-    rows: list[dict[str, Any]] = []
-    started = time.perf_counter()
-    scan_heap(heap, dictionary, stats, rows, query.matches, query.project)
-    stats.wall_time_s = time.perf_counter() - started
-    return ExecutionResult(rows=rows, stats=stats)

@@ -72,7 +72,7 @@ from typing import (
 )
 
 from repro.obs import runtime as obs
-from repro.query.executor import ExecutionResult, ExecutionStats
+from repro.query.executor import ExecutionResult, ExecutionStats, union_branches
 from repro.query.pruning import clause_masks, prune
 from repro.query.query import AttributeQuery
 from repro.storage.page import PageView
@@ -578,7 +578,7 @@ class TableSnapshot:
             partitions_total=len(self.views),
             partitions_scanned=len(branches),
             partitions_pruned=pruned,
-            union_branches=len(branches),
+            union_branches=union_branches(len(self.views), len(branches)),
         )
         rows: list[dict[str, Any]] = []
         with obs.span("query.snapshot_scan", branches=len(branches)):

@@ -529,8 +529,9 @@ class FrontDoor:
         else:
             status, fields, error = outcome
         ended = time.perf_counter()
-        registry = obs.registry()
-        if registry is not None:
+        state = obs.state()
+        if state is not None:
+            registry = state.registry
             cache = self._request_metrics
             if cache is None or cache[0] is not registry:
                 cache = self._request_metrics = (registry, {}, {})

@@ -3,14 +3,15 @@
 Every layout runs the attribute-query path's own code: the WHERE
 clause's pruning clauses become clause masks for the one rule of
 :mod:`repro.query.pruning`, then each surviving branch is scanned.  A
-:class:`~repro.table.partitioned.CinderellaTable` plans through
+:class:`~repro.table.partitioned.CinderellaTable`, over whatever
+partitioner lays it out (the unpartitioned universal table is its
+one-partition layout), plans through
 :func:`~repro.query.rewrite.prune_catalog` (index resolution, ascending
 pid) and scans with :func:`~repro.query.executor.scan_heap`; a
 :class:`~repro.query.snapshot.TableSnapshot`, perhaps ``scoped()`` to
 some shards, prunes its partition views and scans their decoded records
-(no pages or bytes read: the serving layer's lock-free read path); a
-:class:`~repro.table.universal.UniversalTable` has no synopses and is
-one plain scan.  Results carry the same
+(no pages or bytes read: the serving layer's lock-free read path).
+Results carry the same
 :class:`~repro.query.executor.ExecutionStats` as attribute queries, so
 the cost model applies unchanged.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Union
 
-from repro.query.executor import ExecutionStats, scan_heap
+from repro.query.executor import ExecutionStats, scan_heap, union_branches
 from repro.query.pruning import prune
 from repro.query.rewrite import prune_catalog
 from repro.query.snapshot import TableSnapshot
@@ -30,9 +31,8 @@ from repro.sql.ast import OrderItem, SelectStatement
 from repro.sql.compiler import compile_predicate, pruning_clauses
 from repro.sql.parser import parse
 from repro.table.partitioned import CinderellaTable
-from repro.table.universal import UniversalTable
 
-Table = Union[CinderellaTable, TableSnapshot, UniversalTable]
+Table = Union[CinderellaTable, TableSnapshot]
 
 
 @dataclass
@@ -42,7 +42,7 @@ class SqlResult:
     rows: list[dict[str, Any]]
     stats: ExecutionStats
     statement: SelectStatement
-    #: partition ids pruned by the WHERE clause (empty on universal tables)
+    #: partition ids pruned by the WHERE clause
     pruned_pids: tuple[int, ...] = field(default=())
 
 
@@ -91,36 +91,31 @@ def execute_statement(statement: SelectStatement, table: Table) -> SqlResult:
     project = _projection(statement)
     rows: list[dict[str, Any]] = []
     started = time.perf_counter()
-    if isinstance(table, UniversalTable):
-        # no synopses to prune by: one plain scan, no UNION ALL
-        stats = ExecutionStats(partitions_total=1, partitions_scanned=1)
-        scan_heap(table.heap, table.dictionary, stats, rows, matches, project)
-        pruned: tuple[int, ...] = ()
-    else:
-        masks = [
-            table.dictionary.encode_known(clause)
-            for clause in (pruning_clauses(where) if where is not None else [])
-        ]
-        if isinstance(table, TableSnapshot):
-            views, pruned_views = prune(
-                ((view, view.mask) for view in table.views), masks
-            )
-            pruned = tuple(view.pid for view in pruned_views)
-            scans = [view.scan for view in views]
-        else:
-            pids, pruned = prune_catalog(masks, table.catalog)
-            scans = [
-                partial(scan_heap, table.heap_of(pid), table.dictionary)
-                for pid in pids
-            ]
-        stats = ExecutionStats(
-            partitions_total=len(scans) + len(pruned),
-            partitions_pruned=len(pruned),
+    masks = [
+        table.dictionary.encode_known(clause)
+        for clause in (pruning_clauses(where) if where is not None else [])
+    ]
+    if isinstance(table, TableSnapshot):
+        views, pruned_views = prune(
+            ((view, view.mask) for view in table.views), masks
         )
-        for scan in scans:
-            stats.partitions_scanned += 1
-            stats.union_branches += 1
-            scan(stats, rows, matches, project)
+        pruned = tuple(view.pid for view in pruned_views)
+        scans = [view.scan for view in views]
+    else:
+        pids, pruned = prune_catalog(masks, table.catalog)
+        scans = [
+            partial(scan_heap, table.heap_of(pid), table.dictionary)
+            for pid in pids
+        ]
+    total = len(scans) + len(pruned)
+    stats = ExecutionStats(
+        partitions_total=total,
+        partitions_pruned=len(pruned),
+        union_branches=union_branches(total, len(scans)),
+    )
+    for scan in scans:
+        stats.partitions_scanned += 1
+        scan(stats, rows, matches, project)
 
     rows = _order_and_limit(rows, statement)
     stats.rows_returned = len(rows)

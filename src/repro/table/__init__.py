@@ -1,7 +1,6 @@
-"""Table layer: universal table, Cinderella-partitioned table, views."""
+"""Table layer: the universal table over any layout, and views."""
 
-from repro.table.partitioned import CinderellaTable
-from repro.table.universal import UniversalTable
+from repro.table.partitioned import CinderellaTable, unpartitioned_table
 from repro.table.views import TableView
 
-__all__ = ["CinderellaTable", "TableView", "UniversalTable"]
+__all__ = ["CinderellaTable", "TableView", "unpartitioned_table"]

@@ -1,13 +1,19 @@
-"""The Cinderella-partitioned universal table.
+"""The universal table, laid out by an online partitioner.
 
 This is the reproduction of the paper's prototype: users insert, update,
 and delete against a universal table interface; every modification
-triggers the Cinderella routine (the prototype used PostgreSQL triggers,
-we call the partitioner directly); queries are rewritten to a pruned
-UNION ALL over per-partition heap files, answered from the table's own
-snapshot of them (:mod:`repro.query.snapshot`), brought current by the
-first read after writes, so a record is decoded once per change rather
-than once per query.
+triggers the partitioning routine (the prototype used PostgreSQL
+triggers, we call the partitioner directly); queries are rewritten to a
+pruned UNION ALL over per-partition heap files, answered from the
+table's own snapshot of them (:mod:`repro.query.snapshot`), brought
+current by the first read after writes, so a record is decoded once per
+change rather than once per query.
+
+The layout is Cinderella by default, or any
+:class:`~repro.core.partitioner.Partitioner` — the hash and round-robin
+baselines, and the paper's unpartitioned universal table, which is the
+one-partition layout (:func:`unpartitioned_table`), read through the same
+executor as every other layout.
 
 The partitioner is purely logical — it returns a
 :class:`~repro.core.outcomes.ModificationOutcome` describing partition
@@ -20,6 +26,7 @@ entities from partition to partition").
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -27,7 +34,7 @@ from repro.catalog.catalog import PartitionCatalog
 from repro.catalog.dictionary import AttributeDictionary
 from repro.core.config import CinderellaConfig
 from repro.core.outcomes import ModificationOutcome, Move
-from repro.core.partitioner import CinderellaPartitioner
+from repro.core.partitioner import CinderellaPartitioner, Partitioner
 from repro.maintenance.merger import MergeReport, merge_small_partitions
 from repro.maintenance.reorganizer import ReorganizationReport, reorganize
 from repro.obs import runtime as obs
@@ -58,7 +65,8 @@ def _count_txn(outcome: str) -> None:
 
 
 class CinderellaTable:
-    """A universal table horizontally partitioned online by Cinderella."""
+    """A universal table horizontally partitioned online — by Cinderella
+    under *config*, or by any other *partitioner* (not both)."""
 
     def __init__(
         self,
@@ -67,9 +75,21 @@ class CinderellaTable:
         page_size: int = DEFAULT_PAGE_SIZE,
         buffer_pool: Optional[BufferPool] = None,
         result_cache: Optional[QueryResultCache] = None,
+        partitioner: Optional[Partitioner] = None,
     ) -> None:
+        if partitioner is None:
+            partitioner = CinderellaPartitioner(config)
+        elif config is not None:
+            raise ValueError("pass a config or a partitioner, not both")
         self.dictionary = dictionary if dictionary is not None else AttributeDictionary()
-        self.partitioner = CinderellaPartitioner(config)
+        self.partitioner = partitioner
+        #: the partitioner again when it is Cinderella, else None — the one
+        #: check behind what only Cinderella has: its config, merges and
+        #: reorganizations (with their crash hook and split count) and its
+        #: capacity bound in :meth:`check_consistency`
+        self._cinderella = (
+            partitioner if isinstance(partitioner, CinderellaPartitioner) else None
+        )
         self.io = IOStats()
         self.page_size = page_size
         self.buffer_pool = buffer_pool
@@ -95,7 +115,15 @@ class CinderellaTable:
 
     @property
     def config(self) -> CinderellaConfig:
-        return self.partitioner.config
+        return self._only_cinderella("config").config
+
+    def _only_cinderella(self, what: str) -> CinderellaPartitioner:
+        if self._cinderella is None:
+            raise TypeError(
+                f"{what} is Cinderella's; this table is laid out by "
+                f"{type(self.partitioner).__name__}"
+            )
+        return self._cinderella
 
     # ------------------------------------------------------------------
     # data manipulation (the trigger bodies of the prototype)
@@ -113,7 +141,7 @@ class CinderellaTable:
     def insert(
         self, attributes: Mapping[str, Any], entity_id: Optional[int] = None
     ) -> ModificationOutcome:
-        """Insert an entity through the Cinderella routine."""
+        """Insert an entity through the partitioner's routine."""
         eid = self._next_eid if entity_id is None else entity_id
         if eid in self._rids:
             raise ValueError(f"entity {eid} already exists")
@@ -141,7 +169,7 @@ class CinderellaTable:
         return outcome
 
     def update(self, eid: int, attributes: Mapping[str, Any]) -> ModificationOutcome:
-        """Update an entity; Cinderella moves it only if a better partition wins."""
+        """Update an entity; the partitioner decides whether it moves."""
         if eid not in self._rids:
             raise KeyError(f"no entity {eid}")
         record = self.record_of(eid, attributes)
@@ -242,7 +270,7 @@ class CinderellaTable:
                 raise ValueError(f"entity {eid} restored twice")
             record = serialize_record(eid, attributes, self.dictionary)
             mask = self.dictionary.encode(attributes)
-            size = self.config.size_model.entity_size(mask, len(record))
+            size = self.partitioner.size_model.entity_size(mask, len(record))
             self.catalog.add_entity(partition.pid, eid, mask, size)
             self._rids[eid] = heap.insert(record)
             self._next_eid = max(self._next_eid, eid) + 1
@@ -262,12 +290,11 @@ class CinderellaTable:
         ``crash_hook`` included — rolls the catalog back exactly, and
         the heaps, untouched until the commit, still match it.
         """
+        partitioner = self._only_cinderella("merge_small_partitions")
         txn = self.catalog.begin_transaction()
         with obs.span("txn.merge") as span:
             try:
-                report = merge_small_partitions(
-                    self.partitioner, min_fill, query_masks
-                )
+                report = merge_small_partitions(partitioner, min_fill, query_masks)
             except BaseException as error:
                 txn.rollback()
                 obs.event(
@@ -305,7 +332,7 @@ class CinderellaTable:
         be served again.
         The returned report's ``partitioner`` is the table's own.
         """
-        partitioner = self.partitioner
+        partitioner = self._only_cinderella("reorganize")
         report = reorganize(partitioner, config, query_masks, order)
         rebuilt = report.partitioner
         records = {}
@@ -422,7 +449,7 @@ class CinderellaTable:
 
     def check_consistency(self) -> list[str]:
         """Logical/physical cross-check: catalog vs. heap contents."""
-        problems = self.partitioner.check_invariants()
+        problems = (self._cinderella or self.catalog).check_invariants()
         for pid, heap in self._heaps.items():
             if pid not in self.catalog:
                 problems.append(f"heap for unknown partition {pid}")
@@ -458,3 +485,20 @@ class CinderellaTable:
                     f"entity {eid}: stored attributes differ from its catalog synopsis"
                 )
         return problems
+
+
+def unpartitioned_table(**table_args: Any) -> CinderellaTable:
+    """The paper's unpartitioned universal table (Figure 1): the
+    one-partition layout, which holds every entity in one heap file.
+
+    *table_args* are :class:`CinderellaTable`'s, ``config`` and
+    ``partitioner`` aside.
+    """
+    # imported here: repro.baselines loads NumPy (its vertical
+    # comparators), which a table that never builds this layout — a
+    # serving node — should not pay for in start-up time and memory
+    from repro.baselines.round_robin import RoundRobinPartitioner
+
+    return CinderellaTable(
+        partitioner=RoundRobinPartitioner(math.inf), **table_args
+    )

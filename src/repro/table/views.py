@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Sequence, TYPE_CHECKING
 
-from repro.query.executor import ExecutionStats, scan_heap
+from repro.query.executor import ExecutionStats, scan_heap, union_branches
 from repro.query.query import AttributeQuery
 from repro.query.rewrite import UnionAllPlan
 
@@ -77,6 +77,9 @@ class TableView:
         stats = ExecutionStats(
             partitions_total=plan.partitions_total,
             partitions_pruned=len(plan.pruned_pids),
+            union_branches=union_branches(
+                plan.partitions_total, len(plan.branch_pids)
+            ),
         )
         self.last_stats = stats
         columns = self.columns
@@ -86,7 +89,6 @@ class TableView:
 
         for pid in plan.branch_pids:
             stats.partitions_scanned += 1
-            stats.union_branches += 1
             rows: list[dict[str, Any]] = []
             scan_heap(
                 self.table.heap_of(pid), self.table.dictionary, stats, rows,

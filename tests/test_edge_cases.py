@@ -106,9 +106,9 @@ class TestSqlEdges:
         assert result.stats.partitions_total == 0
 
     def test_sql_against_universal_table(self):
-        from repro.table.universal import UniversalTable
+        from repro.table.partitioned import unpartitioned_table
 
-        table = UniversalTable()
+        table = unpartitioned_table()
         table.insert({"a": 1})
         table.insert({"b": 2})
         result = execute("SELECT a FROM t WHERE a IS NOT NULL", table)

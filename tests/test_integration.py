@@ -9,8 +9,7 @@ import pytest
 from repro.core.config import CinderellaConfig
 from repro.core.efficiency import catalog_efficiency, universal_table_efficiency
 from repro.cost.model import CostModel
-from repro.table.partitioned import CinderellaTable
-from repro.table.universal import UniversalTable
+from repro.table.partitioned import CinderellaTable, unpartitioned_table
 from repro.workloads.dbpedia import generate_dbpedia_persons
 from repro.workloads.querygen import build_query_workload, representative_queries
 
@@ -24,7 +23,7 @@ def loaded_tables():
     cinderella = CinderellaTable(
         CinderellaConfig(max_partition_size=120, weight=0.3), page_size=1024
     )
-    universal = UniversalTable(page_size=1024)
+    universal = unpartitioned_table(page_size=1024)
     for entity in dataset.entities:
         cinderella.insert(entity.attributes, entity_id=entity.entity_id)
         universal.insert(entity.attributes, entity_id=entity.entity_id)

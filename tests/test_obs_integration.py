@@ -181,12 +181,12 @@ class TestCountersAgreement:
             CinderellaConfig(max_partition_size=20.0),
             result_cache=QueryResultCache(),
         )
-        obs.enable()
+        registry = obs.enable().registry
         _run_query_workload(table)
-        assert obs.registry().get_value("repro_query_queries_total") == 9
+        assert registry.get_value("repro_query_queries_total") == 9
         table.execute(AttributeQuery(("name",)))
-        assert obs.registry().get_value("repro_query_queries_total") == 10
-        assert "repro_query_queries_total 10" in obs.registry().to_prometheus()
+        assert registry.get_value("repro_query_queries_total") == 10
+        assert "repro_query_queries_total 10" in registry.to_prometheus()
 
     def test_mirror_aggregates_multiple_tables(self):
         state = obs.enable()

@@ -5,13 +5,13 @@ cardinality bounds, inclusive histogram bucket edges, thread-safe
 increments, and both exposition formats round-tripping.
 """
 
-import importlib
 import json
 import re
 import threading
 
 import pytest
 
+import repro.obs.registry as registry_module
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     SERVER_LATENCY_BUCKETS,
@@ -104,9 +104,7 @@ class TestValidation:
             family.inc()
 
     def test_label_cardinality_is_bounded(self, monkeypatch):
-        # ``repro.obs.registry`` is also the name of a function there
-        module = importlib.import_module("repro.obs.registry")
-        monkeypatch.setattr(module, "MAX_LABEL_SETS", 4)
+        monkeypatch.setattr(registry_module, "MAX_LABEL_SETS", 4)
         registry = MetricsRegistry()
         family = registry.counter("ops_total", labelnames=("key",))
         for i in range(4):

@@ -9,8 +9,7 @@ from repro.query.snapshot import ShardScope, SnapshotManager
 from repro.sql.compiler import compile_predicate, pruning_clauses
 from repro.sql.executor import execute
 from repro.sql.parser import parse
-from repro.table.partitioned import CinderellaTable
-from repro.table.universal import UniversalTable
+from repro.table.partitioned import CinderellaTable, unpartitioned_table
 
 CATALOG = [
     {"name": "Canon S120", "aperture": 2.0, "resolution": 12.1, "weight": 198},
@@ -24,7 +23,7 @@ CATALOG = [
 @pytest.fixture()
 def tables():
     cinderella = CinderellaTable(CinderellaConfig(max_partition_size=2, weight=0.3))
-    universal = UniversalTable()
+    universal = unpartitioned_table()
     for index, row in enumerate(CATALOG):
         cinderella.insert(row, entity_id=index)
         universal.insert(row, entity_id=index)

@@ -21,8 +21,7 @@ from repro.sql.ast import (
     SelectStatement,
 )
 from repro.sql.executor import execute_statement
-from repro.table.partitioned import CinderellaTable
-from repro.table.universal import UniversalTable
+from repro.table.partitioned import CinderellaTable, unpartitioned_table
 
 COLUMNS = tuple(f"c{i}" for i in range(6))
 
@@ -75,7 +74,7 @@ class TestArbitraryPredicatePruningSoundness:
         cinderella = CinderellaTable(
             CinderellaConfig(max_partition_size=5, weight=0.4)
         )
-        universal = UniversalTable()
+        universal = unpartitioned_table()
         for eid, (mask, k, stringly) in enumerate(specs):
             row = build_row(mask, k, stringly) or {"c0": 0}
             cinderella.insert(row, entity_id=eid)
