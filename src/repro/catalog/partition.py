@@ -19,7 +19,7 @@ masks and sizes, exactly like the paper's system-catalog-driven prototype.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.catalog.starters import SplitStarters
 
@@ -80,11 +80,6 @@ class Partition:
     def mask_of(self, eid: int) -> int:
         """Return a member entity's synopsis mask."""
         return self._members[eid][0]
-
-    def masks_of(self, eids: Iterable[int]) -> list[int]:
-        """The synopsis masks of member entities, in the order given."""
-        members = self._members
-        return [members[eid][0] for eid in eids]
 
     def is_empty(self) -> bool:
         return not self._members

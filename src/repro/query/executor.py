@@ -8,20 +8,23 @@ touched, which feeds the cost model (:mod:`repro.cost.model`) that
 stands in for the paper's wall-clock measurements.
 
 Within a surviving partition, :func:`execute_union_all` applies the
-pruning rule once more, per entity: an entity whose synopsis (in the
-partition's catalog entry) misses the query is skipped before any of
-its attributes is looked at.  Every page is still read and every record
-still counts, so the accounting is the same as a full decode's.  A
-branch reads one of two sources.  Over heap files (:func:`scan_heap`,
-the adaptation calibrator's probes) a skipped record is never decoded
-and a qualifying one is decoded to the query's attributes only.  Over
-a table snapshot current with the heaps (:func:`scan_view`, the read
-path of :meth:`~repro.table.partitioned.CinderellaTable.execute`) a
-skipped record is not decoded either, a qualifying one is decoded in
-full the first time any query it qualifies for reads it — once per
-change, not once per query — and the scan is charged to the
-partition's heap exactly what the heap scan would have charged, so the
-cost model sees the same query either way.
+pruning rule once more, per entity: an entity whose synopsis misses the
+query is skipped before any of its attributes is looked at.  Every page
+is still read and every record still counts, so the accounting is the
+same as a full decode's.  A branch reads one of two sources.  Over heap
+files (:func:`scan_heap`, the adaptation calibrator's probes) the
+synopsis is the partition's catalog entry's, found by the record's
+entity id; a skipped record is never decoded and a qualifying one is
+decoded to the query's attributes only.  Over a table snapshot current
+with the heaps (:func:`scan_view`, the read path of
+:meth:`~repro.table.partitioned.CinderellaTable.execute`) the synopsis
+is the one the stored record carries
+(:func:`~repro.query.pruning.surviving_records`), which decides the
+match on its own; a skipped record is not decoded either, a qualifying
+one is decoded in full the first time any query it qualifies for reads
+it — once per change, not once per query — and the scan is charged to
+the partition's heap exactly what the heap scan would have charged, so
+the cost model sees the same query either way.
 The oracle (:func:`execute_uncached_full_scan`), SQL and the schema
 views decode every record they scan in full, trusting no entity
 synopsis.
@@ -169,11 +172,12 @@ def scan_view(
     out_rows: list,
     matches: Callable[[dict[str, Any]], bool],
     project: Callable[[dict[str, Any]], Any],
-    entry: Optional["Partition"] = None,
-    clauses: Sequence[int] = (),
+    clauses: Optional[Sequence[int]] = None,
 ) -> None:
     """:func:`scan_heap` of *heap*, answered from *view*, a snapshot's
-    view of the same partition at the heap's current state.
+    view of the same partition at the heap's current state; with
+    *clauses*, entities are pruned by the masks their records carry
+    (:meth:`~repro.query.snapshot.PartitionView.scan`).
 
     The rows are the heap scan's, in its order; *heap* is charged the
     pages, bytes and records that scan would have charged
@@ -182,7 +186,7 @@ def scan_view(
     """
     before = heap.io.snapshot()
     heap.charge_scan()
-    view.scan(stats, out_rows, matches, project, entry=entry, clauses=clauses)
+    view.scan(stats, out_rows, matches, project, clauses=clauses)
     delta = heap.io.delta_since(before)
     stats.pages_read += delta.pages_read
     stats.bytes_read += delta.bytes_read
@@ -200,12 +204,12 @@ def execute_union_all(
     """Execute a UNION ALL plan over partition heap files.
 
     With *catalog*, each branch scan tests records by their entity
-    synopses before decoding them (:func:`scan_heap`); without it, every
-    record is decoded in full.  With *cache* (which requires *catalog*
-    for the content versions), each branch is first looked up under the
-    partition's current version; only misses scan, and their
-    per-partition rows are stored for the next execution of the same
-    query.  Row order is identical with and without a cache: branches
+    synopses before decoding them (:func:`scan_heap`, :func:`scan_view`);
+    without it, every record is decoded in full.  With *cache* (which
+    requires *catalog* for the content versions), each branch is first
+    looked up under the partition's current version; only misses scan,
+    and their per-partition rows are stored for the next execution of
+    the same query.  Row order is identical with and without a cache: branches
     run in plan order and a cached branch contributes exactly the rows
     its scan produced.
 
@@ -219,7 +223,7 @@ def execute_union_all(
     if cache is not None and catalog is None:
         raise ValueError("a result cache requires the catalog for versions")
     query = plan.query
-    clauses = clause_masks(query, dictionary) if catalog is not None else ()
+    clauses = clause_masks(query, dictionary) if catalog is not None else None
     stats = ExecutionStats(
         partitions_total=plan.partitions_total,
         partitions_pruned=len(plan.pruned_pids),
@@ -248,7 +252,6 @@ def execute_union_all(
                 stats.cache_misses += 1
                 branch_rows = []
             stats.partitions_scanned += 1
-            entry = catalog.get(pid) if catalog is not None else None
             if snapshot is not None and current is None:
                 current = snapshot()
             with obs.span("query.scan", pid=pid):
@@ -256,13 +259,13 @@ def execute_union_all(
                     scan_heap(
                         heaps[pid], dictionary, stats, branch_rows,
                         query.matches, query.project,
-                        entry=entry, clauses=clauses,
+                        entry=catalog.get(pid) if catalog is not None else None,
+                        clauses=clauses or (),
                     )
                 else:
                     scan_view(
                         current.view_of(pid), heaps[pid], stats, branch_rows,
-                        query.matches, query.project,
-                        entry=entry, clauses=clauses,
+                        query.matches, query.project, clauses=clauses,
                     )
             if cache is not None:
                 cache.store(query, pid, version, branch_rows)

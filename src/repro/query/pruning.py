@@ -20,11 +20,16 @@ not *complete*: a survivor may still hold irrelevant entities — the
 residue Definition 1's efficiency measures.
 
 :func:`prune` tests every ``(key, mask)`` pair (the paper's metadata
-scan); :func:`surviving_pids_from_index` resolves the same survivors
-from the :class:`~repro.catalog.synopsis_index.SynopsisIndex` posting
-lists without touching non-overlapping partitions (tests pin the two
-equal).  It must not consult the index's list of empty-synopsis
-partitions: ``SynopsisIndex.candidate_pids(0)`` answers the insert
+scan).  :func:`surviving_records` applies it per entity, to the synopsis
+each stored record carries — exact there, since a record's mask is its
+own attribute set: overlapping every clause is what
+:meth:`~repro.query.query.AttributeQuery.matches` decides, for ``any``
+and ``all`` alike.  :func:`surviving_pids_from_index` resolves the same
+survivors as :func:`prune` from the
+:class:`~repro.catalog.synopsis_index.SynopsisIndex` posting lists
+without touching non-overlapping partitions (tests pin the two equal).
+It must not consult the index's list of empty-synopsis partitions:
+``SynopsisIndex.candidate_pids(0)`` answers the insert
 question ("where could an attribute-less *entity* go?"), while a clause
 mask of ``0`` unions no posting list and so keeps nothing.
 """
@@ -39,6 +44,7 @@ from repro.query.query import AttributeQuery
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.dictionary import AttributeDictionary
     from repro.catalog.synopsis_index import SynopsisIndex
+    from repro.storage.record import StoredRecord
 
 Key = TypeVar("Key")
 
@@ -70,6 +76,20 @@ def prune(
         else:
             surviving.append(key)
     return surviving, pruned
+
+
+def surviving_records(
+    records: Iterable["StoredRecord"], masks: Sequence[int]
+) -> list["StoredRecord"]:
+    """The stored records whose entity synopsis (``record.mask``) meets
+    every clause mask — :func:`prune`'s survivors, in order."""
+    if len(masks) == 1:
+        clause = masks[0]
+        return [record for record in records if record.mask & clause]
+    surviving, _pruned = prune(
+        ((record, record.mask) for record in records), masks
+    )
+    return surviving
 
 
 def surviving_pids_from_index(

@@ -25,10 +25,15 @@ a query: it charges no I/O.
 
 One mechanism keeps publication proportional to the change:
 
-* **Records carry their decode.**  A heap stores each record as a
-  :class:`~repro.storage.record.StoredRecord`, which keeps its decoded
-  ``(eid, attributes)`` and its rendered row per query shape once a
-  reader made them.  Splits, merges, moving updates and reorganizations
+* **Records carry their synopsis and their decode.**  A heap stores
+  each record as a :class:`~repro.storage.record.StoredRecord`, which
+  carries its entity's synopsis mask from the moment it is stored, and
+  keeps its decoded ``(eid, attributes)`` and its rendered row per query
+  shape once a reader made them.  Both read paths test a record's mask
+  against the query's clause masks
+  (:func:`~repro.query.pruning.surviving_records`) before anything
+  else, so a record a query does not match is neither decoded nor
+  rendered for it.  Splits, merges, moving updates and reorganizations
   move the object, so a moved record is never decoded or rendered again.
 * **Pages share their views.**  A page caches an immutable
   :class:`~repro.storage.page.PageView` of its live records until it
@@ -73,7 +78,7 @@ from typing import (
 
 from repro.obs import runtime as obs
 from repro.query.executor import ExecutionResult, ExecutionStats, union_branches
-from repro.query.pruning import clause_masks, prune
+from repro.query.pruning import clause_masks, prune, surviving_records
 from repro.query.query import AttributeQuery
 from repro.storage.page import PageView
 from repro.storage.record import StoredRecord, deserialize_record
@@ -81,7 +86,6 @@ from repro.storage.record import StoredRecord, deserialize_record
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.catalog import PartitionCatalog
     from repro.catalog.dictionary import AttributeDictionary
-    from repro.catalog.partition import Partition
     from repro.table.partitioned import CinderellaTable
 
 #: query identity — the same pair the result cache keys by
@@ -196,24 +200,18 @@ class _PartitionState:
             self.by_eid[scope] = entry
         return entry
 
-    def qualifying(
-        self, entry: "Partition", clauses: Sequence[int]
-    ) -> list[dict[str, Any]]:
-        """The attributes of the records whose entity synopsis in *entry*
-        meets every clause, in order.
+    def qualifying(self, clauses: Sequence[int]) -> list[dict[str, Any]]:
+        """The attributes of the records whose entity synopsis meets
+        every clause, in order.
 
-        An entity is pruned by the id its record carries, so only a
+        An entity is pruned by the mask its record carries, so only a
         qualifying record is decoded, in full and once: a later scan of
         any shape reuses it.
         """
-        records = self.records()
-        survivors, _pruned = prune(
-            zip(records, entry.masks_of(map(_eid_of, records))), clauses
-        )
         dictionary = self.dictionary
         return [
             (stored.decoded or _decode(stored, dictionary))[1]
-            for stored in survivors
+            for stored in surviving_records(self.records(), clauses)
         ]
 
     def chunk(
@@ -226,11 +224,12 @@ class _PartitionState:
         key = (sig, scope)
         entry = self.chunks.get(key)
         if entry is None:
+            clauses = clause_masks(query, self.dictionary)
             parts = []
             count = 0
             for page in self.pages:
                 chunk, added = page.chunks.get(key) or _render(
-                    page, query, sig, scope, self.dictionary
+                    page, query, sig, scope, clauses, self.dictionary
                 )
                 if added:
                     parts.append(chunk)
@@ -252,15 +251,17 @@ def _decode(
 
 def _render(
     page: PageView, query: AttributeQuery, sig: QuerySig,
-    scope: Optional[ShardScope], dictionary: "AttributeDictionary",
+    scope: Optional[ShardScope], clauses: Sequence[int],
+    dictionary: "AttributeDictionary",
 ) -> tuple[str, int]:
-    """Match, project and serialize the records of *page* in *scope*,
-    rendering each record at most once per shape; memoised on the page."""
-    matches = query.matches
+    """Project and serialize the records of *page* in *scope* whose mask
+    meets every clause of the query (*clauses*), rendering each record
+    at most once per shape; memoised on the page.  A record the query
+    does not match is neither decoded nor rendered."""
     project = query.project
     dumps = json.dumps
     picked = []
-    for stored in page.records:
+    for stored in surviving_records(page.records, clauses):
         if scope is not None and stored.eid % scope.n_shards not in scope.shards:
             continue
         rows = stored.rows
@@ -269,15 +270,11 @@ def _render(
         row = rows.get(sig)
         if row is None:
             attributes = (stored.decoded or _decode(stored, dictionary))[1]
-            row = (
-                dumps(project(attributes), separators=(",", ":"))
-                if matches(attributes) else ""
-            )
+            row = dumps(project(attributes), separators=(",", ":"))
             if len(rows) >= _CHUNK_CACHE_SIGS:
                 rows.clear()
             rows[sig] = row
-        if row:
-            picked.append(row)
+        picked.append(row)
     entry = (",".join(picked), len(picked))
     if len(page.chunks) >= _CHUNK_CACHE_SIGS:
         page.chunks.clear()
@@ -315,31 +312,30 @@ class PartitionView:
         out_rows: list,
         matches: Callable[[dict[str, Any]], bool],
         project: Callable[[dict[str, Any]], Any],
-        entry: Optional["Partition"] = None,
-        clauses: Sequence[int] = (),
+        clauses: Optional[Sequence[int]] = None,
     ) -> None:
         """:func:`~repro.query.executor.scan_heap` over the decoded
         entities in scope, so no pages or bytes are read: the one scan of
         :meth:`TableSnapshot.execute`, of SQL on a snapshot and of the
         embedded table's reads (:func:`~repro.query.executor.scan_view`).
 
-        With *entry* (the partition's catalog entry, current with this
-        view, which must be unscoped) and *clauses*
-        (:func:`~repro.query.pruning.clause_masks`), an entity whose
-        synopsis misses a clause is counted as read and skipped before
-        it is decoded or *matches* probes it — the pruning rule, per
-        entity, as :func:`~repro.query.executor.scan_heap` applies it
-        (see :meth:`_PartitionState.qualifying`).
+        With *clauses* (the query's
+        :func:`~repro.query.pruning.clause_masks`; the view must be
+        unscoped), an entity whose synopsis misses a clause is counted as
+        read and skipped before it is decoded — the pruning rule, per
+        entity, on the mask its record carries (see
+        :meth:`_PartitionState.qualifying`).  The rule is exact there, so
+        *matches* is not probed: every survivor is a row.
         """
-        if entry is None:
+        if clauses is None:
             pairs = self._pairs()
             stats.entities_read += len(pairs)
-            attributes = [attributes for _eid, attributes in pairs]
+            rows = filter(matches, [attributes for _eid, attributes in pairs])
         else:
             stats.entities_read += self.count
-            attributes = self._state.qualifying(entry, clauses)
+            rows = self._state.qualifying(clauses)
         before = len(out_rows)
-        out_rows.extend(map(project, filter(matches, attributes)))
+        out_rows.extend(map(project, rows))
         stats.rows_returned += len(out_rows) - before
 
     def entities(self) -> Iterator[tuple[int, dict[str, Any]]]:

@@ -21,7 +21,10 @@ there.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
+import inspect
 import threading
+import time
 from typing import Optional
 
 from repro.server.frontdoor import FrontDoor
@@ -93,21 +96,36 @@ class ServerThread:
         self._end(self.server.abort, timeout_s)
 
     def _end(self, ending, timeout_s: float) -> None:
-        """Run *ending* (a coroutine function) on the loop, then join."""
-        if self._thread is None or self._loop is None:
+        """Run *ending* (a coroutine function) on the loop, then join.
+
+        A wire ``shutdown`` may have ended the serving coroutine already:
+        the loop then stops, and closes, without running what was
+        submitted to it.  So the submission is waited on only while the
+        loop thread lives; once it ended, a coroutine it never started
+        is closed here, unrun.
+        """
+        thread = self._thread
+        if thread is None or self._loop is None:
             return
-        if self._thread.is_alive() and self._startup_error is None:
+        if thread.is_alive() and self._startup_error is None:
             coroutine = ending()
             try:
                 future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
             except RuntimeError:
-                # a `shutdown` op stopped the tier and its loop closed
-                # between the liveness test and the submission
+                # the loop closed between the liveness test and the submission
                 coroutine.close()
             else:
-                future.result(timeout=timeout_s)
-        self._thread.join(timeout=timeout_s)
-        if self._thread.is_alive():  # pragma: no cover - debugging aid
+                deadline = time.monotonic() + timeout_s
+                while not future.done() and thread.is_alive():
+                    if time.monotonic() >= deadline:
+                        raise TimeoutError("server did not stop in time")
+                    concurrent.futures.wait((future,), timeout=0.05)
+                if future.done():
+                    future.result()
+                elif inspect.getcoroutinestate(coroutine) == inspect.CORO_CREATED:
+                    coroutine.close()
+        thread.join(timeout=timeout_s)
+        if thread.is_alive():  # pragma: no cover - debugging aid
             raise TimeoutError("server loop thread did not exit")
         self._thread = None
         self._loop = None

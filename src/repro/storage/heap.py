@@ -7,15 +7,15 @@ Records are addressed by :class:`RecordId` (page number, slot); scans go
 page-by-page, charging the shared :class:`~repro.storage.iostats.IOStats`
 and optionally consulting a :class:`~repro.storage.buffer.BufferPool`.
 
-Records go in and come out as bytes.  Beside that, :meth:`HeapFile.take`
-and :meth:`HeapFile.place` move a stored record to another heap as the
-object it is stored as (see :class:`~repro.storage.record.StoredRecord`),
-charged like a read, a delete and an insert, and
-:meth:`HeapFile.page_views` is every page's immutable view of its live
-records: a snapshot publish's read, which is not a query, so it charges
-nothing.  A query served from a snapshot current with the heap charges,
-through :meth:`HeapFile.charge_scan`, exactly what :meth:`HeapFile.scan`
-would have.
+Records go in as bytes with their entity synopsis and come out as
+bytes.  Beside that, :meth:`HeapFile.take` and :meth:`HeapFile.place`
+move a stored record to another heap as the object it is stored as (see
+:class:`~repro.storage.record.StoredRecord`), charged like a read, a
+delete and an insert, and :meth:`HeapFile.page_views` is every page's
+immutable view of its live records: a snapshot publish's read, which is
+not a query, so it charges nothing.  A query served from a snapshot
+current with the heap charges, through :meth:`HeapFile.charge_scan`,
+exactly what :meth:`HeapFile.scan` would have.
 """
 
 from __future__ import annotations
@@ -82,14 +82,15 @@ class HeapFile:
     # ------------------------------------------------------------------
     # record operations
     # ------------------------------------------------------------------
-    def insert(self, record: bytes) -> RecordId:
-        """Append a record, opening a new page when nothing fits.
+    def insert(self, record: bytes, mask: int) -> RecordId:
+        """Append a record with its entity synopsis *mask*, opening a new
+        page when nothing fits.
 
         Placement policy: try the tail page, then a bounded free-space
         hint list fed by deletions — constant work per insert instead of a
         full page-directory scan.
         """
-        return self.place(StoredRecord(record))
+        return self.place(StoredRecord(record, mask))
 
     def place(self, stored: StoredRecord) -> RecordId:
         """:meth:`insert` the record *stored* is, as that object (a move
@@ -139,13 +140,13 @@ class HeapFile:
             self._free_hints.append(rid.page)
         return record
 
-    def replace(self, rid: RecordId, record: bytes) -> RecordId:
+    def replace(self, rid: RecordId, record: bytes, mask: int) -> RecordId:
         """Update a record in place when it fits, else relocate it."""
         try:
-            self._pages[rid.page].replace(rid.slot, record)
+            self._pages[rid.page].replace(rid.slot, record, mask)
         except PageFullError:
             self.delete(rid)
-            return self.insert(record)
+            return self.insert(record, mask)
         self.io.records_written += 1
         self.io.bytes_written += len(record)
         self.io.pages_written += 1

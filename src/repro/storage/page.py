@@ -8,8 +8,9 @@ paper's remark that in disk-based systems "pages may represent a partition
 granularity" — here pages are below partitions: each partition is a heap
 file of pages.
 
-A slot holds a :class:`~repro.storage.record.StoredRecord` — the bytes
-plus what readers decoded from them — behind a bytes-in, bytes-out API.
+A slot holds a :class:`~repro.storage.record.StoredRecord` — the bytes,
+the entity synopsis they were stored with, and what readers decoded from
+them — behind a bytes-in, bytes-out API.
 :meth:`Page.view` is the page's live records at one moment as an
 immutable :class:`PageView`, cached until the page next changes, so
 every reader that sees the page unchanged shares one view.
@@ -86,9 +87,10 @@ class Page:
     def fits(self, record: bytes) -> bool:
         return len(record) + _SLOT_OVERHEAD <= self.free_bytes
 
-    def insert(self, record: bytes) -> int:
-        """Store a record, reusing a tombstone slot if any; return the slot."""
-        return self.place(StoredRecord(record))
+    def insert(self, record: bytes, mask: int) -> int:
+        """Store a record with its entity synopsis *mask*, reusing a
+        tombstone slot if any; return the slot."""
+        return self.place(StoredRecord(record, mask))
 
     def place(self, stored: StoredRecord) -> int:
         """:meth:`insert` for a record already stored elsewhere: the
@@ -130,7 +132,7 @@ class Page:
         self._view = None
         return record
 
-    def replace(self, slot: int, record: bytes) -> None:
+    def replace(self, slot: int, record: bytes, mask: int) -> None:
         """Overwrite a live record in place (used by in-place updates)."""
         old = self.read(slot)
         new_used = self._used - len(old) + len(record)
@@ -138,7 +140,7 @@ class Page:
             raise PageFullError(
                 f"replacement record of {len(record)} bytes does not fit"
             )
-        self._slots[slot] = StoredRecord(record)
+        self._slots[slot] = StoredRecord(record, mask)
         self._used = new_used
         self._view = None
 

@@ -190,21 +190,27 @@ def record_entity_id(data: bytes) -> int:
 
 class StoredRecord:
     """One record as a heap page holds it: its bytes, its entity id (read
-    off the first varint when the object is made) and what readers made
-    of it — ``decoded``, the ``(eid, attributes)`` pair once a reader
-    decoded it, and ``rows``, per query shape the record's rendered row
-    (``""``: it does not match) once a reader rendered it.
+    off the first varint when the object is made), ``mask``, the entity's
+    synopsis — the attribute bitmask the catalog holds for it, handed in
+    by whoever stores the record and never read from the bytes — and what
+    readers made of it: ``decoded``, the ``(eid, attributes)`` pair once a
+    reader decoded it, and ``rows``, per query shape the record's rendered
+    row once a reader rendered it (only a record the query matches is
+    rendered: a reader tests the mask first).
 
-    The bytes never change: an update stores a new object.  A split,
-    merge or reorganization moves the object itself from heap to heap,
-    so what was decoded and rendered for it moves along.
+    The bytes and the mask never change: an update stores a new object.
+    A split, merge or reorganization moves the object itself from heap to
+    heap, so its mask and what was decoded and rendered for it move along.
+    The mask is not persisted: it is the synopsis of the attributes the
+    bytes hold, so whoever restores a record computes it again.
     """
 
-    __slots__ = ("data", "eid", "decoded", "rows")
+    __slots__ = ("data", "eid", "mask", "decoded", "rows")
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, mask: int) -> None:
         self.data = data
         self.eid = _read_varint(data, 0)[0]
+        self.mask = mask
         self.decoded: Optional[tuple[int, dict[str, Any]]] = None
         self.rows: Optional[dict[Any, str]] = None
 

@@ -53,7 +53,9 @@ from repro.storage.entity import Entity
 from repro.storage.heap import HeapFile, RecordId
 from repro.storage.iostats import IOStats
 from repro.storage.page import DEFAULT_PAGE_SIZE, check_record_size
-from repro.storage.record import deserialize_record, serialize_record
+from repro.storage.record import (
+    StoredRecord, deserialize_record, serialize_record,
+)
 
 
 def _count_txn(outcome: str) -> None:
@@ -151,7 +153,7 @@ class CinderellaTable:
         self._next_eid = max(self._next_eid, eid) + 1
         mask = self.dictionary.encode(attributes)
         outcome = self.partitioner.insert(eid, mask, payload_bytes=len(record))
-        self._apply(outcome, fresh_records={eid: record})
+        self._apply(outcome, fresh_records={eid: StoredRecord(record, mask)})
         self._observe_write(outcome)
         return outcome
 
@@ -178,12 +180,12 @@ class CinderellaTable:
         outcome = self.partitioner.update(eid, mask, payload_bytes=len(record))
         if outcome.in_place:
             heap = self._heaps[old_pid]
-            self._rids[eid] = heap.replace(self._rids[eid], record)
+            self._rids[eid] = heap.replace(self._rids[eid], record, mask)
         else:
             # the entity leaves its old partition; its first move reads the
             # new record, the old one is discarded here
             self._heaps[old_pid].delete(self._rids.pop(eid))
-            self._apply(outcome, fresh_records={eid: record})
+            self._apply(outcome, fresh_records={eid: StoredRecord(record, mask)})
         self._observe_write(outcome)
         return outcome
 
@@ -210,12 +212,14 @@ class CinderellaTable:
         )
 
     def _apply(
-        self, outcome: ModificationOutcome, fresh_records: dict[int, bytes]
+        self, outcome: ModificationOutcome,
+        fresh_records: dict[int, StoredRecord],
     ) -> None:
         """Replay an outcome's moves against the heap files, in order.
 
-        ``fresh_records`` holds serialized records for entities that are
-        not yet stored anywhere (the incoming insert / the updated record).
+        ``fresh_records`` holds the records, with the masks the
+        partitioner was given, of entities that are not yet stored
+        anywhere (the incoming insert / the updated record).
         """
         for pid in outcome.created_partitions:
             self._heaps[pid] = self._new_heap()
@@ -225,20 +229,17 @@ class CinderellaTable:
     def _move_records(
         self,
         moves: Iterable[Move],
-        fresh_records: Optional[dict[int, bytes]] = None,
+        fresh_records: Optional[dict[int, StoredRecord]] = None,
     ) -> None:
         """Carry each moved entity's stored record to its target — the
-        object itself, so what a snapshot decoded and rendered for it
-        moves along; a fresh record is used by the entity's first move
-        only."""
+        object itself, so its mask and what a snapshot decoded and
+        rendered for it move along; a fresh record is used by the
+        entity's first move only."""
         for move in moves:
-            record = fresh_records.pop(move.eid, None) if fresh_records else None
-            target = self._heaps[move.to_pid]
-            if record is None:
+            stored = fresh_records.pop(move.eid, None) if fresh_records else None
+            if stored is None:
                 stored = self._heaps[move.from_pid].take(self._rids.pop(move.eid))
-                self._rids[move.eid] = target.place(stored)
-            else:
-                self._rids[move.eid] = target.insert(record)
+            self._rids[move.eid] = self._heaps[move.to_pid].place(stored)
 
     def _drop_heaps(self, dropped_partitions: Iterable[int]) -> None:
         for pid in dropped_partitions:
@@ -272,7 +273,7 @@ class CinderellaTable:
             mask = self.dictionary.encode(attributes)
             size = self.partitioner.size_model.entity_size(mask, len(record))
             self.catalog.add_entity(partition.pid, eid, mask, size)
-            self._rids[eid] = heap.insert(record)
+            self._rids[eid] = heap.insert(record, mask)
             self._next_eid = max(self._next_eid, eid) + 1
         return partition.pid
 
@@ -471,18 +472,24 @@ class CinderellaTable:
             if heap is None:
                 continue  # reported above: the partition has no heap file
             try:
-                record = heap._pages[rid.page].read(rid.slot)
+                stored = heap._pages[rid.page].stored(rid.slot)
             except (IndexError, KeyError):
                 problems.append(f"rid of entity {eid} points at no record")
                 continue
-            stored_eid, attributes = deserialize_record(record, self.dictionary)
+            stored_eid, attributes = deserialize_record(stored.data, self.dictionary)
             if stored_eid != eid:
                 problems.append(f"rid of entity {eid} points at record {stored_eid}")
                 continue
-            # the pruned scan skips a record by this mask, undecoded
-            if self.dictionary.encode(attributes) != self.catalog.get(pid).mask_of(eid):
+            synopsis = self.catalog.get(pid).mask_of(eid)
+            if self.dictionary.encode(attributes) != synopsis:
                 problems.append(
                     f"entity {eid}: stored attributes differ from its catalog synopsis"
+                )
+            elif stored.mask != synopsis:
+                # the snapshot reads skip a record by this mask, undecoded
+                problems.append(
+                    f"entity {eid}: stored record's mask differs from its "
+                    f"catalog synopsis"
                 )
         return problems
 

@@ -66,7 +66,8 @@ class StandardTPCHDatabase:
         for name in data.table_names():
             heap = HeapFile(page_size=page_size, io=self.io)
             for row in data.table(name):
-                heap.insert(serialize_record(eid, row, self.dictionary))
+                record = serialize_record(eid, row, self.dictionary)
+                heap.insert(record, self.dictionary.encode(row))
                 eid += 1
             self._heaps[name] = heap
 

@@ -67,6 +67,20 @@ class TestCatalogCorruptionDetection:
         catalog._entity_to_pid[eid] = other
         assert table.check_consistency() != []
 
+    def test_stored_mask_tampering_reported(self):
+        """The snapshot reads skip a record by the mask it carries, so a
+        mask that disagrees with the catalog silently drops (or keeps)
+        rows; the check compares the two, the record's bytes aside."""
+        table = build_table()
+        pid = table.catalog.partition_of(3)
+        rid = table._rids[3]
+        table.heap_of(pid)._pages[rid.page].stored(rid.slot).mask = 0
+        query = AttributeQuery(("a",))
+        assert table.execute(query).rows != table.execute_naive(query).rows
+        assert table.check_consistency() == [
+            "entity 3: stored record's mask differs from its catalog synopsis"
+        ]
+
     def test_starter_tampering_reported(self):
         table = build_table()
         partition = next(p for p in table.catalog if len(p) >= 2)

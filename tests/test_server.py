@@ -7,12 +7,14 @@ path production traffic takes.
 """
 
 import asyncio
+import gc
 import json
 import socket
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -413,6 +415,48 @@ class TestLifecycle:
             assert response.ok and response.get("draining") is True
         harness.stop()  # idempotent join
         assert harness.server.table.check_consistency() == []
+
+    @staticmethod
+    def _stop_without_warnings(harness) -> float:
+        """``harness.stop()``'s wall time; fails on a never-awaited
+        coroutine (the drain it would have submitted, left unrun)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            started = time.monotonic()
+            harness.stop(timeout_s=5.0)
+            elapsed = time.monotonic() - started
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return elapsed
+
+    def test_stop_after_a_shutdown_op_ended_the_loop(self, harness):
+        thread = harness._thread
+        with ServerClient(*harness.address) as client:
+            assert client.shutdown().ok
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert self._stop_without_warnings(harness) < 1.0
+
+    def test_stop_while_a_shutdown_op_closes_the_loop(self, harness):
+        """The loop has stopped but not yet closed when ``stop`` submits
+        its drain, so the submission is accepted and never runs: ``stop``
+        must not wait on it past the loop thread's end."""
+        loop = harness._loop
+        close = loop.close
+        closing, release = threading.Event(), threading.Event()
+
+        def gated_close():
+            closing.set()
+            release.wait(10)
+            close()
+
+        loop.close = gated_close
+        with ServerClient(*harness.address) as client:
+            assert client.shutdown().ok
+        assert closing.wait(10) and not loop.is_running()
+        threading.Timer(0.2, release.set).start()
+        assert self._stop_without_warnings(harness) < 1.0
+        assert loop.is_closed()
 
     def test_maintain_merges_after_deletes(self):
         table = CinderellaTable(
