@@ -39,8 +39,7 @@ server load generator):
 The claim under test is the layer's core contract:
 
 * **enabled** tracing and metrics may slow the workload by at most
-  ``MAX_ENABLED_OVERHEAD`` (the CI gate fails above 10 %; the committed
-  baseline records well under 5 %);
+  ``MAX_ENABLED_OVERHEAD`` (the CI gate fails above 10 %);
 * **disabled** instrumentation is noise: every call site is one global
   read plus an early return, micro-measured here in nanoseconds per
   call and bounded by ``MAX_DISABLED_NS_PER_CALL``;
@@ -68,7 +67,6 @@ from conftest import interleaved_cpu_runs, percentile, quiet_floor
 
 from repro import obs
 from repro.core.config import CinderellaConfig
-from repro.maintenance.merger import merge_small_partitions
 from repro.obs.counters import QueryPathCounters
 from repro.query.cache import QueryResultCache
 from repro.router.testing import ClusterHarness
@@ -161,7 +159,7 @@ def _run_workload(dataset) -> None:
     for _round in range(QUERY_ROUNDS):
         for query in queries:
             table.execute(query)
-    merge_small_partitions(table.partitioner, min_fill=0.5)
+    table.merge_small_partitions(min_fill=0.5)
 
 
 def _measure_disabled_call_ns() -> float:

@@ -291,9 +291,10 @@ class AdaptationController:
     def _calibrate_locked(self, table: "CinderellaTable") -> None:
         """Probe the live table and refit the model when it has drifted.
 
-        Each probe replays one traced query shape twice — once through
-        the pruned plan, once as the naive full scan — so the fit sees
-        both ends of the feature range on this very host.  Sweeps repeat
+        Each probe replays one traced query shape twice — once over the
+        pruned plan's surviving partitions, once as the naive full scan,
+        both heap scans decoding every record they read — so the fit
+        sees both ends of the feature range on this very host.  Sweeps repeat
         (bounded) until the calibrator's fit window has enough samples:
         on the serve path queries come pre-serialized from snapshots, so
         probes are the *only* measured executions the fit ever sees.
@@ -309,8 +310,7 @@ class AdaptationController:
                     for attributes, mode in shapes:
                         query = AttributeQuery(attributes, mode)
                         pruned = execute_union_all(
-                            table.plan(query), heaps, table.dictionary,
-                            catalog=table.catalog,
+                            table.plan(query), heaps, table.dictionary
                         )
                         calibrator.observe_sample(
                             CalibrationSample.from_stats(pruned.stats)

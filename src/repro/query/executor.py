@@ -7,26 +7,21 @@ of full partition scans.  What matters for the reproduction is the
 touched, which feeds the cost model (:mod:`repro.cost.model`) that
 stands in for the paper's wall-clock measurements.
 
-Within a surviving partition, :func:`execute_union_all` applies the
-pruning rule once more, per entity: an entity whose synopsis misses the
-query is skipped before any of its attributes is looked at.  Every page
-is still read and every record still counts, so the accounting is the
-same as a full decode's.  A branch reads one of two sources.  Over heap
-files (:func:`scan_heap`, the adaptation calibrator's probes) the
-synopsis is the partition's catalog entry's, found by the record's
-entity id; a skipped record is never decoded and a qualifying one is
-decoded to the query's attributes only.  Over a table snapshot current
-with the heaps (:func:`scan_view`, the read path of
-:meth:`~repro.table.partitioned.CinderellaTable.execute`) the synopsis
-is the one the stored record carries
-(:func:`~repro.query.pruning.surviving_records`), which decides the
-match on its own; a skipped record is not decoded either, a qualifying
-one is decoded in full the first time any query it qualifies for reads
-it — once per change, not once per query — and the scan is charged to
-the partition's heap exactly what the heap scan would have charged, so
-the cost model sees the same query either way.
-The oracle (:func:`execute_uncached_full_scan`), SQL and the schema
-views decode every record they scan in full, trusting no entity
+Within a surviving partition, :func:`execute_union_all` given the
+table's snapshot applies the pruning rule once more, per entity
+(:func:`scan_view`, the read path of
+:meth:`~repro.table.partitioned.CinderellaTable.execute`): an entity
+whose stored record's mask misses the query is skipped before it is
+decoded (:func:`~repro.query.pruning.surviving_records`).  The mask is
+the entity's own attribute set, so it decides the match on its own; a
+qualifying record is decoded in full the first time any query it
+qualifies for reads it — once per change, not once per query.  Every
+page is still charged to the partition's heap and every record still
+counts, exactly as a heap scan would have charged them, so the cost
+model sees the same query either way.  Without a snapshot a branch
+reads its heap file through :func:`scan_heap`, which decodes every
+record in full; so do the oracles (:func:`execute_uncached_full_scan`,
+cache coherence), SQL, the schema views and TPC-H, trusting no entity
 synopsis.
 
 On top of that baseline sits the read-side fast path: when a
@@ -45,21 +40,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
-from repro.catalog.partition import iter_attribute_ids
 from repro.obs import runtime as obs
-from repro.query.pruning import clause_masks, prune
+from repro.query.pruning import clause_masks
 from repro.query.query import AttributeQuery
 from repro.query.rewrite import UnionAllPlan
-from repro.storage.record import deserialize_record, record_entity_id
+from repro.storage.record import deserialize_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.catalog import PartitionCatalog
     from repro.catalog.dictionary import AttributeDictionary
-    from repro.catalog.partition import Partition
     from repro.obs.counters import QueryPathCounters
     from repro.query.cache import QueryResultCache
     from repro.query.snapshot import PartitionView, TableSnapshot
@@ -117,49 +108,22 @@ def scan_heap(
     out_rows: list,
     matches: Callable[[dict[str, Any]], bool],
     project: Callable[[dict[str, Any]], Any],
-    entry: Optional["Partition"] = None,
-    clauses: Sequence[int] = (),
 ) -> None:
     """Scan one heap file, appending ``project(attributes)`` for every
     record ``matches`` accepts: the read path's one heap scan.
 
     Charges page/byte reads through the heap's I/O stats and mirrors the
-    deltas into *stats*.  Every page is read and every live record
-    counts as read (there are no indexes, matching the paper's setup).
-    Without *entry* every record is decoded in full and tested.
-
-    With *entry* (the partition's catalog entry) and *clauses* (the
-    query's clause masks, :func:`repro.query.pruning.clause_masks`), a
-    record is first tested by its entity's catalog synopsis, found from
-    the record's entity id alone: one that misses a clause is skipped
-    undecoded — the partition pruning rule, applied per entity.  A
-    survivor is decoded to the clauses' attributes only, so *matches*
-    and *project* must read no other attribute.
+    deltas into *stats*.  Every page is read and every live record is
+    decoded in full, counted as read and tested (there are no indexes,
+    matching the paper's setup).
     """
     before = heap.io.snapshot()
-    if entry is None:
-        for _rid, record in heap.scan():
-            _eid, attributes = deserialize_record(record, dictionary)
-            stats.entities_read += 1
-            if matches(attributes):
-                out_rows.append(project(attributes))
-                stats.rows_returned += 1
-    else:
-        mask_of = entry.mask_of
-        qualifying, skipped = prune(
-            (
-                (record, mask_of(record_entity_id(record)))
-                for _rid, record in heap.scan()
-            ),
-            clauses,
-        )
-        stats.entities_read += len(qualifying) + len(skipped)
-        only = frozenset(iter_attribute_ids(reduce(or_, clauses)))
-        for record in qualifying:
-            _eid, attributes = deserialize_record(record, dictionary, only)
-            if matches(attributes):
-                out_rows.append(project(attributes))
-                stats.rows_returned += 1
+    for _rid, record in heap.scan():
+        _eid, attributes = deserialize_record(record, dictionary)
+        stats.entities_read += 1
+        if matches(attributes):
+            out_rows.append(project(attributes))
+            stats.rows_returned += 1
     delta = heap.io.delta_since(before)
     stats.pages_read += delta.pages_read
     stats.bytes_read += delta.bytes_read
@@ -172,12 +136,12 @@ def scan_view(
     out_rows: list,
     matches: Callable[[dict[str, Any]], bool],
     project: Callable[[dict[str, Any]], Any],
-    clauses: Optional[Sequence[int]] = None,
+    clauses: Sequence[int],
 ) -> None:
     """:func:`scan_heap` of *heap*, answered from *view*, a snapshot's
-    view of the same partition at the heap's current state; with
-    *clauses*, entities are pruned by the masks their records carry
-    (:meth:`~repro.query.snapshot.PartitionView.scan`).
+    view of the same partition at the heap's current state, with
+    entities pruned by the masks their records carry against the
+    query's *clauses* (:meth:`~repro.query.snapshot.PartitionView.scan`).
 
     The rows are the heap scan's, in its order; *heap* is charged the
     pages, bytes and records that scan would have charged
@@ -203,27 +167,27 @@ def execute_union_all(
 ) -> ExecutionResult:
     """Execute a UNION ALL plan over partition heap files.
 
-    With *catalog*, each branch scan tests records by their entity
-    synopses before decoding them (:func:`scan_heap`, :func:`scan_view`);
-    without it, every record is decoded in full.  With *cache* (which
-    requires *catalog* for the content versions), each branch is first
-    looked up under the partition's current version; only misses scan,
-    and their per-partition rows are stored for the next execution of
-    the same query.  Row order is identical with and without a cache: branches
+    Each branch that scans reads its heap file, every record decoded in
+    full (:func:`scan_heap`).  With *cache* (which requires *catalog*
+    for the content versions), each branch is first looked up under the
+    partition's current version; only misses scan, and their
+    per-partition rows are stored for the next execution of the same
+    query.  Row order is identical with and without a cache: branches
     run in plan order and a cached branch contributes exactly the rows
     its scan produced.
 
     With *snapshot*, a callable returning a
     :class:`~repro.query.snapshot.TableSnapshot` current with *heaps*
     and *catalog*, the branches that scan read the snapshot's views
-    instead (:func:`scan_view`), charged like the heap scans they
-    replace.  It is called once, at the first branch that scans, so a
-    query the cache answers whole never brings a snapshot current.
+    instead, entities pruned by their stored masks (:func:`scan_view`),
+    charged like the heap scans they replace.  It is called once, at the
+    first branch that scans, so a query the cache answers whole never
+    brings a snapshot current.
     """
     if cache is not None and catalog is None:
         raise ValueError("a result cache requires the catalog for versions")
     query = plan.query
-    clauses = clause_masks(query, dictionary) if catalog is not None else None
+    clauses = clause_masks(query, dictionary) if snapshot is not None else ()
     stats = ExecutionStats(
         partitions_total=plan.partitions_total,
         partitions_pruned=len(plan.pruned_pids),
@@ -259,13 +223,11 @@ def execute_union_all(
                     scan_heap(
                         heaps[pid], dictionary, stats, branch_rows,
                         query.matches, query.project,
-                        entry=catalog.get(pid) if catalog is not None else None,
-                        clauses=clauses or (),
                     )
                 else:
                     scan_view(
                         current.view_of(pid), heaps[pid], stats, branch_rows,
-                        query.matches, query.project, clauses=clauses,
+                        query.matches, query.project, clauses,
                     )
             if cache is not None:
                 cache.store(query, pid, version, branch_rows)

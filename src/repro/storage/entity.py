@@ -42,17 +42,3 @@ class Entity:
     def synopsis_mask(self, dictionary: "AttributeDictionary") -> int:
         """The entity synopsis as a bitmask, interning unseen attributes."""
         return dictionary.encode(self.attributes)
-
-    def instantiates(self, name: str) -> bool:
-        return name in self.attributes
-
-    def instantiates_any(self, names: tuple[str, ...]) -> bool:
-        """The paper's query predicate: ``a₁ IS NOT NULL OR a₂ IS NOT NULL …``."""
-        return any(name in self.attributes for name in names)
-
-    def instantiates_all(self, names: tuple[str, ...]) -> bool:
-        return all(name in self.attributes for name in names)
-
-    def project(self, names: tuple[str, ...]) -> dict[str, Any]:
-        """Projection to the query's attribute list (absent → None)."""
-        return {name: self.attributes.get(name) for name in names}

@@ -20,9 +20,7 @@ prices and what the I/O statistics count.
 from __future__ import annotations
 
 import struct
-from typing import Any, Container, Mapping, Optional, TYPE_CHECKING
-
-from repro.catalog.dictionary import UnknownAttributeError
+from typing import Any, Mapping, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.catalog.dictionary import AttributeDictionary
@@ -120,11 +118,8 @@ def validate_value(value: Any) -> None:
     _write_value(bytearray(), value)
 
 
-def _read_value(
-    data: bytes, offset: int, build: bool = True
-) -> tuple[Any, int]:
-    """Read the value at *offset*: ``(value, end)``.  With ``build=False``
-    the value is checked and stepped over but not built (``None``)."""
+def _read_value(data: bytes, offset: int) -> tuple[Any, int]:
+    """Read the value at *offset*: ``(value, end)``."""
     if offset >= len(data):
         raise RecordFormatError("truncated record: missing value tag")
     tag = data[offset]
@@ -142,19 +137,19 @@ def _read_value(
         end = offset + _FLOAT.size
         if end > len(data):
             raise RecordFormatError("truncated float value")
-        return (_FLOAT.unpack_from(data, offset)[0] if build else None), end
+        return _FLOAT.unpack_from(data, offset)[0], end
     if tag == _TAG_STR:
         length, offset = _read_varint(data, offset)
         end = offset + length
         if end > len(data):
             raise RecordFormatError("truncated string value")
-        return (data[offset:end].decode("utf-8") if build else None), end
+        return data[offset:end].decode("utf-8"), end
     if tag == _TAG_BYTES:
         length, offset = _read_varint(data, offset)
         end = offset + length
         if end > len(data):
             raise RecordFormatError("truncated bytes value")
-        return (bytes(data[offset:end]) if build else None), end
+        return bytes(data[offset:end]), end
     raise RecordFormatError(f"unknown value tag {tag}")
 
 
@@ -180,12 +175,6 @@ def serialize_record(
         _write_varint(out, attr_id)
         _write_value(out, value)
     return bytes(out)
-
-
-def record_entity_id(data: bytes) -> int:
-    """The entity id of a sparse record (its first varint), read without
-    decoding the rest."""
-    return _read_varint(data, 0)[0]
 
 
 class StoredRecord:
@@ -216,30 +205,16 @@ class StoredRecord:
 
 
 def deserialize_record(
-    data: bytes,
-    dictionary: "AttributeDictionary",
-    only: Optional[Container[int]] = None,
+    data: bytes, dictionary: "AttributeDictionary"
 ) -> tuple[int, dict[str, Any]]:
-    """Decode a sparse record into ``(entity_id, attributes)``.
-
-    With *only* (attribute ids), the attributes are narrowed to those
-    ids: the whole record is still validated — tags, lengths, attribute
-    ids, trailing bytes, raising exactly as a full decode does — but the
-    other values are stepped over, not built.
-    """
+    """Decode a sparse record into ``(entity_id, attributes)``."""
     entity_id, offset = _read_varint(data, 0)
     count, offset = _read_varint(data, offset)
     attributes: dict[str, Any] = {}
-    known = len(dictionary)
     for _ in range(count):
         attr_id, offset = _read_varint(data, offset)
-        if only is None or attr_id in only:
-            value, offset = _read_value(data, offset)
-            attributes[dictionary.name_of(attr_id)] = value
-        else:
-            offset = _read_value(data, offset, build=False)[1]
-            if attr_id >= known:
-                raise UnknownAttributeError(attr_id)
+        value, offset = _read_value(data, offset)
+        attributes[dictionary.name_of(attr_id)] = value
     if offset != len(data):
         raise RecordFormatError(
             f"trailing bytes in record: read {offset} of {len(data)}"

@@ -190,8 +190,8 @@ def decoded(monkeypatch):
     eids: list[int] = []
     decode = snapshot.deserialize_record
 
-    def counting(record, dictionary, only=None):
-        eid, attributes = decode(record, dictionary, only)
+    def counting(record, dictionary):
+        eid, attributes = decode(record, dictionary)
         eids.append(eid)
         return eid, attributes
 

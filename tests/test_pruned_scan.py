@@ -1,23 +1,20 @@
 """The pruned scan: entity synopses skip records undecoded.
 
-Inside a partition that survives pruning, :func:`execute_union_all`
-tests each record's entity synopsis (from the catalog) against the
-query's clauses before decoding it, and over heap files decodes a
-qualifying record to the query's attributes only; ``execute`` reads the
-table's snapshot instead, whose records are decoded once per change.
-These tests hold that scan to three things at every step of a seeded
-modification trace:
+Inside a partition that survives pruning, ``execute`` reads the table's
+snapshot, which tests each record's entity synopsis (the mask the stored
+record carries) against the query's clauses before decoding it, and
+decodes a qualifying record once per change.  These tests hold that
+scan to three things at every step of a seeded modification trace:
 
 * **rows** — ``execute``, with and without a
   :class:`~repro.query.cache.QueryResultCache`, returns exactly the rows
   of ``execute_naive`` in the same order;
 * **accounting** — its page, byte, entity, row and branch counts equal
-  a full-decode scan of the same plan, so the cost model sees nothing
-  change;
-* **proportionality** — a heap scan decodes exactly the qualifying
-  records, ``execute`` decodes each qualifying record once per change
-  and nothing on a repeat, while the oracle, cache coherence, SQL and
-  the views decode every record they scan.
+  a full-decode heap scan of the same plan, so the cost model sees
+  nothing change;
+* **proportionality** — ``execute`` decodes each qualifying record once
+  per change and nothing on a repeat, while the oracle, cache
+  coherence, SQL and the views decode every record they scan.
 """
 
 import pytest
@@ -66,15 +63,6 @@ def accounting(stats):
     return (
         stats.pages_read, stats.bytes_read, stats.entities_read,
         stats.rows_returned, stats.union_branches,
-    )
-
-
-def pruned_heap_scan(table, query):
-    """The plan over the heap files, tested by the catalog's entity
-    synopses (the adaptation calibrator's probe path)."""
-    heaps = {pid: table.heap_of(pid) for pid in table.catalog.partition_ids()}
-    return execute_union_all(
-        table.plan(query), heaps, table.dictionary, catalog=table.catalog
     )
 
 
@@ -170,14 +158,14 @@ MATCH_EVERY = 4
 
 @pytest.fixture
 def decodes(monkeypatch):
-    """``(record, only)`` of each call to the executor's or the
-    snapshot's decoder."""
+    """The record of each call to the executor's or the snapshot's
+    decoder."""
     calls = []
     decode = executor.deserialize_record
 
-    def counting(record, dictionary, only=None):
-        calls.append((record, only))
-        return decode(record, dictionary, only)
+    def counting(record, dictionary):
+        calls.append(record)
+        return decode(record, dictionary)
 
     monkeypatch.setattr(executor, "deserialize_record", counting)
     monkeypatch.setattr(snapshot, "deserialize_record", counting)
@@ -208,27 +196,6 @@ SHAPES = [
 
 
 @pytest.mark.parametrize("query", SHAPES, ids=["any", "any_with_unknown", "all"])
-def test_a_scan_decodes_only_the_qualifying_records(one_partition, decodes, query):
-    table = one_partition
-    matching = N_RECORDS // MATCH_EVERY
-    result = pruned_heap_scan(table, query)
-    assert result.plan.branch_pids == tuple(table.catalog.partition_ids())
-    assert len(result.rows) == matching
-    assert len(decodes) == matching
-    # ... each to the query's attributes only
-    named = [name for name in query.attributes if name in table.dictionary]
-    assert {only for _record, only in decodes} == {
-        frozenset(map(table.dictionary.id_of, named))
-    }
-    assert result.stats.entities_read == N_RECORDS
-
-    decodes.clear()
-    reference = full_decode(table, result.plan)
-    assert len(decodes) == N_RECORDS
-    assert accounting(reference.stats) == accounting(result.stats)
-
-
-@pytest.mark.parametrize("query", SHAPES, ids=["any", "any_with_unknown", "all"])
 def test_execute_decodes_each_record_once_per_change(one_partition, decodes, query):
     """The first read publishes once and decodes each qualifying record
     of the surviving partitions once, in full; repeating every shape with
@@ -240,9 +207,8 @@ def test_execute_decodes_each_record_once_per_change(one_partition, decodes, que
     result = table.execute(query)
     assert result.plan.branch_pids == tuple(table.catalog.partition_ids())
     assert len(result.rows) == matching
-    assert len({id(record) for record, _only in decodes}) == matching
+    assert len({id(record) for record in decodes}) == matching
     assert len(decodes) == matching
-    assert {only for _record, only in decodes} == {None}
     assert result.stats.entities_read == N_RECORDS
     assert table._snapshots.published == published + 1
 

@@ -3,15 +3,15 @@
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.catalog.dictionary import AttributeDictionary, UnknownAttributeError
 from repro.storage.record import (
     MAX_ENTITY_ID,
     RecordFormatError,
+    StoredRecord,
     deserialize_record,
-    record_entity_id,
     serialize_record,
     valid_entity_id,
     validate_value,
@@ -129,6 +129,17 @@ class TestErrors:
         with pytest.raises(RecordFormatError):
             deserialize_record(record + b"\x00", d)
 
+    def test_unknown_value_tag_rejected(self):
+        d = AttributeDictionary(["a", "b"])
+        # entity 5, two pairs: (a, NULL), then b with tag 9
+        with pytest.raises(RecordFormatError):
+            deserialize_record(bytes([5, 2, 0, 0, 1, 9]), d)
+
+    def test_unknown_attribute_id_rejected(self):
+        record = serialize_record(1, {"a": 1, "b": 2}, AttributeDictionary(["a", "b"]))
+        with pytest.raises(UnknownAttributeError):
+            deserialize_record(record, AttributeDictionary(["a"]))
+
 
 #: enough names that attribute ids reach multi-byte varints (>= 128)
 WIDE = AttributeDictionary(f"attr{i}" for i in range(200))
@@ -144,81 +155,10 @@ wide_records = st.tuples(
     st.integers(0, MAX_ENTITY_ID),
     st.dictionaries(st.sampled_from(WIDE.names()), wide_values, max_size=12),
 )
-wide_ids = st.frozensets(st.integers(0, len(WIDE) - 1), max_size=12)
 
 
-def raised(decode):
-    """The exception type *decode* raises (``None`` if it returns)."""
-    try:
-        decode()
-    except Exception as err:  # any type: which one is the result
-        return type(err)
-    return None
-
-
-class TestNarrowedDecode:
-    """``record_entity_id`` and ``deserialize_record(..., only=...)``: the
-    two reads the pruned scan makes instead of a full decode."""
-
+class TestStoredRecord:
     @given(wide_records)
     def test_entity_id_is_the_first_varint(self, entity):
-        record = serialize_record(*entity, WIDE)
-        assert record_entity_id(record) == deserialize_record(record, WIDE)[0]
-
-    @given(wide_records, wide_ids)
-    def test_narrowed_decode_is_the_full_decode_restricted(self, entity, only):
-        record = serialize_record(*entity, WIDE)
-        eid, full = deserialize_record(record, WIDE)
-        expected = {
-            name: value for name, value in full.items()
-            if WIDE.id_of(name) in only
-        }
-        assert deserialize_record(record, WIDE, only) == (eid, expected)
-
-    def test_null_valued_attribute_is_kept(self):
-        d = AttributeDictionary()
-        record = serialize_record(300, {"a": None, "b": 1, "c": "x"}, d)
-        only = {d.id_of("a"), d.id_of("c")}
-        assert deserialize_record(record, d, only) == (300, {"a": None, "c": "x"})
-        assert deserialize_record(record, d, set()) == (300, {})
-
-    @given(wide_records, wide_ids)
-    def test_every_truncation_raises_alike(self, entity, only):
-        record = serialize_record(*entity, WIDE)
-        for end in range(len(record)):
-            cut = record[:end]
-            full = raised(lambda: deserialize_record(cut, WIDE))
-            assert full is not None
-            assert raised(lambda: deserialize_record(cut, WIDE, only)) is full
-
-    @given(wide_records, wide_ids)
-    def test_trailing_byte_raises_alike(self, entity, only):
-        record = serialize_record(*entity, WIDE) + b"\x00"
-        assert raised(lambda: deserialize_record(record, WIDE)) is RecordFormatError
-        assert raised(
-            lambda: deserialize_record(record, WIDE, only)
-        ) is RecordFormatError
-
-    @pytest.mark.parametrize("only", [set(), {0}, {1}])
-    def test_unknown_tag_raises_alike(self, only):
-        d = AttributeDictionary(["a", "b"])
-        # entity 5, two pairs: (a, NULL), then b with tag 9
-        record = bytes([5, 2, 0, 0, 1, 9])
-        assert raised(lambda: deserialize_record(record, d)) is RecordFormatError
-        assert raised(lambda: deserialize_record(record, d, only)) is RecordFormatError
-
-    @given(wide_records, wide_ids)
-    def test_unknown_attribute_id_raises_alike(self, entity, only):
-        eid, attributes = entity
-        assume(attributes)
-        record = serialize_record(eid, attributes, WIDE)
-        # a dictionary that lacks the record's highest attribute id
-        narrow = AttributeDictionary(
-            WIDE.names()[: max(WIDE.id_of(name) for name in attributes)]
-        )
-        assert raised(
-            lambda: deserialize_record(record, narrow)
-        ) is UnknownAttributeError
-        assert raised(
-            lambda: deserialize_record(record, narrow, only)
-        ) is UnknownAttributeError
+        data = serialize_record(*entity, WIDE)
+        assert StoredRecord(data, 0).eid == deserialize_record(data, WIDE)[0]

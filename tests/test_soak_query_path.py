@@ -17,8 +17,8 @@ suite re-establishes the three health checks ISSUE 3 asks for:
 
 Each checkpoint also runs the query battery through the cache so the
 coherence check is never vacuous, and replays it against the naive
-full-scan oracle: the pruned scan skips records by their catalog
-synopses, so the oracle must see every checkpoint.  There each query's
+full-scan oracle: the pruned scan skips records by the synopsis masks
+they carry, so the oracle must see every checkpoint.  There each query's
 pruned scan must also account exactly as a full-decode scan of the same
 plan (pages, bytes, entities, rows, branches).
 """
@@ -67,7 +67,7 @@ def checkpoint(table, live_count):
         # the scan the cache hid: the same plan, pruned per entity
         heaps = {pid: table.heap_of(pid) for pid in fast.plan.branch_pids}
         pruned = execute_union_all(
-            fast.plan, heaps, table.dictionary, catalog=table.catalog
+            fast.plan, heaps, table.dictionary, snapshot=table.snapshot
         )
         full = full_decode(table, fast.plan)
         assert pruned.rows == full.rows == fast.rows, query.sql()
